@@ -10,8 +10,11 @@ window, never a proof; a fail is a concrete counterexample.
 import random
 from dataclasses import dataclass, field
 
+from .balls import standard_ball
+from .coords import (closest_elements, consistency_inequality, distance_formula_sum,
+                     quasi_line_detect)
 from .errors import InputError, PreconditionError, StructureInvalidError
-from .structures import CONTAINS, EQUAL, NEST_IN, ORTHOGONAL, TRANSVERSE
+from .structures import _FLIP, EQUAL, NEST_IN, ORTHOGONAL, TRANSVERSE
 
 AXIOM_NAMES = {
     1: "projections",
@@ -75,16 +78,10 @@ class _Env:
     """Shared sampling state for one checker run."""
 
     def __init__(self, st, radius, seed, max_pairs, max_points, point_radius):
-        from .balls import cayley_ball_layers, symmetrize
-
         self.st = st
         self.radius = radius
         self.rng = random.Random(seed)
-        gens = symmetrize(st.group, st.group.generators())
-        layers = cayley_ball_layers(st.group, gens, radius)
-        self.elements = [w for layer in layers for w in layer]
-        if len(self.elements) > 600:
-            self.elements = self.elements[:600]
+        self.elements = standard_ball(st.group, radius)[:600]
         n = len(self.elements)
         want = min(max_pairs, n * (n - 1) // 2)
         seen = set()
@@ -158,11 +155,10 @@ def _check_nesting(env):
     checks = 0
     # relation codes must flip consistently and nesting must be transitive
     doms = env.sample(env.domains, 25)
-    flip = {EQUAL: EQUAL, NEST_IN: CONTAINS, CONTAINS: NEST_IN, ORTHOGONAL: ORTHOGONAL, TRANSVERSE: TRANSVERSE}
     for u in doms:
         for v in doms:
             checks += 1
-            if st.relation(v, u) != flip[st.relation(u, v)]:
+            if st.relation(v, u) != _FLIP[st.relation(u, v)]:
                 return _report(2, False, -1.0, checks, {"clause": "flip", "u": u, "v": v})
             if (st.relation(u, v) == EQUAL) != (u == v):
                 return _report(2, False, -1.0, checks, {"clause": "equality", "u": u, "v": v})
@@ -250,23 +246,19 @@ def _check_consistency(env):
     ]
     xs = env.sample(env.elements, 40)
     for u, v in env.sample(trans_pairs, 60):
-        rho_vu = st.rho_point(v, u)
-        rho_uv = st.rho_point(u, v)
+        distances = consistency_inequality(st, TRANSVERSE, u, v)
         for x in xs:
             checks += 1
-            du = st.space(u).dist(st.pi(u, x), rho_vu)
-            dv = st.space(v).dist(st.pi(v, x), rho_uv)
+            du, dv = distances(st.pi(u, x), st.pi(v, x))
             m = kappa0 - min(du, dv)
             if m < margin:
                 margin = m
                 witness = {"clause": "transverse", "u": u, "v": v, "x": env.show(x), "d_u": du, "d_v": dv}
     for v, w in env.sample(nest_pairs, 60):
-        rho_vw = st.rho_point(v, w)
+        distances = consistency_inequality(st, NEST_IN, v, w)
         for x in xs:
             checks += 1
-            outer = st.space(w).dist(st.pi(w, x), rho_vw)
-            pulled = st.rho_map_point(w, v, st.pi(w, x))
-            inner = st.space(v).dist(st.pi(v, x), pulled)
+            outer, inner = distances(st.pi(v, x), st.pi(w, x))
             m = kappa0 - min(outer, inner)
             if m < margin:
                 margin = m
@@ -366,18 +358,6 @@ def _check_geodesic_image(env):
     return _report(7, margin >= 0, margin, checks, witness)
 
 
-def _realize_by_ball_search(env, family, targets):
-    st = env.st
-    best = None
-    best_val = float("inf")
-    for g in env.elements:
-        val = max(st.space(u).dist(st.pi(u, g), p) for u, p in zip(family, targets))
-        if val < best_val:
-            best_val = val
-            best = g
-    return best
-
-
 def _check_partial_realization(env):
     st = env.st
     alpha = st.constants.alpha
@@ -406,7 +386,8 @@ def _check_partial_realization(env):
         for targets in env.sample(tuples, 8):
             lifts = [st.lift(u, p) for u, p in zip(family, targets)]
             if any(l is None for l in lifts):
-                g = _realize_by_ball_search(env, family, targets)
+                _, closest = closest_elements(st, env.elements, list(zip(family, targets)))
+                g = closest[0]
             else:
                 g = ()
                 for l in lifts:
@@ -450,9 +431,8 @@ def _check_uniqueness(env):
             if dg <= st.constants.theta_of(kappa):
                 continue
             if best is None:
-                best = max(
-                    (st.dsub(u, x, y) for u in st.domains_between(x, y)), default=0.0
-                )
+                best = max(distance_formula_sum(st, x, y, 0).contributions.values(),
+                           default=0.0)
             checks += 1
             m = best - kappa
             if m < margin:
@@ -516,9 +496,6 @@ class ValidatorReport:
     def ok(self):
         return not self.failures
 
-    def failed_rules(self):
-        return sorted({f["rule"] for f in self.failures})
-
     def to_json(self):
         return {
             "structure": self.structure,
@@ -540,7 +517,6 @@ def structural_validators(structure, strict=False, radius=2):
     a violation means the declared data is not one; strict mode raises.
     Assumes the axiom checks already ran; this does not repeat them.
     """
-    from .coords import quasi_line_detect
     from .spaces import translation_length
 
     gens = structure.group.generators()

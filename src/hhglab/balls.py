@@ -73,9 +73,16 @@ def ball_elements(layers):
     return out
 
 
-def growth_function(model, gens, radius, max_elements=DEFAULT_MAX_ELEMENTS):
+def standard_ball(model, radius):
+    """Elements of the ball of the given radius in the symmetrized standard
+    generators, layer by layer: the one ball every sampler draws from."""
+    return ball_elements(
+        cayley_ball_layers(model, symmetrize(model, model.generators()), radius))
+
+
+def growth_function(model, gens, radius):
     """Cumulative ball sizes [beta(0), ..., beta(radius)]."""
-    layers = cayley_ball_layers(model, gens, radius, max_elements)
+    layers = cayley_ball_layers(model, gens, radius)
     beta = []
     total = 0
     for layer in layers:
@@ -84,20 +91,16 @@ def growth_function(model, gens, radius, max_elements=DEFAULT_MAX_ELEMENTS):
     return beta
 
 
-def sphere_sizes(layers):
-    return [len(layer) for layer in layers]
-
-
-def growth_rate(model, gens, n, max_elements=DEFAULT_MAX_ELEMENTS):
+def growth_rate(model, gens, n):
     """Exponential growth estimate log(beta(n))/n plus the sequence
     [beta(1), ..., beta(n)] for monotonicity diagnostics."""
     if n < 1:
         raise InputError("n must be at least 1")
-    beta = growth_function(model, gens, n, max_elements)
+    beta = growth_function(model, gens, n)
     return math.log(beta[n]) / n, beta[1:]
 
 
-def generates_at_radius(model, words, radius, max_elements=DEFAULT_MAX_ELEMENTS):
+def generates_at_radius(model, words, radius):
     """True when the ball of the given radius in the candidate words contains
     every standard generator of the model.
 
@@ -108,12 +111,11 @@ def generates_at_radius(model, words, radius, max_elements=DEFAULT_MAX_ELEMENTS)
     gens = symmetrize(model, words)
     if not gens:
         return False
-    reached = set(ball_elements(cayley_ball_layers(model, gens, radius, max_elements)))
+    reached = set(ball_elements(cayley_ball_layers(model, gens, radius)))
     return all(model.normal_form(t) in reached for t in model.generators())
 
 
-def enumerate_generating_sets(model, size_bound, length_bound, ambient_radius,
-                              max_elements=DEFAULT_MAX_ELEMENTS):
+def enumerate_generating_sets(model, size_bound, length_bound, ambient_radius):
     """Candidate generating sets: subsets of at most size_bound nonidentity
     words of length at most length_bound, one representative per inversion
     pair, filtered by generates_at_radius.  Deterministic order."""
@@ -121,15 +123,13 @@ def enumerate_generating_sets(model, size_bound, length_bound, ambient_radius,
         raise InputError("length and radius bounds must be at least 1")
     if size_bound <= 0:
         return
-    std = symmetrize(model, model.generators())
-    pool = ball_elements(cayley_ball_layers(model, std, length_bound, max_elements))
     reps = set()
-    for w in pool:
+    for w in standard_ball(model, length_bound):
         if w == IDENTITY:
             continue
         reps.add(min(w, model.inverse(w)))
     reps = sorted(reps, key=lambda w: (len(w), w))
     for size in range(1, size_bound + 1):
         for combo in itertools.combinations(reps, size):
-            if generates_at_radius(model, list(combo), ambient_radius, max_elements):
+            if generates_at_radius(model, list(combo), ambient_radius):
                 yield list(combo)

@@ -16,14 +16,12 @@ from .groups import (
     FreeAbelianGroup,
     FreeGroup,
     FreeProduct,
+    is_int,
+    json_field,
     model_from_json,
 )
-from .spaces import CayleyTreeSpace, LineSpace, PathGraphSpace, PointSpace
+from .spaces import CayleyTreeSpace, GraphSpace, LineSpace, PointSpace
 from .structures import ConstantLedger, Domain, FreeProductHHG, HHStructure, TableHHG
-
-
-def _letter_exponent(w):
-    return sum(1 if x % 2 == 0 else -1 for x in w)
 
 
 def _tree_piece(model, factor_index):
@@ -47,13 +45,12 @@ def _tree_piece(model, factor_index):
 
 def _line_piece(model, factor_index, gen_index):
     """Line domain reading one cyclic direction (factor_index None: whole model)."""
+    gen_letter = 2 * gen_index
     if factor_index is None:
         extract = lambda g: model.normal_form(g)
-        gen_letter = 2 * gen_index
         to_global = lambda w: w
     else:
         extract = lambda g: model.factor_word(g, factor_index)
-        gen_letter = 2 * gen_index
         to_global = lambda w: model.to_global(factor_index, w)
 
     def exponent(g):
@@ -70,6 +67,10 @@ def _line_piece(model, factor_index, gen_index):
         "act": lambda g, p: p + exponent(g),
         "lift": lift,
     }
+
+
+def _piece_domain(name, piece):
+    return Domain(name, piece["space"], piece["pi"], act=piece["act"], lift=piece["lift"])
 
 
 def _pieces_of_factor(model, factor_index, factor):
@@ -127,14 +128,12 @@ def product_structure(model, label, constants=None):
     constants = constants or _product_constants(len(pieces))
     recipe = {"builder": "product", "label": label, "group": model.to_json()}
     if len(pieces) == 1:
-        p = pieces[0]
-        dom = Domain("S", p["space"], p["pi"], act=p["act"], lift=p["lift"])
-        return TableHHG(label, model, constants, [dom], recipe=recipe)
+        return TableHHG(label, model, constants, [_piece_domain("S", pieces[0])],
+                        recipe=recipe)
     domains = [
         Domain("S", PointSpace(), lambda g: 0, act=lambda g, p: 0, lift=lambda p: ())
     ]
-    for name, p in zip(names, pieces):
-        domains.append(Domain(name, p["space"], p["pi"], act=p["act"], lift=p["lift"]))
+    domains.extend(_piece_domain(name, p) for name, p in zip(names, pieces))
     nesting = [(name, "S") for name in names]
     orthogonal = [(names[i], names[j]) for i in range(len(names)) for j in range(i + 1, len(names))]
     rho_points = {(name, "S"): 0 for name in names}
@@ -193,23 +192,14 @@ def _model_f2freez():
 def _f2xz_table(pi_line=None, line_lift=None, drop_line=False, s_space=None,
                 s_rho_T=0, constants=None, label="f2xz-fixture"):
     model = _model_f2xz()
-    F2 = model.parts[0]
-
-    def pi_T(g):
-        return model.factor_word(g, 0)
-
-    def exp_t(g):
-        return sum(1 if x == 4 else (-1 if x == 5 else 0) for x in model.normal_form(g))
-
-    pi_L = pi_line or exp_t
-    lift_L = line_lift or (lambda p: ((4,) if p >= 0 else (5,)) * abs(p))
+    line = _line_piece(model, 1, 0)
+    pi_L = pi_line or line["pi"]
+    lift_L = line_lift or line["lift"]
     space_S = s_space or PointSpace()
     bp = space_S.basepoint()
     domains = [
         Domain("S", space_S, lambda g: bp, act=lambda g, p: p, lift=lambda p: ()),
-        Domain("T", CayleyTreeSpace(F2), pi_T,
-               act=lambda g, p: F2.multiply(pi_T(g), p),
-               lift=lambda p: model.to_global(0, p)),
+        _piece_domain("T", _tree_piece(model, 0)),
     ]
     nesting = [("T", "S")]
     orthogonal = []
@@ -220,7 +210,7 @@ def _f2xz_table(pi_line=None, line_lift=None, drop_line=False, s_space=None,
                               act=lambda g, p: p + pi_L(g), lift=lift_L))
         nesting.append(("L", "S"))
         orthogonal.append(("T", "L"))
-        rho_points[("L", "S")] = bp if isinstance(space_S, PointSpace) else 0
+        rho_points[("L", "S")] = bp
         rho_maps[("S", "L")] = lambda p: 0
     return TableHHG(label, model, constants or _product_constants(2), domains,
                     nesting=nesting, orthogonal=orthogonal,
@@ -236,24 +226,17 @@ def fixture_corrupt_rho():
         K_proj=1.0, n_complexity=2, theta_coeffs=(0.0, 2.0),
         C_norm=8.0, tau0=1.0, N_rank=2,
     )
-    return _f2xz_table(s_space=PathGraphSpace(8), s_rho_T=8,
+    path = GraphSpace(9, [(i, i + 1) for i in range(8)], label="path")
+    return _f2xz_table(s_space=path, s_rho_T=8,
                        constants=constants, label="f2xz-corrupt-rho")
 
 
 def fixture_corrupt_lipschitz():
     """Line projection runs at triple speed while still declaring the unit
     Lipschitz constant: only the projection axiom fails."""
-    model = _model_f2xz()
-
-    def fast_line(g):
-        e = sum(1 if x == 4 else (-1 if x == 5 else 0) for x in model.normal_form(g))
-        return 3 * e
-
-    def lift(p):
-        e = round(p / 3)
-        return ((4,) if e >= 0 else (5,)) * abs(e)
-
-    return _f2xz_table(pi_line=fast_line, line_lift=lift,
+    line = _line_piece(_model_f2xz(), 1, 0)
+    return _f2xz_table(pi_line=lambda g: 3 * line["pi"](g),
+                       line_lift=lambda p: line["lift"](round(p / 3)),
                        label="f2xz-corrupt-lipschitz")
 
 
@@ -332,41 +315,24 @@ def fixture_bad_orth_closure():
 
 def _line_top_table(with_second_line=False, transverse_mode=False, label="bad"):
     model = _model_f2xz()
-    F2 = model.parts[0]
-
-    def exp_t(g):
-        return sum(1 if x == 4 else (-1 if x == 5 else 0) for x in model.normal_form(g))
-
-    def pi_T(g):
-        return model.factor_word(g, 0)
-
     domains = [
-        Domain("S", LineSpace(), exp_t, act=lambda g, p: p + exp_t(g),
-               lift=lambda p: ((4,) if p >= 0 else (5,)) * abs(p)),
-        Domain("T", CayleyTreeSpace(F2), pi_T,
-               act=lambda g, p: F2.multiply(pi_T(g), p),
-               lift=lambda p: model.to_global(0, p)),
+        _piece_domain("S", _line_piece(model, 1, 0)),
+        _piece_domain("T", _tree_piece(model, 0)),
     ]
     nesting = [("T", "S")]
     orthogonal = []
     transverse = []
     rho_points = {("T", "S"): 0}
     rho_maps = {("S", "T"): lambda p: ()}
-
-    def pi_a(g):
-        return sum(1 if x == 0 else (-1 if x == 1 else 0) for x in model.normal_form(g))
-
     if with_second_line:
-        domains.append(Domain("L", LineSpace(), pi_a, act=lambda g, p: p + pi_a(g),
-                              lift=lambda p: ((0,) if p >= 0 else (1,)) * abs(p)))
+        domains.append(_piece_domain("L", _line_piece(model, 0, 0)))
         nesting.append(("L", "S"))
         orthogonal.append(("T", "L"))
         rho_points[("L", "S")] = 0
         rho_maps[("S", "L")] = lambda p: 0
     if transverse_mode:
         # replace the nesting of T in S by a transverse declaration
-        domains_t = [d for d in domains]
-        return TableHHG(label, model, _product_constants(2), domains_t,
+        return TableHHG(label, model, _product_constants(2), domains,
                         nesting=[p for p in nesting if p != ("T", "S")],
                         orthogonal=orthogonal,
                         transverse=[("T", "S")],
@@ -425,24 +391,26 @@ def build_named(name) -> HHStructure:
 
 
 def structure_from_json(data) -> HHStructure:
+    """Structure from its json recipe; malformed input raises InputError."""
     if not isinstance(data, dict) or "builder" not in data:
         raise InputError("structure json needs a 'builder' key")
     builder = data["builder"]
+    owner = f"{builder} structure"
+    is_str = lambda v: isinstance(v, str)
     if builder == "named":
-        return build_named(data["name"])
+        return build_named(json_field(data, "name", is_str, "a string", owner))
+    if builder not in ("product", "free_product"):
+        raise InputError(f"unknown builder {builder!r}")
+    model = model_from_json(json_field(data, "group", lambda v: isinstance(v, dict),
+                                       "an object", owner))
+    constants = ConstantLedger.from_json(data["constants"]) if "constants" in data else None
+    label = json_field(data, "label", is_str, "a string", owner, default=builder)
     if builder == "product":
-        model = model_from_json(data["group"])
-        constants = ConstantLedger.from_json(data["constants"]) if "constants" in data else None
-        return product_structure(model, data.get("label", "product"), constants)
-    if builder == "free_product":
-        model = model_from_json(data["group"])
-        constants = ConstantLedger.from_json(data["constants"]) if "constants" in data else None
-        return free_product_structure(
-            model, data.get("label", "free_product"),
-            generation_radius=data.get("generation_radius", 2),
-            constants=constants,
-        )
-    raise InputError(f"unknown builder {builder!r}")
+        return product_structure(model, label, constants)
+    radius = json_field(data, "generation_radius", lambda v: is_int(v) and v >= 0,
+                        "a nonnegative integer", owner, default=2)
+    return free_product_structure(model, label, generation_radius=radius,
+                                  constants=constants)
 
 
 def load_structure(source) -> HHStructure:

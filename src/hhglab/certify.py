@@ -17,8 +17,8 @@ power that passes verification and records both numbers.
 import math
 from dataclasses import dataclass, field
 
-from .balls import (ball_elements, cayley_ball_layers, generates_at_radius,
-                    growth_function, growth_rate, symmetrize)
+from .balls import (generates_at_radius, growth_function, growth_rate,
+                    standard_ball, symmetrize)
 from .classify import big_set_member, classify
 from .coords import product_decomposition, quasi_line_detect
 from .errors import (CertifierRefutedError, InputError, PreconditionError,
@@ -404,8 +404,7 @@ def _y_mapping_check(structure, s, t, u, v, power, ball_radius):
     rho_vu = structure.rho_point(v, u)
     rho_uv = structure.rho_point(u, v)
     k0 = structure.constants.kappa0
-    gens = symmetrize(model, model.generators())
-    ball = ball_elements(cayley_ball_layers(model, gens, ball_radius))
+    ball = standard_ball(model, ball_radius)
     y_s = [x for x in ball if sp_u.dist(structure.pi(u, x), rho_vu) > k0]
     y_t = [x for x in ball if sp_v.dist(structure.pi(v, x), rho_uv) > k0]
     tk = model.power(t, power)
@@ -724,9 +723,12 @@ def certify(structure, X, depth=6, endpoint_depth=5, gen_radius=6,
 
     Routes through the dichotomy, emits the certificate of the selected
     branch, and attaches the generating set and route summary.  Raises
-    InputError when the words fail the generation test, and
-    CertifierRefutedError when a selected branch fails verification.
+    InputError when the depth is below 1 or the words fail the generation
+    test, and CertifierRefutedError when a selected branch fails
+    verification.
     """
+    if depth < 1:
+        raise InputError("verification depth must be at least 1")
     model = structure.group
     words = _normalize_genset(model, X)
     if not words:

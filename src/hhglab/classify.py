@@ -144,24 +144,6 @@ def classify(structure, g, n_max=6, threshold=0.5):
     return ElementClass("elliptic", big)
 
 
-def stabilization_power(structure, g, n_max=6, threshold=0.5, big=None):
-    """Smallest M <= N! with the M-th iterate of g fixing every big-set domain."""
-    if big is None:
-        big = big_set(structure, g, n_max=n_max, threshold=threshold)
-    cap = math.factorial(structure.constants.N_rank)
-    current = {u: u for u in big.domains}
-    for M in range(1, cap + 1):
-        current = {u: structure.act_on_domain(g, v) for u, v in current.items()}
-        if all(v == u for u, v in current.items()):
-            return M
-    if not big.domains:
-        return 1
-    raise StructureInvalidError(
-        f"no power of {structure.group.format(g)} up to {cap} fixes its big set",
-        witness={"element": structure.group.format(g), "cap": cap, "big": big.domains},
-    )
-
-
 def tau0_floor_check(structure, sample_elements, n_max=6, threshold=0.5):
     """Min translation length over sampled big-set pairs; must meet tau0.
 

@@ -11,11 +11,10 @@ thresholded sum of domain distances, and read coarse product geometry
 import math
 from dataclasses import dataclass
 
-from .balls import ball_elements, cayley_ball_layers, symmetrize
+from .balls import standard_ball
 from .errors import InputError, PreconditionError
-from .groups import IDENTITY
 from .spaces import CayleyTreeSpace, CosetTreeSpace, LineSpace
-from .structures import NEST_IN, ORTHOGONAL, TRANSVERSE
+from .structures import CONTAINS, NEST_IN, ORTHOGONAL, TRANSVERSE
 
 
 def _point_json(p):
@@ -68,11 +67,32 @@ def project_tuple(structure, g, domains=None):
     return ConsistentTuple(entries, structure.constants.kappa1)
 
 
-def is_consistent(structure, tup, kappa=None, domains=None, sample_radius=2):
+def consistency_inequality(structure, relation, u, v):
+    """The two distances of the consistency inequality of a pair, as a
+    function of a point p_u of the space of u and a point p_v of that of v.
+
+    For u transverse to v it returns (d_u(p_u, rho_u^v), d_v(p_v, rho_v^u));
+    for u nested in v, (d_v(p_v, rho_v^u), d_u(p_u, rho_u^v(p_v))).  The
+    inequality bounds the smaller of the two by kappa.  The relative
+    projection points are computed once, here, for all the points tested.
+    """
+    space_u, space_v = structure.space(u), structure.space(v)
+    if relation == TRANSVERSE:
+        rho_vu = structure.rho_point(v, u)
+        rho_uv = structure.rho_point(u, v)
+        return lambda p_u, p_v: (space_u.dist(p_u, rho_vu), space_v.dist(p_v, rho_uv))
+    if relation != NEST_IN:
+        raise PreconditionError(f"{u} and {v} are neither transverse nor nested")
+    rho_uv = structure.rho_point(u, v)
+    return lambda p_u, p_v: (space_v.dist(p_v, rho_uv),
+                             space_u.dist(p_u, structure.rho_map_point(v, u, p_v)))
+
+
+def is_consistent(structure, tup, kappa=None, domains=None):
     """Check the three consistency conditions, reporting the worst margin.
 
     Condition 1 compares each entry against the projection image (via the
-    declared lift when one exists, else a sampled ball).  Condition 2 is
+    declared lift when one exists, else the radius-2 ball).  Condition 2 is
     the transverse min-inequality, condition 3 the nested one.  The index
     set checked is the structure's unless a sub-index-set is declared.
     """
@@ -102,9 +122,7 @@ def is_consistent(structure, tup, kappa=None, domains=None, sample_radius=2):
             val = space.dist(b, structure.pi(u, g))
         else:
             if sampled is None:
-                gens = symmetrize(structure.group, structure.group.generators())
-                layers = cayley_ball_layers(structure.group, gens, sample_radius)
-                sampled = ball_elements(layers)
+                sampled = standard_ball(structure.group, 2)
             val = min(space.dist(b, structure.pi(u, h)) for h in sampled)
         checks += 1
         consider(kappa - val, "projection-image", (u,))
@@ -113,22 +131,16 @@ def is_consistent(structure, tup, kappa=None, domains=None, sample_radius=2):
         for v in doms[i + 1:]:
             rel = structure.relation(u, v)
             if rel == TRANSVERSE:
-                val = min(
-                    structure.space(u).dist(tup.entries[u], structure.rho_point(v, u)),
-                    structure.space(v).dist(tup.entries[v], structure.rho_point(u, v)),
-                )
+                distances = consistency_inequality(structure, TRANSVERSE, u, v)
                 checks += 1
-                consider(kappa - val, "transverse", (u, v))
-            elif rel in (NEST_IN, ">"):
+                consider(kappa - min(distances(tup.entries[u], tup.entries[v])),
+                         "transverse", (u, v))
+            elif rel in (NEST_IN, CONTAINS):
                 lo, hi = (u, v) if rel == NEST_IN else (v, u)
-                val = min(
-                    structure.space(hi).dist(tup.entries[hi], structure.rho_point(lo, hi)),
-                    structure.space(lo).dist(
-                        tup.entries[lo], structure.rho_map_point(hi, lo, tup.entries[hi])
-                    ),
-                )
+                distances = consistency_inequality(structure, NEST_IN, lo, hi)
                 checks += 1
-                consider(kappa - val, "nested", (lo, hi))
+                consider(kappa - min(distances(tup.entries[lo], tup.entries[hi])),
+                         "nested", (lo, hi))
 
     margin, condition, pair = worst
     return ConsistencyReport(margin >= 0, kappa, margin, condition, pair, checks)
@@ -161,27 +173,29 @@ class RealizationResult:
         }
 
 
-def realize(structure, tup, search_radius, gens=None, max_slack=None, check=True):
-    """All ball elements whose projections sit within theta_e of the tuple."""
-    if check:
-        report = is_consistent(structure, tup, domains=list(tup.entries))
-        if not report.ok:
-            raise PreconditionError(
-                f"tuple is not {tup.kappa}-consistent: {report.condition} "
-                f"violated on {report.pair} by {-report.worst_margin}"
-            )
-    model = structure.group
-    gens = symmetrize(model, gens if gens is not None else model.generators())
-    ball = ball_elements(cayley_ball_layers(model, gens, search_radius))
-    items = sorted(tup.entries.items())
-    spaces = {u: structure.space(u) for u, _ in items}
-
-    def score(g):
-        return max(spaces[u].dist(b, structure.pi(u, g)) for u, b in items)
-
-    scores = [(score(g), g) for g in ball]
+def closest_elements(structure, candidates, targets):
+    """(theta_e, closest): theta_e is the least, over the candidates g, of
+    the largest distance from a target point p of a domain u to pi_u(g),
+    for (u, p) in targets; closest lists the candidates achieving it, in
+    candidate order."""
+    spaces = {u: structure.space(u) for u, _ in targets}
+    scores = [(max(spaces[u].dist(p, structure.pi(u, g)) for u, p in targets), g)
+              for g in candidates]
     theta_e = min(s for s, _ in scores)
-    elements = [g for s, g in scores if s == theta_e]
+    return theta_e, [g for s, g in scores if s == theta_e]
+
+
+def realize(structure, tup, search_radius, max_slack=None):
+    """All ball elements whose projections sit within theta_e of the tuple."""
+    report = is_consistent(structure, tup, domains=list(tup.entries))
+    if not report.ok:
+        raise PreconditionError(
+            f"tuple is not {tup.kappa}-consistent: {report.condition} "
+            f"violated on {report.pair} by {-report.worst_margin}"
+        )
+    theta_e, elements = closest_elements(
+        structure, standard_ball(structure.group, search_radius),
+        sorted(tup.entries.items()))
     diameter = 0
     for i, g in enumerate(elements):
         for h in elements[i + 1:]:
@@ -294,26 +308,6 @@ def fit_distance_formula(structure, sample_pairs, s, k_max=16.0, k_step=0.5, c_s
             }
     failure = {"k_max": k_max, "c_max": c_max, "worst": worst}
     return FitResult(False, None, None, s, len(rows), None, failure)
-
-
-def restrict_to_big(structure, tup, C=0.0):
-    """Drop domains whose whole space has diameter at most C."""
-    if not C < tup.kappa:
-        raise PreconditionError("cutoff must stay below the tuple's kappa")
-    entries = {}
-    for u, b in tup.entries.items():
-        space = structure.space(u)
-        if not space.bounded or space.diameter_bound > C:
-            entries[u] = b
-    return ConsistentTuple(entries, tup.kappa)
-
-
-def expand_tuple(structure, tup, x=IDENTITY):
-    """Fill the missing domains of a restricted tuple with projections of x."""
-    entries = {}
-    for u in structure.domains():
-        entries[u] = tup.entries[u] if u in tup.entries else structure.pi(u, x)
-    return ConsistentTuple(entries, tup.kappa)
 
 
 @dataclass

@@ -98,16 +98,8 @@ class GroupModel:
     def is_identity(self, w: Word) -> bool:
         return self.normal_form(w) == IDENTITY
 
-    def word_length(self, w: Word) -> int:
-        return len(self.normal_form(w))
-
     def generators(self) -> list[Word]:
         return [(2 * i,) for i in range(self.ngens)]
-
-    def generator_word(self, label: str) -> Word:
-        if label not in self.labels:
-            raise InputError(f"unknown generator label {label!r}")
-        return (2 * self.labels.index(label),)
 
     def parse(self, text: str) -> Word:
         text = text.strip()
@@ -229,9 +221,6 @@ class _CombinedModel(GroupModel):
         for i, p in enumerate(self.parts):
             self._part_of.extend([i] * (2 * p.ngens))
         self._check_labels()
-
-    def part_of_letter(self, letter: int) -> int:
-        return self._part_of[letter]
 
     def to_local(self, part_index: int, w: Word) -> Word:
         off = self._offsets[part_index]
@@ -385,18 +374,54 @@ class GraphProduct(_CombinedModel):
         }
 
 
+def is_int(x) -> bool:
+    """An int that is not a bool, as json integers load."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def json_field(data: dict, key: str, check, expected: str, owner: str, default=None):
+    """data[key] from a json object, or the default when one is given and
+    the key is absent; InputError when the key is missing or its value
+    fails the check."""
+    if key not in data and default is not None:
+        return default
+    if key not in data:
+        raise InputError(f"{owner} json needs a {key!r} key")
+    if not check(data[key]):
+        raise InputError(f"{owner} json: {key!r} must be {expected}")
+    return data[key]
+
+
+def _is_edge(e) -> bool:
+    return isinstance(e, (list, tuple)) and len(e) == 2 and all(map(is_int, e))
+
+
 def model_from_json(data: dict) -> GroupModel:
+    """Group model from its json form; malformed input raises InputError."""
     if not isinstance(data, dict) or "family" not in data:
         raise InputError("group model json needs a 'family' key")
     fam = data["family"]
-    if fam == "free":
-        return FreeGroup(data["rank"], data.get("labels"))
-    if fam == "free_abelian":
-        return FreeAbelianGroup(data["rank"], data.get("labels"))
+    owner = f"{fam} group"
+
+    def factors(key):
+        parts = json_field(data, key, lambda v: isinstance(v, list), "a list", owner)
+        return [model_from_json(f) for f in parts]
+
+    if fam in ("free", "free_abelian"):
+        rank = json_field(data, "rank", is_int, "an integer", owner)
+        labels = data.get("labels")
+        if labels is not None:
+            json_field(data, "labels",
+                       lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+                       "a list of strings", owner)
+        return (FreeGroup if fam == "free" else FreeAbelianGroup)(rank, labels)
     if fam == "direct_product":
-        return DirectProduct([model_from_json(f) for f in data["factors"]])
+        return DirectProduct(factors("factors"))
     if fam == "free_product":
-        return FreeProduct([model_from_json(f) for f in data["factors"]])
+        return FreeProduct(factors("factors"))
     if fam == "graph_product":
-        return GraphProduct([model_from_json(v) for v in data["vertices"]], data["edges"])
+        edges = json_field(data, "edges",
+                           lambda v: isinstance(v, list) and all(map(_is_edge, v)),
+                           "a list of vertex-index pairs", owner)
+        return GraphProduct(factors("vertices"), edges)
     raise InputError(f"unknown group family {fam!r}")

@@ -7,7 +7,8 @@ in the rest of the package only ever see this interface.
 
 from itertools import combinations
 
-from .errors import InputError, PreconditionError, WrongKindError
+from .balls import standard_ball
+from .errors import InputError, WrongKindError
 from .groups import FreeGroup, FreeProduct, invert_word
 
 
@@ -89,38 +90,6 @@ class LineSpace(Space):
 
     def contains(self, x):
         return isinstance(x, int)
-
-
-class PathGraphSpace(Space):
-    """Path graph on vertices 0..n; bounded with diameter n."""
-
-    bounded = True
-
-    def __init__(self, n, label="path"):
-        if n < 0:
-            raise InputError("need at least one vertex")
-        self.n = n
-        self.label = label
-        self.diameter_bound = float(n)
-
-    def dist(self, x, y):
-        self.check_point(x)
-        self.check_point(y)
-        return abs(x - y)
-
-    def basepoint(self):
-        return 0
-
-    def geodesic(self, x, y):
-        step = 1 if y >= x else -1
-        return list(range(x, y + step, step))
-
-    def sample_points(self, radius, limit=None):
-        pts = [p for p in range(self.n + 1) if p <= radius]
-        return pts[:limit] if limit else pts
-
-    def contains(self, x):
-        return isinstance(x, int) and 0 <= x <= self.n
 
 
 class GraphSpace(Space):
@@ -208,12 +177,7 @@ class CayleyTreeSpace(Space):
         return [self.model.multiply(x, u[:i]) for i in range(len(u) + 1)]
 
     def sample_points(self, radius, limit=None):
-        from .balls import cayley_ball_layers, symmetrize
-
-        layers = cayley_ball_layers(
-            self.model, symmetrize(self.model, self.model.generators()), int(radius)
-        )
-        pts = [p for layer in layers for p in layer]
+        pts = standard_ball(self.model, int(radius))
         return pts[:limit] if limit else pts
 
     def contains(self, x):
@@ -299,16 +263,10 @@ class CosetTreeSpace(Space):
         return verts
 
     def sample_points(self, radius, limit=None):
-        from .balls import cayley_ball_layers, symmetrize
-
-        layers = cayley_ball_layers(
-            self.model, symmetrize(self.model, self.model.generators()), int(radius)
-        )
         pts = set()
-        for layer in layers:
-            for w in layer:
-                pts.add(self.vertex(0, w))
-                pts.add(self.vertex(1, w))
+        for w in standard_ball(self.model, int(radius)):
+            pts.add(self.vertex(0, w))
+            pts.add(self.vertex(1, w))
         pts = sorted(pts)
         return pts[:limit] if limit else pts
 
@@ -321,11 +279,6 @@ class CosetTreeSpace(Space):
         except InputError:
             return False
         return w == self.model.normal_form(w) and self._rep(factor, w) == w
-
-
-def gromov_product(space, x, y, z):
-    """(y . z)_x = (d(x,y) + d(x,z) - d(y,z)) / 2."""
-    return (space.dist(x, y) + space.dist(x, z) - space.dist(y, z)) / 2
 
 
 def four_point_defect(space, w, x, y, z):
@@ -357,15 +310,6 @@ def max_four_point_defect(space, points, quad_budget=60000):
     return worst, witness
 
 
-def check_hyperbolicity(space, radius, quad_budget=60000, limit=120):
-    """Sampled four-point check against the declared constant.
-
-    Returns (ok, worst defect, witness quadruple)."""
-    pts = space.sample_points(radius, limit=limit)
-    worst, witness = max_four_point_defect(space, pts, quad_budget)
-    return worst <= space.delta, worst, witness
-
-
 def translation_length(space, act, x=None):
     """max(0, d(x, g^2 x) - d(x, g x)): exact translation length whenever the
     space is a tree (coset trees, Cayley trees, lines, paths)."""
@@ -374,13 +318,3 @@ def translation_length(space, act, x=None):
     gx = act(x)
     ggx = act(gx)
     return max(0, space.dist(x, ggx) - space.dist(x, gx))
-
-
-def verify_geodesic(space, path):
-    """Consecutive steps of size one and total length equal to the metric."""
-    if not path:
-        raise PreconditionError("empty path")
-    for a, b in zip(path, path[1:]):
-        if space.dist(a, b) != 1:
-            return False
-    return space.dist(path[0], path[-1]) == len(path) - 1

@@ -11,10 +11,12 @@ Relation codes, always read left to right: "u < v" means u is properly
 nested in v, "u > v" the reverse, "perp" orthogonal, "trans" transverse.
 """
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import IndexMismatchError, InputError, PreconditionError, WrongKindError
-from .groups import FreeAbelianGroup, FreeGroup, FreeProduct, GroupModel, invert_word
+from .groups import (FreeAbelianGroup, FreeGroup, FreeProduct, GroupModel, invert_word,
+                     is_int, json_field)
 from .spaces import CayleyTreeSpace, CosetTreeSpace, LineSpace, Space
 
 EQUAL = "="
@@ -87,10 +89,27 @@ class ConstantLedger:
 
     @classmethod
     def from_json(cls, data):
+        """Ledger from its json form: known names, finite numeric values
+        (nonnegative integers for n_complexity and N_rank) and a positive
+        tau0, else InputError."""
+        if not isinstance(data, dict):
+            raise InputError("constants json must be an object")
         allowed = set(cls().to_json())
         bad = set(data) - allowed
         if bad:
             raise InputError(f"unknown constant names: {sorted(bad)}")
+        is_number = lambda x: is_int(x) or (isinstance(x, float) and math.isfinite(x))
+        for name in data:
+            if name == "theta_coeffs":
+                check = lambda v: isinstance(v, (list, tuple)) and all(map(is_number, v))
+                expected = "a list of numbers"
+            elif name in ("n_complexity", "N_rank"):
+                check, expected = lambda v: is_int(v) and v >= 0, "a nonnegative integer"
+            else:
+                check, expected = is_number, "a number"
+            json_field(data, name, check, expected, "constants")
+        if data.get("tau0", 1.0) <= 0:
+            raise InputError("constants json: 'tau0' must be positive")
         kwargs = dict(data)
         if "theta_coeffs" in kwargs:
             kwargs["theta_coeffs"] = tuple(kwargs["theta_coeffs"])

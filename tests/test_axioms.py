@@ -5,6 +5,9 @@ import pytest
 from hhglab.axioms import AXIOM_NAMES, check_structure
 from hhglab.builders import build_named
 from hhglab.errors import InputError
+from hhglab.groups import FreeAbelianGroup
+from hhglab.spaces import LineSpace
+from hhglab.structures import ConstantLedger, Domain, TableHHG
 
 STANDARD = ("free2", "z1", "z2", "f2xz", "f2xf2", "f2freez")
 
@@ -60,6 +63,34 @@ class TestCorruptedFixturesFail:
         assert 3 in report.failed_axioms()
         a3 = [a for a in report.axioms if a.index == 3][0]
         assert a3.witness["clause"] == "closure"
+
+
+def liftless_line():
+    """Z on one line domain that declares no lift, so realization searches
+    the sampled ball."""
+    Z = FreeAbelianGroup(1)
+    exp = lambda g: Z.exponents(g)[0]
+    dom = Domain("S", LineSpace(), exp, act=lambda g, p: p + exp(g))
+    return TableHHG("liftless-line", Z, ConstantLedger(), [dom])
+
+
+class TestRealizationSearch:
+    def test_ball_search_realizes_reachable_points(self):
+        hh = liftless_line()
+        a8 = check_structure(hh, axioms=[8]).axioms[0]
+        assert a8.passed and a8.checks > 0
+        assert a8.margin == hh.constants.alpha
+
+    def test_ball_search_reports_the_first_closest_element(self):
+        # the only target point is -3 and the ball has radius 1: the
+        # identity, t and T in that order, of which T is closest, 2 away
+        hh = liftless_line()
+        a8 = check_structure(hh, radius=1, max_points=1, point_radius=3,
+                             axioms=[8]).axioms[0]
+        assert not a8.passed
+        assert a8.margin == hh.constants.alpha - 2
+        assert a8.witness == {"clause": "realization", "family": "S", "domain": "S",
+                              "target": -3, "got": 2, "g": "T"}
 
 
 class TestCheckerApi:

@@ -6,7 +6,6 @@ from hhglab.balls import (
     cayley_ball_layers,
     growth_function,
     parse_generating_set,
-    sphere_sizes,
     symmetrize,
 )
 from hhglab.errors import InputError, ResourceBudgetError
@@ -29,7 +28,7 @@ class TestFreeGrowth:
     def test_sphere_sizes(self):
         F = FreeGroup(2)
         layers = cayley_ball_layers(F, std_gens(F), 4)
-        assert sphere_sizes(layers) == [1, 4, 12, 36, 108]
+        assert [len(layer) for layer in layers] == [1, 4, 12, 36, 108]
 
     def test_ball_formula_rank_2_and_3(self):
         for rank in (2, 3):
@@ -71,7 +70,7 @@ class TestProductGrowth:
         expected = [
             sum(sphere_f2(i) * sphere_z(k - i) for i in range(k + 1)) for k in range(8)
         ]
-        assert sphere_sizes(layers) == expected
+        assert [len(layer) for layer in layers] == expected
 
 
 class TestApiContracts:

@@ -470,6 +470,14 @@ class TestCertify:
         with pytest.raises(InputError):
             certify(f2, [f2.group.parse("a")], depth=4)
 
+    @pytest.mark.parametrize("name, genset", [("z1", "t"), ("z2", "a,b"), ("free2", "a,b")])
+    def test_depth_below_one_rejected_on_every_route(self, name, genset):
+        st = build_named(name)
+        words = [st.group.parse(w) for w in genset.split(",")]
+        for depth in (0, -1):
+            with pytest.raises(InputError, match="depth must be at least 1"):
+                certify(st, words, depth=depth)
+
     def test_identity_rejected(self):
         z1 = build_named("z1")
         with pytest.raises(InputError):

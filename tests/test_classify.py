@@ -1,14 +1,16 @@
+import math
 import random
 
 import pytest
 
 from hhglab.axioms import structural_validators
 from hhglab.builders import build_named
+from hhglab.certify import dichotomy
 from hhglab.classify import (
     big_set,
     classify,
+    domain_period,
     orthogonal_rank,
-    stabilization_power,
     tau0_floor_check,
     tau_on_domain,
 )
@@ -147,25 +149,32 @@ class TestClassify:
 class TestStabilization:
     def test_invariant_factors_need_no_power(self):
         hh = build_named("f2xz")
-        assert stabilization_power(hh, hh.group.parse("a")) == 1
+        a = hh.group.parse("a")
+        assert [domain_period(hh, a, u, 1) for u in big_set(hh, a).domains] == [1]
 
     def test_identity_power_is_one(self):
         hh = build_named("f2xz")
-        assert stabilization_power(hh, ()) == 1
+        assert [domain_period(hh, (), u, 1) for u in hh.domains()] == [1, 1, 1]
 
     def test_swapped_lines_need_two(self):
         hh = build_named("swapline")
-        assert stabilization_power(hh, hh.group.parse("t")) == 2
+        t = hh.group.parse("t")
+        assert [domain_period(hh, t, u, 2) for u in ("P", "Q")] == [2, 2]
+        assert tau_on_domain(hh, t, "P") == (0.5, 2)
 
     def test_missing_power_is_structure_invalid(self):
+        # with N_rank = 1 no power up to N_rank! fixes the swapped lines,
+        # and the certifier refuses the declared rank
         hh = build_named("swapline")
         hh.constants = ConstantLedger(
             delta=0.0, xi=0.0, kappa0=1.0, E=2.0, lam=2.0, alpha=2.0,
             K_proj=1.0, n_complexity=2, theta_coeffs=(0.0, 2.0),
             C_norm=0.0, tau0=0.5, N_rank=1,
         )
+        t = hh.group.parse("t")
+        assert domain_period(hh, t, "P", math.factorial(hh.constants.N_rank)) is None
         with pytest.raises(StructureInvalidError):
-            stabilization_power(hh, hh.group.parse("t"))
+            dichotomy(hh, [t])
 
 
 class TestTauFloor:
@@ -207,6 +216,10 @@ class TestOrthogonalRank:
         assert orthogonal_rank(build_named("bad-orth-closure")) == 0
 
 
+def failed_rules(report):
+    return sorted({f["rule"] for f in report.failures})
+
+
 class TestStructuralValidators:
     def test_sound_structures_pass(self):
         for name in ("free2", "z1", "z2", "f2xz", "f2xf2", "f2freez", "swapline",
@@ -217,15 +230,15 @@ class TestStructuralValidators:
 
     def test_nested_in_quasi_line(self):
         report = structural_validators(build_named("bad-nest-in-line"))
-        assert report.failed_rules() == [2]
+        assert failed_rules(report) == [2]
 
     def test_orthogonal_family_nesting(self):
         report = structural_validators(build_named("bad-orth-in-line"))
-        assert 1 in report.failed_rules()
+        assert 1 in failed_rules(report)
 
     def test_transverse_to_invariant(self):
         report = structural_validators(build_named("bad-transverse-invariant"))
-        assert report.failed_rules() == [3]
+        assert failed_rules(report) == [3]
 
     def test_strict_mode_raises(self):
         with pytest.raises(StructureInvalidError):

@@ -81,6 +81,57 @@ class TestCheck:
         assert exc.value.code == 2
 
 
+FREE2 = {"family": "free", "rank": 2}
+F2XZ = {"family": "direct_product",
+        "factors": [FREE2, {"family": "free_abelian", "rank": 1, "labels": ["t"]}]}
+
+MALFORMED_RECIPES = {
+    "rank missing": {"builder": "product", "group": {"family": "free"}},
+    "rank a string": {"builder": "product", "group": {"family": "free", "rank": "two"}},
+    "rank a bool": {"builder": "product", "group": {"family": "free", "rank": True}},
+    "labels not strings": {"builder": "product",
+                           "group": {"family": "free", "rank": 1, "labels": [1]}},
+    "group missing": {"builder": "product", "label": "x"},
+    "factors not a list": {"builder": "product",
+                           "group": {"family": "direct_product", "factors": 3}},
+    "vertices missing": {"builder": "product",
+                         "group": {"family": "graph_product", "edges": []}},
+    "edge not a pair": {"builder": "product",
+                        "group": {"family": "graph_product",
+                                  "vertices": [FREE2], "edges": [[0, "b"]]}},
+    "name missing": {"builder": "named"},
+    "label not a string": {"builder": "product", "group": F2XZ, "label": 7},
+    "radius not an integer": {"builder": "free_product", "generation_radius": "2",
+                              "group": {"family": "free_product",
+                                        "factors": F2XZ["factors"]}},
+    "constants not an object": {"builder": "product", "group": F2XZ, "constants": 1},
+    "constant not numeric": {"builder": "product", "group": F2XZ,
+                             "constants": {"kappa0": "2"}},
+    "integer constant fractional": {"builder": "product", "group": F2XZ,
+                                    "constants": {"N_rank": 1.5}},
+    "integer constant negative": {"builder": "product", "group": F2XZ,
+                                  "constants": {"N_rank": -1}},
+    "theta_coeffs not numbers": {"builder": "product", "group": F2XZ,
+                                 "constants": {"theta_coeffs": ["a"]}},
+    "tau0 zero": {"builder": "product", "group": F2XZ, "constants": {"tau0": 0}},
+    "tau0 not finite": {"builder": "product", "group": F2XZ,
+                        "constants": {"tau0": float("nan")}},
+}
+
+
+class TestMalformedStructureFile:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_RECIPES))
+    def test_exits_two_with_one_error_line(self, capsys, tmp_path, case):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(MALFORMED_RECIPES[case]))
+        for argv in (["check", str(path)],
+                     ["certify", str(path), "--genset", "a,b,t"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2, (case, argv)
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 class TestCertify:
     def test_product_semigroup(self, capsys):
         code, doc, _ = run_json(capsys, "certify",
@@ -115,6 +166,12 @@ class TestCertify:
         code, _, err = run(capsys, "certify", "free2", "--genset", "a")
         assert code == 2
 
+    def test_depth_below_one_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "certify", "free2", "--genset", "a,b",
+                             "--depth", "0")
+        assert code == 2 and out == ""
+        assert err == "error: verification depth must be at least 1\n"
+
     def test_anomaly_exits_one_with_witness(self, capsys):
         code, _, err = run(capsys, "certify", "bad-orth-closure",
                            "--genset", "t")
@@ -135,6 +192,12 @@ class TestScan:
         assert lines[1].startswith("row,generating_set,variant")
         assert lines[2].startswith("0,a b,free-subgroup")
         assert lines[-1].startswith("summary,rows=1,errors=0")
+
+    def test_depth_below_one_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "scan", "free2", "--scan-size", "2",
+                             "--scan-length", "1", "--radius", "4", "--depth", "0")
+        assert code == 2 and out == ""
+        assert err == "error: verification depth must be at least 1\n"
 
     def test_empty_bounds_header_only(self, capsys):
         code, out, _ = run(capsys, "scan", "z1")

@@ -3,22 +3,24 @@ import random
 
 import pytest
 
+from hhglab.balls import standard_ball
 from hhglab.builders import build_named
 from hhglab.coords import (
     ConsistentTuple,
+    closest_elements,
+    consistency_inequality,
     distance_formula_sum,
-    expand_tuple,
     fit_distance_formula,
     is_consistent,
     product_decomposition,
     project_tuple,
     quasi_line_detect,
     realize,
-    restrict_to_big,
 )
 from hhglab.errors import InputError, PreconditionError
 from hhglab.groups import FreeGroup
 from hhglab.spaces import CayleyTreeSpace, GraphSpace, LineSpace
+from hhglab.structures import NEST_IN, ORTHOGONAL, TRANSVERSE
 
 
 def random_words(model, count, length, seed):
@@ -77,11 +79,35 @@ class TestProjectionTuples:
         assert report.condition == "transverse"
         assert set(report.pair) == {"ab@1", "ab@c"}
 
+    def test_inequality_distances_per_relation(self):
+        hh = build_named("f2freez")
+        u, v = "ab@1", "ab@c"
+        distances = consistency_inequality(hh, TRANSVERSE, u, v)
+        p_u, p_v = (0, 0), (2,)
+        assert distances(p_u, p_v) == (
+            hh.space(u).dist(p_u, hh.rho_point(v, u)),
+            hh.space(v).dist(p_v, hh.rho_point(u, v)))
+        rho = build_named("f2xz-corrupt-rho")
+        outer, inner = consistency_inequality(rho, NEST_IN, "T", "S")((0,), 3)
+        assert (outer, inner) == (5, 1)
+        with pytest.raises(PreconditionError):
+            consistency_inequality(self.hh, ORTHOGONAL, "T", "L")
+
 
 class TestRealization:
     def setup_method(self):
         self.hh = build_named("f2xz")
         self.model = self.hh.group
+
+    def test_closest_elements_keep_candidate_order(self):
+        ball = standard_ball(self.model, 2)
+        theta_e, closest = closest_elements(self.hh, ball, [("L", 1), ("T", ())])
+        assert theta_e == 0
+        assert closest == [g for g in ball
+                           if self.hh.pi("L", g) == 1 and self.hh.pi("T", g) == ()]
+        theta_e, closest = closest_elements(self.hh, ball, [("L", 5)])
+        assert theta_e == 3
+        assert closest == [self.model.parse("tt")]
 
     def test_exact_tuple_realizes_to_singleton(self):
         for g in random_words(self.model, 30, 4, seed=5):
@@ -195,41 +221,6 @@ class TestDistanceFormula:
         fit = fit_distance_formula(hh, pairs, s=0)
         assert fit.ok
         assert fit.K == 1.0
-
-
-class TestRestriction:
-    def setup_method(self):
-        self.hh = build_named("f2xz")
-        self.model = self.hh.group
-
-    def test_bounded_top_is_dropped(self):
-        g = self.model.parse("abtt")
-        small = restrict_to_big(self.hh, project_tuple(self.hh, g))
-        assert sorted(small.entries) == ["L", "T"]
-
-    def test_cutoff_must_stay_below_kappa(self):
-        tup = project_tuple(self.hh, ())
-        with pytest.raises(PreconditionError):
-            restrict_to_big(self.hh, tup, C=1.0)
-
-    def test_no_bounded_domains_is_identity(self):
-        hh = build_named("free2")
-        g = hh.group.parse("ab")
-        tup = ConsistentTuple(dict(project_tuple(hh, g).entries), 1.0)
-        assert restrict_to_big(hh, tup).entries == tup.entries
-
-    def test_all_bounded_empties_the_tuple(self):
-        hh = build_named("bad-orth-closure")
-        tup = ConsistentTuple({u: 0 for u in hh.domains()}, 1.0)
-        assert restrict_to_big(hh, tup).entries == {}
-
-    def test_expand_and_realize_round_trip(self):
-        g = self.model.parse("batt")
-        small = restrict_to_big(self.hh, project_tuple(self.hh, g))
-        back = expand_tuple(self.hh, small, x=g)
-        assert back.entries == project_tuple(self.hh, g).entries
-        res = realize(self.hh, back, search_radius=4)
-        assert g in res.elements
 
 
 class TestDecomposition:

@@ -1,8 +1,13 @@
 """Domain tables, projections, relative projections, group actions."""
 
+import json
+import pathlib
+
 import pytest
 
 from hhglab.builders import (
+    FIXTURE_BUILDERS,
+    STANDARD_BUILDERS,
     build_named,
     load_structure,
     structure_from_json,
@@ -214,11 +219,21 @@ class TestSerialization:
             assert clone.domains() == hh.domains()
 
     def test_load_structure_from_file(self, tmp_path):
-        import json
-
         hh = build_named("f2freez")
         path = tmp_path / "s.json"
         path.write_text(json.dumps(hh.to_json()))
         clone = load_structure(str(path))
         assert clone.label == "f2freez"
         assert load_structure("z2").label == "z2"
+
+
+class TestCatalogFiles:
+    def test_files_are_what_the_builders_write(self):
+        # the same text scripts/gen_structures.py writes for each name
+        folder = pathlib.Path(__file__).resolve().parents[1] / "structures"
+        names = set(STANDARD_BUILDERS) | set(FIXTURE_BUILDERS)
+        assert {path.stem for path in folder.glob("*.json")} == names
+        for name in sorted(names):
+            recipe = build_named(name).to_json()
+            text = json.dumps(recipe, sort_keys=True, indent=2) + "\n"
+            assert (folder / f"{name}.json").read_text() == text, name
