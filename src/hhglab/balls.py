@@ -112,7 +112,7 @@ def generates_at_radius(model, words, radius):
     if not gens:
         return False
     reached = set(ball_elements(cayley_ball_layers(model, gens, radius)))
-    return all(model.normal_form(t) in reached for t in model.generators())
+    return all(t in reached for t in model.generators())
 
 
 def enumerate_generating_sets(model, size_bound, length_bound, ambient_radius):

@@ -431,7 +431,6 @@ def pingpong_transverse(structure, s, t, u, v, depth=6, ball_radius=4,
     model = structure.group
     if depth < 4:
         raise PreconditionError("verification depth must be at least 4")
-    s, t = model.normal_form(s), model.normal_form(t)
     if u == v or structure.relation(u, v) != TRANSVERSE:
         raise PreconditionError(f"domains {u}, {v} are not transverse")
     if big_set_member(structure, s, u) is None:
@@ -500,7 +499,6 @@ def nested_to_transverse(structure, s, t, u, v, depth=6, ball_radius=4):
     witness delegates to the ping-pong routine.
     """
     model = structure.group
-    s, t = model.normal_form(s), model.normal_form(t)
     if structure.relation(u, v) != NEST_IN:
         raise PreconditionError(f"{u} must nest properly in {v}")
     if big_set_member(structure, s, u) is None:
@@ -769,13 +767,18 @@ def certify(structure, X, depth=6, endpoint_depth=5, gen_radius=6,
 def scan_generating_sets(structure, size_bound, length_bound, ambient_radius,
                          depth=6, growth_n=10):
     """Certify every enumerated generating set; one row per set, in
-    enumeration order, with a summary of the worst measured rate."""
+    enumeration order, with a summary of the worst measured rate.  A size
+    or length bound below 1 enumerates nothing: the report has no rows."""
     from .balls import enumerate_generating_sets
 
+    if depth < 1:
+        raise InputError("verification depth must be at least 1")
     model = structure.group
     rows = []
-    for gens in enumerate_generating_sets(model, size_bound, length_bound,
-                                          ambient_radius):
+    gensets = (enumerate_generating_sets(model, size_bound, length_bound,
+                                         ambient_radius)
+               if size_bound > 0 and length_bound > 0 else ())
+    for gens in gensets:
         row = {"generating_set": [model.format(w) for w in gens]}
         try:
             cert = certify(structure, gens, depth=depth,

@@ -162,15 +162,9 @@ def scan_csv(report, header):
 
 def cmd_scan(args):
     structure, fp = _load(args)
-    if args.scan_size <= 0 or args.scan_length <= 0:
-        report = {"rows": [], "summary": {"rows": 0, "errors": 0,
-                                          "min_rate": None,
-                                          "all_meet_master_bound": True}}
-    else:
-        report = scan_generating_sets(structure, args.scan_size,
-                                      args.scan_length, args.radius,
-                                      depth=args.depth,
-                                      growth_n=args.growth_n)
+    report = scan_generating_sets(structure, args.scan_size, args.scan_length,
+                                  args.radius, depth=args.depth,
+                                  growth_n=args.growth_n)
     ok = (report["summary"]["errors"] == 0
           and report["summary"]["all_meet_master_bound"])
     summary = [f"scanned {report['summary']['rows']} generating sets,"
@@ -186,6 +180,8 @@ def cmd_scan(args):
 
 
 def _random_pairs(model, count, length, seed):
+    if length < 1:
+        raise InputError("sampled word length must be at least 1")
     rnd = random.Random(seed)
     letters = symmetrize(model, model.generators())
     words = []
@@ -223,8 +219,7 @@ def cmd_growth(args):
     structure, fp = _load(args)
     model = structure.group
     if args.genset:
-        gens = [model.normal_form(w)
-                for w in parse_generating_set(model, args.genset)]
+        gens = parse_generating_set(model, args.genset)
         if args.symmetrize:
             gens = symmetrize(model, gens)
         label = "given"

@@ -5,6 +5,14 @@ its inverse the letter 2*i + 1, so ``letter ^ 1`` is the inverse letter.
 Every family exposes a normal form that is geodesic for the standard
 generating set, hence ``len(normal_form(w))`` is the word length.
 
+Letters are checked once, where a word enters: ``normal_form`` checks
+every letter (an int, not a bool, in range) and hands the word to the
+family's ``_reduce``, which expects in-range letters and returns the
+normal form.  ``parse`` builds its letters from the labels, so it reduces
+without checking.  The operations on words (multiply, inverse, power,
+exponents, syllables, factor_word) accept any word with in-range letters,
+reduced or not, and never re-check them.
+
 Families: free, free abelian, direct products, free products, and graph
 products of the above.  Labels are single lowercase ASCII letters; the
 compact string form writes inverses as uppercase ("caC" is c a c^-1, "1"
@@ -26,21 +34,11 @@ def invert_word(w: Word) -> Word:
     return tuple(x ^ 1 for x in reversed(w))
 
 
-def _free_reduce(letters) -> Word:
-    out = []
-    for x in letters:
-        if out and out[-1] == x ^ 1:
-            out.pop()
-        else:
-            out.append(x)
-    return tuple(out)
-
-
 class GroupModel:
     """Base class: a marked group with normal forms.
 
-    Subclasses must set self.ngens, self.labels and implement
-    normal_form.  All other operations are derived.
+    Subclasses must set self.ngens, self.labels and implement _reduce.
+    All other operations are derived.
     """
 
     family = "abstract"
@@ -61,20 +59,29 @@ class GroupModel:
             raise InputError("labels must be distinct")
 
     def check_word(self, w) -> Word:
-        w = tuple(w)
+        try:
+            w = tuple(w)
+        except TypeError:
+            raise InputError(f"word {w!r} is not a sequence of letters") from None
         for x in w:
-            if not isinstance(x, int) or not 0 <= x < 2 * self.ngens:
+            if not is_int(x) or not 0 <= x < 2 * self.ngens:
                 raise InputError(f"letter {x!r} out of range for {self.ngens} generators")
         return w
 
-    def normal_form(self, w: Word) -> Word:
+    def normal_form(self, w) -> Word:
+        """Normal form of a word from outside the package; InputError on a
+        bad letter."""
+        return self._reduce(self.check_word(w))
+
+    def _reduce(self, w: Word) -> Word:
+        """Normal form of a word whose letters are in range."""
         raise NotImplementedError
 
     def multiply(self, u: Word, v: Word) -> Word:
-        return self.normal_form(tuple(u) + tuple(v))
+        return self._reduce(tuple(u) + tuple(v))
 
     def inverse(self, w: Word) -> Word:
-        return self.normal_form(invert_word(w))
+        return self._reduce(invert_word(w))
 
     def conjugate(self, t: Word, g: Word) -> Word:
         """t g t^-1."""
@@ -84,7 +91,7 @@ class GroupModel:
         if n < 0:
             return self.power(self.inverse(w), -n)
         acc: Word = IDENTITY
-        base = self.normal_form(w)
+        base = self._reduce(w)
         while n:
             if n & 1:
                 acc = self.multiply(acc, base)
@@ -93,10 +100,10 @@ class GroupModel:
         return acc
 
     def equal(self, u: Word, v: Word) -> bool:
-        return self.normal_form(u) == self.normal_form(v)
+        return self._reduce(u) == self._reduce(v)
 
     def is_identity(self, w: Word) -> bool:
-        return self.normal_form(w) == IDENTITY
+        return self._reduce(w) == IDENTITY
 
     def generators(self) -> list[Word]:
         return [(2 * i,) for i in range(self.ngens)]
@@ -114,7 +121,7 @@ class GroupModel:
             if ch.isupper():
                 letter ^= 1
             letters.append(letter)
-        return self.normal_form(tuple(letters))
+        return self._reduce(tuple(letters))
 
     def format(self, w: Word) -> str:
         if not w:
@@ -144,18 +151,14 @@ class FreeGroup(GroupModel):
         self.labels = list(labels) if labels is not None else list(string.ascii_lowercase[:rank])
         self._check_labels()
 
-    def normal_form(self, w: Word) -> Word:
-        return _free_reduce(self.check_word(w))
-
-    def multiply(self, u: Word, v: Word) -> Word:
-        u = self.normal_form(u)
-        v = self.normal_form(v)
-        # boundary cancellation only: both inputs are reduced
-        i, j = len(u), 0
-        while i > 0 and j < len(v) and u[i - 1] == v[j] ^ 1:
-            i -= 1
-            j += 1
-        return u[:i] + v[j:]
+    def _reduce(self, w: Word) -> Word:
+        out = []
+        for x in w:
+            if out and out[-1] == x ^ 1:
+                out.pop()
+            else:
+                out.append(x)
+        return tuple(out)
 
     def to_json(self) -> dict:
         return {"family": "free", "rank": self.ngens, "labels": list(self.labels)}
@@ -180,7 +183,7 @@ class FreeAbelianGroup(GroupModel):
 
     def exponents(self, w: Word) -> list[int]:
         e = [0] * self.ngens
-        for x in self.check_word(w):
+        for x in w:
             e[x >> 1] += -1 if x & 1 else 1
         return e
 
@@ -193,7 +196,7 @@ class FreeAbelianGroup(GroupModel):
             out.extend([letter] * abs(k))
         return tuple(out)
 
-    def normal_form(self, w: Word) -> Word:
+    def _reduce(self, w: Word) -> Word:
         return self.from_exponents(self.exponents(w))
 
     def to_json(self) -> dict:
@@ -241,11 +244,10 @@ class DirectProduct(_CombinedModel):
 
     def factor_word(self, w: Word, i: int) -> Word:
         """Component of w in factor i, as a local word in that factor's letters."""
-        sub = tuple(x for x in self.check_word(w) if self._part_of[x] == i)
-        return self.parts[i].normal_form(self.to_local(i, sub))
+        off = self._offsets[i]
+        return self.parts[i]._reduce(tuple(x - off for x in w if self._part_of[x] == i))
 
-    def normal_form(self, w: Word) -> Word:
-        w = self.check_word(w)
+    def _reduce(self, w: Word) -> Word:
         out = []
         for i in range(len(self.parts)):
             out.extend(self.to_global(i, self.factor_word(w, i)))
@@ -274,20 +276,17 @@ class FreeProduct(_CombinedModel):
             stack.append((fi, local))
             return
 
-    def _syllable_stack(self, w: Word):
+    def syllables(self, w: Word) -> list[tuple[int, Word]]:
+        """Alternating factor syllables of nf(w) as (factor index, local word)."""
         stack = []
-        for x in self.check_word(w):
+        for x in w:
             fi = self._part_of[x]
             self._push_syllable(stack, fi, (x - self._offsets[fi],))
         return stack
 
-    def syllables(self, w: Word) -> list[tuple[int, Word]]:
-        """Alternating factor syllables of nf(w) as (factor index, local word)."""
-        return self._syllable_stack(w)
-
-    def normal_form(self, w: Word) -> Word:
+    def _reduce(self, w: Word) -> Word:
         out = []
-        for fi, local in self._syllable_stack(w):
+        for fi, local in self.syllables(w):
             out.extend(self.to_global(fi, local))
         return tuple(out)
 
@@ -355,15 +354,16 @@ class GraphProduct(_CombinedModel):
             out.append(rest.pop(best))
         return out
 
-    def normal_form(self, w: Word) -> Word:
+    def _reduce(self, w: Word) -> Word:
         sylls = []
-        for x in self.check_word(w):
+        for x in w:
             vi = self._part_of[x]
             sylls.append((vi, (x - self._offsets[vi],)))
         sylls = self._reduce_syllables(sylls)
         out = []
         for vi, local in self._canonical_order(sylls):
-            out.extend(self.to_global(vi, self.parts[vi].normal_form(local)))
+            # a syllable is one letter or a vertex-group product: reduced
+            out.extend(self.to_global(vi, local))
         return tuple(out)
 
     def to_json(self) -> dict:

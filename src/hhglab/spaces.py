@@ -182,10 +182,9 @@ class CayleyTreeSpace(Space):
 
     def contains(self, x):
         try:
-            w = self.model.check_word(x)
+            return self.model.normal_form(x) == tuple(x)
         except InputError:
             return False
-        return w == self.model.normal_form(w)
 
 
 class CosetTreeSpace(Space):
@@ -206,10 +205,10 @@ class CosetTreeSpace(Space):
     def vertex(self, factor, word):
         if factor not in (0, 1):
             raise InputError("factor index must be 0 or 1")
-        return (factor, self._rep(factor, self.model.normal_form(word)))
+        return (factor, self._rep(factor, word))
 
-    def _rep(self, factor, nf_word):
-        syls = self.model.syllables(nf_word)
+    def _rep(self, factor, word):
+        syls = self.model.syllables(word)
         if syls and syls[-1][0] == factor:
             syls = syls[:-1]
         out = []
@@ -275,10 +274,10 @@ class CosetTreeSpace(Space):
             return False
         factor, rep = x
         try:
-            w = self.model.check_word(rep)
+            w = self.model.normal_form(rep)
         except InputError:
             return False
-        return w == self.model.normal_form(w) and self._rep(factor, w) == w
+        return w == tuple(rep) and self._rep(factor, w) == w
 
 
 def four_point_defect(space, w, x, y, z):

@@ -400,17 +400,16 @@ class FreeProductHHG(HHStructure):
         part = self.group.parts[i]
         if isinstance(part, FreeAbelianGroup):
             return part.exponents(local)[0]
-        return part.normal_form(local)
+        return local
 
     def _local_word(self, i, p):
         part = self.group.parts[i]
         if isinstance(part, FreeAbelianGroup):
             return part.from_exponents([p])
-        return part.normal_form(p)
+        return p
 
     def pi(self, u, g):
         v = self.parse_domain(u)
-        g = self.group.normal_form(g)
         if v is None:
             return self.tree.vertex(0, g)
         i, rep = v
@@ -470,13 +469,11 @@ class FreeProductHHG(HHStructure):
         v = self.parse_domain(u)
         if v is None:
             # a tree vertex is a coset; its representative projects onto it
-            return self.group.normal_form(p[1])
+            return p[1]
         i, rep = v
         return self.group.multiply(rep, self.group.to_global(i, self._local_word(i, p)))
 
     def domains_between(self, x, y):
-        x = self.group.normal_form(x)
-        y = self.group.normal_form(y)
         out = [self.TOP]
         seen = set()
         u_word = self.group.multiply(invert_word(x), y)

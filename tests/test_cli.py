@@ -199,6 +199,12 @@ class TestScan:
         assert code == 2 and out == ""
         assert err == "error: verification depth must be at least 1\n"
 
+    @pytest.mark.parametrize("bounds", [(), ("--scan-size", "1", "--scan-length", "1")])
+    def test_depth_below_one_without_certified_sets(self, capsys, bounds):
+        code, out, err = run(capsys, "scan", "free2", *bounds, "--depth", "0")
+        assert code == 2 and out == ""
+        assert err == "error: verification depth must be at least 1\n"
+
     def test_empty_bounds_header_only(self, capsys):
         code, out, _ = run(capsys, "scan", "z1")
         assert code == 0
@@ -261,6 +267,12 @@ class TestDistance:
         assert doc["report"]["K"] <= 1.5
         assert doc["report"]["C"] <= 2.0
         assert doc["report"]["n_samples"] == 50
+
+    @pytest.mark.parametrize("length", ["0", "-3"])
+    def test_length_below_one_is_usage_error(self, capsys, length):
+        code, out, err = run(capsys, "distance", "f2xz", "--length", length)
+        assert code == 2 and out == ""
+        assert err == "error: sampled word length must be at least 1\n"
 
 
 class TestDecompose:

@@ -69,6 +69,15 @@ class TestProjectionTuples:
         report = is_consistent(self.hh, tup, domains=["T", "L"])
         assert report.ok
 
+    def test_non_word_entry_is_not_a_point(self):
+        for hh, u, bad in ((self.hh, "T", 5), (self.hh, "T", (True,)),
+                           (build_named("f2freez"), "S", (0, 5)),
+                           (build_named("f2freez"), "S", (0, (False,)))):
+            tup = project_tuple(hh, ())
+            tup.entries[u] = bad
+            with pytest.raises(InputError, match="not a point of its space"):
+                is_consistent(hh, tup)
+
     def test_transverse_violation_detected(self):
         hh = build_named("f2freez")
         tup = project_tuple(hh, ())

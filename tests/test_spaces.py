@@ -87,6 +87,10 @@ class TestCayleyTree:
         assert self.T.contains(self.F.parse("ab"))
         assert not self.T.contains((0, 1))  # unreduced a a^-1
 
+    def test_membership_rejects_non_words(self):
+        for x in (5, None, 2.0, (True,), (0, False), (0, 9), (-1,), (0.0,)):
+            assert not self.T.contains(x)
+
 
 class TestCosetTree:
     def test_frozen_distances_rank_one_factors(self):
@@ -112,6 +116,11 @@ class TestCosetTree:
         assert S.vertex(0, m.parse("a")) == S.vertex(0, ())
         assert S.vertex(1, m.parse("ab")) == S.vertex(1, m.parse("a"))
         assert S.contains(S.vertex(0, m.parse("ab")))
+
+    def test_membership_rejects_non_words(self):
+        S = CosetTreeSpace(two_rank_one_factors())
+        for x in ((0, 5), (1, None), (0, (True,)), (1, (0, 9)), (0, (1,)), 5, (2, ())):
+            assert not S.contains(x)
 
     def test_geodesics_match_distance(self):
         S = CosetTreeSpace(f2_star_z())

@@ -13,6 +13,7 @@ from hhglab.groups import (
     FreeGroup,
     FreeProduct,
     GraphProduct,
+    invert_word,
     model_from_json,
 )
 
@@ -226,6 +227,42 @@ class TestAlgebraicLaws:
             for _ in range(15):
                 w = model.normal_form(random_word(rng, model, rng.randrange(0, 8)))
                 assert model.parse(model.format(w)) == w
+
+
+class TestTrustBoundary:
+    """normal_form checks every letter; the operations reduce raw words."""
+
+    def test_normal_form_rejects_bad_letters(self):
+        for model in models_under_test():
+            top = 2 * model.ngens
+            for bad in [(top,), (0, top + 3), (-1,), (0.0,), (1.5,), (True,),
+                        (0, False), ("a",), None, 5, 2.0]:
+                with pytest.raises(InputError):
+                    model.normal_form(bad)
+
+    def test_operations_agree_with_normal_form_on_raw_words(self):
+        rng = random.Random(77)
+        for model in models_under_test():
+            nf = model.normal_form
+            for _ in range(30):
+                u = random_word(rng, model, rng.randrange(0, 9))
+                v = random_word(rng, model, rng.randrange(0, 9))
+                assert model.multiply(u, v) == nf(u + v)
+                assert model.inverse(u) == nf(invert_word(u))
+                for n in range(-3, 4):
+                    assert model.power(u, n) == nf(u * n if n >= 0 else invert_word(u) * -n)
+
+    def test_factor_word_and_syllables_on_raw_words(self):
+        rng = random.Random(78)
+        for model in models_under_test():
+            for _ in range(30):
+                w = random_word(rng, model, rng.randrange(0, 12))
+                nf = model.normal_form(w)
+                if isinstance(model, DirectProduct):
+                    for i in range(len(model.parts)):
+                        assert model.factor_word(w, i) == model.factor_word(nf, i)
+                if isinstance(model, FreeProduct):
+                    assert model.syllables(w) == model.syllables(nf)
 
 
 class TestSerialization:
