@@ -466,6 +466,10 @@ def check_structure(
     axioms=None,
 ):
     """Run the selected axiom checks (default: all nine) and report."""
+    if radius < 1:
+        raise InputError("check radius must be at least 1")
+    if max_pairs < 1:
+        raise InputError("max pairs must be at least 1")
     if point_radius is None:
         point_radius = radius
     wanted = sorted(axioms) if axioms else sorted(_CHECKERS)

@@ -36,7 +36,10 @@ def parse_generating_set(model, text):
 
 def cayley_ball_layers(model, gens, radius, max_elements=DEFAULT_MAX_ELEMENTS):
     """BFS layers of the ball: layers[r] is the sorted list of elements at
-    distance exactly r from the identity in the given generating set."""
+    distance exactly r from the identity in the given generating set.
+
+    Frontier elements and generators are normal forms, so each step is the
+    model's junction product."""
     if radius < 0:
         raise InputError("radius must be nonnegative")
     gens = [model.normal_form(g) for g in gens]
@@ -51,7 +54,7 @@ def cayley_ball_layers(model, gens, radius, max_elements=DEFAULT_MAX_ELEMENTS):
         nxt = []
         for w in frontier:
             for s in gens:
-                u = model.multiply(w, s)
+                u = model._product(w, s)
                 if u not in seen:
                     seen.add(u)
                     nxt.append(u)

@@ -96,7 +96,7 @@ def verify_free_semigroup(model, u, w, depth):
         nxt = []
         for g in frontier:
             for a in letters:
-                nxt.append(model.multiply(g, a))
+                nxt.append(model._product(g, a))
         frontier = nxt
         count += len(nxt)
         seen.update(nxt)
@@ -120,7 +120,7 @@ def verify_free_subgroup(model, u, w, depth):
             for i, a in enumerate(letters):
                 if last is not None and i == last ^ 1:
                     continue
-                nxt.append((model.multiply(g, a), i))
+                nxt.append((model._product(g, a), i))
         frontier = nxt
         count += len(nxt)
         seen.update(h for h, _ in nxt)
@@ -773,6 +773,8 @@ def scan_generating_sets(structure, size_bound, length_bound, ambient_radius,
 
     if depth < 1:
         raise InputError("verification depth must be at least 1")
+    if growth_n < 1:
+        raise InputError("growth n must be at least 1")
     model = structure.group
     rows = []
     gensets = (enumerate_generating_sets(model, size_bound, length_bound,

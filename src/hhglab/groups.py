@@ -13,6 +13,16 @@ without checking.  The operations on words (multiply, inverse, power,
 exponents, syllables, factor_word) accept any word with in-range letters,
 reduced or not, and never re-check them.
 
+``_product(u, v)`` is the normal form of u·v when u and v are *already*
+normal forms; it only works at the junction where the two words meet
+(free cancellation, exponent sums, the factor blocks v touches, the
+syllables that merge); graph products keep the default ``_reduce(u + v)``.
+It trusts that precondition and never checks it: on other words its
+result is wrong.  Its callers multiply words the package normalised
+itself: the Cayley-ball BFS (``balls``), the freeness oracles
+(``certify``) and ``power``.  ``multiply`` keeps accepting raw words and
+stays the reference ``_product`` is tested against.
+
 Families: free, free abelian, direct products, free products, and graph
 products of the above.  Labels are single lowercase ASCII letters; the
 compact string form writes inverses as uppercase ("caC" is c a c^-1, "1"
@@ -22,6 +32,7 @@ is the identity).
 from __future__ import annotations
 
 import string
+from bisect import bisect_left
 
 from .errors import InputError, WrongKindError
 
@@ -48,6 +59,10 @@ class GroupModel:
 
     ngens: int
     labels: list[str]
+    # True when _product only compares letters and inverts them (x ^ 1):
+    # then it multiplies words whose letters all carry the same even offset
+    # without shifting them, as a factor of a product sees them
+    shift_free = False
 
     def _check_labels(self):
         if len(self.labels) != self.ngens:
@@ -77,6 +92,10 @@ class GroupModel:
         """Normal form of a word whose letters are in range."""
         raise NotImplementedError
 
+    def _product(self, u: Word, v: Word) -> Word:
+        """Normal form of u·v for normal forms u and v."""
+        return self._reduce(u + v)
+
     def multiply(self, u: Word, v: Word) -> Word:
         return self._reduce(tuple(u) + tuple(v))
 
@@ -94,8 +113,8 @@ class GroupModel:
         base = self._reduce(w)
         while n:
             if n & 1:
-                acc = self.multiply(acc, base)
-            base = self.multiply(base, base)
+                acc = self._product(acc, base)
+            base = self._product(base, base)
             n >>= 1
         return acc
 
@@ -143,6 +162,7 @@ class FreeGroup(GroupModel):
     """Free group of given rank; normal form is free reduction."""
 
     family = "free"
+    shift_free = True
 
     def __init__(self, rank: int, labels=None):
         if rank < 0:
@@ -159,6 +179,14 @@ class FreeGroup(GroupModel):
             else:
                 out.append(x)
         return tuple(out)
+
+    def _product(self, u: Word, v: Word) -> Word:
+        # the suffix of u cancels against the prefix of v, nothing else does
+        n = len(u)
+        k = 0
+        while k < n and k < len(v) and u[n - 1 - k] == v[k] ^ 1:
+            k += 1
+        return u[:n - k] + v[k:]
 
     def to_json(self) -> dict:
         return {"family": "free", "rank": self.ngens, "labels": list(self.labels)}
@@ -180,6 +208,7 @@ class FreeAbelianGroup(GroupModel):
         else:
             self.labels = list(string.ascii_lowercase[:rank])
         self._check_labels()
+        self.shift_free = rank == 1
 
     def exponents(self, w: Word) -> list[int]:
         e = [0] * self.ngens
@@ -198,6 +227,17 @@ class FreeAbelianGroup(GroupModel):
 
     def _reduce(self, w: Word) -> Word:
         return self.from_exponents(self.exponents(w))
+
+    def _product(self, u: Word, v: Word) -> Word:
+        if not u or not v:
+            return u or v
+        if self.ngens > 1:
+            return self.from_exponents(
+                [a + b for a, b in zip(self.exponents(u), self.exponents(v))])
+        # rank 1: a normal form is one letter repeated
+        if u[0] == v[0]:
+            return u + v
+        return u[len(v):] if len(u) >= len(v) else v[len(u):]
 
     def to_json(self) -> dict:
         return {"family": "free_abelian", "rank": self.ngens, "labels": list(self.labels)}
@@ -220,6 +260,7 @@ class _CombinedModel(GroupModel):
             self.labels.extend(p.labels)
             off += 2 * p.ngens
         self.ngens = off // 2
+        self._bounds = self._offsets + [off]
         self._part_of = []
         for i, p in enumerate(self.parts):
             self._part_of.extend([i] * (2 * p.ngens))
@@ -232,6 +273,13 @@ class _CombinedModel(GroupModel):
     def to_global(self, part_index: int, w: Word) -> Word:
         off = self._offsets[part_index]
         return tuple(x + off for x in w)
+
+    def _local_product(self, i: int, u: Word, v: Word) -> Word:
+        """Product of two factor-i normal forms, in global letters."""
+        part = self.parts[i]
+        if not self._offsets[i] or part.shift_free:
+            return part._product(u, v)
+        return self.to_global(i, part._product(self.to_local(i, u), self.to_local(i, v)))
 
 
 class DirectProduct(_CombinedModel):
@@ -252,6 +300,24 @@ class DirectProduct(_CombinedModel):
         for i in range(len(self.parts)):
             out.extend(self.to_global(i, self.factor_word(w, i)))
         return tuple(out)
+
+    def _product(self, u: Word, v: Word) -> Word:
+        # a normal form lists the factor blocks in order and factor i owns
+        # the letters [off_i, off_(i+1)), so bisect finds each block; only
+        # the blocks v touches change
+        out: Word = ()
+        cut = 0  # u[:cut] is already in out
+        j = 0
+        while j < len(v):
+            i = self._part_of[v[j]]
+            hi = self._bounds[i + 1]
+            j_end = bisect_left(v, hi, j)
+            start = bisect_left(u, self._bounds[i], cut)
+            end = bisect_left(u, hi, start)
+            out += u[cut:start] + self._local_product(i, u[start:end], v[j:j_end])
+            cut = end
+            j = j_end
+        return out + u[cut:]
 
     def to_json(self) -> dict:
         return {"family": "direct_product", "factors": [p.to_json() for p in self.parts]}
@@ -289,6 +355,27 @@ class FreeProduct(_CombinedModel):
         for fi, local in self.syllables(w):
             out.extend(self.to_global(fi, local))
         return tuple(out)
+
+    def _product(self, u: Word, v: Word) -> Word:
+        # merge the last syllable of u with the first of v; when they
+        # cancel, the next pair meets
+        part_of = self._part_of
+        a, b = len(u), 0
+        while a and b < len(v):
+            fi = part_of[v[b]]
+            if part_of[u[a - 1]] != fi:
+                break
+            start = a - 1
+            while start and part_of[u[start - 1]] == fi:
+                start -= 1
+            end = b + 1
+            while end < len(v) and part_of[v[end]] == fi:
+                end += 1
+            merged = self._local_product(fi, u[start:a], v[b:end])
+            if merged:
+                return u[:start] + merged + v[end:]
+            a, b = start, end
+        return u[:a] + v[b:]
 
     def to_json(self) -> dict:
         return {"family": "free_product", "factors": [p.to_json() for p in self.parts]}

@@ -348,6 +348,7 @@ class FreeProductHHG(HHStructure):
         self.constants = constants
         self.generation_radius = generation_radius
         self.tree = CosetTreeSpace(group)
+        self._decoded = {}  # domain label -> tree vertex, successful decodes only
         self._factor_names = ["".join(p.labels) for p in group.parts]
         self._factor_spaces = []
         for p in group.parts:
@@ -365,15 +366,32 @@ class FreeProductHHG(HHStructure):
         return f"{self._factor_names[i]}@{self.group.format(rep)}"
 
     def parse_domain(self, u):
+        """Tree vertex a coset label names (None for the top domain),
+        decoded once per label; IndexMismatchError on every call with a
+        label that names no domain."""
+        try:
+            return self._decoded[u]
+        except KeyError:
+            pass
+        except TypeError:
+            raise IndexMismatchError(f"{u!r} is not a domain of {self.label}") from None
+        v = self._decode_domain(u)
+        self._decoded[u] = v
+        return v
+
+    def _decode_domain(self, u):
         if u == self.TOP:
             return None
-        if "@" not in u:
+        if not isinstance(u, str) or "@" not in u:
             raise IndexMismatchError(f"{u!r} is not a domain of {self.label}")
         name, rep_str = u.split("@", 1)
         if name not in self._factor_names:
             raise IndexMismatchError(f"unknown factor {name!r} in domain {u!r}")
         i = self._factor_names.index(name)
-        rep = self.group.parse(rep_str)
+        try:
+            rep = self.group.parse(rep_str)
+        except InputError:
+            raise IndexMismatchError(f"{u!r} names no coset of {self.label}") from None
         v = self.tree.vertex(i, rep)
         if v[1] != rep:
             raise IndexMismatchError(f"{u!r} does not name a coset canonically")

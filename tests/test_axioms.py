@@ -102,6 +102,12 @@ class TestCheckerApi:
         with pytest.raises(InputError):
             check_structure(build_named("free2"), axioms=[10])
 
+    @pytest.mark.parametrize("option", [{"radius": 0}, {"radius": -1},
+                                        {"max_pairs": 0}, {"max_pairs": -3}])
+    def test_empty_sample_rejected(self, option):
+        with pytest.raises(InputError):
+            check_structure(build_named("f2xz-corrupt-uniqueness"), **option)
+
     def test_deterministic_for_fixed_seed(self):
         r1 = check_structure(build_named("f2xz"), seed=7)
         r2 = check_structure(build_named("f2xz"), seed=7)

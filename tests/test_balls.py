@@ -9,7 +9,7 @@ from hhglab.balls import (
     symmetrize,
 )
 from hhglab.errors import InputError, ResourceBudgetError
-from hhglab.groups import DirectProduct, FreeAbelianGroup, FreeGroup
+from hhglab.groups import DirectProduct, FreeAbelianGroup, FreeGroup, FreeProduct
 
 
 def free_ball_count(rank, n):
@@ -71,6 +71,50 @@ class TestProductGrowth:
             sum(sphere_f2(i) * sphere_z(k - i) for i in range(k + 1)) for k in range(8)
         ]
         assert [len(layer) for layer in layers] == expected
+
+
+def free_spheres(rank, n):
+    """Sphere sizes 1, 2r, 2r(2r-1), ... of the free group of rank r."""
+    return [1] + [2 * rank * (2 * rank - 1) ** (k - 1) for k in range(1, n + 1)]
+
+
+def series_inverse(s):
+    """Coefficients of 1/s as a formal power series, s[0] == 1."""
+    inv = [1]
+    for k in range(1, len(s)):
+        inv.append(-sum(s[i] * inv[k - i] for i in range(1, k + 1)))
+    return inv
+
+
+def cauchy_product(s, t):
+    return [sum(s[i] * t[k - i] for i in range(k + 1)) for k in range(len(s))]
+
+
+class TestGrowthSeriesOracle:
+    """BFS sphere sizes against growth series computed without the BFS."""
+
+    def test_free_product_f2_star_z(self):
+        # 1/S_{G*H} = 1/S_G + 1/S_H - 1 (de la Harpe, Topics in Geometric
+        # Group Theory, ch. VI)
+        radius = 7
+        inv_f2 = series_inverse(free_spheres(2, radius))
+        inv_z = series_inverse(free_spheres(1, radius))
+        inv = [a + b for a, b in zip(inv_f2, inv_z)]
+        inv[0] -= 1
+        expected = series_inverse(inv)
+        G = FreeProduct([FreeGroup(2), FreeAbelianGroup(1, ["c"])])
+        layers = cayley_ball_layers(G, std_gens(G), radius)
+        assert [len(layer) for layer in layers] == expected
+        assert expected[:4] == [1, 6, 30, 150]
+
+    def test_direct_product_f2_x_f2(self):
+        radius = 6
+        f2 = free_spheres(2, radius)
+        expected = cauchy_product(f2, f2)
+        G = DirectProduct([FreeGroup(2), FreeGroup(2, ["c", "d"])])
+        layers = cayley_ball_layers(G, std_gens(G), radius)
+        assert [len(layer) for layer in layers] == expected
+        assert expected[6] == 8424
 
 
 class TestApiContracts:

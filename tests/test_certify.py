@@ -551,6 +551,11 @@ class TestScan:
         assert report["summary"]["min_rate"] > 0.5
         assert report["summary"]["all_meet_master_bound"] is True
 
+    @pytest.mark.parametrize("growth_n", [0, -2])
+    def test_growth_n_below_one_rejected_before_enumerating(self, growth_n):
+        with pytest.raises(InputError):
+            scan_generating_sets(build_named("free2"), 0, 0, 6, growth_n=growth_n)
+
     def test_cyclic_scan_row(self):
         st = build_named("z1")
         report = scan_generating_sets(st, 1, 2, 3, depth=5, growth_n=6)

@@ -55,6 +55,20 @@ class TestCheck:
         assert doc["report"]["passed"] is False
         assert doc["report"]["axioms"]["failed_axioms"] == [4]
 
+    @pytest.mark.parametrize("option,value,message", [
+        ("--radius", "0", "check radius must be at least 1"),
+        ("--radius", "-2", "check radius must be at least 1"),
+        ("--max-pairs", "0", "max pairs must be at least 1"),
+        ("--max-pairs", "-5", "max pairs must be at least 1"),
+    ])
+    def test_empty_sample_is_usage_error(self, capsys, option, value, message):
+        # sampling nothing would pass this corrupt fixture
+        code, out, err = run(capsys, "check",
+                             f"{STRUCTURES}/f2xz-corrupt-uniqueness.json",
+                             option, value)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_missing_file_is_usage_error(self, capsys):
         code, _, err = run(capsys, "check", f"{STRUCTURES}/missing.json")
         assert code == 2
@@ -204,6 +218,14 @@ class TestScan:
         code, out, err = run(capsys, "scan", "free2", *bounds, "--depth", "0")
         assert code == 2 and out == ""
         assert err == "error: verification depth must be at least 1\n"
+
+    @pytest.mark.parametrize("growth_n", ["0", "-1"])
+    def test_growth_n_below_one_is_usage_error(self, capsys, growth_n):
+        code, out, err = run(capsys, "scan", "free2", "--scan-size", "2",
+                             "--scan-length", "1", "--radius", "4",
+                             "--growth-n", growth_n)
+        assert code == 2 and out == ""
+        assert err == "error: growth n must be at least 1\n"
 
     def test_empty_bounds_header_only(self, capsys):
         code, out, _ = run(capsys, "scan", "z1")

@@ -129,6 +129,25 @@ class TestFreeProductStructure:
         with pytest.raises(IndexMismatchError):
             self.hh.space("ab@A")  # not a canonical coset name: aA = A
 
+    @pytest.mark.parametrize("label", ["ab@A", "xy@1", "ab@xz", "ab", "", 5,
+                                       None, ("ab", "1"), ["ab@1"], {"u": 1}])
+    def test_bad_label_raises_on_every_call(self, label):
+        hh = build_named("f2freez")
+        for _ in range(2):
+            for call in (lambda: hh.space(label), lambda: hh.pi(label, ()),
+                         lambda: hh.relation("S", label),
+                         lambda: hh.act_on_domain((0,), label)):
+                with pytest.raises(IndexMismatchError):
+                    call()
+        assert set(hh._decoded) <= {"S"}
+
+    def test_decoded_labels_are_reused(self):
+        hh = build_named("f2freez")
+        first = [hh.parse_domain(u) for u in hh.domains()]
+        assert [hh.parse_domain(u) for u in hh.domains()] == first
+        assert first[0] is None and first[1:] == hh.tree.sample_points(hh.generation_radius)
+        assert sorted(hh._decoded) == sorted(hh.domains())
+
     def test_first_syllable_projection(self):
         m = self.m
         assert self.hh.pi("ab@1", m.parse("ab")) == m.parts[0].parse("ab")

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from hhglab.balls import cayley_ball_layers, symmetrize
 from hhglab.errors import InputError
 from hhglab.groups import (
     IDENTITY,
@@ -263,6 +264,69 @@ class TestTrustBoundary:
                         assert model.factor_word(w, i) == model.factor_word(nf, i)
                 if isinstance(model, FreeProduct):
                     assert model.syllables(w) == model.syllables(nf)
+
+
+def junction_models():
+    """models_under_test plus offsets and factors that stress the kernels:
+    a Z^2 factor away from offset 0, a three-factor free product with a Z^2
+    factor, and products nested inside products."""
+    return models_under_test() + [
+        DirectProduct([FreeGroup(2), FreeAbelianGroup(2, ["c", "d"]),
+                       FreeAbelianGroup(1, ["t"])]),
+        FreeProduct([FreeGroup(1, ["a"]), FreeAbelianGroup(2, ["b", "c"]),
+                     FreeGroup(1, ["d"])]),
+        FreeProduct([DirectProduct([FreeGroup(1, ["a"]), FreeAbelianGroup(1, ["t"])]),
+                     FreeGroup(2, ["b", "c"])]),
+        DirectProduct([FreeAbelianGroup(1, ["t"]),
+                       FreeProduct([FreeGroup(1, ["a"]), FreeAbelianGroup(2, ["b", "c"])])]),
+    ]
+
+
+def multiply_bfs_layers(model, gens, radius):
+    """Sorted spheres of the Cayley ball, stepping with multiply only."""
+    seen = {IDENTITY}
+    layers = [[IDENTITY]]
+    for _ in range(radius):
+        nxt = {model.multiply(w, s) for w in layers[-1] for s in gens}
+        layers.append(sorted(nxt - seen))
+        seen |= nxt
+    return layers
+
+
+class TestJunctionProduct:
+    """_product on normal forms agrees with multiply on raw words."""
+
+    def test_matches_multiply_on_random_pairs(self):
+        rng = random.Random(404)
+        for model in junction_models():
+            nf = model.normal_form
+            for _ in range(300):
+                u = random_word(rng, model, rng.randrange(0, 10))
+                v = random_word(rng, model, rng.randrange(0, 10))
+                assert model._product(nf(u), nf(v)) == model.multiply(u, v)
+
+    def test_identity_and_cancelling_pairs(self):
+        rng = random.Random(405)
+        for model in junction_models():
+            nf = model.normal_form
+            for _ in range(60):
+                u = random_word(rng, model, rng.randrange(0, 10))
+                v = random_word(rng, model, rng.randrange(0, 6))
+                w = random_word(rng, model, rng.randrange(0, 6))
+                assert model._product(IDENTITY, nf(u)) == nf(u)
+                assert model._product(nf(u), IDENTITY) == nf(u)
+                assert model._product(nf(u), model.inverse(u)) == IDENTITY
+                assert model._product(model.inverse(u), nf(u)) == IDENTITY
+                # u w . w^-1 v cancels across the whole of w
+                left, right = u + w, invert_word(w) + v
+                assert model._product(nf(left), nf(right)) == model.multiply(left, right)
+
+    def test_ball_matches_multiply_bfs(self):
+        for model in junction_models():
+            gens = symmetrize(model, model.generators())
+            radius = 4 if model.ngens <= 3 else 3
+            assert cayley_ball_layers(model, gens, radius) == \
+                multiply_bfs_layers(model, gens, radius)
 
 
 class TestSerialization:
