@@ -14,6 +14,7 @@ from .balls import standard_ball
 from .coords import (closest_elements, consistency_inequality, distance_formula_sum,
                      quasi_line_detect)
 from .errors import InputError, PreconditionError, StructureInvalidError
+from .spaces import max_four_point_defect, sample_diameter, translation_length
 from .structures import _FLIP, EQUAL, NEST_IN, ORTHOGONAL, TRANSVERSE
 
 AXIOM_NAMES = {
@@ -137,8 +138,6 @@ def _check_projections(env):
                 margin = m
                 witness = {"clause": "lipschitz", "domain": u, "x": env.show(x), "y": env.show(y), "d_domain": du, "d_group": dg}
     # declared hyperbolicity of each domain space, four-point sense
-    from .spaces import max_four_point_defect
-
     for u in env.sample(env.domains, 12):
         pts = env.points(u)
         worst, quad = max_four_point_defect(st.space(u), pts, quad_budget=20000)
@@ -343,11 +342,8 @@ def _check_geodesic_image(env):
             geo = space_w.geodesic(p, q)
             if min(space_w.dist(z, rho) for z in geo) <= E:
                 continue
-            image = [st.rho_map_point(w, v, z) for z in geo]
-            diam = max(
-                (space_v.dist(a, b) for i, a in enumerate(image) for b in image[i + 1 :]),
-                default=0.0,
-            )
+            diam = sample_diameter(space_v.dist,
+                                   [st.rho_map_point(w, v, z) for z in geo], 0.0)
             checks += 1
             m = E - diam
             if m < margin:
@@ -510,7 +506,7 @@ class ValidatorReport:
         }
 
 
-def structural_validators(structure, strict=False, radius=2):
+def structural_validators(structure, strict=False):
     """Check three consequences any genuine structure must satisfy.
 
     (1) An unbounded member of an invariant pairwise-orthogonal family
@@ -521,8 +517,6 @@ def structural_validators(structure, strict=False, radius=2):
     a violation means the declared data is not one; strict mode raises.
     Assumes the axiom checks already ran; this does not repeat them.
     """
-    from .spaces import translation_length
-
     gens = structure.group.generators()
     doms = structure.domains()
     unbounded = [u for u in doms if not structure.is_bounded_domain(u)]
@@ -555,7 +549,7 @@ def structural_validators(structure, strict=False, radius=2):
         if not invariant[u]:
             continue
         space = structure.space(u)
-        if quasi_line_detect(space, radius=radius, q_max=2) is None:
+        if quasi_line_detect(space, radius=2, q_max=2) is None:
             continue
         translated = False
         for g in gens:

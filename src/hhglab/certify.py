@@ -32,6 +32,8 @@ CERTIFICATE_SCHEMA = 1
 # letter length of the base word must stay under this
 MATERIALIZE_CAP = 2000
 POWER_SEARCH_CAP = 12
+ENDPOINT_POWER = 5
+PINGPONG_BALL_RADIUS = 4
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +398,7 @@ def dichotomy(structure, X):
 # case 1: ping-pong
 
 
-def _y_mapping_check(structure, s, t, u, v, power, ball_radius):
+def _y_mapping_check(structure, s, t, u, v, power):
     """Sampled ping-pong inclusion: the far-from-rho set of u must map into
     the far-from-rho set of v under t^power, and symmetrically."""
     model = structure.group
@@ -404,7 +406,7 @@ def _y_mapping_check(structure, s, t, u, v, power, ball_radius):
     rho_vu = structure.rho_point(v, u)
     rho_uv = structure.rho_point(u, v)
     k0 = structure.constants.kappa0
-    ball = standard_ball(model, ball_radius)
+    ball = standard_ball(model, PINGPONG_BALL_RADIUS)
     y_s = [x for x in ball if sp_u.dist(structure.pi(u, x), rho_vu) > k0]
     y_t = [x for x in ball if sp_v.dist(structure.pi(v, x), rho_uv) > k0]
     tk = model.power(t, power)
@@ -420,8 +422,8 @@ def _y_mapping_check(structure, s, t, u, v, power, ball_radius):
     return True, {"sampled": len(ball), "y_s": len(y_s), "y_t": len(y_t)}
 
 
-def pingpong_transverse(structure, s, t, u, v, depth=6, ball_radius=4,
-                        declared_power=None, x_lengths=None):
+def pingpong_transverse(structure, s, t, u, v, depth=6, declared_power=None,
+                        x_lengths=None):
     """Free subgroup from loxodromics with transverse big-set domains.
 
     The candidate pair is (s^k, t^k) at the declared power; verification is
@@ -442,7 +444,7 @@ def pingpong_transverse(structure, s, t, u, v, depth=6, ball_radius=4,
     caveats = []
     if declared * max(len(s), len(t)) <= MATERIALIZE_CAP:
         power = declared
-        ok, detail = _y_mapping_check(structure, s, t, u, v, power, ball_radius)
+        ok, detail = _y_mapping_check(structure, s, t, u, v, power)
         if not ok:
             raise CertifierRefutedError(
                 "sampled ping-pong inclusion fails at the declared power",
@@ -458,7 +460,7 @@ def pingpong_transverse(structure, s, t, u, v, depth=6, ball_radius=4,
             " smallest verified power recorded instead")
         power, pair, detail = None, None, None
         for k in range(1, POWER_SEARCH_CAP + 1):
-            ok, detail = _y_mapping_check(structure, s, t, u, v, k, ball_radius)
+            ok, detail = _y_mapping_check(structure, s, t, u, v, k)
             if not ok:
                 continue
             cand = model.power(s, k), model.power(t, k)
@@ -491,7 +493,7 @@ def pingpong_transverse(structure, s, t, u, v, depth=6, ball_radius=4,
                   "sampling": detail})
 
 
-def nested_to_transverse(structure, s, t, u, v, depth=6, ball_radius=4):
+def nested_to_transverse(structure, s, t, u, v, depth=6):
     """Reduction of a properly nested big-set pair to the transverse case.
 
     Powers of t push u off itself inside v; once the relative projections in
@@ -531,7 +533,7 @@ def nested_to_transverse(structure, s, t, u, v, depth=6, ball_radius=4):
             witness={"translate": un, "relation": structure.relation(un, u)})
     t2 = model.conjugate(tn, s)
     cert = pingpong_transverse(structure, s, t2, u, un, depth=depth,
-                               ball_radius=ball_radius, declared_power=led.k2)
+                               declared_power=led.k2)
     cert.evidence.update({"case": "nested", "parent_domain": v,
                           "escape_power": n, "separation": sep})
     if n > led.n0:
@@ -555,7 +557,7 @@ def _bf_pair(model, g, h, k, depth):
     return None
 
 
-def top_level_certify(structure, X, depth=6, endpoint_depth=5, doms=None):
+def top_level_certify(structure, X, depth=6, doms=None):
     """Certification when the maximal domain itself carries a big set.
 
     A generator axial on the top domain either has its endpoint pair moved
@@ -575,14 +577,14 @@ def top_level_certify(structure, X, depth=6, endpoint_depth=5, doms=None):
         raise PreconditionError("no generator is axial on the top domain")
     led = certifier_ledger(structure.constants)
     moved = next((t for t in words
-                  if not preserves_endpoint_pair(model, s, t, endpoint_depth)), None)
+                  if not preserves_endpoint_pair(model, s, t, ENDPOINT_POWER)), None)
     if moved is None:
         return GrowthCertificate(
             variant="virtually-cyclic",
             generating_set=[list(w) for w in words],
             ledger=led,
             evidence={"case": "top-level", "axis_word": model.format(s),
-                      "endpoint_power": endpoint_depth,
+                      "endpoint_power": ENDPOINT_POWER,
                       "checked": [model.format(t) for t in words]},
             caveats=["endpoint preservation tested at a finite power"])
     refused = []
@@ -615,7 +617,7 @@ def top_level_certify(structure, X, depth=6, endpoint_depth=5, doms=None):
                                                    model.format(moved)]})
 
 
-def case2_branch(structure, X, outcome=None, depth=6, endpoint_depth=5):
+def case2_branch(structure, X, outcome=None, depth=6):
     """Certification inside the pointwise stabilizer of the orthogonal
     big-set family.
 
@@ -655,7 +657,7 @@ def case2_branch(structure, X, outcome=None, depth=6, endpoint_depth=5):
     for u in labels:
         s_u, sx = axes[u]
         for y, yx in outcome.schreier:
-            if preserves_endpoint_pair(model, s_u, y, endpoint_depth):
+            if preserves_endpoint_pair(model, s_u, y, ENDPOINT_POWER):
                 continue
             pair = _bf_pair(model, s_u, model.conjugate(y, s_u), led.k4, depth)
             if pair is None:
@@ -715,8 +717,7 @@ def case2_branch(structure, X, outcome=None, depth=6, endpoint_depth=5):
 # driver
 
 
-def certify(structure, X, depth=6, endpoint_depth=5, gen_radius=6,
-            ball_radius=4):
+def certify(structure, X, depth=6, gen_radius=6):
     """End-to-end certification for one generating set.
 
     Routes through the dichotomy, emits the certificate of the selected
@@ -739,21 +740,17 @@ def certify(structure, X, depth=6, endpoint_depth=5, gen_radius=6,
         if outcome.kind == "transverse":
             cert = pingpong_transverse(
                 structure, outcome.s, outcome.t, outcome.u, outcome.v,
-                depth=depth, ball_radius=ball_radius,
-                x_lengths=(outcome.s_xlen, outcome.t_xlen))
+                depth=depth, x_lengths=(outcome.s_xlen, outcome.t_xlen))
         else:
             cert = nested_to_transverse(
-                structure, outcome.s, outcome.t, outcome.u, outcome.v,
-                depth=depth, ball_radius=ball_radius)
+                structure, outcome.s, outcome.t, outcome.u, outcome.v, depth=depth)
     else:
         top = structure.top_domain()
         if top is not None and top in outcome.domains.closure:
             cert = top_level_certify(structure, words, depth=depth,
-                                     endpoint_depth=endpoint_depth,
                                      doms=outcome.domains)
         else:
-            cert = case2_branch(structure, words, outcome, depth=depth,
-                                endpoint_depth=endpoint_depth)
+            cert = case2_branch(structure, words, outcome, depth=depth)
     cert.generating_set = [list(w) for w in words]
     cert.evidence["generating_set_text"] = [model.format(w) for w in words]
     cert.evidence["route"] = outcome.to_json(model)

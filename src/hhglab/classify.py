@@ -13,7 +13,10 @@ from dataclasses import dataclass
 
 from .errors import ClassificationAnomalyError, PreconditionError, StructureInvalidError
 from .groups import IDENTITY
-from .spaces import translation_length
+from .spaces import sample_diameter, translation_length
+
+# an orbit of 2 n_max + 1 powers with diameter > ORBIT_THRESHOLD * n_max is unbounded
+ORBIT_THRESHOLD = 0.5
 
 
 def orthogonal_rank(structure):
@@ -44,14 +47,13 @@ def domain_period(structure, g, u, cap):
     return None
 
 
-def tau_on_domain(structure, g, u, cap=None):
+def tau_on_domain(structure, g, u):
     """Stable translation length of g on u: tau(g^m)/m for the period m.
 
     Returns (tau, m); tau is None when no stabilizing power exists within
-    the cap or the domain carries no point action.
+    max(2, N_rank!) or the domain carries no point action.
     """
-    if cap is None:
-        cap = max(2, math.factorial(structure.constants.N_rank))
+    cap = max(2, math.factorial(structure.constants.N_rank))
     m = domain_period(structure, g, u, cap)
     if m is None:
         return None, None
@@ -85,7 +87,7 @@ class BigSet:
         }
 
 
-def big_set_member(structure, g, u, n_max=6, threshold=0.5, powers=None):
+def big_set_member(structure, g, u, n_max=6, powers=None):
     """Evidence that the cyclic orbit of g is unbounded on the single domain
     u, or None.  Works for domains outside the materialized catalog, which
     the certifier meets when it translates domains around."""
@@ -98,15 +100,14 @@ def big_set_member(structure, g, u, n_max=6, threshold=0.5, powers=None):
         return None
     if powers is None:
         powers = [structure.group.power(g, i) for i in range(-n_max, n_max + 1)]
-    space = structure.space(u)
-    pts = [structure.pi(u, h) for h in powers]
-    diam = max(space.dist(p, q) for p in pts for q in pts)
-    if diam > threshold * n_max:
-        return {"via": "orbit", "diameter": diam, "cutoff": threshold * n_max}
+    diam = sample_diameter(structure.space(u).dist,
+                           [structure.pi(u, h) for h in powers], 0)
+    if diam > ORBIT_THRESHOLD * n_max:
+        return {"via": "orbit", "diameter": diam, "cutoff": ORBIT_THRESHOLD * n_max}
     return None
 
 
-def big_set(structure, g, n_max=6, threshold=0.5):
+def big_set(structure, g, n_max=6):
     """Domains on which the cyclic orbit of g is detectably unbounded."""
     if n_max < 4:
         raise PreconditionError("orbit window must be at least 4")
@@ -115,11 +116,11 @@ def big_set(structure, g, n_max=6, threshold=0.5):
     evidence = {}
     powers = [structure.group.power(g, i) for i in range(-n_max, n_max + 1)]
     for u in structure.domains():
-        ev = big_set_member(structure, g, u, n_max, threshold, powers=powers)
+        ev = big_set_member(structure, g, u, n_max, powers=powers)
         if ev is not None:
             members.append(u)
             evidence[u] = ev
-    return BigSet(g, sorted(members), evidence, n_max, threshold)
+    return BigSet(g, sorted(members), evidence, n_max, ORBIT_THRESHOLD)
 
 
 @dataclass
@@ -131,9 +132,9 @@ class ElementClass:
         return {"variant": self.variant, "big": self.big.to_json(model)}
 
 
-def classify(structure, g, n_max=6, threshold=0.5):
+def classify(structure, g, n_max=6):
     """Elliptic iff the big set is empty; anomalous for torsion-free models."""
-    big = big_set(structure, g, n_max=n_max, threshold=threshold)
+    big = big_set(structure, g, n_max=n_max)
     if big.domains:
         return ElementClass("axial", big)
     if structure.group.torsion_free and not structure.group.is_identity(g):
@@ -144,7 +145,7 @@ def classify(structure, g, n_max=6, threshold=0.5):
     return ElementClass("elliptic", big)
 
 
-def tau0_floor_check(structure, sample_elements, n_max=6, threshold=0.5):
+def tau0_floor_check(structure, sample_elements, n_max=6):
     """Min translation length over sampled big-set pairs; must meet tau0.
 
     Returns the measured minimum, or None when every sampled element has
@@ -156,7 +157,7 @@ def tau0_floor_check(structure, sample_elements, n_max=6, threshold=0.5):
     measured = None
     declared = structure.constants.tau0
     for g in samples:
-        big = big_set(structure, g, n_max=n_max, threshold=threshold)
+        big = big_set(structure, g, n_max=n_max)
         for u in big.domains:
             tau, _ = tau_on_domain(structure, g, u)
             if tau is None:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 from .balls import standard_ball
 from .errors import InputError, PreconditionError
-from .spaces import CayleyTreeSpace, CosetTreeSpace, LineSpace
+from .spaces import (CayleyTreeSpace, CosetTreeSpace, LineSpace, distance_table,
+                     sample_diameter)
 from .structures import CONTAINS, NEST_IN, ORTHOGONAL, TRANSVERSE
 
 
@@ -196,10 +197,7 @@ def realize(structure, tup, search_radius, max_slack=None):
     theta_e, elements = closest_elements(
         structure, standard_ball(structure.group, search_radius),
         sorted(tup.entries.items()))
-    diameter = 0
-    for i, g in enumerate(elements):
-        for h in elements[i + 1:]:
-            diameter = max(diameter, structure.word_metric(g, h))
+    diameter = sample_diameter(structure.word_metric, elements, 0)
     exhausted = max_slack is not None and theta_e > max_slack
     return RealizationResult(elements, theta_e, diameter, search_radius, exhausted)
 
@@ -254,7 +252,10 @@ class FitResult:
         }
 
 
-def fit_distance_formula(structure, sample_pairs, s, k_max=16.0, k_step=0.5, c_step=0.5):
+FIT_STEP = 0.5  # grid step of both K and C
+
+
+def fit_distance_formula(structure, sample_pairs, s, k_max=16.0):
     """Least (K, C), lexicographically, with d/K - C <= sum <= K*d + C.
 
     The additive grid is capped at max(8, 2*s*m) where m is the largest
@@ -279,7 +280,7 @@ def fit_distance_formula(structure, sample_pairs, s, k_max=16.0, k_step=0.5, c_s
         need = 0.0
         for _, _, d, total in rows:
             need = max(need, total - k * d, d / k - total)
-        c = math.ceil(need / c_step - 1e-9) * c_step
+        c = math.ceil(need / FIT_STEP - 1e-9) * FIT_STEP
         if c <= c_max + 1e-9:
             binding = None
             for x, y, d, total in rows:
@@ -293,7 +294,7 @@ def fit_distance_formula(structure, sample_pairs, s, k_max=16.0, k_step=0.5, c_s
                         "slack": round(slack, 9),
                     }
             return FitResult(True, k, c, s, len(rows), binding, None)
-        k += k_step
+        k += FIT_STEP
 
     worst = None
     for x, y, d, total in rows:
@@ -368,8 +369,9 @@ def product_decomposition(structure):
     return Decomposition(blocks, descriptors, False)
 
 
-def quasi_line_detect(space, radius, q_max=4, max_points=600):
-    """Smallest Q at which the sample hugs one geodesic and has two ends.
+def quasi_line_detect(space, radius, q_max=4):
+    """Smallest Q at which the sample (at most 600 points of the ball of
+    the given radius) hugs one geodesic and has two ends.
 
     The axis comes from two farthest-point sweeps (exact on trees, a
     standard approximation elsewhere).  Ends at scale Q are components of
@@ -379,20 +381,16 @@ def quasi_line_detect(space, radius, q_max=4, max_points=600):
     """
     if radius < 2:
         raise InputError("radius must be at least 2")
-    pts = space.sample_points(radius, limit=max_points)
+    pts = space.sample_points(radius, limit=600)
+    table = distance_table(space.dist, pts)
     base = space.basepoint()
-    far1 = max(pts, key=lambda p: space.dist(base, p))
-    far2 = max(pts, key=lambda p: space.dist(far1, p))
-    axis = list(space.geodesic(far1, far2))
+    far1 = max(range(len(pts)), key=lambda i: space.dist(base, pts[i]))
+    far2 = max(range(len(pts)), key=lambda j: table[far1][j])
+    axis = list(space.geodesic(pts[far1], pts[far2]))
     off_axis = {i: min(space.dist(p, a) for a in axis) for i, p in enumerate(pts)}
     d_base = {i: space.dist(base, p) for i, p in enumerate(pts)}
-
-    neighbors = {i: [] for i in range(len(pts))}
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if space.dist(pts[i], pts[j]) == 1:
-                neighbors[i].append(j)
-                neighbors[j].append(i)
+    neighbors = {i: [j for j, d in enumerate(row) if d == 1]
+                 for i, row in enumerate(table)}
 
     for q in range(q_max + 1):
         if any(off_axis[i] > q for i in off_axis):

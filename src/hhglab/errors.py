@@ -28,11 +28,13 @@ class ResourceBudgetError(RuntimeError):
 
     partial_radius: largest radius (or depth) fully completed before
     the budget ran out, or None when nothing completed.
+    witness: dict reporting partial_radius.
     """
 
     def __init__(self, message, partial_radius=None):
         super().__init__(message)
         self.partial_radius = partial_radius
+        self.witness = {"partial_radius": partial_radius}
 
 
 class StructureInvalidError(RuntimeError):

@@ -118,9 +118,6 @@ class GroupModel:
             n >>= 1
         return acc
 
-    def equal(self, u: Word, v: Word) -> bool:
-        return self._reduce(u) == self._reduce(v)
-
     def is_identity(self, w: Word) -> bool:
         return self._reduce(w) == IDENTITY
 

@@ -3,9 +3,13 @@
 Each space fixes a point type, an exact metric, geodesics, and a
 deterministic sampler around the basepoint.  The fellow-traveling checks
 in the rest of the package only ever see this interface.
+
+The pairwise distances of a finite sample are computed once, in one place,
+`distance_table`; the four-point check, the quasi-line sweep and every
+sample diameter read them from it.
 """
 
-from itertools import combinations
+from itertools import combinations, islice
 
 from .balls import standard_ball
 from .errors import InputError, WrongKindError
@@ -107,7 +111,7 @@ class GraphSpace(Space):
             self.adj[a].add(b)
             self.adj[b].add(a)
         self._dist_cache = {}
-        self.diameter_bound = float(self._diameter())
+        self.diameter_bound = float(sample_diameter(self.dist, range(n_vertices), 0))
 
     def _bfs(self, src):
         if src in self._dist_cache:
@@ -128,9 +132,6 @@ class GraphSpace(Space):
             raise InputError("graph is not connected")
         self._dist_cache[src] = (dist, parent)
         return dist, parent
-
-    def _diameter(self):
-        return max(self._bfs(v)[0][w] for v in range(self.n) for w in range(self.n))
 
     def dist(self, x, y):
         self.check_point(x)
@@ -280,32 +281,39 @@ class CosetTreeSpace(Space):
         return w == tuple(rep) and self._rep(factor, w) == w
 
 
-def four_point_defect(space, w, x, y, z):
-    """Half the gap between the two largest of the three pairings; a space is
-    delta-hyperbolic in the four-point sense when this never exceeds delta."""
-    sums = sorted(
-        [
-            space.dist(w, x) + space.dist(y, z),
-            space.dist(w, y) + space.dist(x, z),
-            space.dist(w, z) + space.dist(x, y),
-        ]
-    )
-    return (sums[2] - sums[1]) / 2
+def distance_table(dist, points):
+    """Symmetric matrix of the pairwise distances of a sample: entry [i][j]
+    is dist(points[i], points[j]) for i < j, computed once, and its mirror;
+    the diagonal is 0."""
+    points = list(points)
+    n = len(points)
+    table = [[0] * n for _ in range(n)]
+    for i in range(n):
+        p, row = points[i], table[i]
+        for j in range(i + 1, n):
+            row[j] = table[j][i] = dist(p, points[j])
+    return table
+
+
+def sample_diameter(dist, points, default):
+    """Largest pairwise distance of the sample; default below two points."""
+    table = distance_table(dist, points)
+    return max((d for i, row in enumerate(table) for d in row[i + 1:]), default=default)
 
 
 def max_four_point_defect(space, points, quad_budget=60000):
-    """Worst defect over quadruples of the sample; (worst, witness)."""
+    """(worst, witness) over the first quad_budget quadruples of the sample,
+    the defect being half the gap between the two largest pairing sums; a
+    space is delta-hyperbolic in the four-point sense when it is <= delta."""
+    t = distance_table(space.dist, points)
     worst = 0.0
     witness = None
-    count = 0
-    for quad in combinations(points, 4):
-        count += 1
-        if count > quad_budget:
-            break
-        d = four_point_defect(space, *quad)
-        if d > worst:
-            worst = d
-            witness = quad
+    for i, j, k, l in islice(combinations(range(len(points)), 4), quad_budget):
+        sums = sorted([t[i][j] + t[k][l], t[i][k] + t[j][l], t[i][l] + t[j][k]])
+        defect = (sums[2] - sums[1]) / 2
+        if defect > worst:
+            worst = defect
+            witness = (points[i], points[j], points[k], points[l])
     return worst, witness
 
 

@@ -4,6 +4,7 @@ import json
 import pytest
 
 from hhglab.cli import main
+from hhglab.errors import ResourceBudgetError
 
 STRUCTURES = "structures"
 
@@ -88,6 +89,19 @@ class TestCheck:
         assert code == 0
         assert "all checks passed" in text
         assert json.loads(out.read_text())["structure"] == "z1"
+
+    def test_budget_failure_reports_partial_radius(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise ResourceBudgetError("ball exceeded 161 elements at radius 4",
+                                      partial_radius=3)
+
+        monkeypatch.setattr("hhglab.cli.check_structure", exhausted)
+        code, out, err = run(capsys, "check", "free2")
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "ResourceBudgetError",
+            "message": "ball exceeded 161 elements at radius 4",
+            "witness": {"partial_radius": 3}}
 
     def test_missing_argument_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:

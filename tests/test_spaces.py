@@ -1,6 +1,7 @@
 """Space metrics, geodesics, four-point checks, translation lengths."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -12,8 +13,9 @@ from hhglab.spaces import (
     GraphSpace,
     LineSpace,
     PointSpace,
-    four_point_defect,
+    distance_table,
     max_four_point_defect,
+    sample_diameter,
     translation_length,
 )
 
@@ -59,6 +61,14 @@ class TestElementarySpaces:
         assert C4.dist(0, 2) == 2
         assert C4.diameter_bound == 2
         assert verify_geodesic(C4, C4.geodesic(0, 2))
+
+    def test_one_vertex_graph_has_float_zero_diameter(self):
+        G = GraphSpace(1, [])
+        assert G.diameter_bound == 0.0 and isinstance(G.diameter_bound, float)
+
+    def test_unconnected_graph_rejected(self):
+        with pytest.raises(InputError):
+            GraphSpace(4, [(0, 1), (2, 3)])
 
 
 class TestCayleyTree:
@@ -166,10 +176,97 @@ class TestFourPoint:
 
     def test_four_cycle_defect_is_one(self):
         C4 = GraphSpace(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        assert four_point_defect(C4, 0, 1, 2, 3) == 1
         worst, witness = max_four_point_defect(C4, [0, 1, 2, 3])
         assert worst == 1 and witness == (0, 1, 2, 3)
         assert worst > C4.delta
+
+
+def reference_four_point(space, points, quad_budget=60000):
+    """The four-point check with every distance of every quadruple asked of
+    the space afresh."""
+    worst, witness = 0.0, None
+    for count, (w, x, y, z) in enumerate(combinations(points, 4), 1):
+        if count > quad_budget:
+            break
+        sums = sorted([space.dist(w, x) + space.dist(y, z),
+                       space.dist(w, y) + space.dist(x, z),
+                       space.dist(w, z) + space.dist(x, y)])
+        defect = (sums[2] - sums[1]) / 2
+        if defect > worst:
+            worst, witness = defect, (w, x, y, z)
+    return worst, witness
+
+
+def random_connected_graph(seed, n=10, extra=6):
+    """A random spanning tree on n vertices plus extra random chords."""
+    rng = random.Random(seed)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < n - 1 + extra:
+        a, b = sorted(rng.sample(range(n), 2))
+        edges.add((a, b))
+    return GraphSpace(n, sorted(edges))
+
+
+class CountingLine(LineSpace):
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def dist(self, x, y):
+        self.calls += 1
+        return super().dist(x, y)
+
+
+class TestDistanceTable:
+    def samples(self):
+        C4 = GraphSpace(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        G = random_connected_graph(5)
+        T = CayleyTreeSpace(FreeGroup(2))
+        S = CosetTreeSpace(f2_star_z())
+        L = LineSpace()
+        return [(C4, [0, 1, 2, 3]), (G, G.sample_points(9)), (T, T.sample_points(2)),
+                (S, S.sample_points(2)), (L, L.sample_points(6))]
+
+    def test_random_graph_has_positive_defect(self):
+        G = random_connected_graph(5)
+        assert max_four_point_defect(G, G.sample_points(9))[0] > 0
+
+    @pytest.mark.parametrize("budget", [1, 5, None])
+    def test_four_point_matches_per_quadruple_reference(self, budget):
+        kwargs = {} if budget is None else {"quad_budget": budget}
+        for space, pts in self.samples():
+            got = max_four_point_defect(space, pts, **kwargs)
+            want = reference_four_point(space, pts, **kwargs)
+            assert got == want
+            assert type(got[0]) is type(want[0])
+
+    def test_table_entries(self):
+        G = random_connected_graph(5)
+        pts = G.sample_points(9)
+        table = distance_table(G.dist, pts)
+        for i, p in enumerate(pts):
+            assert table[i][i] == 0
+            for j, q in enumerate(pts):
+                assert table[i][j] == G.dist(p, q)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 25])
+    def test_each_pair_computed_once(self, n):
+        L = CountingLine()
+        table = distance_table(L.dist, list(range(n)))
+        assert L.calls == n * (n - 1) // 2
+        assert table == [[abs(i - j) for j in range(n)] for i in range(n)]
+
+    def test_four_point_check_computes_each_pair_once(self):
+        L = CountingLine()
+        assert max_four_point_defect(L, list(range(25))) == (0.0, None)
+        assert L.calls == 300
+
+    def test_diameter_keeps_value_type_and_default(self):
+        assert sample_diameter(lambda x, y: 0.5, [1, 2, 3], 0) == 0.5
+        assert sample_diameter(lambda x, y: 0.0, [1, 2], 0) == 0.0
+        assert isinstance(sample_diameter(lambda x, y: 0.0, [1, 2], 0), float)
+        assert isinstance(sample_diameter(lambda x, y: 1.0, [1], 0.0), float)
+        assert sample_diameter(lambda x, y: abs(x - y), [4, -3, 1], 0) == 7
 
 
 class TestTranslationLength:

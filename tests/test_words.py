@@ -90,7 +90,7 @@ class TestDirectProduct:
         self.G = DirectProduct([FreeGroup(2), FreeAbelianGroup(1, ["t"])])
 
     def test_commuting_factors(self):
-        assert self.G.equal(self.G.parse("ta"), self.G.parse("at"))
+        assert self.G.normal_form(self.G.parse("ta")) == self.G.normal_form(self.G.parse("at"))
         assert self.G.format(self.G.parse("tabt")) == "abtt"
 
     def test_factor_extraction(self):
@@ -175,8 +175,8 @@ class TestGraphProduct:
         )
 
     def test_join_commutes_isolated_does_not(self):
-        assert self.G.equal(self.G.parse("ab"), self.G.parse("ba"))
-        assert not self.G.equal(self.G.parse("ac"), self.G.parse("ca"))
+        assert self.G.normal_form(self.G.parse("ab")) == self.G.normal_form(self.G.parse("ba"))
+        assert self.G.normal_form(self.G.parse("ac")) != self.G.normal_form(self.G.parse("ca"))
 
     def test_shuffle_class_normal_forms_agree(self):
         assert self.G.normal_form(self.G.parse("cabc")) == self.G.normal_form(self.G.parse("cbac"))
@@ -192,7 +192,8 @@ class TestGraphProduct:
         for _ in range(40):
             u = random_word(rng, self.G, rng.randrange(0, 6))
             v = random_word(rng, self.G, rng.randrange(0, 6))
-            assert self.G.equal(u, v) == graph_product_oracle_equal(self.G, u, v)
+            assert ((self.G.normal_form(u) == self.G.normal_form(v))
+                    == graph_product_oracle_equal(self.G, u, v))
 
     def test_canonical_form_constant_on_shuffle_class(self):
         rng = random.Random(11)
