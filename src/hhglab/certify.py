@@ -129,12 +129,10 @@ def verify_free_subgroup(model, u, w, depth):
     return len(seen) == count
 
 
-def preserves_endpoint_pair(model, s, t, depth=5):
+def preserves_endpoint_pair(model, s, t):
     """Word criterion for t preserving the endpoint pair of the axis of s:
-    conjugation by t sends s^depth to itself or to its inverse."""
-    if depth < 1:
-        raise PreconditionError("power must be at least 1")
-    sn = model.power(s, depth)
+    conjugation by t sends s^ENDPOINT_POWER to itself or to its inverse."""
+    sn = model.power(s, ENDPOINT_POWER)
     conj = model.conjugate(t, sn)
     return conj == sn or conj == model.inverse(sn)
 
@@ -577,7 +575,7 @@ def top_level_certify(structure, X, depth=6, doms=None):
         raise PreconditionError("no generator is axial on the top domain")
     led = certifier_ledger(structure.constants)
     moved = next((t for t in words
-                  if not preserves_endpoint_pair(model, s, t, ENDPOINT_POWER)), None)
+                  if not preserves_endpoint_pair(model, s, t)), None)
     if moved is None:
         return GrowthCertificate(
             variant="virtually-cyclic",
@@ -657,7 +655,7 @@ def case2_branch(structure, X, outcome=None, depth=6):
     for u in labels:
         s_u, sx = axes[u]
         for y, yx in outcome.schreier:
-            if preserves_endpoint_pair(model, s_u, y, ENDPOINT_POWER):
+            if preserves_endpoint_pair(model, s_u, y):
                 continue
             pair = _bf_pair(model, s_u, model.conjugate(y, s_u), led.k4, depth)
             if pair is None:

@@ -19,24 +19,6 @@ from .spaces import sample_diameter, translation_length
 ORBIT_THRESHOLD = 0.5
 
 
-def orthogonal_rank(structure):
-    """Largest pairwise-orthogonal family of unbounded domains (max clique)."""
-    unbounded = [u for u in structure.domains() if not structure.is_bounded_domain(u)]
-    best = 0
-
-    def grow(clique, candidates):
-        nonlocal best
-        best = max(best, len(clique))
-        for i, u in enumerate(candidates):
-            if len(clique) + len(candidates) - i <= best:
-                return
-            grow(clique + [u], [v for v in candidates[i + 1:]
-                                if structure.relation(u, v) == "perp"])
-
-    grow([], unbounded)
-    return best
-
-
 def domain_period(structure, g, u, cap):
     """Smallest m <= cap with the m-th iterate of g mapping u to itself."""
     v = u
@@ -127,9 +109,6 @@ def big_set(structure, g, n_max=6):
 class ElementClass:
     variant: str
     big: BigSet
-
-    def to_json(self, model=None):
-        return {"variant": self.variant, "big": self.big.to_json(model)}
 
 
 def classify(structure, g, n_max=6):

@@ -18,27 +18,12 @@ from .spaces import (CayleyTreeSpace, CosetTreeSpace, LineSpace, distance_table,
 from .structures import CONTAINS, NEST_IN, ORTHOGONAL, TRANSVERSE
 
 
-def _point_json(p):
-    if isinstance(p, tuple):
-        return [_point_json(x) for x in p]
-    return p
-
-
 @dataclass
 class ConsistentTuple:
     """Coordinates: one point per domain, plus the slack they claim."""
 
     entries: dict
     kappa: float
-
-    def domains(self):
-        return sorted(self.entries)
-
-    def to_json(self):
-        return {
-            "kappa": self.kappa,
-            "entries": {u: _point_json(p) for u, p in sorted(self.entries.items())},
-        }
 
 
 @dataclass
@@ -49,16 +34,6 @@ class ConsistencyReport:
     condition: str
     pair: tuple
     checks: int
-
-    def to_json(self):
-        return {
-            "ok": self.ok,
-            "kappa": self.kappa,
-            "worst_margin": self.worst_margin,
-            "condition": self.condition,
-            "pair": list(self.pair),
-            "checks": self.checks,
-        }
 
 
 def project_tuple(structure, g, domains=None):
@@ -209,13 +184,6 @@ class ThresholdedSum:
     s: float
     contributions: dict
     total: float
-
-    def to_json(self):
-        return {
-            "s": self.s,
-            "total": self.total,
-            "contributions": dict(sorted(self.contributions.items())),
-        }
 
 
 def distance_formula_sum(structure, x, y, s):

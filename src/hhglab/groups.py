@@ -16,17 +16,16 @@ reduced or not, and never re-check them.
 ``_product(u, v)`` is the normal form of u·v when u and v are *already*
 normal forms; it only works at the junction where the two words meet
 (free cancellation, exponent sums, the factor blocks v touches, the
-syllables that merge); graph products keep the default ``_reduce(u + v)``.
-It trusts that precondition and never checks it: on other words its
-result is wrong.  Its callers multiply words the package normalised
-itself: the Cayley-ball BFS (``balls``), the freeness oracles
-(``certify``) and ``power``.  ``multiply`` keeps accepting raw words and
-stays the reference ``_product`` is tested against.
+syllables that merge).  It trusts that precondition and never checks it:
+on other words its result is wrong.  Its callers multiply words the
+package normalised itself: the Cayley-ball BFS (``balls``), the freeness
+oracles (``certify``) and ``power``.  ``multiply`` keeps accepting raw
+words and stays the reference ``_product`` is tested against.
 
-Families: free, free abelian, direct products, free products, and graph
-products of the above.  Labels are single lowercase ASCII letters; the
-compact string form writes inverses as uppercase ("caC" is c a c^-1, "1"
-is the identity).
+Families: free, free abelian, direct products and free products of the
+above.  Labels are single lowercase ASCII letters; the compact string
+form writes inverses as uppercase ("caC" is c a c^-1, "1" is the
+identity).
 """
 
 from __future__ import annotations
@@ -48,8 +47,8 @@ def invert_word(w: Word) -> Word:
 class GroupModel:
     """Base class: a marked group with normal forms.
 
-    Subclasses must set self.ngens, self.labels and implement _reduce.
-    All other operations are derived.
+    Subclasses must set self.ngens, self.labels and implement _reduce and
+    _product.  All other operations are derived.
     """
 
     family = "abstract"
@@ -94,7 +93,7 @@ class GroupModel:
 
     def _product(self, u: Word, v: Word) -> Word:
         """Normal form of u·v for normal forms u and v."""
-        return self._reduce(u + v)
+        raise NotImplementedError
 
     def multiply(self, u: Word, v: Word) -> Word:
         return self._reduce(tuple(u) + tuple(v))
@@ -378,86 +377,6 @@ class FreeProduct(_CombinedModel):
         return {"family": "free_product", "factors": [p.to_json() for p in self.parts]}
 
 
-class GraphProduct(_CombinedModel):
-    """Graph product: vertex groups, joined ones commute elementwise.
-
-    Normal form reduces syllables (merging across commuting blocks) and then
-    emits movable syllables greedily by least vertex id, which is a canonical
-    representative of the shuffle class.
-    """
-
-    family = "graph_product"
-
-    def __init__(self, vertex_models, edges):
-        self._init_parts(vertex_models)
-        self.edges = set()
-        for e in edges:
-            pair = tuple(sorted(e))
-            if len(pair) != 2 or pair[0] == pair[1]:
-                raise InputError(f"edge {e!r} must join two distinct vertices")
-            for v in pair:
-                if not 0 <= v < len(self.parts):
-                    raise InputError(f"edge {e!r} names a missing vertex")
-            self.edges.add(pair)
-
-    def adjacent(self, u: int, v: int) -> bool:
-        return u != v and tuple(sorted((u, v))) in self.edges
-
-    def _reduce_syllables(self, sylls):
-        sylls = [s for s in sylls if s[1]]
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(sylls)):
-                for j in range(i + 1, len(sylls)):
-                    vi = sylls[i][0]
-                    if sylls[j][0] != vi:
-                        continue
-                    if all(self.adjacent(sylls[k][0], vi) for k in range(i + 1, j)):
-                        merged = self.parts[vi].multiply(sylls[i][1], sylls[j][1])
-                        del sylls[j]
-                        if merged:
-                            sylls[i] = (vi, merged)
-                        else:
-                            del sylls[i]
-                        changed = True
-                        break
-                if changed:
-                    break
-        return sylls
-
-    def _canonical_order(self, sylls):
-        rest = list(sylls)
-        out = []
-        while rest:
-            best = None
-            for idx in range(len(rest)):
-                movable = all(self.adjacent(rest[k][0], rest[idx][0]) for k in range(idx))
-                if movable and (best is None or rest[idx][0] < rest[best][0]):
-                    best = idx
-            out.append(rest.pop(best))
-        return out
-
-    def _reduce(self, w: Word) -> Word:
-        sylls = []
-        for x in w:
-            vi = self._part_of[x]
-            sylls.append((vi, (x - self._offsets[vi],)))
-        sylls = self._reduce_syllables(sylls)
-        out = []
-        for vi, local in self._canonical_order(sylls):
-            # a syllable is one letter or a vertex-group product: reduced
-            out.extend(self.to_global(vi, local))
-        return tuple(out)
-
-    def to_json(self) -> dict:
-        return {
-            "family": "graph_product",
-            "vertices": [p.to_json() for p in self.parts],
-            "edges": sorted(list(e) for e in self.edges),
-        }
-
-
 def is_int(x) -> bool:
     """An int that is not a bool, as json integers load."""
     return isinstance(x, int) and not isinstance(x, bool)
@@ -474,10 +393,6 @@ def json_field(data: dict, key: str, check, expected: str, owner: str, default=N
     if not check(data[key]):
         raise InputError(f"{owner} json: {key!r} must be {expected}")
     return data[key]
-
-
-def _is_edge(e) -> bool:
-    return isinstance(e, (list, tuple)) and len(e) == 2 and all(map(is_int, e))
 
 
 def model_from_json(data: dict) -> GroupModel:
@@ -503,9 +418,4 @@ def model_from_json(data: dict) -> GroupModel:
         return DirectProduct(factors("factors"))
     if fam == "free_product":
         return FreeProduct(factors("factors"))
-    if fam == "graph_product":
-        edges = json_field(data, "edges",
-                           lambda v: isinstance(v, list) and all(map(_is_edge, v)),
-                           "a list of vertex-index pairs", owner)
-        return GraphProduct(factors("vertices"), edges)
     raise InputError(f"unknown group family {fam!r}")

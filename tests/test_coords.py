@@ -54,7 +54,7 @@ class TestProjectionTuples:
         for st in (self.hh, build_named("f2freez")):
             for g in random_words(st.group, 25, 4, seed=11):
                 report = is_consistent(st, project_tuple(st, g))
-                assert report.ok, (st.label, g, report.to_json())
+                assert report.ok, (st.label, g, report)
                 assert report.worst_margin >= 0
 
     def test_infinite_kappa_always_passes(self):

@@ -145,6 +145,19 @@ class TestCosetTree:
             assert len(geo) - 1 == S.dist(x, y)
             assert verify_geodesic(S, geo)
 
+    def test_dist_and_geodesic_normalise_nothing(self):
+        S = CosetTreeSpace(f2_star_z())
+        pts = S.sample_points(3)
+        calls = []
+        normal_form = S.model.normal_form
+        S.model.normal_form = lambda w: calls.append(w) or normal_form(w)
+        rng = random.Random(23)
+        for _ in range(20):
+            x, y = rng.choice(pts), rng.choice(pts)
+            S.dist(x, y)
+            S.geodesic(x, y)
+        assert calls == []
+
     def test_translation_action(self):
         S = CosetTreeSpace(f2_star_z())
         m = S.model

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import random
 
 import pytest
 
@@ -178,6 +179,32 @@ class TestFreeProductStructure:
         # projections on the listed cosets add up to the word metric exactly
         total = sum(self.hh.dsub(u, x, y) for u in between if u != "S")
         assert total == self.hh.word_metric(x, y) == 4
+
+    def unreduced_words(self, count, seed):
+        """Seeded random words, each with a cancelling pair spliced in."""
+        rng = random.Random(seed)
+        words = []
+        for _ in range(count):
+            w = [rng.randrange(2 * self.m.ngens) for _ in range(rng.randrange(0, 7))]
+            x = rng.randrange(2 * self.m.ngens)
+            at = rng.randrange(len(w) + 1)
+            words.append(tuple(w[:at] + [x, x ^ 1] + w[at:]))
+        return words
+
+    def test_raw_words_project_as_their_normal_forms(self):
+        doms = self.hh.domains()
+        for g in self.unreduced_words(30, seed=5):
+            nf = self.m.normal_form(g)
+            assert nf != g
+            for u in doms:
+                assert self.hh.pi(u, g) == self.hh.pi(u, nf), (u, g)
+
+    def test_domains_between_raw_words(self):
+        words = self.unreduced_words(40, seed=9)
+        for x, y in zip(words[::2], words[1::2]):
+            assert (self.hh.domains_between(x, y)
+                    == self.hh.domains_between(self.m.normal_form(x),
+                                               self.m.normal_form(y))), (x, y)
 
     def test_action_on_domains(self):
         c = self.m.parse("c")

@@ -1,6 +1,5 @@
 """Normal forms and word arithmetic for the group families."""
 
-import itertools
 import random
 
 import pytest
@@ -13,7 +12,6 @@ from hhglab.groups import (
     FreeAbelianGroup,
     FreeGroup,
     FreeProduct,
-    GraphProduct,
     invert_word,
     model_from_json,
 )
@@ -28,10 +26,6 @@ def models_under_test():
         DirectProduct([FreeGroup(2), FreeAbelianGroup(1, ["t"])]),
         DirectProduct([FreeGroup(2), FreeGroup(2, ["c", "d"])]),
         FreeProduct([FreeGroup(2), FreeAbelianGroup(1, ["c"])]),
-        GraphProduct(
-            [FreeGroup(1, ["a"]), FreeGroup(1, ["b"]), FreeGroup(1, ["c"])],
-            [(0, 1)],
-        ),
     ]
 
 
@@ -125,86 +119,6 @@ class TestFreeProduct:
         u = self.G.parse("b")
         v = self.G.parse("Bc")
         assert self.G.format(self.G.multiply(u, v)) == "c"
-
-
-def part_of_letter(gp, letter):
-    """Vertex whose generators own the letter, read off the vertex ranks."""
-    bounds = itertools.accumulate(2 * p.ngens for p in gp.parts)
-    return next(i for i, end in enumerate(bounds) if letter < end)
-
-
-def graph_product_oracle_equal(gp, u, v, cap=200000):
-    """Word-problem decision by search over swap and cancellation moves.
-
-    Independent of the normal-form code: explores words reachable from
-    u * v^-1 by swapping adjacent letters of joined vertices and deleting
-    adjacent inverse pairs, and reports whether the empty word appears.
-    """
-    start = tuple(u) + tuple(x ^ 1 for x in reversed(v))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        if len(seen) > cap:
-            raise RuntimeError("oracle budget exceeded")
-        nxt = []
-        for w in frontier:
-            if w == ():
-                return True
-            for i in range(len(w) - 1):
-                a, b = w[i], w[i + 1]
-                if a == b ^ 1 and part_of_letter(gp, a) == part_of_letter(gp, b):
-                    cand = w[:i] + w[i + 2 :]
-                    if cand not in seen:
-                        seen.add(cand)
-                        nxt.append(cand)
-                if gp.adjacent(part_of_letter(gp, a), part_of_letter(gp, b)):
-                    cand = w[:i] + (b, a) + w[i + 2 :]
-                    if cand not in seen:
-                        seen.add(cand)
-                        nxt.append(cand)
-        frontier = nxt
-    return () in seen
-
-
-class TestGraphProduct:
-    def setup_method(self):
-        # a joined to b; c joined to nothing
-        self.G = GraphProduct(
-            [FreeGroup(1, ["a"]), FreeGroup(1, ["b"]), FreeGroup(1, ["c"])],
-            [(0, 1)],
-        )
-
-    def test_join_commutes_isolated_does_not(self):
-        assert self.G.normal_form(self.G.parse("ab")) == self.G.normal_form(self.G.parse("ba"))
-        assert self.G.normal_form(self.G.parse("ac")) != self.G.normal_form(self.G.parse("ca"))
-
-    def test_shuffle_class_normal_forms_agree(self):
-        assert self.G.normal_form(self.G.parse("cabc")) == self.G.normal_form(self.G.parse("cbac"))
-        assert self.G.format(self.G.parse("cbac")) == "cabc"
-
-    def test_merge_across_commuting_block(self):
-        # the two c syllables cannot merge past a; the two a syllables merge past b
-        assert len(self.G.normal_form(self.G.parse("cac"))) == 3
-        assert self.G.format(self.G.parse("aba")) == "aab"
-
-    def test_against_search_oracle(self):
-        rng = random.Random(7)
-        for _ in range(40):
-            u = random_word(rng, self.G, rng.randrange(0, 6))
-            v = random_word(rng, self.G, rng.randrange(0, 6))
-            assert ((self.G.normal_form(u) == self.G.normal_form(v))
-                    == graph_product_oracle_equal(self.G, u, v))
-
-    def test_canonical_form_constant_on_shuffle_class(self):
-        rng = random.Random(11)
-        for _ in range(25):
-            w = self.G.normal_form(random_word(rng, self.G, rng.randrange(0, 7)))
-            # every word obtained by one legal swap has the same normal form
-            for i in range(len(w) - 1):
-                a, b = w[i], w[i + 1]
-                if self.G.adjacent(part_of_letter(self.G, a), part_of_letter(self.G, b)):
-                    swapped = w[:i] + (b, a) + w[i + 2 :]
-                    assert self.G.normal_form(swapped) == w
 
 
 class TestAlgebraicLaws:
@@ -346,5 +260,3 @@ class TestSerialization:
             FreeGroup(2, ["a", "a"])
         with pytest.raises(InputError):
             FreeGroup(2).parse("xz")
-        with pytest.raises(InputError):
-            GraphProduct([FreeGroup(1, ["a"])], [(0, 0)])
