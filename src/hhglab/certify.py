@@ -8,6 +8,12 @@ expected (virtually cyclic, virtually abelian, or a line-times-bounded
 product).  Every emitted pair is re-verified by the exact group oracle one
 level beyond the requested depth.
 
+The generating set X enters only through `certify`, which normalises it
+once: sorted by (length, word), distinct, identity-free normal forms.
+`collect_big_domains`, `dichotomy`, `top_level_certify` and `case2_branch`
+take those words as they are, and the two route functions also take the
+dichotomy's `CaseOutcome` instead of recomputing it.
+
 Power constants follow fixed integer formulas from the structure constants
 and are deliberately far from optimal.  When the declared power is too large
 to materialize as a word at desk scale, the certifier uses the smallest
@@ -84,49 +90,40 @@ def certifier_ledger(constants, k3=1):
 # exact oracles
 
 
+def _distinct_products(model, letters, may_follow, depth):
+    """True iff the nonempty words of length <= depth over the normal-form
+    letters, with letter j after letter i only where may_follow(i, j), have
+    pairwise distinct products.  Breadth first, one product per word."""
+    if depth < 1:
+        raise PreconditionError("verification depth must be at least 1")
+    nexts = [[j for j in range(len(letters)) if may_follow(i, j)]
+             for i in range(len(letters))]
+    frontier = [(IDENTITY, range(len(letters)))]
+    count = 0
+    seen = set()
+    for _ in range(depth):
+        frontier = [(model._product(g, letters[j]), nexts[j])
+                    for g, js in frontier for j in js]
+        count += len(frontier)
+        seen.update(h for h, _ in frontier)
+    return len(seen) == count
+
+
 def verify_free_semigroup(model, u, w, depth):
     """Exact check that u and w generate a free subsemigroup out to the given
     depth: all nonempty positive words of length <= depth in the two letters
     have pairwise distinct normal forms."""
-    if depth < 1:
-        raise PreconditionError("verification depth must be at least 1")
-    letters = [model.normal_form(u), model.normal_form(w)]
-    frontier = [IDENTITY]
-    count = 0
-    seen = set()
-    for _ in range(depth):
-        nxt = []
-        for g in frontier:
-            for a in letters:
-                nxt.append(model._product(g, a))
-        frontier = nxt
-        count += len(nxt)
-        seen.update(nxt)
-    return len(seen) == count
+    return _distinct_products(model, [model.normal_form(u), model.normal_form(w)],
+                              lambda i, j: True, depth)
 
 
 def verify_free_subgroup(model, u, w, depth):
     """Exact check that u and w generate a rank-2 free subgroup out to the
     given depth: all freely reduced words of length <= depth in the letters
     and their inverses have pairwise distinct normal forms."""
-    if depth < 1:
-        raise PreconditionError("verification depth must be at least 1")
     letters = [model.normal_form(u), model.inverse(u),
                model.normal_form(w), model.inverse(w)]
-    frontier = [(IDENTITY, None)]
-    count = 0
-    seen = set()
-    for _ in range(depth):
-        nxt = []
-        for g, last in frontier:
-            for i, a in enumerate(letters):
-                if last is not None and i == last ^ 1:
-                    continue
-                nxt.append((model._product(g, a), i))
-        frontier = nxt
-        count += len(nxt)
-        seen.update(h for h, _ in nxt)
-    return len(seen) == count
+    return _distinct_products(model, letters, lambda i, j: j != i ^ 1, depth)
 
 
 def preserves_endpoint_pair(model, s, t):
@@ -146,12 +143,13 @@ class GrowthCertificate:
     """Outcome of one certification run.
 
     words holds the certified pair for the free variants; evidence carries
-    the route taken and the measurements that back the verdict.
+    the route taken and the measurements that back the verdict.  `certify`
+    sets generating_set; the routes leave it empty.
     """
 
     variant: str
-    generating_set: list
     ledger: CertifierLedger
+    generating_set: list = field(default_factory=list)
     words: dict = None
     lengths: list = None
     verified_depth: int = None
@@ -232,11 +230,10 @@ class BigDomains:
     invariant: bool
 
 
-def collect_big_domains(structure, X):
+def collect_big_domains(structure, words):
+    """Big domains of the normalised generating set (see `certify`) and
+    their orbit closure."""
     model = structure.group
-    words = _normalize_genset(model, X)
-    if not words:
-        raise InputError("generating set reduces to the identity")
     prov = {}
     for s in words:
         cls = classify(structure, s)
@@ -286,8 +283,8 @@ class CaseOutcome:
     transversal: list = None
     schreier: list = None
 
-    def to_json(self, model=None):
-        fmt = model.format if model else list
+    def to_json(self, model):
+        fmt = model.format
         out = {"case": self.case,
                "big": list(self.domains.big),
                "closure": list(self.domains.closure)}
@@ -352,12 +349,13 @@ def _stabilizer_data(structure, words, labels):
     return index, transversal, schreier
 
 
-def dichotomy(structure, X):
-    """Split on the orbit closure of the union of big sets: a non-orthogonal
-    pair yields explicit witnesses, else the family is finite-index
-    stabilized and the certifier descends to the stabilizer."""
+def dichotomy(structure, words):
+    """Split on the orbit closure of the union of big sets of the
+    normalised generating set: a non-orthogonal pair yields explicit
+    witnesses, else the family is finite-index stabilized and the certifier
+    descends to the stabilizer."""
     model = structure.group
-    doms = collect_big_domains(structure, X)
+    doms = collect_big_domains(structure, words)
     cands = []
     for u in doms.closure:
         for v in doms.closure:
@@ -386,7 +384,6 @@ def dichotomy(structure, X):
         raise StructureInvalidError(
             "orthogonal big-set family is not closed under the action",
             witness={"labels": list(doms.closure)})
-    words = _normalize_genset(model, X)
     index, transversal, schreier = _stabilizer_data(structure, words, doms.closure)
     return CaseOutcome(2, doms, index=index, transversal=transversal,
                        schreier=schreier)
@@ -438,7 +435,13 @@ def pingpong_transverse(structure, s, t, u, v, depth=6, declared_power=None,
     if big_set_member(structure, t, v) is None:
         raise PreconditionError(f"{v} is not in the big set of the second word")
     led = certifier_ledger(structure.constants)
-    declared = led.k1 if declared_power is None else declared_power
+    n = structure.constants.N_rank
+    # the bound follows the route: k1 (2N + 1) for the direct transverse
+    # pair, M once the nested reduction hands over its own power
+    if declared_power is None:
+        declared, bound = led.k1, led.k1 * (2 * n + 1)
+    else:
+        declared, bound = declared_power, led.M
     caveats = []
     if declared * max(len(s), len(t)) <= MATERIALIZE_CAP:
         power = declared
@@ -469,15 +472,12 @@ def pingpong_transverse(structure, s, t, u, v, depth=6, declared_power=None,
             raise CertifierRefutedError(
                 "no power within the search cap passes verification",
                 witness={"cap": POWER_SEARCH_CAP})
-    n = structure.constants.N_rank
-    bound = led.k1 * (2 * n + 1) if declared == led.k1 else led.M
     if x_lengths is not None and power * max(x_lengths) > bound:
         raise CertifierRefutedError(
             "certified pair exceeds its letter-length bound",
             witness={"power": power, "x_lengths": list(x_lengths)})
     return GrowthCertificate(
         variant="free-subgroup",
-        generating_set=[],
         ledger=led,
         words={"u": pair[0], "w": pair[1]},
         lengths=[len(pair[0]), len(pair[1])],
@@ -555,31 +555,25 @@ def _bf_pair(model, g, h, k, depth):
     return None
 
 
-def top_level_certify(structure, X, depth=6, doms=None):
+def top_level_certify(structure, words, outcome, depth=6):
     """Certification when the maximal domain itself carries a big set.
 
-    A generator axial on the top domain either has its endpoint pair moved
-    by some other generator, giving a free subgroup after a power search, or
-    every generator preserves it and the group is certified virtually
-    cyclic.
+    The first generator axial on the top domain (its seed in the outcome's
+    provenance) either has its endpoint pair moved by some other generator,
+    giving a free subgroup after a power search, or every generator
+    preserves it and the group is certified virtually cyclic.
     """
     model = structure.group
-    words = _normalize_genset(model, X)
-    if doms is None:
-        doms = collect_big_domains(structure, words)
     top = structure.top_domain()
-    if top is None or top not in doms.closure:
+    if top is None or top not in outcome.domains.closure:
         raise PreconditionError("the top domain carries no big set here")
-    s = next((w for w in words if big_set_member(structure, w, top)), None)
-    if s is None:
-        raise PreconditionError("no generator is axial on the top domain")
+    s = outcome.domains.provenance[top]["seed"]
     led = certifier_ledger(structure.constants)
     moved = next((t for t in words
                   if not preserves_endpoint_pair(model, s, t)), None)
     if moved is None:
         return GrowthCertificate(
             variant="virtually-cyclic",
-            generating_set=[list(w) for w in words],
             ledger=led,
             evidence={"case": "top-level", "axis_word": model.format(s),
                       "endpoint_power": ENDPOINT_POWER,
@@ -600,7 +594,6 @@ def top_level_certify(structure, X, depth=6, doms=None):
                                                        model.format(fallback[1])]
             return GrowthCertificate(
                 variant="free-subgroup",
-                generating_set=[list(w) for w in words],
                 ledger=led,
                 words={"u": uu, "w": ww},
                 lengths=[len(uu), len(ww)],
@@ -615,7 +608,7 @@ def top_level_certify(structure, X, depth=6, doms=None):
                                                    model.format(moved)]})
 
 
-def case2_branch(structure, X, outcome=None, depth=6):
+def case2_branch(structure, words, outcome, depth=6):
     """Certification inside the pointwise stabilizer of the orthogonal
     big-set family.
 
@@ -625,9 +618,6 @@ def case2_branch(structure, X, outcome=None, depth=6):
     virtually-abelian or line-times-bounded verdict.
     """
     model = structure.group
-    words = _normalize_genset(model, X)
-    if outcome is None:
-        outcome = dichotomy(structure, words)
     if outcome.case != 2:
         raise PreconditionError("the dichotomy selected an explicit pair")
     top = structure.top_domain()
@@ -637,24 +627,22 @@ def case2_branch(structure, X, outcome=None, depth=6):
     labels = outcome.domains.closure
     axes = {}
     for u in labels:
-        found = None
-        for y, yx in outcome.schreier:
+        for y, _ in outcome.schreier:
             if structure.act_on_domain(y, u) != u:
                 raise StructureInvalidError(
                     "stabilizer generator moves a family domain",
                     witness={"element": model.format(y), "domain": u})
             ev = big_set_member(structure, y, u)
             if ev is not None and ev.get("via") == "translation":
-                found = (y, yx)
+                axes[u] = y
                 break
-        if found is None:
+        else:
             raise StructureInvalidError(
                 "no stabilizer generator is loxodromic on a family domain",
                 witness={"domain": u})
-        axes[u] = found
     for u in labels:
-        s_u, sx = axes[u]
-        for y, yx in outcome.schreier:
+        s_u = axes[u]
+        for y, _ in outcome.schreier:
             if preserves_endpoint_pair(model, s_u, y):
                 continue
             pair = _bf_pair(model, s_u, model.conjugate(y, s_u), led.k4, depth)
@@ -665,7 +653,6 @@ def case2_branch(structure, X, outcome=None, depth=6):
                              "mover": model.format(y)})
             return GrowthCertificate(
                 variant="free-semigroup",
-                generating_set=[list(w) for w in words],
                 ledger=led,
                 words={"u": pair[0], "w": pair[1]},
                 lengths=[len(pair[0]), len(pair[1])],
@@ -691,24 +678,16 @@ def case2_branch(structure, X, outcome=None, depth=6):
                 "line_constants": line_constants,
                 "growth": beta, "doubling_bound": bound,
                 "polynomial": polynomial}
-    caveats = ["endpoint preservation tested at a finite power"]
-    if not other_blocks and polynomial:
-        return GrowthCertificate(
-            variant="virtually-abelian",
-            generating_set=[list(w) for w in words],
-            ledger=led,
-            subgroup_index=outcome.index,
-            evidence=evidence,
-            caveats=caveats)
-    evidence["z_blocks"] = [list(b) for b in z_blocks]
-    evidence["other_blocks"] = [list(b) for b in other_blocks]
+    abelian = not other_blocks and polynomial
+    if not abelian:
+        evidence["z_blocks"] = [list(b) for b in z_blocks]
+        evidence["other_blocks"] = [list(b) for b in other_blocks]
     return GrowthCertificate(
-        variant="product-z-e",
-        generating_set=[list(w) for w in words],
+        variant="virtually-abelian" if abelian else "product-z-e",
         ledger=led,
         subgroup_index=outcome.index,
         evidence=evidence,
-        caveats=caveats)
+        caveats=["endpoint preservation tested at a finite power"])
 
 
 # ---------------------------------------------------------------------------
@@ -745,17 +724,14 @@ def certify(structure, X, depth=6, gen_radius=6):
     else:
         top = structure.top_domain()
         if top is not None and top in outcome.domains.closure:
-            cert = top_level_certify(structure, words, depth=depth,
-                                     doms=outcome.domains)
+            cert = top_level_certify(structure, words, outcome, depth=depth)
         else:
             cert = case2_branch(structure, words, outcome, depth=depth)
     cert.generating_set = [list(w) for w in words]
     cert.evidence["generating_set_text"] = [model.format(w) for w in words]
     cert.evidence["route"] = outcome.to_json(model)
-    if cert.variant == "free-semigroup" and "growth_check" not in cert.evidence:
-        check = semigroup_growth_check(model, cert)
-        if check is not None:
-            cert.evidence["growth_check"] = check
+    if cert.variant == "free-semigroup":
+        cert.evidence["growth_check"] = semigroup_growth_check(model, cert)
     return cert
 
 

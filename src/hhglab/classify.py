@@ -15,7 +15,9 @@ from .errors import ClassificationAnomalyError, PreconditionError, StructureInva
 from .groups import IDENTITY
 from .spaces import sample_diameter, translation_length
 
-# an orbit of 2 n_max + 1 powers with diameter > ORBIT_THRESHOLD * n_max is unbounded
+# an orbit of the 2 N_MAX + 1 powers g^-N_MAX .. g^N_MAX with diameter
+# > ORBIT_THRESHOLD * N_MAX is unbounded
+N_MAX = 6
 ORBIT_THRESHOLD = 0.5
 
 
@@ -69,7 +71,7 @@ class BigSet:
         }
 
 
-def big_set_member(structure, g, u, n_max=6, powers=None):
+def big_set_member(structure, g, u, powers=None):
     """Evidence that the cyclic orbit of g is unbounded on the single domain
     u, or None.  Works for domains outside the materialized catalog, which
     the certifier meets when it translates domains around."""
@@ -81,28 +83,26 @@ def big_set_member(structure, g, u, n_max=6, powers=None):
             return {"via": "translation", "tau": tau, "power": m}
         return None
     if powers is None:
-        powers = [structure.group.power(g, i) for i in range(-n_max, n_max + 1)]
+        powers = [structure.group.power(g, i) for i in range(-N_MAX, N_MAX + 1)]
     diam = sample_diameter(structure.space(u).dist,
                            [structure.pi(u, h) for h in powers], 0)
-    if diam > ORBIT_THRESHOLD * n_max:
-        return {"via": "orbit", "diameter": diam, "cutoff": ORBIT_THRESHOLD * n_max}
+    if diam > ORBIT_THRESHOLD * N_MAX:
+        return {"via": "orbit", "diameter": diam, "cutoff": ORBIT_THRESHOLD * N_MAX}
     return None
 
 
-def big_set(structure, g, n_max=6):
+def big_set(structure, g):
     """Domains on which the cyclic orbit of g is detectably unbounded."""
-    if n_max < 4:
-        raise PreconditionError("orbit window must be at least 4")
     g = structure.group.normal_form(g)
     members = []
     evidence = {}
-    powers = [structure.group.power(g, i) for i in range(-n_max, n_max + 1)]
+    powers = [structure.group.power(g, i) for i in range(-N_MAX, N_MAX + 1)]
     for u in structure.domains():
-        ev = big_set_member(structure, g, u, n_max, powers=powers)
+        ev = big_set_member(structure, g, u, powers=powers)
         if ev is not None:
             members.append(u)
             evidence[u] = ev
-    return BigSet(g, sorted(members), evidence, n_max, ORBIT_THRESHOLD)
+    return BigSet(g, sorted(members), evidence, N_MAX, ORBIT_THRESHOLD)
 
 
 @dataclass
@@ -111,9 +111,9 @@ class ElementClass:
     big: BigSet
 
 
-def classify(structure, g, n_max=6):
+def classify(structure, g):
     """Elliptic iff the big set is empty; anomalous for torsion-free models."""
-    big = big_set(structure, g, n_max=n_max)
+    big = big_set(structure, g)
     if big.domains:
         return ElementClass("axial", big)
     if structure.group.torsion_free and not structure.group.is_identity(g):
@@ -124,7 +124,7 @@ def classify(structure, g, n_max=6):
     return ElementClass("elliptic", big)
 
 
-def tau0_floor_check(structure, sample_elements, n_max=6):
+def tau0_floor_check(structure, sample_elements):
     """Min translation length over sampled big-set pairs; must meet tau0.
 
     Returns the measured minimum, or None when every sampled element has
@@ -136,7 +136,7 @@ def tau0_floor_check(structure, sample_elements, n_max=6):
     measured = None
     declared = structure.constants.tau0
     for g in samples:
-        big = big_set(structure, g, n_max=n_max)
+        big = big_set(structure, g)
         for u in big.domains:
             tau, _ = tau_on_domain(structure, g, u)
             if tau is None:

@@ -333,7 +333,7 @@ class FreeProduct(_CombinedModel):
         while local:
             if stack and stack[-1][0] == fi:
                 _, prev = stack.pop()
-                local = self.parts[fi].multiply(prev, local)
+                local = self.parts[fi]._product(prev, local)
                 continue
             stack.append((fi, local))
             return

@@ -1,10 +1,13 @@
+import itertools
 import json
 import math
+import random
 
 import pytest
 
-from hhglab.balls import enumerate_generating_sets, generates_at_radius, growth_function, symmetrize
-from hhglab.builders import build_named
+from hhglab.balls import (enumerate_generating_sets, generates_at_radius,
+                          growth_function, standard_ball, symmetrize)
+from hhglab.builders import build_named, structure_from_json
 from hhglab.certify import (CaseOutcome, certifier_ledger, certify,
                             case2_branch, collect_big_domains, dichotomy,
                             nested_to_transverse, pingpong_transverse,
@@ -14,11 +17,18 @@ from hhglab.certify import (CaseOutcome, certifier_ledger, certify,
                             verify_free_subgroup)
 from hhglab.errors import (CertifierRefutedError, ClassificationAnomalyError,
                            InputError, PreconditionError, StructureInvalidError)
-from hhglab.groups import FreeAbelianGroup, FreeGroup
+from hhglab.groups import IDENTITY, FreeAbelianGroup, FreeGroup
 from hhglab.spaces import CayleyTreeSpace, LineSpace, PointSpace
 from hhglab.structures import ConstantLedger, Domain, TableHHG
 
 STANDARD = ("free2", "z1", "z2", "f2xz", "f2xf2", "f2freez")
+
+
+def routed(st):
+    """The standard generators, already normalised as `certify` hands them
+    to the routes, and their dichotomy outcome."""
+    words = st.group.generators()
+    return words, dichotomy(st, words)
 
 
 def line_tree_structure():
@@ -148,6 +158,35 @@ class TestOracles:
         z1 = build_named("z1")
         assert verify_free_semigroup(z1.group, (0, 0), (0, 0, 0), 4) is False
 
+    @pytest.mark.parametrize("name", ["free2", "z2", "f2xz", "f2freez"])
+    def test_matches_brute_force_enumeration(self, name):
+        # every letter-index sequence of length 1..d, multiplied out from the
+        # identity; the subgroup keeps the freely reduced ones (no i, i ^ 1)
+        m = build_named(name).group
+        ball = standard_ball(m, 2)
+        rng = random.Random(11)
+        pairs = [tuple(rng.sample(ball, 2)) for _ in range(6)]
+        pairs += [(u, m.power(u, 2)) for u in rng.sample(ball[1:], 2)]
+        pairs += [(u, m.inverse(u)) for u in rng.sample(ball[1:], 1)]
+        verdicts = set()
+        for (u, w), d in itertools.product(pairs, range(1, 5)):
+            for oracle, letters, reduced in (
+                    (verify_free_semigroup, [u, w], False),
+                    (verify_free_subgroup, [u, m.inverse(u), w, m.inverse(w)], True)):
+                products = []
+                for n in range(1, d + 1):
+                    for seq in itertools.product(range(len(letters)), repeat=n):
+                        if reduced and any(b == a ^ 1 for a, b in zip(seq, seq[1:])):
+                            continue
+                        g = IDENTITY
+                        for i in seq:
+                            g = m.multiply(g, letters[i])
+                        products.append(g)
+                expected = len(set(products)) == len(products)
+                assert oracle(m, u, w, d) is expected, (m.format(u), m.format(w), d)
+                verdicts.add(expected)
+        assert verdicts == {True, False}
+
     def test_endpoint_self_and_inverse(self):
         f2 = build_named("free2")
         m = f2.group
@@ -227,7 +266,7 @@ class TestDichotomy:
     def test_conjugated_witness_from_translate(self):
         st = build_named("f2freez")
         m = st.group
-        out = dichotomy(st, [m.parse("1"), m.parse("a"), m.parse("caC")])
+        out = dichotomy(st, [m.parse("a"), m.parse("caC")])
         assert out.case == 1
         assert (m.format(out.s), m.format(out.t)) == ("a", "caC")
         assert (out.u, out.v) == ("ab@1", "ab@c")
@@ -317,6 +356,16 @@ class TestNested:
         assert verify_free_subgroup(m, tuple(cert.words["u"]),
                                     tuple(cert.words["w"]), 5)
 
+    def test_equal_powers_record_the_master_bound(self):
+        # N_rank == n0 makes k1 == k2; the nested route still records M
+        recipe = build_named("f2freez").to_json()
+        recipe["constants"].update(tau0=5, N_rank=2, kappa0=0, E=1, n_complexity=1)
+        st = structure_from_json(recipe)
+        cert = certify(st, [st.group.parse(w) for w in ("a", "b", "ac")])
+        assert cert.evidence["case"] == "nested"
+        assert cert.ledger.k1 == cert.ledger.k2 == 120
+        assert cert.x_length_bound == cert.ledger.M == 124
+
     def test_transverse_input_rejected(self):
         st = build_named("f2freez")
         m = st.group
@@ -336,7 +385,7 @@ class TestTopLevel:
     def test_free_pair_on_top_domain(self):
         st = build_named("free2")
         m = st.group
-        cert = top_level_certify(st, m.generators(), depth=5)
+        cert = top_level_certify(st, *routed(st), depth=5)
         assert cert.variant == "free-subgroup"
         assert [m.format(tuple(w)) for w in
                 (cert.words["u"], cert.words["w"])] == ["a", "baB"]
@@ -347,22 +396,23 @@ class TestTopLevel:
 
     def test_single_axis_virtually_cyclic(self):
         st = build_named("z1")
-        cert = top_level_certify(st, st.group.generators(), depth=5)
+        cert = top_level_certify(st, *routed(st), depth=5)
         assert cert.variant == "virtually-cyclic"
         assert cert.words is None
         assert cert.evidence["axis_word"] == "t"
 
     def test_requires_top_domain_in_family(self):
         st = build_named("z2")
+        words, outcome = routed(st)
         with pytest.raises(PreconditionError):
-            top_level_certify(st, st.group.generators(), depth=5)
+            top_level_certify(st, words, outcome, depth=5)
 
 
 class TestCase2:
     def test_product_with_line_emits_semigroup(self):
         st = build_named("f2xz")
         m = st.group
-        cert = case2_branch(st, m.generators(), depth=5)
+        cert = case2_branch(st, *routed(st), depth=5)
         assert cert.variant == "free-semigroup"
         assert [m.format(tuple(w)) for w in
                 (cert.words["u"], cert.words["w"])] == ["a", "baB"]
@@ -374,13 +424,13 @@ class TestCase2:
     def test_two_tree_product(self):
         st = build_named("f2xf2")
         m = st.group
-        cert = case2_branch(st, m.generators(), depth=5)
+        cert = case2_branch(st, *routed(st), depth=5)
         assert cert.variant == "free-semigroup"
         assert cert.lengths == [1, 3]
 
     def test_rank_two_abelian(self):
         st = build_named("z2")
-        cert = case2_branch(st, st.group.generators(), depth=5)
+        cert = case2_branch(st, *routed(st), depth=5)
         assert cert.variant == "virtually-abelian"
         assert cert.evidence["blocks"] == [["L1"], ["L2"]]
         assert cert.evidence["line_constants"] == {"L1": 0, "L2": 0}
@@ -388,13 +438,13 @@ class TestCase2:
 
     def test_swapped_lines_index_two(self):
         st = build_named("swapline")
-        cert = case2_branch(st, st.group.generators(), depth=5)
+        cert = case2_branch(st, *routed(st), depth=5)
         assert cert.variant == "virtually-abelian"
         assert cert.subgroup_index == 2
 
     def test_line_times_tree_block(self):
         st = line_tree_structure()
-        cert = case2_branch(st, st.group.generators(), depth=5)
+        cert = case2_branch(st, *routed(st), depth=5)
         assert cert.variant == "product-z-e"
         assert cert.evidence["z_blocks"] == [["P"]]
         assert cert.evidence["other_blocks"] == [["W"]]
@@ -402,18 +452,21 @@ class TestCase2:
 
     def test_missing_loxodromic_is_structural(self):
         st = orbit_only_pair_structure()
+        words, outcome = routed(st)
         with pytest.raises(StructureInvalidError):
-            case2_branch(st, st.group.generators(), depth=5)
+            case2_branch(st, words, outcome, depth=5)
 
     def test_rejects_case1_outcome(self):
         st = build_named("f2freez")
+        words, outcome = routed(st)
         with pytest.raises(PreconditionError):
-            case2_branch(st, st.group.generators(), depth=5)
+            case2_branch(st, words, outcome, depth=5)
 
     def test_rejects_top_level_family(self):
         st = build_named("free2")
+        words, outcome = routed(st)
         with pytest.raises(PreconditionError):
-            case2_branch(st, st.group.generators(), depth=5)
+            case2_branch(st, words, outcome, depth=5)
 
 
 class TestCertify:

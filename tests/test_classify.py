@@ -83,13 +83,9 @@ class TestBigSets:
 
     def test_orbit_fallback(self):
         hh = orbit_only_structure()
-        big = big_set(hh, hh.group.parse("t"), n_max=6)
+        big = big_set(hh, hh.group.parse("t"))
         assert big.domains == ["S"]
         assert big.evidence["S"] == {"via": "orbit", "diameter": 12, "cutoff": 3.0}
-
-    def test_orbit_window_precondition(self):
-        with pytest.raises(PreconditionError):
-            big_set(self.hh, (), n_max=3)
 
     def test_conjugation_equivariance(self):
         for name in ("f2xz", "f2freez"):

@@ -168,6 +168,13 @@ class TestCertify:
         assert doc["report"]["schema_version"] == 1
         assert doc["report"]["ledger"]["k1"] == 240
 
+    def test_nested_route(self, capsys):
+        code, doc, _ = run_json(capsys, "certify", "f2freez", "--genset", "a,b,ac")
+        assert code == 0
+        assert doc["report"]["variant"] == "free-subgroup"
+        assert doc["report"]["evidence"]["case"] == "nested"
+        assert doc["report"]["evidence"]["parent_domain"] == "S"
+
     def test_summary_lines(self, capsys, tmp_path):
         out = tmp_path / "cert.json"
         code, text, _ = run(capsys, "certify", "free2",
