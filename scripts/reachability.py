@@ -1,11 +1,21 @@
-"""List the functions of src/hhglab that no command reaches.
+"""List the functions of src/hhglab that no command reaches, and the
+parameter defaults that no caller overrides.
 
 Runs every CLI command on the shipped structure files, and the library
 calls the benchmark's geometry jobs make (``realize``, ``big_set``,
 ``tau0_floor_check``), in this process under ``sys.setprofile``.  Then it
 prints each function or method defined in ``src/hhglab/*.py`` (found with
-``ast``) that was never entered and is not on ALLOWED below, and exits 1
-if it printed any.  Takes no options; runs for under a minute.
+``ast``) that was never entered and is not on ALLOWED below.
+
+The parameter census, also with ``ast`` only, prints each parameter with a
+default of a function or method in ``src/hhglab`` that no call in ``src/``,
+``benchmark/`` or ``scripts/`` passes, by keyword or by position, and that
+is not on PARAMETERS below.  Calls are matched by callee name (a class
+name for ``__init__``).  A default only tests override is an option no
+command or job uses.
+
+Both lists also name stale allowlist entries.  Exits 1 if anything was
+printed.  Takes no options; runs for under a minute.
 
     python3 scripts/reachability.py
 """
@@ -13,6 +23,7 @@ if it printed any.  Takes no options; runs for under a minute.
 import ast
 import contextlib
 import io
+import math
 import pathlib
 import sys
 import tempfile
@@ -48,8 +59,6 @@ ALLOWED = {
     "spaces.Space.dist": TRACED,
     "spaces.Space.geodesic": ABSTRACT,
     "spaces.Space.sample_points": ABSTRACT,
-    "structures.FreeProductHHG.check_domain":
-        "domain check of project_tuple (library API) on a free-product structure",
     "structures.HHStructure.act_in_space": ABSTRACT,
     "structures.HHStructure.act_on_domain": DEFAULT,
     "structures.HHStructure.domains": ABSTRACT,
@@ -61,6 +70,15 @@ ALLOWED = {
     "structures.HHStructure.space": ABSTRACT,
     "structures.HHStructure.to_json": ABSTRACT,
 }
+
+# function.parameter -> why its default stays although no call passes it
+PARAMETERS = {
+    "realize.max_slack":
+        "sets `exhausted`, which is in the benchmark's realize payload and digest",
+    "cayley_ball_layers.max_elements":
+        "element budget of the ball BFS, a limit and not a setting (ROADMAP item 5)",
+}
+CALLERS = ("src", "benchmark", "scripts")
 
 STRUCTURES = sorted(p.stem for p in (ROOT / "structures").glob("*.json"))
 
@@ -114,27 +132,87 @@ def geometry_jobs():
         tau0_floor_check(st, symmetrize(st.group, st.group.generators()))
 
 
-def defined_functions():
-    """{(file, first line of the code object): module.qualname}."""
-    found = {}
+def package_functions():
+    """(file, module.qualname, class, node) for every function or method
+    defined in src/hhglab/*.py; class names the class a method is defined
+    in, and is None for a function."""
+    found = []
     for file in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(file.read_text())
 
-        def visit(node, prefix):
+        def visit(node, prefix, cls):
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     name = f"{prefix}.{child.name}"
-                    line = min([child.lineno]
-                               + [d.lineno for d in child.decorator_list])
-                    found[(str(file), line)] = name
-                    visit(child, name)
+                    found.append((file, name, cls, child))
+                    visit(child, name, None)
                 elif isinstance(child, ast.ClassDef):
-                    visit(child, f"{prefix}.{child.name}")
+                    visit(child, f"{prefix}.{child.name}", child.name)
                 else:
-                    visit(child, prefix)
+                    visit(child, prefix, cls)
 
-        visit(tree, file.stem)
+        visit(ast.parse(file.read_text()), file.stem, None)
     return found
+
+
+def defined_functions():
+    """{(file, first line of the code object): module.qualname}."""
+    return {(str(file), min([node.lineno] + [d.lineno for d in node.decorator_list])):
+            name for file, name, _, node in package_functions()}
+
+
+def defaulted_parameters():
+    """{callee.parameter: position} for every parameter with a default of a
+    function or method in src/hhglab.  A method's positions leave out its
+    first parameter; a keyword-only parameter has position None."""
+    found = {}
+    for _, _, cls, node in package_functions():
+        a = node.args
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                     for d in node.decorator_list)
+        shift = 1 if cls and not static else 0
+        callee = cls if node.name == "__init__" else node.name
+        positional = a.posonlyargs + a.args
+        first = len(positional) - len(a.defaults)
+        for i, arg in enumerate(positional[first:], first):
+            found[f"{callee}.{arg.arg}"] = i - shift
+        for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+            if default is not None:
+                found[f"{callee}.{arg.arg}"] = None
+    return found
+
+
+def passed_parameters():
+    """Calls in CALLERS by callee name: [(positional count, keywords)], a
+    starred argument counting as every position or every keyword."""
+    calls = {}
+    for folder in CALLERS:
+        for file in sorted((ROOT / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(file.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name)
+                        else getattr(func, "attr", None))
+                if name is None:
+                    continue
+                starred = any(isinstance(x, ast.Starred) for x in node.args)
+                keywords = {k.arg for k in node.keywords}
+                calls.setdefault(name, []).append(
+                    (math.inf if starred else len(node.args), keywords))
+    return calls
+
+
+def parameter_census():
+    """Defaulted parameters no call passes, minus PARAMETERS."""
+    calls = passed_parameters()
+    unset = set()
+    for key, position in defaulted_parameters().items():
+        callee, param = key.rsplit(".", 1)
+        if not any(param in kw or None in kw
+                   or (position is not None and n > position)
+                   for n, kw in calls.get(callee, ())):
+            unset.add(key)
+    return sorted(unset - set(PARAMETERS)), sorted(set(PARAMETERS) - unset)
 
 
 def main():
@@ -171,7 +249,12 @@ def main():
                                    if key not in reached})
     for name in stale:
         print(f"allowed but reached or undefined: {name}")
-    return 1 if missed or stale or failures else 0
+    unset, passed = parameter_census()
+    for name in unset:
+        print(f"parameter no call passes: {name}")
+    for name in passed:
+        print(f"allowed parameter passed or undefined: {name}")
+    return 1 if missed or stale or failures or unset or passed else 0
 
 
 if __name__ == "__main__":

@@ -40,6 +40,8 @@ MATERIALIZE_CAP = 2000
 POWER_SEARCH_CAP = 12
 ENDPOINT_POWER = 5
 PINGPONG_BALL_RADIUS = 4
+# largest ball radius of the semigroup growth cross-check
+GROWTH_CHECK_CAP = 12
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +192,13 @@ def ueg_lower_bound(cert):
     return lam / (2 * d - 1) if d > 1 else lam
 
 
-def semigroup_growth_check(model, cert, n_cap=12):
+def semigroup_growth_check(model, cert):
     """Empirical cross-check of a free-semigroup certificate: ambient ball
     counts must dominate 2^(n // L) for n up to 3L, L the longer word."""
     if cert.variant != "free-semigroup" or not cert.generating_set:
         return None
     length = max(cert.lengths)
-    n_max = min(3 * length, n_cap)
+    n_max = min(3 * length, GROWTH_CHECK_CAP)
     gens = symmetrize(model, [tuple(w) for w in cert.generating_set])
     beta = growth_function(model, gens, n_max)
     rows = []
@@ -417,13 +419,15 @@ def _y_mapping_check(structure, s, t, u, v, power):
     return True, {"sampled": len(ball), "y_s": len(y_s), "y_t": len(y_t)}
 
 
-def pingpong_transverse(structure, s, t, u, v, depth=6, declared_power=None,
-                        x_lengths=None):
+def pingpong_transverse(structure, s, t, u, v, x_lengths, depth=6,
+                        declared_power=None):
     """Free subgroup from loxodromics with transverse big-set domains.
 
     The candidate pair is (s^k, t^k) at the declared power; verification is
     the sampled ping-pong inclusion plus the exact freeness oracle at
-    depth + 1.  Raises CertifierRefutedError when either check fails.
+    depth + 1.  x_lengths are the lengths of s and t as words in the
+    generating set; the pair must fit under the route's length bound.
+    Raises CertifierRefutedError when a check fails.
     """
     model = structure.group
     if depth < 4:
@@ -472,7 +476,7 @@ def pingpong_transverse(structure, s, t, u, v, depth=6, declared_power=None,
             raise CertifierRefutedError(
                 "no power within the search cap passes verification",
                 witness={"cap": POWER_SEARCH_CAP})
-    if x_lengths is not None and power * max(x_lengths) > bound:
+    if power * max(x_lengths) > bound:
         raise CertifierRefutedError(
             "certified pair exceeds its letter-length bound",
             witness={"power": power, "x_lengths": list(x_lengths)})
@@ -491,12 +495,13 @@ def pingpong_transverse(structure, s, t, u, v, depth=6, declared_power=None,
                   "sampling": detail})
 
 
-def nested_to_transverse(structure, s, t, u, v, depth=6):
+def nested_to_transverse(structure, s, t, u, v, x_lengths, depth=6):
     """Reduction of a properly nested big-set pair to the transverse case.
 
     Powers of t push u off itself inside v; once the relative projections in
     v separate by 10D the translate is transverse to u and the conjugated
-    witness delegates to the ping-pong routine.
+    witness delegates to the ping-pong routine.  x_lengths are the lengths
+    of s and t as words in the generating set; t^n s t^-n is 2 n t + s long.
     """
     model = structure.group
     if structure.relation(u, v) != NEST_IN:
@@ -530,7 +535,9 @@ def nested_to_transverse(structure, s, t, u, v, depth=6):
             "separated translate is not transverse to the original domain",
             witness={"translate": un, "relation": structure.relation(un, u)})
     t2 = model.conjugate(tn, s)
-    cert = pingpong_transverse(structure, s, t2, u, un, depth=depth,
+    s_xlen, t_xlen = x_lengths
+    cert = pingpong_transverse(structure, s, t2, u, un,
+                               (s_xlen, 2 * n * t_xlen + s_xlen), depth=depth,
                                declared_power=led.k2)
     cert.evidence.update({"case": "nested", "parent_domain": v,
                           "escape_power": n, "separation": sep})
@@ -714,13 +721,13 @@ def certify(structure, X, depth=6, gen_radius=6):
             f"words do not reach the standard generators within radius {gen_radius}")
     outcome = dichotomy(structure, words)
     if outcome.case == 1:
+        x_lengths = (outcome.s_xlen, outcome.t_xlen)
         if outcome.kind == "transverse":
-            cert = pingpong_transverse(
-                structure, outcome.s, outcome.t, outcome.u, outcome.v,
-                depth=depth, x_lengths=(outcome.s_xlen, outcome.t_xlen))
+            cert = pingpong_transverse(structure, outcome.s, outcome.t, outcome.u,
+                                       outcome.v, x_lengths, depth=depth)
         else:
-            cert = nested_to_transverse(
-                structure, outcome.s, outcome.t, outcome.u, outcome.v, depth=depth)
+            cert = nested_to_transverse(structure, outcome.s, outcome.t, outcome.u,
+                                        outcome.v, x_lengths, depth=depth)
     else:
         top = structure.top_domain()
         if top is not None and top in outcome.domains.closure:

@@ -61,9 +61,9 @@ class BigSet:
     n_max: int
     threshold: float
 
-    def to_json(self, model=None):
+    def to_json(self, model):
         return {
-            "element": model.format(self.element) if model else list(self.element),
+            "element": model.format(self.element),
             "domains": list(self.domains),
             "evidence": {u: self.evidence[u] for u in self.domains},
             "n_max": self.n_max,

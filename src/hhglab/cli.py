@@ -91,11 +91,6 @@ def _load(args):
     return structure, structure_fingerprint(args.structure, structure)
 
 
-def _require_json(args):
-    if args.format == "csv":
-        raise InputError(f"csv output is not defined for '{args.command}'")
-
-
 def cmd_check(args):
     structure, fp = _load(args)
     report = check_structure(structure, radius=args.radius, seed=args.seed,
@@ -256,8 +251,6 @@ COMMANDS = {
     "growth": cmd_growth,
 }
 
-JSON_ONLY = ("check", "certify", "distance", "decompose")
-
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -265,27 +258,28 @@ def build_parser():
         description="Check, certify, and scan hierarchical structures.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, default_format):
+    def common(p):
         p.add_argument("structure",
                        help="catalog name (e.g. free2) or structure json path")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--depth", type=int, default=6,
-                       help="freeness verification depth")
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=("json", "csv"),
-                       default=default_format)
 
     p = sub.add_parser("check", help="run the nine axiom checks")
-    common(p, "json")
+    common(p)
     p.add_argument("--radius", type=int, default=3)
     p.add_argument("--max-pairs", type=int, default=60)
 
     p = sub.add_parser("certify", help="growth certificate for one set")
-    common(p, "json")
+    common(p)
+    p.add_argument("--depth", type=int, default=6,
+                   help="freeness verification depth")
     p.add_argument("--genset", help='comma-separated words, e.g. "a,b"')
 
     p = sub.add_parser("scan", help="certify every small generating set")
-    common(p, "csv")
+    common(p)
+    p.add_argument("--depth", type=int, default=6,
+                   help="freeness verification depth")
+    p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.add_argument("--scan-size", type=int, default=0,
                    help="max words per generating set")
     p.add_argument("--scan-length", type=int, default=0,
@@ -296,17 +290,18 @@ def build_parser():
                    help="ball radius for the measured rate")
 
     p = sub.add_parser("distance", help="fit the distance-formula constants")
-    common(p, "json")
+    common(p)
     p.add_argument("--s", type=float, default=0.0, help="sum threshold")
     p.add_argument("--pairs", type=int, default=50)
     p.add_argument("--length", type=int, default=4,
                    help="max sampled word length")
 
     p = sub.add_parser("decompose", help="orthogonal block decomposition")
-    common(p, "json")
+    common(p)
 
     p = sub.add_parser("growth", help="ball growth table")
-    common(p, "csv")
+    common(p)
+    p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.add_argument("--n", type=int, default=10, help="max ball radius")
     p.add_argument("--genset", help="words to grow with (default: standard)")
     p.add_argument("--symmetrize", action="store_true",
@@ -318,8 +313,6 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if args.command in JSON_ONLY:
-            _require_json(args)
         return COMMANDS[args.command](args)
     except (InputError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -36,10 +36,9 @@ class ConsistencyReport:
     checks: int
 
 
-def project_tuple(structure, g, domains=None):
+def project_tuple(structure, g):
     """Tuple of projections of g; consistent with kappa1 by the axioms."""
-    doms = list(domains) if domains is not None else structure.domains()
-    entries = {u: structure.pi(structure.check_domain(u), g) for u in doms}
+    entries = {u: structure.pi(u, g) for u in structure.domains()}
     return ConsistentTuple(entries, structure.constants.kappa1)
 
 
@@ -64,20 +63,17 @@ def consistency_inequality(structure, relation, u, v):
                              space_u.dist(p_u, structure.rho_map_point(v, u, p_v)))
 
 
-def is_consistent(structure, tup, kappa=None, domains=None):
-    """Check the three consistency conditions, reporting the worst margin.
+def is_consistent(structure, tup):
+    """Check the three consistency conditions at the tuple's kappa,
+    reporting the worst margin.
 
     Condition 1 compares each entry against the projection image (via the
     declared lift when one exists, else the radius-2 ball).  Condition 2 is
     the transverse min-inequality, condition 3 the nested one.  The index
-    set checked is the structure's unless a sub-index-set is declared.
+    set checked is the tuple's own domains.
     """
-    if kappa is None:
-        kappa = tup.kappa
-    doms = list(domains) if domains is not None else structure.domains()
-    missing = [u for u in doms if u not in tup.entries]
-    if missing:
-        raise InputError(f"tuple is missing entries for {missing}")
+    kappa = tup.kappa
+    doms = list(tup.entries)
 
     worst = (math.inf, "vacuous", ())
     checks = 0
@@ -138,10 +134,9 @@ class RealizationResult:
     search_radius: int
     exhausted: bool
 
-    def to_json(self, model=None):
-        shown = [model.format(g) if model else list(g) for g in self.elements]
+    def to_json(self, model):
         return {
-            "elements": shown,
+            "elements": [model.format(g) for g in self.elements],
             "theta_e": self.theta_e,
             "diameter": self.diameter,
             "search_radius": self.search_radius,
@@ -163,7 +158,7 @@ def closest_elements(structure, candidates, targets):
 
 def realize(structure, tup, search_radius, max_slack=None):
     """All ball elements whose projections sit within theta_e of the tuple."""
-    report = is_consistent(structure, tup, domains=list(tup.entries))
+    report = is_consistent(structure, tup)
     if not report.ok:
         raise PreconditionError(
             f"tuple is not {tup.kappa}-consistent: {report.condition} "
@@ -221,15 +216,16 @@ class FitResult:
 
 
 FIT_STEP = 0.5  # grid step of both K and C
+K_MAX = 16.0  # largest multiplicative constant tried
 
 
-def fit_distance_formula(structure, sample_pairs, s, k_max=16.0):
+def fit_distance_formula(structure, sample_pairs, s):
     """Least (K, C), lexicographically, with d/K - C <= sum <= K*d + C.
 
     The additive grid is capped at max(8, 2*s*m) where m is the largest
     number of contributing domains seen, so a threshold that suppresses
     terms is absorbed by C and never inflates K.  Reports the binding
-    sample; if even (k_max, c_max) fails, returns a fit-failure record.
+    sample; if even (K_MAX, c_max) fails, returns a fit-failure record.
     """
     pairs = list(sample_pairs)
     if len(pairs) < 2:
@@ -244,7 +240,7 @@ def fit_distance_formula(structure, sample_pairs, s, k_max=16.0):
     c_max = max(8.0, 2.0 * s * max_terms)
 
     k = 1.0
-    while k <= k_max + 1e-9:
+    while k <= K_MAX + 1e-9:
         need = 0.0
         for _, _, d, total in rows:
             need = max(need, total - k * d, d / k - total)
@@ -266,7 +262,7 @@ def fit_distance_formula(structure, sample_pairs, s, k_max=16.0):
 
     worst = None
     for x, y, d, total in rows:
-        need = max(total - k_max * d, d / k_max - total)
+        need = max(total - K_MAX * d, d / K_MAX - total)
         if worst is None or need > worst["needed_c"]:
             worst = {
                 "x": structure.group.format(x),
@@ -275,7 +271,7 @@ def fit_distance_formula(structure, sample_pairs, s, k_max=16.0):
                 "total": total,
                 "needed_c": round(need, 9),
             }
-    failure = {"k_max": k_max, "c_max": c_max, "worst": worst}
+    failure = {"k_max": K_MAX, "c_max": c_max, "worst": worst}
     return FitResult(False, None, None, s, len(rows), None, failure)
 
 
@@ -349,7 +345,7 @@ def quasi_line_detect(space, radius, q_max=4):
     """
     if radius < 2:
         raise InputError("radius must be at least 2")
-    pts = space.sample_points(radius, limit=600)
+    pts = space.sample_points(radius)[:600]
     table = distance_table(space.dist, pts)
     base = space.basepoint()
     far1 = max(range(len(pts)), key=lambda i: space.dist(base, pts[i]))

@@ -13,7 +13,7 @@ from itertools import combinations, islice
 
 from .balls import standard_ball
 from .errors import InputError, WrongKindError
-from .groups import FreeGroup, FreeProduct, invert_word
+from .groups import FreeGroup, FreeProduct, invert_word, is_int
 
 
 class Space:
@@ -34,7 +34,7 @@ class Space:
         """A geodesic as a list of points from x to y, consecutive at distance 1."""
         raise NotImplementedError
 
-    def sample_points(self, radius, limit=None):
+    def sample_points(self, radius):
         """Deterministic list of points within the given radius of the basepoint."""
         raise NotImplementedError
 
@@ -50,11 +50,9 @@ class Space:
 class PointSpace(Space):
     """Single point; the coordinate space of a bounded domain."""
 
+    label = "point"
     bounded = True
     diameter_bound = 0.0
-
-    def __init__(self, label="point"):
-        self.label = label
 
     def dist(self, x, y):
         return 0.0
@@ -65,18 +63,17 @@ class PointSpace(Space):
     def geodesic(self, x, y):
         return [x]
 
-    def sample_points(self, radius, limit=None):
+    def sample_points(self, radius):
         return [0]
 
     def contains(self, x):
-        return x == 0
+        return is_int(x) and x == 0
 
 
 class LineSpace(Space):
     """The integer line."""
 
-    def __init__(self, label="line"):
-        self.label = label
+    label = "line"
 
     def dist(self, x, y):
         return abs(x - y)
@@ -88,12 +85,11 @@ class LineSpace(Space):
         step = 1 if y >= x else -1
         return list(range(x, y + step, step))
 
-    def sample_points(self, radius, limit=None):
-        pts = list(range(-int(radius), int(radius) + 1))
-        return pts[:limit] if limit else pts
+    def sample_points(self, radius):
+        return list(range(-int(radius), int(radius) + 1))
 
     def contains(self, x):
-        return isinstance(x, int)
+        return is_int(x)
 
 
 class GraphSpace(Space):
@@ -149,23 +145,23 @@ class GraphSpace(Space):
         path.reverse()
         return path
 
-    def sample_points(self, radius, limit=None):
+    def sample_points(self, radius):
         d = self._bfs(self.basepoint())[0]
-        pts = [v for v in range(self.n) if d[v] <= radius]
-        return pts[:limit] if limit else pts
+        return [v for v in range(self.n) if d[v] <= radius]
 
     def contains(self, x):
-        return isinstance(x, int) and 0 <= x < self.n
+        return is_int(x) and 0 <= x < self.n
 
 
 class CayleyTreeSpace(Space):
     """Cayley graph of a free group with its standard generators (a tree)."""
 
-    def __init__(self, free_model, label="tree"):
+    label = "tree"
+
+    def __init__(self, free_model):
         if not isinstance(free_model, FreeGroup):
             raise WrongKindError("CayleyTreeSpace needs a free group model")
         self.model = free_model
-        self.label = label
 
     def dist(self, x, y):
         return len(self.model.multiply(self.model.inverse(x), y))
@@ -177,9 +173,8 @@ class CayleyTreeSpace(Space):
         u = self.model.multiply(self.model.inverse(x), y)
         return [self.model.multiply(x, u[:i]) for i in range(len(u) + 1)]
 
-    def sample_points(self, radius, limit=None):
-        pts = standard_ball(self.model, int(radius))
-        return pts[:limit] if limit else pts
+    def sample_points(self, radius):
+        return standard_ball(self.model, int(radius))
 
     def contains(self, x):
         try:
@@ -203,11 +198,12 @@ class CosetTreeSpace(Space):
     or a projection, and do not check them again.
     """
 
-    def __init__(self, product_model, label="coset tree"):
+    label = "coset tree"
+
+    def __init__(self, product_model):
         if not isinstance(product_model, FreeProduct) or len(product_model.parts) != 2:
             raise WrongKindError("CosetTreeSpace needs a two-factor free product")
         self.model = product_model
-        self.label = label
 
     def vertex(self, factor, word):
         if factor not in (0, 1):
@@ -262,16 +258,16 @@ class CosetTreeSpace(Space):
             verts.append(end)
         return verts
 
-    def sample_points(self, radius, limit=None):
+    def sample_points(self, radius):
         pts = set()
         for w in standard_ball(self.model, int(radius)):
             pts.add(self.vertex(0, w))
             pts.add(self.vertex(1, w))
-        pts = sorted(pts)
-        return pts[:limit] if limit else pts
+        return sorted(pts)
 
     def contains(self, x):
-        if not (isinstance(x, tuple) and len(x) == 2 and x[0] in (0, 1)):
+        if not (isinstance(x, tuple) and len(x) == 2 and is_int(x[0])
+                and x[0] in (0, 1)):
             return False
         factor, rep = x
         try:
@@ -317,11 +313,9 @@ def max_four_point_defect(space, points, quad_budget=60000):
     return worst, witness
 
 
-def translation_length(space, act, x=None):
+def translation_length(space, act, x):
     """max(0, d(x, g^2 x) - d(x, g x)): exact translation length whenever the
     space is a tree (coset trees, Cayley trees, lines, paths)."""
-    if x is None:
-        x = space.basepoint()
     gx = act(x)
     ggx = act(gx)
     return max(0, space.dist(x, ggx) - space.dist(x, gx))

@@ -179,11 +179,6 @@ class HHStructure:
         tops = [u for u in doms if all(self.relation(v, u) in (NEST_IN, EQUAL) for v in doms)]
         return tops[0] if len(tops) == 1 else None
 
-    def check_domain(self, u):
-        if u not in set(self.domains()):
-            raise IndexMismatchError(f"{u!r} is not a domain of {self.label}")
-        return u
-
     def to_json(self) -> dict:
         raise NotImplementedError
 
@@ -287,17 +282,21 @@ class TableHHG(HHStructure):
     def domains(self):
         return list(self._order)
 
+    def _domain(self, u):
+        try:
+            return self._domains[u]
+        except (KeyError, TypeError):
+            raise IndexMismatchError(f"{u!r} is not a domain of {self.label}") from None
+
     def space(self, u):
-        self.check_domain(u)
-        return self._domains[u].space
+        return self._domain(u).space
 
     def pi(self, u, g):
-        self.check_domain(u)
-        return self._domains[u].pi(g)
+        return self._domain(u).pi(g)
 
     def relation(self, u, v):
-        self.check_domain(u)
-        self.check_domain(v)
+        self._domain(u)
+        self._domain(v)
         return self._rel[(u, v)]
 
     def rho_point(self, v, w):
@@ -311,7 +310,7 @@ class TableHHG(HHStructure):
         return self._rho_maps[(w, v)](p)
 
     def act_on_domain(self, g, u):
-        self.check_domain(u)
+        self._domain(u)
         if self._domain_action is None:
             return u
         return self._domain_action(g, u)
@@ -322,8 +321,7 @@ class TableHHG(HHStructure):
         return self._domains[u].act(g, p)
 
     def lift(self, u, p):
-        self.check_domain(u)
-        return self._domains[u].lift(p)
+        return self._domain(u).lift(p)
 
     def to_json(self):
         return dict(self._recipe)
@@ -401,10 +399,6 @@ class FreeProductHHG(HHStructure):
         out = [self.TOP]
         out.extend(self.vertex_label(v) for v in self.tree.sample_points(self.generation_radius))
         return out
-
-    def check_domain(self, u):
-        self.parse_domain(u)
-        return u
 
     # geometry
 

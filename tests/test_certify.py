@@ -283,7 +283,7 @@ class TestPingpong:
         st = build_named("f2freez")
         m = st.group
         cert = pingpong_transverse(st, m.parse("a"), m.parse("caC"),
-                                   "ab@1", "ab@c", depth=4)
+                                   "ab@1", "ab@c", (1, 3), depth=4)
         assert cert.variant == "free-subgroup"
         assert cert.evidence["power"] == 24
         assert cert.evidence["declared_power"] == 24
@@ -297,7 +297,7 @@ class TestPingpong:
         st = build_named("f2freez")
         m = st.group
         cert = pingpong_transverse(st, m.parse("a"), m.parse("caC"),
-                                   "ab@1", "ab@c", depth=4)
+                                   "ab@1", "ab@c", (1, 3), depth=4)
         assert verify_free_subgroup(m, tuple(cert.words["u"]),
                                     tuple(cert.words["w"]),
                                     cert.verified_depth + 1)
@@ -307,28 +307,28 @@ class TestPingpong:
         m = st.group
         with pytest.raises(PreconditionError):
             pingpong_transverse(st, m.parse("a"), m.parse("caC"),
-                                "ab@1", "ab@c", depth=0)
+                                "ab@1", "ab@c", (1, 3), depth=0)
 
     def test_equal_domains_rejected(self):
         st = build_named("f2freez")
         m = st.group
         with pytest.raises(PreconditionError):
             pingpong_transverse(st, m.parse("a"), m.parse("a"),
-                                "ab@1", "ab@1", depth=4)
+                                "ab@1", "ab@1", (1, 1), depth=4)
 
     def test_nested_pair_rejected(self):
         st = build_named("f2freez")
         m = st.group
         with pytest.raises(PreconditionError):
             pingpong_transverse(st, m.parse("a"), m.parse("ac"),
-                                "ab@1", "S", depth=4)
+                                "ab@1", "S", (1, 2), depth=4)
 
     def test_wrong_big_set_rejected(self):
         st = build_named("f2freez")
         m = st.group
         with pytest.raises(PreconditionError):
             pingpong_transverse(st, m.parse("c"), m.parse("caC"),
-                                "ab@1", "ab@c", depth=4)
+                                "ab@1", "ab@c", (1, 3), depth=4)
 
     def test_insufficient_power_refuted(self):
         # power 1 cannot push projections past kappa0 = 2 on this structure
@@ -336,7 +336,14 @@ class TestPingpong:
         m = st.group
         with pytest.raises(CertifierRefutedError):
             pingpong_transverse(st, m.parse("a"), m.parse("c"),
-                                "ab@1", "c@1", depth=4, declared_power=1)
+                                "ab@1", "c@1", (1, 1), depth=4, declared_power=1)
+
+
+def equal_powers_structure():
+    """f2freez with constants making k1 == k2 == 120 and M == 124."""
+    recipe = build_named("f2freez").to_json()
+    recipe["constants"].update(tau0=5, N_rank=2, kappa0=0, E=1, n_complexity=1)
+    return structure_from_json(recipe)
 
 
 class TestNested:
@@ -344,7 +351,7 @@ class TestNested:
         st = build_named("f2freez")
         m = st.group
         cert = nested_to_transverse(st, m.parse("a"), m.parse("ac"),
-                                    "ab@1", "S", depth=4)
+                                    "ab@1", "S", (1, 1), depth=4)
         assert cert.variant == "free-subgroup"
         assert cert.evidence["case"] == "nested"
         assert cert.evidence["parent_domain"] == "S"
@@ -358,27 +365,37 @@ class TestNested:
 
     def test_equal_powers_record_the_master_bound(self):
         # N_rank == n0 makes k1 == k2; the nested route still records M
-        recipe = build_named("f2freez").to_json()
-        recipe["constants"].update(tau0=5, N_rank=2, kappa0=0, E=1, n_complexity=1)
-        st = structure_from_json(recipe)
+        st = equal_powers_structure()
         cert = certify(st, [st.group.parse(w) for w in ("a", "b", "ac")])
         assert cert.evidence["case"] == "nested"
         assert cert.ledger.k1 == cert.ledger.k2 == 120
         assert cert.x_length_bound == cert.ledger.M == 124
+
+    def test_pair_checked_against_the_master_bound(self):
+        # power 1 and escape power 6: with ac 11 letters of the generating
+        # set, (ac)^6 a (ac)^-6 is 2 * 6 * 11 + 1 = 133 > M = 124 letters
+        st = equal_powers_structure()
+        m = st.group
+        cert = nested_to_transverse(st, m.parse("a"), m.parse("ac"),
+                                    "ab@1", "S", (1, 1))
+        assert (cert.evidence["power"], cert.evidence["escape_power"]) == (1, 6)
+        with pytest.raises(CertifierRefutedError, match="letter-length bound"):
+            nested_to_transverse(st, m.parse("a"), m.parse("ac"),
+                                 "ab@1", "S", (1, 11))
 
     def test_transverse_input_rejected(self):
         st = build_named("f2freez")
         m = st.group
         with pytest.raises(PreconditionError):
             nested_to_transverse(st, m.parse("a"), m.parse("caC"),
-                                 "ab@1", "ab@c", depth=4)
+                                 "ab@1", "ab@c", (1, 3), depth=4)
 
     def test_wrong_axis_rejected(self):
         st = build_named("f2freez")
         m = st.group
         with pytest.raises(PreconditionError):
             nested_to_transverse(st, m.parse("c"), m.parse("ac"),
-                                 "ab@1", "S", depth=4)
+                                 "ab@1", "S", (1, 1), depth=4)
 
 
 class TestTopLevel:
@@ -628,10 +645,11 @@ class TestScan:
 
 
 class TestGrowthCheckHelper:
-    def test_truncation_flag(self):
+    def test_truncation_flag(self, monkeypatch):
+        monkeypatch.setattr("hhglab.certify.GROWTH_CHECK_CAP", 5)
         st = build_named("f2xz")
         cert = certify(st, st.group.generators(), depth=4)
-        check = semigroup_growth_check(st.group, cert, n_cap=5)
+        check = semigroup_growth_check(st.group, cert)
         assert check["truncated"] is True
         assert check["n_max"] == 5
 

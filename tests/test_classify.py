@@ -253,10 +253,6 @@ class TestStructuralValidators:
         report = structural_validators(build_named("bad-transverse-invariant"))
         assert failed_rules(report) == [3]
 
-    def test_strict_mode_raises(self):
-        with pytest.raises(StructureInvalidError):
-            structural_validators(build_named("bad-transverse-invariant"), strict=True)
-
     def test_report_shape(self):
         data = structural_validators(build_named("bad-nest-in-line")).to_json()
         assert data["ok"] is False

@@ -79,9 +79,16 @@ class TestCheck:
         code, _, err = run(capsys, "check", "nonesuch")
         assert code == 2
 
-    def test_csv_format_rejected(self, capsys):
-        code, _, err = run(capsys, "check", "z1", "--format", "csv")
-        assert code == 2
+    def test_csv_format_rejected(self):
+        # check takes no --format: argparse refuses it as a usage error
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check", "z1", "--format", "csv"])
+        assert exit_info.value.code == 2
+
+    def test_depth_rejected(self):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check", "z1", "--depth", "5"])
+        assert exit_info.value.code == 2
 
     def test_summary_to_stdout_with_out_file(self, capsys, tmp_path):
         out = tmp_path / "check.json"

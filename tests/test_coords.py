@@ -17,7 +17,7 @@ from hhglab.coords import (
     quasi_line_detect,
     realize,
 )
-from hhglab.errors import InputError, PreconditionError
+from hhglab.errors import IndexMismatchError, InputError, PreconditionError
 from hhglab.groups import FreeGroup
 from hhglab.spaces import CayleyTreeSpace, GraphSpace, LineSpace
 from hhglab.structures import NEST_IN, ORTHOGONAL, TRANSVERSE
@@ -59,20 +59,27 @@ class TestProjectionTuples:
 
     def test_infinite_kappa_always_passes(self):
         tup = project_tuple(self.hh, self.model.parse("abt"))
-        assert is_consistent(self.hh, tup, kappa=math.inf).ok
+        assert is_consistent(self.hh, ConsistentTuple(tup.entries, math.inf)).ok
 
     def test_missing_entry_raises(self):
+        # a partial tuple is checked on its own domains; an entry for a
+        # label that is no domain raises
         tup = project_tuple(self.hh, ())
+        full = is_consistent(self.hh, tup)
         del tup.entries["S"]
-        with pytest.raises(InputError):
+        report = is_consistent(self.hh, tup)
+        assert report.ok and report.checks < full.checks
+        tup.entries["X"] = 0
+        with pytest.raises(IndexMismatchError):
             is_consistent(self.hh, tup)
-        report = is_consistent(self.hh, tup, domains=["T", "L"])
-        assert report.ok
 
     def test_non_word_entry_is_not_a_point(self):
         for hh, u, bad in ((self.hh, "T", 5), (self.hh, "T", (True,)),
+                           (self.hh, "L", True), (self.hh, "S", False),
+                           (self.hh, "S", 0.0),
                            (build_named("f2freez"), "S", (0, 5)),
-                           (build_named("f2freez"), "S", (0, (False,)))):
+                           (build_named("f2freez"), "S", (0, (False,))),
+                           (build_named("f2freez"), "S", (True, ()))):
             tup = project_tuple(hh, ())
             tup.entries[u] = bad
             with pytest.raises(InputError, match="not a point of its space"):
@@ -215,13 +222,16 @@ class TestDistanceFormula:
             fit_distance_formula(self.hh, [((), ())], s=0)
 
     def test_fit_failure_reported(self):
-        hh = build_named("f2xz-corrupt-lipschitz")
-        t6 = hh.group.parse("tttttt")
-        t5 = hh.group.parse("ttttt")
-        fit = fit_distance_formula(hh, [((), t6), ((), t5)], s=0, k_max=1.0)
+        # without the line domain t^200 has sum 0, so even K_MAX = 16 needs
+        # C = 200 / 16 = 12.5, above the additive cap 8
+        hh = build_named("f2xz-corrupt-uniqueness")
+        t = hh.group.parse("t")
+        pairs = [((), hh.group.power(t, 200)), ((), hh.group.power(t, 199))]
+        fit = fit_distance_formula(hh, pairs, s=0)
         assert not fit.ok
         assert fit.K is None
-        assert fit.failure["worst"]["needed_c"] == 12
+        assert fit.failure["k_max"] == 16.0 and fit.failure["c_max"] == 8.0
+        assert fit.failure["worst"]["needed_c"] == 12.5
 
     def test_fit_free_product(self):
         hh = build_named("f2freez")

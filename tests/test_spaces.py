@@ -162,11 +162,11 @@ class TestCosetTree:
         S = CosetTreeSpace(f2_star_z())
         m = S.model
         g = m.parse("ac")
-        tau = translation_length(S, lambda v: S.translate(g, v))
+        tau = translation_length(S, lambda v: S.translate(g, v), S.basepoint())
         assert tau == 2
         # a fixes the base vertex: elliptic
         a = m.parse("a")
-        assert translation_length(S, lambda v: S.translate(a, v)) == 0
+        assert translation_length(S, lambda v: S.translate(a, v), S.basepoint()) == 0
 
     def test_wrong_model_rejected(self):
         with pytest.raises(WrongKindError):
@@ -285,11 +285,11 @@ class TestDistanceTable:
 class TestTranslationLength:
     def test_line_shift(self):
         L = LineSpace()
-        assert translation_length(L, lambda x: x + 3) == 3
-        assert translation_length(L, lambda x: -x) == 0  # flip is elliptic
+        assert translation_length(L, lambda x: x + 3, 0) == 3
+        assert translation_length(L, lambda x: -x, 0) == 0  # flip is elliptic
 
     def test_tree_loxodromic(self):
         T = CayleyTreeSpace(FreeGroup(2))
         g = T.model.parse("ab")
         act = lambda x: T.model.multiply(g, x)
-        assert translation_length(T, act) == 2
+        assert translation_length(T, act, ()) == 2

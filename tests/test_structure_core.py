@@ -133,14 +133,16 @@ class TestFreeProductStructure:
     @pytest.mark.parametrize("label", ["ab@A", "xy@1", "ab@xz", "ab", "", 5,
                                        None, ("ab", "1"), ["ab@1"], {"u": 1}])
     def test_bad_label_raises_on_every_call(self, label):
-        hh = build_named("f2freez")
-        for _ in range(2):
-            for call in (lambda: hh.space(label), lambda: hh.pi(label, ()),
-                         lambda: hh.relation("S", label),
-                         lambda: hh.act_on_domain((0,), label)):
-                with pytest.raises(IndexMismatchError):
-                    call()
-        assert set(hh._decoded) <= {"S"}
+        free_product, table = build_named("f2freez"), build_named("f2xz")
+        for hh in (free_product, table):
+            for _ in range(2):
+                for call in (lambda: hh.space(label), lambda: hh.pi(label, ()),
+                             lambda: hh.relation("S", label),
+                             lambda: hh.act_on_domain((0,), label),
+                             lambda: hh.lift(label, 0)):
+                    with pytest.raises(IndexMismatchError):
+                        call()
+        assert set(free_product._decoded) <= {"S"}
 
     def test_decoded_labels_are_reused(self):
         hh = build_named("f2freez")
