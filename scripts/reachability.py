@@ -49,8 +49,6 @@ ALLOWED = {
     "groups.GroupModel.__repr__": "names the model in tracebacks and test failures",
     "groups.GroupModel._product": ABSTRACT,
     "groups.GroupModel._reduce": ABSTRACT,
-    "groups.GroupModel.is_identity":
-        "classification anomaly path (empty big set on a non-identity element)",
     "groups.GroupModel.to_json": ABSTRACT,
     "spaces.PointSpace.geodesic":
         "Space interface; axiom 7 finds no pair of points in a one-point space",
@@ -73,8 +71,6 @@ ALLOWED = {
 
 # function.parameter -> why its default stays although no call passes it
 PARAMETERS = {
-    "realize.max_slack":
-        "sets `exhausted`, which is in the benchmark's realize payload and digest",
     "cayley_ball_layers.max_elements":
         "element budget of the ball BFS, a limit and not a setting (ROADMAP item 5)",
 }

@@ -11,10 +11,11 @@ import random
 from dataclasses import dataclass, field
 
 from .balls import standard_ball
+from .classify import tau_on_domain
 from .coords import (closest_elements, consistency_inequality, distance_formula_sum,
                      quasi_line_detect)
-from .errors import InputError, PreconditionError
-from .spaces import max_four_point_defect, sample_diameter, translation_length
+from .errors import InputError
+from .spaces import max_four_point_defect, sample_diameter
 from .structures import _FLIP, EQUAL, NEST_IN, ORTHOGONAL, TRANSVERSE
 
 AXIOM_NAMES = {
@@ -105,10 +106,7 @@ class _Env:
         return self.st.space(u).sample_points(self.radius)[:POINTS_PER_DOMAIN]
 
     def show(self, w):
-        try:
-            return self.st.group.format(w)
-        except Exception:
-            return str(w)
+        return self.st.group.format(w)
 
     def sample(self, items, k):
         items = list(items)
@@ -535,21 +533,11 @@ def structural_validators(structure):
     for u in unbounded:
         if not invariant[u]:
             continue
-        space = structure.space(u)
-        if quasi_line_detect(space, radius=2, q_max=2) is None:
+        if quasi_line_detect(structure.space(u), radius=2, q_max=2) is None:
             continue
-        translated = False
-        for g in gens:
-            try:
-                tau = translation_length(
-                    space, lambda p: structure.act_in_space(u, g, p),
-                    x=structure.pi(u, ()))
-            except PreconditionError:
-                continue
-            if tau > 0:
-                translated = True
-                break
-        if not translated:
+        # u is invariant, so each generator's period on it is 1
+        taus = (tau_on_domain(structure, g, u)[0] for g in gens)
+        if not any(tau is not None and tau > 0 for tau in taus):
             continue
         for v in unbounded:
             report.checks += 1

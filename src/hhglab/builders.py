@@ -28,7 +28,7 @@ def _tree_piece(model, factor_index):
     """Tree domain for a free factor of rank >= 2 (factor_index None: whole model)."""
     if factor_index is None:
         fmodel = model
-        extract = model.normal_form
+        extract = lambda g: g
         to_global = lambda p: p
     else:
         fmodel = model.parts[factor_index]

@@ -199,7 +199,7 @@ def semigroup_growth_check(model, cert):
         return None
     length = max(cert.lengths)
     n_max = min(3 * length, GROWTH_CHECK_CAP)
-    gens = symmetrize(model, [tuple(w) for w in cert.generating_set])
+    gens = symmetrize(model, cert.generating_set)
     beta = growth_function(model, gens, n_max)
     rows = []
     ok = True
@@ -734,7 +734,7 @@ def certify(structure, X, depth=6, gen_radius=6):
             cert = top_level_certify(structure, words, outcome, depth=depth)
         else:
             cert = case2_branch(structure, words, outcome, depth=depth)
-    cert.generating_set = [list(w) for w in words]
+    cert.generating_set = words
     cert.evidence["generating_set_text"] = [model.format(w) for w in words]
     cert.evidence["route"] = outcome.to_json(model)
     if cert.variant == "free-semigroup":

@@ -116,7 +116,7 @@ def classify(structure, g):
     big = big_set(structure, g)
     if big.domains:
         return ElementClass("axial", big)
-    if structure.group.torsion_free and not structure.group.is_identity(g):
+    if structure.group.torsion_free and big.element != IDENTITY:
         raise ClassificationAnomalyError(
             f"non-identity element {structure.group.format(g)} of the "
             f"torsion-free model {structure.group.family} has an empty big set"
@@ -138,14 +138,15 @@ def tau0_floor_check(structure, sample_elements):
     for g in samples:
         big = big_set(structure, g)
         for u in big.domains:
-            tau, _ = tau_on_domain(structure, g, u)
+            tau, _ = tau_on_domain(structure, big.element, u)
             if tau is None:
                 continue
             if tau < declared:
                 raise StructureInvalidError(
                     f"translation length {tau} on {u} undercuts the declared "
                     f"floor {declared}",
-                    witness={"element": structure.group.format(g), "domain": u, "tau": tau},
+                    witness={"element": structure.group.format(big.element),
+                             "domain": u, "tau": tau},
                 )
             measured = tau if measured is None else min(measured, tau)
     return measured

@@ -122,8 +122,8 @@ def cmd_certify(args):
     doc = report_envelope("certify", structure, fp, args.seed, cert.to_json())
     lines = [f"variant: {cert.variant}"]
     if cert.words:
-        u = structure.group.format(tuple(cert.words["u"]))
-        w = structure.group.format(tuple(cert.words["w"]))
+        u = structure.group.format(cert.words["u"])
+        w = structure.group.format(cert.words["w"])
         lines.append(f"words: {u}, {w} (lengths {cert.lengths},"
                      f" bound {cert.x_length_bound})")
     for caveat in cert.caveats:

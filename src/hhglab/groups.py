@@ -5,22 +5,26 @@ its inverse the letter 2*i + 1, so ``letter ^ 1`` is the inverse letter.
 Every family exposes a normal form that is geodesic for the standard
 generating set, hence ``len(normal_form(w))`` is the word length.
 
-Letters are checked once, where a word enters: ``normal_form`` checks
-every letter (an int, not a bool, in range) and hands the word to the
-family's ``_reduce``, which expects in-range letters and returns the
-normal form.  ``parse`` builds its letters from the labels, so it reduces
-without checking.  The operations on words (multiply, inverse, power,
-exponents, syllables, factor_word) accept any word with in-range letters,
-reduced or not, and never re-check them.
+A word inside the package is a normal-form tuple.  A word becomes one
+where it enters: ``normal_form`` checks every letter (an int, not a bool,
+in range) and hands the word to the family's ``_reduce``, which expects
+in-range letters and returns the normal form; ``parse`` builds its letters
+from the labels, so it reduces without checking.  Every other operation
+(multiply, conjugate, power, exponents, factor_word) takes normal forms and
+never reduces them again.  ``inverse`` reduces the reversed word once: the
+reversed word of a normal form need not be one (in Z^2 the inverse of ab
+is AB, not BA).
 
-``_product(u, v)`` is the normal form of u·v when u and v are *already*
-normal forms; it only works at the junction where the two words meet
-(free cancellation, exponent sums, the factor blocks v touches, the
-syllables that merge).  It trusts that precondition and never checks it:
-on other words its result is wrong.  Its callers multiply words the
-package normalised itself: the Cayley-ball BFS (``balls``), the freeness
-oracles (``certify``) and ``power``.  ``multiply`` keeps accepting raw
-words and stays the reference ``_product`` is tested against.
+``multiply(u, v)`` is the family's ``_product``, which only works at the
+junction where the two words meet (free cancellation, exponent sums, the
+factor blocks v touches, the syllables that merge).  It trusts that u and
+v are normal forms and never checks it: on other words its result is
+wrong.  ``_reduce`` is the reference it is tested against.  The Cayley-ball
+BFS, the freeness oracles and ``power`` call ``_product`` directly.
+
+``FreeProduct.syllables`` is the free-product reducer: it splits any word
+with in-range letters into the syllables of its normal form, so a caller
+can read u^-1 v off the raw concatenation without forming u^-1 first.
 
 Families: free, free abelian, direct products and free products of the
 above.  Labels are single lowercase ASCII letters; the compact string
@@ -96,7 +100,8 @@ class GroupModel:
         raise NotImplementedError
 
     def multiply(self, u: Word, v: Word) -> Word:
-        return self._reduce(tuple(u) + tuple(v))
+        """Normal form of u·v for normal forms u and v."""
+        return self._product(u, v)
 
     def inverse(self, w: Word) -> Word:
         return self._reduce(invert_word(w))
@@ -109,16 +114,12 @@ class GroupModel:
         if n < 0:
             return self.power(self.inverse(w), -n)
         acc: Word = IDENTITY
-        base = self._reduce(w)
         while n:
             if n & 1:
-                acc = self._product(acc, base)
-            base = self._product(base, base)
+                acc = self._product(acc, w)
+            w = self._product(w, w)
             n >>= 1
         return acc
-
-    def is_identity(self, w: Word) -> bool:
-        return self._reduce(w) == IDENTITY
 
     def generators(self) -> list[Word]:
         return [(2 * i,) for i in range(self.ngens)]
@@ -287,14 +288,15 @@ class DirectProduct(_CombinedModel):
         self._init_parts(factors)
 
     def factor_word(self, w: Word, i: int) -> Word:
-        """Component of w in factor i, as a local word in that factor's letters."""
-        off = self._offsets[i]
-        return self.parts[i]._reduce(tuple(x - off for x in w if self._part_of[x] == i))
+        """Block of factor i in the normal form w, in that factor's letters."""
+        start = bisect_left(w, self._bounds[i])
+        return self.to_local(i, w[start:bisect_left(w, self._bounds[i + 1], start)])
 
     def _reduce(self, w: Word) -> Word:
         out = []
-        for i in range(len(self.parts)):
-            out.extend(self.to_global(i, self.factor_word(w, i)))
+        for i, part in enumerate(self.parts):
+            local = self.to_local(i, [x for x in w if self._part_of[x] == i])
+            out.extend(self.to_global(i, part._reduce(local)))
         return tuple(out)
 
     def _product(self, u: Word, v: Word) -> Word:

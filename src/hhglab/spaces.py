@@ -22,7 +22,6 @@ class Space:
     label = "space"
     delta = 0.0
     bounded = False
-    diameter_bound = None
 
     def dist(self, x, y):
         raise NotImplementedError
@@ -52,7 +51,6 @@ class PointSpace(Space):
 
     label = "point"
     bounded = True
-    diameter_bound = 0.0
 
     def dist(self, x, y):
         return 0.0
@@ -107,7 +105,8 @@ class GraphSpace(Space):
             self.adj[a].add(b)
             self.adj[b].add(a)
         self._dist_cache = {}
-        self.diameter_bound = float(sample_diameter(self.dist, range(n_vertices), 0))
+        if n_vertices:
+            self._bfs(0)  # refuses an unconnected graph
 
     def _bfs(self, src):
         if src in self._dist_cache:

@@ -469,7 +469,7 @@ class FreeProductHHG(HHStructure):
         if self.act_on_domain(g, u) != u:
             raise PreconditionError(f"element does not preserve domain {u}")
         i, rep = v
-        conj = self.group.multiply(self.group.multiply(invert_word(rep), g), rep)
+        conj = self.group.conjugate(self.group.inverse(rep), g)
         local = self.group.to_local(i, conj)
         part = self.group.parts[i]
         if isinstance(part, FreeAbelianGroup):

@@ -5,6 +5,7 @@ import pytest
 
 from hhglab.balls import standard_ball
 from hhglab.builders import build_named
+from hhglab.classify import tau0_floor_check
 from hhglab.coords import (
     ConsistentTuple,
     closest_elements,
@@ -110,6 +111,32 @@ class TestProjectionTuples:
             consistency_inequality(self.hh, ORTHOGONAL, "T", "L")
 
 
+class TestRawLibraryInputs:
+    """project_tuple, fit_distance_formula and tau0_floor_check normalise the
+    words a caller hands them, so a raw word or a list of letters gives the
+    result of its normal form."""
+
+    @pytest.mark.parametrize("name", ["free2", "f2xz", "f2freez"])
+    def test_raw_word_or_list_gives_the_normal_form_result(self, name):
+        hh = build_named(name)
+        nf = hh.group.normal_form
+        rnd = random.Random(11)
+        raws = [tuple(rnd.randrange(2 * hh.group.ngens) for _ in range(7))
+                for _ in range(5)]
+        assert any(nf(w) != w for w in raws)
+        forms = [nf(w) for w in raws]
+        for raw, g in zip(raws, forms):
+            assert project_tuple(hh, raw) == project_tuple(hh, g)
+            assert project_tuple(hh, list(raw)) == project_tuple(hh, g)
+        expected = fit_distance_formula(hh, zip(forms, forms[1:]), s=0).to_json()
+        assert fit_distance_formula(hh, zip(raws, raws[1:]), s=0).to_json() == expected
+        assert fit_distance_formula(
+            hh, [(list(x), list(y)) for x, y in zip(raws, raws[1:])], s=0).to_json() == expected
+        expected = tau0_floor_check(hh, forms)
+        assert tau0_floor_check(hh, raws) == expected
+        assert tau0_floor_check(hh, [list(w) for w in raws]) == expected
+
+
 class TestRealization:
     def setup_method(self):
         self.hh = build_named("f2xz")
@@ -137,7 +164,9 @@ class TestRealization:
         tup = ConsistentTuple({"S": 0, "T": (0, 2), "L": 2}, self.hh.constants.kappa1)
         res = realize(self.hh, tup, search_radius=4)
         assert res.elements == [self.model.parse("abtt")]
-        assert not res.exhausted
+        # a ball too small to reach the tuple realizes it with slack
+        far = project_tuple(self.hh, self.model.parse("aaaaaa"))
+        assert realize(self.hh, far, search_radius=3).theta_e == 3
 
     def test_inconsistent_tuple_refused(self):
         hh = build_named("f2freez")
@@ -146,13 +175,6 @@ class TestRealization:
         tup.entries["ab@c"] = (2, 2, 2)
         with pytest.raises(PreconditionError):
             realize(hh, tup, search_radius=2)
-
-    def test_small_radius_sets_exhausted_flag(self):
-        g = self.model.parse("aaaaaa")
-        tup = project_tuple(self.hh, g)
-        res = realize(self.hh, tup, search_radius=3, max_slack=1)
-        assert res.exhausted
-        assert res.theta_e == 3
 
 
 class TestDistanceFormula:

@@ -40,7 +40,7 @@ class TestElementarySpaces:
     def test_point(self):
         P = PointSpace()
         assert P.dist(0, 0) == 0
-        assert P.bounded and P.diameter_bound == 0
+        assert P.bounded and P.sample_points(5) == [0]
 
     def test_line(self):
         L = LineSpace()
@@ -51,7 +51,7 @@ class TestElementarySpaces:
     def test_path_graph(self):
         P = GraphSpace(9, [(i, i + 1) for i in range(8)], label="path")
         assert P.dist(0, 8) == 8
-        assert P.diameter_bound == 8
+        assert sample_diameter(P.dist, P.sample_points(8), 0) == 8
         with pytest.raises(InputError):
             P.dist(0, 9)
 
@@ -59,12 +59,14 @@ class TestElementarySpaces:
         # 4-cycle
         C4 = GraphSpace(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         assert C4.dist(0, 2) == 2
-        assert C4.diameter_bound == 2
+        assert sample_diameter(C4.dist, C4.sample_points(2), 0) == 2
         assert verify_geodesic(C4, C4.geodesic(0, 2))
 
     def test_one_vertex_graph_has_float_zero_diameter(self):
         G = GraphSpace(1, [])
-        assert G.diameter_bound == 0.0 and isinstance(G.diameter_bound, float)
+        assert G.sample_points(3) == [0]
+        diameter = sample_diameter(G.dist, G.sample_points(3), 0.0)
+        assert diameter == 0.0 and isinstance(diameter, float)
 
     def test_unconnected_graph_rejected(self):
         with pytest.raises(InputError):

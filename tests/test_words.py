@@ -1,10 +1,13 @@
 """Normal forms and word arithmetic for the group families."""
 
+import importlib.util
+import pathlib
 import random
 
 import pytest
 
 from hhglab.balls import cayley_ball_layers, symmetrize
+from hhglab.cli import main
 from hhglab.errors import InputError
 from hhglab.groups import (
     IDENTITY,
@@ -12,9 +15,12 @@ from hhglab.groups import (
     FreeAbelianGroup,
     FreeGroup,
     FreeProduct,
+    GroupModel,
     invert_word,
     model_from_json,
 )
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def models_under_test():
@@ -125,17 +131,17 @@ class TestAlgebraicLaws:
     def test_group_laws_random(self):
         rng = random.Random(2024)
         for model in models_under_test():
+            nf = model.normal_form
             for _ in range(30):
-                u = random_word(rng, model, rng.randrange(0, 8))
-                v = random_word(rng, model, rng.randrange(0, 8))
-                w = random_word(rng, model, rng.randrange(0, 8))
-                nf = model.normal_form
-                assert nf(nf(u)) == nf(u)
+                u, v, w = (nf(random_word(rng, model, rng.randrange(0, 8)))
+                           for _ in range(3))
+                assert nf(u) == u
+                assert model.multiply(u, v) == nf(u + v)
                 assert model.multiply(u, model.inverse(u)) == IDENTITY
                 left = model.multiply(model.multiply(u, v), w)
                 right = model.multiply(u, model.multiply(v, w))
                 assert left == right
-                assert len(model.multiply(u, v)) <= len(nf(u)) + len(nf(v))
+                assert len(model.multiply(u, v)) <= len(u) + len(v)
 
     def test_parse_format_roundtrip(self):
         rng = random.Random(5)
@@ -146,7 +152,8 @@ class TestAlgebraicLaws:
 
 
 class TestTrustBoundary:
-    """normal_form checks every letter; the operations reduce raw words."""
+    """normal_form checks every letter; the operations on the normal forms
+    of raw words agree with the normal form of the raw word they stand for."""
 
     def test_normal_form_rejects_bad_letters(self):
         for model in models_under_test():
@@ -163,10 +170,12 @@ class TestTrustBoundary:
             for _ in range(30):
                 u = random_word(rng, model, rng.randrange(0, 9))
                 v = random_word(rng, model, rng.randrange(0, 9))
-                assert model.multiply(u, v) == nf(u + v)
-                assert model.inverse(u) == nf(invert_word(u))
+                assert model.multiply(nf(u), nf(v)) == nf(u + v)
+                assert model.inverse(nf(u)) == nf(invert_word(u))
+                assert model.conjugate(nf(u), nf(v)) == nf(u + v + invert_word(u))
                 for n in range(-3, 4):
-                    assert model.power(u, n) == nf(u * n if n >= 0 else invert_word(u) * -n)
+                    assert model.power(nf(u), n) == \
+                        nf(u * n if n >= 0 else invert_word(u) * -n)
 
     def test_factor_word_and_syllables_on_raw_words(self):
         rng = random.Random(78)
@@ -175,8 +184,12 @@ class TestTrustBoundary:
                 w = random_word(rng, model, rng.randrange(0, 12))
                 nf = model.normal_form(w)
                 if isinstance(model, DirectProduct):
-                    for i in range(len(model.parts)):
-                        assert model.factor_word(w, i) == model.factor_word(nf, i)
+                    # factor i's block of nf is the normal form of w's
+                    # factor-i letters
+                    for i, part in enumerate(model.parts):
+                        off = model.to_global(i, (0,))[0]
+                        local = tuple(x - off for x in w if off <= x < off + 2 * part.ngens)
+                        assert model.factor_word(nf, i) == part.normal_form(local)
                 if isinstance(model, FreeProduct):
                     assert model.syllables(w) == model.syllables(nf)
 
@@ -198,27 +211,29 @@ def junction_models():
 
 
 def multiply_bfs_layers(model, gens, radius):
-    """Sorted spheres of the Cayley ball, stepping with multiply only."""
+    """Sorted spheres of the Cayley ball, stepping with the normal form of
+    the concatenation w + s."""
     seen = {IDENTITY}
     layers = [[IDENTITY]]
     for _ in range(radius):
-        nxt = {model.multiply(w, s) for w in layers[-1] for s in gens}
+        nxt = {model.normal_form(w + s) for w in layers[-1] for s in gens}
         layers.append(sorted(nxt - seen))
         seen |= nxt
     return layers
 
 
 class TestJunctionProduct:
-    """_product on normal forms agrees with multiply on raw words."""
+    """_product (which multiply is) on normal forms agrees with the normal
+    form of the concatenation."""
 
     def test_matches_multiply_on_random_pairs(self):
         rng = random.Random(404)
         for model in junction_models():
             nf = model.normal_form
             for _ in range(300):
-                u = random_word(rng, model, rng.randrange(0, 10))
-                v = random_word(rng, model, rng.randrange(0, 10))
-                assert model._product(nf(u), nf(v)) == model.multiply(u, v)
+                u = nf(random_word(rng, model, rng.randrange(0, 10)))
+                v = nf(random_word(rng, model, rng.randrange(0, 10)))
+                assert model._product(u, v) == model.multiply(u, v) == nf(u + v)
 
     def test_identity_and_cancelling_pairs(self):
         rng = random.Random(405)
@@ -230,11 +245,11 @@ class TestJunctionProduct:
                 w = random_word(rng, model, rng.randrange(0, 6))
                 assert model._product(IDENTITY, nf(u)) == nf(u)
                 assert model._product(nf(u), IDENTITY) == nf(u)
-                assert model._product(nf(u), model.inverse(u)) == IDENTITY
-                assert model._product(model.inverse(u), nf(u)) == IDENTITY
+                assert model._product(nf(u), model.inverse(nf(u))) == IDENTITY
+                assert model._product(model.inverse(nf(u)), nf(u)) == IDENTITY
                 # u w . w^-1 v cancels across the whole of w
                 left, right = u + w, invert_word(w) + v
-                assert model._product(nf(left), nf(right)) == model.multiply(left, right)
+                assert model._product(nf(left), nf(right)) == nf(left + right)
 
     def test_ball_matches_multiply_bfs(self):
         for model in junction_models():
@@ -260,3 +275,59 @@ class TestSerialization:
             FreeGroup(2, ["a", "a"])
         with pytest.raises(InputError):
             FreeGroup(2).parse("xz")
+
+
+def load_reachability():
+    """scripts/reachability.py as a module: its structure list, certify sets
+    and geometry jobs."""
+    spec = importlib.util.spec_from_file_location(
+        "reachability", ROOT / "scripts" / "reachability.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestWordContract:
+    """Every word an operation gets inside the package is a normal form."""
+
+    # (class, method, positions of its word operands)
+    GUARDED = ((GroupModel, "multiply", (0, 1)), (GroupModel, "power", (0,)),
+               (GroupModel, "conjugate", (0, 1)), (GroupModel, "inverse", (0,)),
+               (DirectProduct, "factor_word", (0,)))
+
+    def test_no_command_hands_an_operation_a_raw_word(self, monkeypatch, tmp_path):
+        raw = []
+        checking = []  # non-empty while a guard computes a normal form
+
+        def guard(method, positions):
+            def wrapped(model, *args):
+                if not checking:
+                    checking.append(method)
+                    try:
+                        for k in positions:
+                            w = args[k]
+                            if not (isinstance(w, tuple) and model.normal_form(w) == w):
+                                raw.append((method.__name__, model, w))
+                    finally:
+                        checking.pop()
+                return method(model, *args)
+            return wrapped
+
+        for cls, name, positions in self.GUARDED:
+            monkeypatch.setattr(cls, name, guard(getattr(cls, name), positions))
+        reach = load_reachability()
+        argvs = []
+        for name in reach.STRUCTURES:
+            path = reach.path(name)
+            argvs += [["check", path, "--max-pairs", "100"],
+                      ["distance", path, "--pairs", "10"],
+                      ["decompose", path], ["growth", path, "--n", "3"]]
+        argvs += [["certify", reach.path(name), "--genset", gens, "--depth", str(depth)]
+                  for name, gens, depth in reach.CERTIFIES if name != "f2xf2"]
+        argvs.append(["scan", reach.path("free2"), "--scan-size", "2",
+                      "--scan-length", "1", "--growth-n", "4"])
+        out = str(tmp_path / "report")
+        for argv in argvs:
+            assert main(argv + ["--out", out]) in (0, 1), argv
+        reach.geometry_jobs()
+        assert raw == []
