@@ -5,8 +5,15 @@ minus observed value, so negative means a violation), the number of
 individual checks run, and a witness for the worst case.  Sampling is
 deterministic for a fixed seed.  A pass is evidence on the sampled
 window, never a proof; a fail is a concrete counterexample.
+
+Checks 1, 4 and 6-9 keep that worst case in one record, ``_Worst``: the
+smallest margin, the first witness that reached it and the check count.
+A check that runs nothing passes with its vacuous margin: inf (1),
+kappa0 (4), lam (6), E (7), alpha (8) and 0.0 (9).  Checks 2 and 3 stop
+at the first failure and check 5 computes its margin directly.
 """
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -119,33 +126,44 @@ def _report(index, passed, margin, checks, witness=None):
     return AxiomReport(index, AXIOM_NAMES[index], passed, margin, checks, witness or {})
 
 
+@dataclass
+class _Worst:
+    """One check's smallest margin, the first witness for it, and its count."""
+
+    margin: float = math.inf
+    witness: dict = field(default_factory=dict)
+    checks: int = 0
+
+    def see(self, margin, witness):
+        """Count one check; witness() builds the dict for a new worst."""
+        self.checks += 1
+        if margin < self.margin:
+            self.margin = margin
+            self.witness = witness()
+
+    def report(self, index, vacuous=math.inf):
+        m = vacuous if self.margin == math.inf else self.margin
+        return _report(index, m >= 0, m, self.checks, self.witness)
+
+
 def _check_projections(env):
     st = env.st
     K = st.constants.K_proj
     delta = st.constants.delta
-    margin = float("inf")
-    witness = {}
-    checks = 0
+    worst = _Worst()
     # coarse Lipschitz bound on every materialized domain
     for x, y in env.pairs:
         dg = st.word_metric(x, y)
         for u in env.sample(env.domains, 40):
             du = st.dsub(u, x, y)
-            checks += 1
-            m = K * dg + K - du
-            if m < margin:
-                margin = m
-                witness = {"clause": "lipschitz", "domain": u, "x": env.show(x), "y": env.show(y), "d_domain": du, "d_group": dg}
+            worst.see(K * dg + K - du, lambda: {"clause": "lipschitz", "domain": u, "x": env.show(x),
+                                                "y": env.show(y), "d_domain": du, "d_group": dg})
     # declared hyperbolicity of each domain space, four-point sense
     for u in env.sample(env.domains, 12):
         pts = env.points(u)
-        worst, quad = max_four_point_defect(st.space(u), pts, quad_budget=20000)
-        checks += 1
-        m = delta - worst
-        if m < margin:
-            margin = m
-            witness = {"clause": "hyperbolicity", "domain": u, "defect": worst}
-    return _report(1, margin >= 0, margin, checks, witness)
+        defect, _ = max_four_point_defect(st.space(u), pts, quad_budget=20000)
+        worst.see(delta - defect, lambda: {"clause": "hyperbolicity", "domain": u, "defect": defect})
+    return worst.report(1)
 
 
 def _check_nesting(env):
@@ -230,9 +248,7 @@ def _check_orthogonality(env):
 def _check_consistency(env):
     st = env.st
     kappa0 = st.constants.kappa0
-    margin = float("inf")
-    witness = {}
-    checks = 0
+    worst = _Worst()
     trans_pairs = [
         (u, v)
         for i, u in enumerate(env.domains)
@@ -246,24 +262,16 @@ def _check_consistency(env):
     for u, v in env.sample(trans_pairs, 60):
         distances = consistency_inequality(st, TRANSVERSE, u, v)
         for x in xs:
-            checks += 1
             du, dv = distances(st.pi(u, x), st.pi(v, x))
-            m = kappa0 - min(du, dv)
-            if m < margin:
-                margin = m
-                witness = {"clause": "transverse", "u": u, "v": v, "x": env.show(x), "d_u": du, "d_v": dv}
+            worst.see(kappa0 - min(du, dv), lambda: {
+                "clause": "transverse", "u": u, "v": v, "x": env.show(x), "d_u": du, "d_v": dv})
     for v, w in env.sample(nest_pairs, 60):
         distances = consistency_inequality(st, NEST_IN, v, w)
         for x in xs:
-            checks += 1
             outer, inner = distances(st.pi(v, x), st.pi(w, x))
-            m = kappa0 - min(outer, inner)
-            if m < margin:
-                margin = m
-                witness = {"clause": "nested", "v": v, "w": w, "x": env.show(x), "d_outer": outer, "d_inner": inner}
-    if margin == float("inf"):
-        margin = kappa0
-    return _report(4, margin >= 0, margin, checks, witness)
+            worst.see(kappa0 - min(outer, inner), lambda: {
+                "clause": "nested", "v": v, "w": w, "x": env.show(x), "d_outer": outer, "d_inner": inner})
+    return worst.report(4, kappa0)
 
 
 def _check_complexity(env):
@@ -292,9 +300,7 @@ def _check_large_links(env):
     st = env.st
     E = st.constants.E
     lam = st.constants.lam
-    margin = float("inf")
-    witness = {}
-    checks = 0
+    worst = _Worst()
     for x, y in env.pairs:
         between = st.domains_between(x, y)
         for w in env.domains:
@@ -304,30 +310,20 @@ def _check_large_links(env):
             dw = st.dsub(w, x, y)
             bound = lam * dw + lam
             links = [v for v in candidates if st.dsub(v, x, y) >= E]
-            checks += 1
-            m = bound - len(links)
-            if m < margin:
-                margin = m
-                witness = {"clause": "count", "w": w, "x": env.show(x), "y": env.show(y), "links": len(links), "bound": bound}
+            worst.see(bound - len(links), lambda: {"clause": "count", "w": w, "x": env.show(x),
+                                                   "y": env.show(y), "links": len(links), "bound": bound})
             pw = st.pi(w, x)
             for v in links:
-                checks += 1
                 d = st.space(w).dist(pw, st.rho_point(v, w))
-                m = bound - d
-                if m < margin:
-                    margin = m
-                    witness = {"clause": "rho distance", "w": w, "v": v, "x": env.show(x), "y": env.show(y), "d": d}
-    if margin == float("inf"):
-        margin = lam
-    return _report(6, margin >= 0, margin, checks, witness)
+                worst.see(bound - d, lambda: {
+                    "clause": "rho distance", "w": w, "v": v, "x": env.show(x), "y": env.show(y), "d": d})
+    return worst.report(6, lam)
 
 
 def _check_geodesic_image(env):
     st = env.st
     E = st.constants.E
-    margin = float("inf")
-    witness = {}
-    checks = 0
+    worst = _Worst()
     nest_pairs = [
         (v, w) for v in env.domains for w in env.domains if st.relation(v, w) == NEST_IN
     ]
@@ -343,22 +339,14 @@ def _check_geodesic_image(env):
                 continue
             diam = sample_diameter(space_v.dist,
                                    [st.rho_map_point(w, v, z) for z in geo], 0.0)
-            checks += 1
-            m = E - diam
-            if m < margin:
-                margin = m
-                witness = {"v": v, "w": w, "p": p, "q": q, "image_diameter": diam}
-    if margin == float("inf"):
-        margin = E
-    return _report(7, margin >= 0, margin, checks, witness)
+            worst.see(E - diam, lambda: {"v": v, "w": w, "p": p, "q": q, "image_diameter": diam})
+    return worst.report(7, E)
 
 
 def _check_partial_realization(env):
     st = env.st
     alpha = st.constants.alpha
-    margin = float("inf")
-    witness = {}
-    checks = 0
+    worst = _Worst()
     unbounded = [u for u in env.domains if not st.is_bounded_domain(u)]
     families = [(u,) for u in unbounded]
     for i, u in enumerate(unbounded):
@@ -388,12 +376,9 @@ def _check_partial_realization(env):
                 for l in lifts:
                     g = st.group.multiply(g, l)
             for u, p in zip(family, targets):
-                checks += 1
                 d = st.space(u).dist(st.pi(u, g), p)
-                m = alpha - d
-                if m < margin:
-                    margin = m
-                    witness = {"clause": "realization", "family": ",".join(family), "domain": u, "target": p, "got": d, "g": env.show(g)}
+                worst.see(alpha - d, lambda: {"clause": "realization", "family": ",".join(family),
+                                              "domain": u, "target": p, "got": d, "g": env.show(g)})
             related = [
                 w
                 for w in env.domains
@@ -403,22 +388,15 @@ def _check_partial_realization(env):
             for w in env.sample(related, 10):
                 us = [u for u in family if st.relation(u, w) in (NEST_IN, TRANSVERSE)]
                 for u in us:
-                    checks += 1
                     d = st.space(w).dist(st.pi(w, g), st.rho_point(u, w))
-                    m = alpha - d
-                    if m < margin:
-                        margin = m
-                        witness = {"clause": "ambient control", "family": ",".join(family), "ambient": w, "of": u, "got": d}
-    if margin == float("inf"):
-        margin = alpha
-    return _report(8, margin >= 0, margin, checks, witness)
+                    worst.see(alpha - d, lambda: {"clause": "ambient control", "family": ",".join(family),
+                                                  "ambient": w, "of": u, "got": d})
+    return worst.report(8, alpha)
 
 
 def _check_uniqueness(env):
     st = env.st
-    margin = float("inf")
-    witness = {}
-    checks = 0
+    worst = _Worst()
     for x, y in env.pairs:
         dg = st.word_metric(x, y)
         best = None
@@ -428,14 +406,9 @@ def _check_uniqueness(env):
             if best is None:
                 best = max(distance_formula_sum(st, x, y, 0).contributions.values(),
                            default=0.0)
-            checks += 1
-            m = best - kappa
-            if m < margin:
-                margin = m
-                witness = {"x": env.show(x), "y": env.show(y), "d_group": dg, "kappa": kappa, "best_domain_distance": best}
-    if margin == float("inf"):
-        margin = 0.0
-    return _report(9, margin >= 0, margin, checks, witness)
+            worst.see(best - kappa, lambda: {"x": env.show(x), "y": env.show(y), "d_group": dg,
+                                             "kappa": kappa, "best_domain_distance": best})
+    return worst.report(9, 0.0)
 
 
 _CHECKERS = {

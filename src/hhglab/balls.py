@@ -6,7 +6,6 @@ enumeration walks that subgroup's Cayley graph.
 """
 
 import itertools
-import math
 
 from .errors import InputError, ResourceBudgetError
 from .groups import IDENTITY
@@ -15,14 +14,13 @@ DEFAULT_MAX_ELEMENTS = 2_000_000
 
 
 def symmetrize(model, words):
-    """Normal forms of the words and their inverses, identity dropped, sorted."""
+    """The normal-form words and their inverses, identity dropped, sorted."""
     out = set()
     for w in words:
-        nf = model.normal_form(w)
-        if nf == IDENTITY:
+        if w == IDENTITY:
             continue
-        out.add(nf)
-        out.add(model.inverse(nf))
+        out.add(w)
+        out.add(model.inverse(w))
     return sorted(out, key=lambda w: (len(w), w))
 
 
@@ -38,11 +36,10 @@ def cayley_ball_layers(model, gens, radius, max_elements=DEFAULT_MAX_ELEMENTS):
     """BFS layers of the ball: layers[r] is the sorted list of elements at
     distance exactly r from the identity in the given generating set.
 
-    Frontier elements and generators are normal forms, so each step is the
-    model's junction product."""
+    Frontier elements and the given generators are normal forms, so each
+    step is the model's junction product."""
     if radius < 0:
         raise InputError("radius must be nonnegative")
-    gens = [model.normal_form(g) for g in gens]
     if any(g == IDENTITY for g in gens):
         raise InputError("generating set contains the identity")
     if not gens:
@@ -92,15 +89,6 @@ def growth_function(model, gens, radius):
         total += len(layer)
         beta.append(total)
     return beta
-
-
-def growth_rate(model, gens, n):
-    """Exponential growth estimate log(beta(n))/n plus the sequence
-    [beta(1), ..., beta(n)] for monotonicity diagnostics."""
-    if n < 1:
-        raise InputError("n must be at least 1")
-    beta = growth_function(model, gens, n)
-    return math.log(beta[n]) / n, beta[1:]
 
 
 def generates_at_radius(model, words, radius):

@@ -23,8 +23,7 @@ power that passes verification and records both numbers.
 import math
 from dataclasses import dataclass, field
 
-from .balls import (generates_at_radius, growth_function, growth_rate,
-                    standard_ball, symmetrize)
+from .balls import generates_at_radius, growth_function, standard_ball, symmetrize
 from .classify import big_set_member, classify
 from .coords import product_decomposition, quasi_line_detect
 from .errors import (CertifierRefutedError, InputError, PreconditionError,
@@ -75,15 +74,22 @@ class CertifierLedger:
         return out
 
 
+def _schedule_ceil(ratio, value):
+    """max(1, ceil(value)) for a power-schedule ratio; InputError if infinite."""
+    if not math.isfinite(value):
+        raise InputError(f"power schedule overflows: {ratio} is not finite")
+    return max(1, math.ceil(value))
+
+
 def certifier_ledger(constants, k3=1):
     if constants.tau0 <= 0:
         raise StructureInvalidError("tau0 must be positive to certify growth")
     n = int(constants.N_rank)
-    base = max(1, math.ceil(2.0 * constants.kappa0 / constants.tau0))
+    base = _schedule_ceil("2*kappa0/tau0", 2.0 * constants.kappa0 / constants.tau0)
     k1 = base * math.factorial(2 * n + 1)
-    n0 = max(1, math.ceil(10.0 * constants.D / constants.tau0))
+    n0 = _schedule_ceil("10*D/tau0", 10.0 * constants.D / constants.tau0)
     k2 = base * math.factorial(2 * n0 + 1)
-    k4 = max(1, math.ceil(10000.0 * constants.delta / constants.tau0))
+    k4 = _schedule_ceil("10000*delta/tau0", 10000.0 * constants.delta / constants.tau0)
     m = max(k1, 2 * n0 + k2, k3 + 2, 3 * (k4 + 2) * math.factorial(n + 1))
     return CertifierLedger(constants, k1, n0, k2, k3, k4, m)
 
@@ -764,7 +770,8 @@ def scan_generating_sets(structure, size_bound, length_bound, ambient_radius,
             cert = certify(structure, gens, depth=depth,
                            gen_radius=ambient_radius)
             bound = ueg_lower_bound(cert)
-            rate, _ = growth_rate(model, symmetrize(model, gens), growth_n)
+            beta = growth_function(model, symmetrize(model, gens), growth_n)
+            rate = math.log(beta[growth_n]) / growth_n
             row.update({
                 "variant": cert.variant,
                 "lengths": cert.lengths,

@@ -4,7 +4,7 @@ import pytest
 
 from hhglab.axioms import AXIOM_NAMES, check_structure
 from hhglab.balls import standard_ball
-from hhglab.builders import build_named
+from hhglab.builders import build_named, structure_from_json
 from hhglab.coords import closest_elements
 from hhglab.errors import InputError
 from hhglab.groups import FreeAbelianGroup
@@ -90,6 +90,26 @@ class TestRealizationSearch:
         hh = liftless_line()
         ball = standard_ball(hh.group, 1)
         assert closest_elements(hh, ball, [("S", -3)]) == (2, [hh.group.parse("T")])
+
+
+class TestVacuousMargins:
+    """A check that runs nothing passes with its bound as the margin."""
+
+    def test_single_domain_product(self):
+        # one tree domain: no pairs of domains for axioms 4, 6 and 7, and
+        # theta is 1000, above every sampled distance, for axiom 9
+        st = structure_from_json({
+            "builder": "product", "label": "free2",
+            "group": {"family": "free", "rank": 2, "labels": ["a", "b"]},
+            "constants": {"kappa0": 3.0, "lam": 5.0, "E": 7.0, "theta_coeffs": [1000.0]}})
+        axioms = {a.index: a for a in check_structure(st).axioms}
+        for index, margin in ((4, 3.0), (6, 5.0), (7, 7.0), (9, 0.0)):
+            a = axioms[index]
+            assert (a.checks, a.passed, a.margin, a.witness) == (0, True, margin, {}), index
+
+    def test_partial_realization_without_unbounded_domains(self):
+        a8 = check_structure(build_named("bad-orth-closure")).axioms[7]
+        assert (a8.index, a8.checks, a8.passed, a8.margin) == (8, 0, True, 1.0)
 
 
 class TestCheckerApi:

@@ -8,8 +8,9 @@ from hhglab.balls import (
     parse_generating_set,
     symmetrize,
 )
+from hhglab.cli import main
 from hhglab.errors import InputError, ResourceBudgetError
-from hhglab.groups import DirectProduct, FreeAbelianGroup, FreeGroup, FreeProduct
+from hhglab.groups import DirectProduct, FreeAbelianGroup, FreeGroup, FreeProduct, GroupModel
 
 
 def free_ball_count(rank, n):
@@ -134,6 +135,23 @@ class TestApiContracts:
         F = FreeGroup(2)
         with pytest.raises(InputError):
             cayley_ball_layers(F, [()], 3)
+
+    @pytest.mark.parametrize("options", [[], ["--genset", "ab,b", "--symmetrize"]],
+                             ids=["standard", "genset"])
+    def test_growth_uses_its_words_as_given(self, capsys, monkeypatch, options):
+        # parse and generators() already return normal forms, so the balls
+        # never normalise a word again
+        calls = []
+        normal_form = GroupModel.normal_form
+
+        def counted(model, w):
+            calls.append(w)
+            return normal_form(model, w)
+
+        monkeypatch.setattr(GroupModel, "normal_form", counted)
+        assert main(["growth", "free2", "--n", "3", *options]) == 0
+        capsys.readouterr()
+        assert calls == []
 
     def test_budget_reports_completed_radius(self):
         F = FreeGroup(2)

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from hhglab.builders import structure_from_json
 from hhglab.cli import main
 from hhglab.errors import ResourceBudgetError
 
@@ -212,6 +213,22 @@ class TestCertify:
         assert code == 2 and out == ""
         assert err == "error: verification depth must be at least 1\n"
 
+    @pytest.mark.parametrize("name, gens, constant, value, ratio", [
+        ("free2", "a,b", "tau0", 5e-324, "10*D/tau0"),
+        ("f2freez", "a,b,c", "kappa0", 1e308, "2*kappa0/tau0"),
+    ])
+    def test_power_schedule_overflow_is_usage_error(self, capsys, tmp_path, name, gens,
+                                                    constant, value, ratio):
+        with open(f"{STRUCTURES}/{name}.json") as fh:
+            recipe = json.load(fh)
+        ledger = structure_from_json(recipe).constants.to_json()
+        recipe["constants"] = {**ledger, constant: value}
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(recipe))
+        code, out, err = run(capsys, "certify", str(path), "--genset", gens)
+        assert code == 2 and out == ""
+        assert err == f"error: power schedule overflows: {ratio} is not finite\n"
+
     def test_anomaly_exits_one_with_witness(self, capsys):
         code, _, err = run(capsys, "certify", "bad-orth-closure",
                            "--genset", "t")
@@ -298,6 +315,11 @@ class TestGrowth:
         counts = [int(line.split(",")[1])
                   for line in out.strip().split("\n")[2:]]
         assert counts == [3, 5, 7]
+
+    def test_identity_genset_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "growth", "free2", "--genset", "1")
+        assert code == 2 and out == ""
+        assert err == "error: generating set contains the identity\n"
 
     def test_json_format(self, capsys):
         code, doc, _ = run_json(capsys, "growth", "z2", "--n", "4",

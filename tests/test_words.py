@@ -1,7 +1,5 @@
 """Normal forms and word arithmetic for the group families."""
 
-import importlib.util
-import pathlib
 import random
 
 import pytest
@@ -19,8 +17,6 @@ from hhglab.groups import (
     invert_word,
     model_from_json,
 )
-
-ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def models_under_test():
@@ -277,16 +273,6 @@ class TestSerialization:
             FreeGroup(2).parse("xz")
 
 
-def load_reachability():
-    """scripts/reachability.py as a module: its structure list, certify sets
-    and geometry jobs."""
-    spec = importlib.util.spec_from_file_location(
-        "reachability", ROOT / "scripts" / "reachability.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestWordContract:
     """Every word an operation gets inside the package is a normal form."""
 
@@ -295,7 +281,8 @@ class TestWordContract:
                (GroupModel, "conjugate", (0, 1)), (GroupModel, "inverse", (0,)),
                (DirectProduct, "factor_word", (0,)))
 
-    def test_no_command_hands_an_operation_a_raw_word(self, monkeypatch, tmp_path):
+    def test_no_command_hands_an_operation_a_raw_word(self, monkeypatch, tmp_path,
+                                                       reachability):
         raw = []
         checking = []  # non-empty while a guard computes a normal form
 
@@ -315,19 +302,18 @@ class TestWordContract:
 
         for cls, name, positions in self.GUARDED:
             monkeypatch.setattr(cls, name, guard(getattr(cls, name), positions))
-        reach = load_reachability()
         argvs = []
-        for name in reach.STRUCTURES:
-            path = reach.path(name)
+        for name in reachability.STRUCTURES:
+            path = reachability.path(name)
             argvs += [["check", path, "--max-pairs", "100"],
                       ["distance", path, "--pairs", "10"],
                       ["decompose", path], ["growth", path, "--n", "3"]]
-        argvs += [["certify", reach.path(name), "--genset", gens, "--depth", str(depth)]
-                  for name, gens, depth in reach.CERTIFIES if name != "f2xf2"]
-        argvs.append(["scan", reach.path("free2"), "--scan-size", "2",
+        argvs += [["certify", reachability.path(name), "--genset", gens, "--depth", str(depth)]
+                  for name, gens, depth in reachability.CERTIFIES if name != "f2xf2"]
+        argvs.append(["scan", reachability.path("free2"), "--scan-size", "2",
                       "--scan-length", "1", "--growth-n", "4"])
         out = str(tmp_path / "report")
         for argv in argvs:
             assert main(argv + ["--out", out]) in (0, 1), argv
-        reach.geometry_jobs()
+        reachability.geometry_jobs()
         assert raw == []
