@@ -41,7 +41,6 @@ from hhglab.coords import project_tuple, realize  # noqa: E402
 # module.qualname -> why it stays although no command enters it
 ABSTRACT = "abstract declaration every subclass overrides"
 TRACED = "abstract declaration; benchmark/tracing.py wraps it by name"
-DEFAULT = "default that every shipped structure overrides"
 ALLOWED = {
     "errors.CertifierRefutedError.__init__": "error-class constructor",
     "errors.ResourceBudgetError.__init__": "error-class constructor",
@@ -58,9 +57,9 @@ ALLOWED = {
     "spaces.Space.geodesic": ABSTRACT,
     "spaces.Space.sample_points": ABSTRACT,
     "structures.HHStructure.act_in_space": ABSTRACT,
-    "structures.HHStructure.act_on_domain": DEFAULT,
+    "structures.HHStructure.act_on_domain": ABSTRACT,
     "structures.HHStructure.domains": ABSTRACT,
-    "structures.HHStructure.lift": DEFAULT,
+    "structures.HHStructure.lift": ABSTRACT,
     "structures.HHStructure.pi": TRACED,
     "structures.HHStructure.relation": ABSTRACT,
     "structures.HHStructure.rho_map_point": ABSTRACT,

@@ -3,7 +3,7 @@
 Each axiom check reports pass/fail, the worst margin observed (bound
 minus observed value, so negative means a violation), the number of
 individual checks run, and a witness for the worst case.  Sampling is
-deterministic for a fixed seed.  A pass is evidence on the sampled
+deterministic for a fixed seed.  A pass is evidence on the sample
 window, never a proof; a fail is a concrete counterexample.
 
 Checks 1, 4 and 6-9 keep that worst case in one record, ``_Worst``: the
@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 
 from .balls import standard_ball
 from .classify import tau_on_domain
-from .coords import (closest_elements, consistency_inequality, distance_formula_sum,
-                     quasi_line_detect)
+from .coords import consistency_inequality, distance_formula_sum, quasi_line_detect
 from .errors import InputError
 from .spaces import max_four_point_defect, sample_diameter
 from .structures import _FLIP, EQUAL, NEST_IN, ORTHOGONAL, TRANSVERSE
@@ -37,7 +36,7 @@ AXIOM_NAMES = {
     9: "uniqueness",
 }
 
-# sampled points per domain space, drawn from the ball of the check radius
+# points per domain space, drawn from the ball of the check radius
 POINTS_PER_DOMAIN = 25
 
 
@@ -367,14 +366,9 @@ def _check_partial_realization(env):
         for opts in pts_per:
             tuples = [t + [p] for t in tuples for p in opts]
         for targets in env.sample(tuples, 8):
-            lifts = [st.lift(u, p) for u, p in zip(family, targets)]
-            if any(l is None for l in lifts):
-                _, closest = closest_elements(st, env.elements, list(zip(family, targets)))
-                g = closest[0]
-            else:
-                g = ()
-                for l in lifts:
-                    g = st.group.multiply(g, l)
+            g = ()
+            for u, p in zip(family, targets):
+                g = st.group.multiply(g, st.lift(u, p))
             for u, p in zip(family, targets):
                 d = st.space(u).dist(st.pi(u, g), p)
                 worst.see(alpha - d, lambda: {"clause": "realization", "family": ",".join(family),

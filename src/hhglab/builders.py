@@ -9,6 +9,7 @@ fixture's docstring says exactly what it breaks.
 """
 
 import json
+from dataclasses import replace
 
 from .errors import InputError, WrongKindError
 from .groups import (
@@ -25,7 +26,7 @@ from .structures import ConstantLedger, Domain, FreeProductHHG, HHStructure, Tab
 
 
 def _tree_piece(model, factor_index):
-    """Tree domain for a free factor of rank >= 2 (factor_index None: whole model)."""
+    """Tree domain T for a free factor of rank >= 2 (factor_index None: whole model)."""
     if factor_index is None:
         fmodel = model
         extract = lambda g: g
@@ -34,17 +35,12 @@ def _tree_piece(model, factor_index):
         fmodel = model.parts[factor_index]
         extract = lambda g: model.factor_word(g, factor_index)
         to_global = lambda p: model.to_global(factor_index, p)
-    return {
-        "kind": "tree",
-        "space": CayleyTreeSpace(fmodel),
-        "pi": extract,
-        "act": lambda g, p: fmodel.multiply(extract(g), p),
-        "lift": to_global,
-    }
+    return Domain("T", CayleyTreeSpace(fmodel), extract,
+                  lambda g, p: fmodel.multiply(extract(g), p), to_global)
 
 
 def _line_piece(model, factor_index, gen_index):
-    """Line domain reading one cyclic direction (factor_index None: whole
+    """Line domain L reading one cyclic direction (factor_index None: whole
     model): the exponent sum of one generator, which is the same on every
     word for an element, so it is read off the word as given."""
     letter = 2 * gen_index
@@ -54,17 +50,8 @@ def _line_piece(model, factor_index, gen_index):
     def exponent(g):
         return g.count(letter) - g.count(letter + 1)
 
-    return {
-        "kind": "line",
-        "space": LineSpace(),
-        "pi": exponent,
-        "act": lambda g, p: p + exponent(g),
-        "lift": lambda p: (letter if p >= 0 else letter + 1,) * abs(p),
-    }
-
-
-def _piece_domain(name, piece):
-    return Domain(name, piece["space"], piece["pi"], act=piece["act"], lift=piece["lift"])
+    return Domain("L", LineSpace(), exponent, lambda g, p: p + exponent(g),
+                  lambda p: (letter if p >= 0 else letter + 1,) * abs(p))
 
 
 def _pieces_of_factor(model, factor_index, factor):
@@ -88,16 +75,6 @@ def _product_pieces(model):
     return _pieces_of_factor(model, None, model)
 
 
-def _piece_labels(pieces):
-    trees = [p for p in pieces if p["kind"] == "tree"]
-    lines = [p for p in pieces if p["kind"] == "line"]
-    labels = {}
-    for group, stem in ((trees, "T"), (lines, "L")):
-        for k, p in enumerate(group):
-            labels[id(p)] = stem if len(group) == 1 else f"{stem}{k + 1}"
-    return [labels[id(p)] for p in pieces]
-
-
 def _product_constants(n_pieces):
     if n_pieces == 1:
         return ConstantLedger(
@@ -118,21 +95,24 @@ def product_structure(model, label, constants=None):
     if isinstance(model, FreeProduct):
         raise WrongKindError("free products take the coset structure instead")
     pieces = _product_pieces(model)
-    names = _piece_labels(pieces)
+    # a kind that occurs more than once is numbered in order: T1, T2, ...
+    kinds = [d.label for d in pieces]
+    for k, d in enumerate(pieces):
+        if kinds.count(d.label) > 1:
+            pieces[k] = replace(d, label=f"{d.label}{kinds[:k + 1].count(d.label)}")
+    names = [d.label for d in pieces]
     constants = constants or _product_constants(len(pieces))
     recipe = {"builder": "product", "label": label, "group": model.to_json()}
     if len(pieces) == 1:
-        return TableHHG(label, model, constants, [_piece_domain("S", pieces[0])],
+        return TableHHG(label, model, constants, [replace(pieces[0], label="S")],
                         recipe=recipe)
-    domains = [
-        Domain("S", PointSpace(), lambda g: 0, act=lambda g, p: 0, lift=lambda p: ())
-    ]
-    domains.extend(_piece_domain(name, p) for name, p in zip(names, pieces))
+    domains = [Domain("S", PointSpace(), lambda g: 0, lambda g, p: 0, lambda p: ())]
+    domains.extend(pieces)
     nesting = [(name, "S") for name in names]
     orthogonal = [(names[i], names[j]) for i in range(len(names)) for j in range(i + 1, len(names))]
     rho_points = {(name, "S"): 0 for name in names}
     rho_maps = {
-        ("S", name): (lambda q, _bp=p["space"].basepoint(): _bp) for name, p in zip(names, pieces)
+        ("S", d.label): (lambda q, _bp=d.space.basepoint(): _bp) for d in pieces
     }
     return TableHHG(
         label, model, constants, domains,
@@ -187,13 +167,13 @@ def _f2xz_table(pi_line=None, line_lift=None, drop_line=False, s_space=None,
                 s_rho_T=0, constants=None, label="f2xz-fixture"):
     model = _model_f2xz()
     line = _line_piece(model, 1, 0)
-    pi_L = pi_line or line["pi"]
-    lift_L = line_lift or line["lift"]
+    pi_L = pi_line or line.pi
+    lift_L = line_lift or line.lift
     space_S = s_space or PointSpace()
     bp = space_S.basepoint()
     domains = [
         Domain("S", space_S, lambda g: bp, act=lambda g, p: p, lift=lambda p: ()),
-        _piece_domain("T", _tree_piece(model, 0)),
+        _tree_piece(model, 0),
     ]
     nesting = [("T", "S")]
     orthogonal = []
@@ -229,8 +209,8 @@ def fixture_corrupt_lipschitz():
     """Line projection runs at triple speed while still declaring the unit
     Lipschitz constant: only the projection axiom fails."""
     line = _line_piece(_model_f2xz(), 1, 0)
-    return _f2xz_table(pi_line=lambda g: 3 * line["pi"](g),
-                       line_lift=lambda p: line["lift"](round(p / 3)),
+    return _f2xz_table(pi_line=lambda g: 3 * line.pi(g),
+                       line_lift=lambda p: line.lift(round(p / 3)),
                        label="f2xz-corrupt-lipschitz")
 
 
@@ -293,7 +273,8 @@ def fixture_bad_orth_closure():
     orthogonal to U, yet V declared transverse to U.  Uniqueness also
     fails, unavoidably: every domain is bounded over an infinite group."""
     Z = FreeAbelianGroup(1)
-    mk = lambda name: Domain(name, PointSpace(), lambda g: 0, act=lambda g, p: 0)
+    mk = lambda name: Domain(name, PointSpace(), lambda g: 0, act=lambda g, p: 0,
+                             lift=lambda p: ())
     domains = [mk("S"), mk("W"), mk("V"), mk("U")]
     return TableHHG(
         "bad-orth-closure", Z, ConstantLedger(n_complexity=3), domains,
@@ -310,8 +291,8 @@ def fixture_bad_orth_closure():
 def _line_top_table(with_second_line=False, transverse_mode=False, label="bad"):
     model = _model_f2xz()
     domains = [
-        _piece_domain("S", _line_piece(model, 1, 0)),
-        _piece_domain("T", _tree_piece(model, 0)),
+        replace(_line_piece(model, 1, 0), label="S"),
+        _tree_piece(model, 0),
     ]
     nesting = [("T", "S")]
     orthogonal = []
@@ -319,7 +300,7 @@ def _line_top_table(with_second_line=False, transverse_mode=False, label="bad"):
     rho_points = {("T", "S"): 0}
     rho_maps = {("S", "T"): lambda p: ()}
     if with_second_line:
-        domains.append(_piece_domain("L", _line_piece(model, 0, 0)))
+        domains.append(_line_piece(model, 0, 0))
         nesting.append(("L", "S"))
         orthogonal.append(("T", "L"))
         rho_points[("L", "S")] = 0
@@ -408,8 +389,12 @@ def structure_from_json(data) -> HHStructure:
 
 
 def load_structure(source) -> HHStructure:
-    """Accepts a catalog name or a path to a structure json file."""
+    """Accepts a catalog name or a path to a structure json file; a file
+    nested past the interpreter's recursion limit raises InputError."""
     if isinstance(source, str) and (source.endswith(".json") or "/" in source):
         with open(source) as fh:
-            return structure_from_json(json.load(fh))
+            try:
+                return structure_from_json(json.load(fh))
+            except RecursionError:
+                raise InputError("structure json nests too deeply") from None
     return build_named(source)

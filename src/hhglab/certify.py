@@ -41,6 +41,9 @@ ENDPOINT_POWER = 5
 PINGPONG_BALL_RADIUS = 4
 # largest ball radius of the semigroup growth cross-check
 GROWTH_CHECK_CAP = 12
+# most decimal digits of a power-schedule entry; reports print every
+# entry, and Python refuses to print an int of more than 4300 digits
+SCHEDULE_DIGITS = 4000
 
 
 # ---------------------------------------------------------------------------
@@ -81,16 +84,26 @@ def _schedule_ceil(ratio, value):
     return max(1, math.ceil(value))
 
 
+def _factorial_term(name, coeff, n):
+    """coeff * n! for a power-schedule entry; InputError, before computing
+    n!, when lgamma puts it above SCHEDULE_DIGITS decimal digits."""
+    digits = math.log10(coeff) + math.lgamma(n + 1) / math.log(10)
+    if digits > SCHEDULE_DIGITS:
+        raise InputError(f"power schedule overflows: {name} has about {digits:.0f} digits")
+    return coeff * math.factorial(n)
+
+
 def certifier_ledger(constants, k3=1):
     if constants.tau0 <= 0:
         raise StructureInvalidError("tau0 must be positive to certify growth")
     n = int(constants.N_rank)
     base = _schedule_ceil("2*kappa0/tau0", 2.0 * constants.kappa0 / constants.tau0)
-    k1 = base * math.factorial(2 * n + 1)
+    k1 = _factorial_term("k1", base, 2 * n + 1)
     n0 = _schedule_ceil("10*D/tau0", 10.0 * constants.D / constants.tau0)
-    k2 = base * math.factorial(2 * n0 + 1)
+    k2 = _factorial_term("k2", base, 2 * n0 + 1)
     k4 = _schedule_ceil("10000*delta/tau0", 10000.0 * constants.delta / constants.tau0)
-    m = max(k1, 2 * n0 + k2, k3 + 2, 3 * (k4 + 2) * math.factorial(n + 1))
+    m = max(k1, 2 * n0 + k2, k3 + 2,
+            _factorial_term("3*(k4+2)*(N_rank+1)!", 3 * (k4 + 2), n + 1))
     return CertifierLedger(constants, k1, n0, k2, k3, k4, m)
 
 
@@ -364,6 +377,10 @@ def dichotomy(structure, words):
     descends to the stabilizer."""
     model = structure.group
     doms = collect_big_domains(structure, words)
+    # each closure domain's loxodromic witness, its seed conjugated by its
+    # translator, and the witness's length over the words
+    witness = {u: (model.conjugate(p["translator"], p["seed"]), 2 * p["xlen"] + 1)
+               for u, p in doms.provenance.items()}
     cands = []
     for u in doms.closure:
         for v in doms.closure:
@@ -372,12 +389,9 @@ def dichotomy(structure, words):
             rel = structure.relation(u, v)
             if rel not in (TRANSVERSE, NEST_IN):
                 continue
-            pu, pv = doms.provenance[u], doms.provenance[v]
-            s = model.conjugate(pu["translator"], pu["seed"])
-            t = model.conjugate(pv["translator"], pv["seed"])
+            (s, sx), (t, tx) = witness[u], witness[v]
             kind = "transverse" if rel == TRANSVERSE else "nested"
-            cands.append((len(s), len(t), u, v, s, t, kind,
-                          2 * pu["xlen"] + 1, 2 * pv["xlen"] + 1))
+            cands.append((len(s), len(t), u, v, s, t, kind, sx, tx))
     if cands:
         cands.sort(key=lambda c: c[:4])
         _, _, u, v, s, t, kind, sx, tx = cands[0]

@@ -126,7 +126,7 @@ class GroupModel:
 
     def parse(self, text: str) -> Word:
         text = text.strip()
-        if text in ("", "1", "e"):
+        if text in ("", "1"):
             return IDENTITY
         letters = []
         for ch in text:

@@ -237,25 +237,24 @@ class CosetTreeSpace(Space):
     def basepoint(self):
         return (0, ())
 
-    def geodesic(self, x, y):
-        if x == y:
-            return [x]
-        (i, h), (j, k) = x, y
-        syls = self.model.syllables(invert_word(h) + tuple(k))
+    def cosets(self, h, k):
+        """The cosets the syllable path from h to k runs through: for each
+        syllable of h^-1 k, the vertex of its factor's coset at the point
+        the path has reached.  Along a reduced path they are pairwise
+        distinct."""
+        out = []
         g = h
-        if syls and syls[0][0] == i:
-            g = self.model.multiply(g, self.model.to_global(i, syls[0][1]))
-            syls = syls[1:]
-        verts = [x]
-        for fi, local in syls:
-            step = (fi, self._rep(fi, g))
-            if step != verts[-1]:
-                verts.append(step)
+        for fi, local in self.model.syllables(invert_word(h) + tuple(k)):
+            out.append((fi, self._rep(fi, g)))
             g = self.model.multiply(g, self.model.to_global(fi, local))
-        end = (j, self._rep(j, g))
-        if end != verts[-1]:
-            verts.append(end)
-        return verts
+        return out
+
+    def geodesic(self, x, y):
+        path = [x]
+        for v in self.cosets(x[1], y[1]) + [y]:
+            if v != path[-1]:
+                path.append(v)
+        return path
 
     def sample_points(self, radius):
         pts = set()

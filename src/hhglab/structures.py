@@ -12,7 +12,8 @@ nested in v, "u > v" the reverse, "perp" orthogonal, "trans" transverse.
 """
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 from .errors import IndexMismatchError, InputError, PreconditionError, WrongKindError
 from .groups import (FreeAbelianGroup, FreeGroup, FreeProduct, GroupModel, invert_word,
@@ -148,15 +149,16 @@ class HHStructure:
         raise NotImplementedError
 
     def act_on_domain(self, g, u):
-        return u
+        """The domain g u."""
+        raise NotImplementedError
 
     def act_in_space(self, u, g, p):
         """Action of g on the space of u; defined when g preserves u."""
         raise NotImplementedError
 
     def lift(self, u, p):
-        """A group element projecting to p in the space of u, or None."""
-        return None
+        """A group element projecting to p in the space of u."""
+        raise NotImplementedError
 
     def domains_between(self, x, y) -> list:
         """Domains that can separate the group elements x and y; the default
@@ -183,30 +185,22 @@ class HHStructure:
         raise NotImplementedError
 
 
+@dataclass(frozen=True)
 class Domain:
-    """One finite-table domain: a space, a projection, and optional extras.
+    """One finite-table domain; the structure calls its callables directly.
 
-    act(g, p): action on the space for stabilizing g.
-    lift(p): group element realizing the point p.
+    pi(g): projection of the group element g to the space.
+    act(g, p): action on the space of an element g preserving the domain,
+        or None when the domain declares no action.
+    lift(p): a group element projecting to the point p; every domain
+        declares one.
     """
 
-    def __init__(self, label, space, pi, act=None, lift=None):
-        self.label = label
-        self.space = space
-        self._pi = pi
-        self._act = act
-        self._lift = lift
-
-    def pi(self, g):
-        return self._pi(g)
-
-    def act(self, g, p):
-        if self._act is None:
-            raise PreconditionError(f"domain {self.label} has no declared action")
-        return self._act(g, p)
-
-    def lift(self, p):
-        return self._lift(p) if self._lift else None
+    label: str
+    space: Space
+    pi: Callable
+    act: Callable | None
+    lift: Callable
 
 
 class TableHHG(HHStructure):
@@ -318,7 +312,10 @@ class TableHHG(HHStructure):
     def act_in_space(self, u, g, p):
         if self.act_on_domain(g, u) != u:
             raise PreconditionError(f"element does not preserve domain {u}")
-        return self._domains[u].act(g, p)
+        act = self._domains[u].act
+        if act is None:
+            raise PreconditionError(f"domain {u} has no declared action")
+        return act(g, p)
 
     def lift(self, u, p):
         return self._domain(u).lift(p)
@@ -333,7 +330,8 @@ class FreeProductHHG(HHStructure):
     The top domain S carries the tree of factor cosets; every coset g F_i
     is a domain nested in S, distinct cosets are transverse.  Coset
     domains are created on demand, so the index set is unbounded;
-    domains() materializes those within generation_radius of the identity.
+    domains() lists those within generation_radius of the identity,
+    materialized once, at construction.
     """
 
     TOP = "S"
@@ -356,6 +354,8 @@ class FreeProductHHG(HHStructure):
                 self._factor_spaces.append(LineSpace())
             else:
                 raise WrongKindError("factors must be free or infinite cyclic")
+        self._labels = [self.TOP] + [self.vertex_label(v)
+                                     for v in self.tree.sample_points(generation_radius)]
 
     # domain labels
 
@@ -396,9 +396,7 @@ class FreeProductHHG(HHStructure):
         return v
 
     def domains(self):
-        out = [self.TOP]
-        out.extend(self.vertex_label(v) for v in self.tree.sample_points(self.generation_radius))
-        return out
+        return list(self._labels)
 
     # geometry
 
@@ -485,16 +483,7 @@ class FreeProductHHG(HHStructure):
         return self.group.multiply(rep, self.group.to_global(i, self._local_word(i, p)))
 
     def domains_between(self, x, y):
-        out = [self.TOP]
-        seen = set()
-        h = x
-        for fi, local in self.group.syllables(invert_word(x) + tuple(y)):
-            lab = self.vertex_label(self.tree.vertex(fi, h))
-            if lab not in seen:
-                seen.add(lab)
-                out.append(lab)
-            h = self.group.multiply(h, self.group.to_global(fi, local))
-        return out
+        return [self.TOP] + [self.vertex_label(v) for v in self.tree.cosets(x, y)]
 
     def to_json(self):
         return {

@@ -3,13 +3,8 @@
 import pytest
 
 from hhglab.axioms import AXIOM_NAMES, check_structure
-from hhglab.balls import standard_ball
 from hhglab.builders import build_named, structure_from_json
-from hhglab.coords import closest_elements
 from hhglab.errors import InputError
-from hhglab.groups import FreeAbelianGroup
-from hhglab.spaces import LineSpace
-from hhglab.structures import ConstantLedger, Domain, TableHHG
 
 STANDARD = ("free2", "z1", "z2", "f2xz", "f2xf2", "f2freez")
 
@@ -65,31 +60,6 @@ class TestCorruptedFixturesFail:
         assert 3 in report.failed_axioms()
         a3 = [a for a in report.axioms if a.index == 3][0]
         assert a3.witness["clause"] == "closure"
-
-
-def liftless_line():
-    """Z on one line domain that declares no lift, so realization searches
-    the sampled ball."""
-    Z = FreeAbelianGroup(1)
-    exp = lambda g: Z.exponents(g)[0]
-    dom = Domain("S", LineSpace(), exp, act=lambda g, p: p + exp(g))
-    return TableHHG("liftless-line", Z, ConstantLedger(), [dom])
-
-
-class TestRealizationSearch:
-    def test_ball_search_realizes_reachable_points(self):
-        hh = liftless_line()
-        a8 = check_structure(hh).axioms[7]
-        assert a8.index == 8
-        assert a8.passed and a8.checks > 0
-        assert a8.margin == hh.constants.alpha
-
-    def test_ball_search_reports_the_first_closest_element(self):
-        # the target point is -3 and the ball has radius 1: the identity,
-        # t and T in that order, of which T is closest, 2 away
-        hh = liftless_line()
-        ball = standard_ball(hh.group, 1)
-        assert closest_elements(hh, ball, [("S", -3)]) == (2, [hh.group.parse("T")])
 
 
 class TestVacuousMargins:

@@ -17,7 +17,7 @@ from hhglab.certify import (CaseOutcome, certifier_ledger, certify,
                             verify_free_subgroup)
 from hhglab.errors import (CertifierRefutedError, ClassificationAnomalyError,
                            InputError, PreconditionError, StructureInvalidError)
-from hhglab.groups import IDENTITY, FreeAbelianGroup, FreeGroup
+from hhglab.groups import IDENTITY, FreeAbelianGroup, FreeGroup, GroupModel
 from hhglab.spaces import CayleyTreeSpace, LineSpace, PointSpace
 from hhglab.structures import ConstantLedger, Domain, TableHHG
 
@@ -44,10 +44,12 @@ def line_tree_structure():
         return tm.normal_form(((0,) if n >= 0 else (1,)) * abs(n))
 
     domains = [
-        Domain("S", PointSpace(), lambda g: 0, act=lambda g, p: 0),
+        Domain("S", PointSpace(), lambda g: 0, act=lambda g, p: 0, lift=lambda p: ()),
         Domain("P", LineSpace(), lambda g: model.exponents(g)[1],
-               act=lambda g, p: p + model.exponents(g)[1]),
-        Domain("W", tree, tree_pi, act=lambda g, p: tm.multiply(tree_pi(g), p)),
+               act=lambda g, p: p + model.exponents(g)[1],
+               lift=lambda p: model.from_exponents([0, p])),
+        Domain("W", tree, tree_pi, act=lambda g, p: tm.multiply(tree_pi(g), p),
+               lift=lambda p: model.from_exponents([p.count(0) - p.count(1), 0])),
     ]
     return TableHHG(
         "line-tree", model, ConstantLedger(n_complexity=2, N_rank=2), domains,
@@ -63,10 +65,12 @@ def orbit_only_pair_structure():
     no stabilizer generator can witness a translation on it."""
     model = FreeAbelianGroup(2, "ab")
     domains = [
-        Domain("S", PointSpace(), lambda g: 0, act=lambda g, p: 0),
+        Domain("S", PointSpace(), lambda g: 0, act=lambda g, p: 0, lift=lambda p: ()),
         Domain("P", LineSpace(), lambda g: model.exponents(g)[1],
-               act=lambda g, p: p + model.exponents(g)[1]),
-        Domain("W", LineSpace(), lambda g: model.exponents(g)[0]),
+               act=lambda g, p: p + model.exponents(g)[1],
+               lift=lambda p: model.from_exponents([0, p])),
+        Domain("W", LineSpace(), lambda g: model.exponents(g)[0], act=None,
+               lift=lambda p: model.from_exponents([p, 0])),
     ]
     return TableHHG(
         "orbit-pair", model, ConstantLedger(n_complexity=2, N_rank=2), domains,
@@ -270,6 +274,26 @@ class TestDichotomy:
         assert out.case == 1
         assert (m.format(out.s), m.format(out.t)) == ("a", "caC")
         assert (out.u, out.v) == ("ab@1", "ab@c")
+
+    def test_each_witness_is_conjugated_once(self, monkeypatch):
+        # the dichotomy conjugates each closure domain's seed once, not once
+        # per candidate pair it appears in
+        st = build_named("f2freez")
+        words = st.group.generators()
+        calls = []
+        conjugate = GroupModel.conjugate
+
+        def counted(self, t, g):
+            calls.append((t, g))
+            return conjugate(self, t, g)
+
+        monkeypatch.setattr(GroupModel, "conjugate", counted)
+        closure = collect_big_domains(st, words).closure
+        collect_calls = len(calls)
+        calls.clear()
+        dichotomy(st, words)
+        assert len(closure) > 2
+        assert len(calls) == collect_calls + len(closure)
 
     def test_deterministic(self):
         st = build_named("f2freez")

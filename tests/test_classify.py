@@ -39,7 +39,7 @@ def orbit_only_structure():
     membership must come from the orbit-diameter fallback."""
     Z = FreeAbelianGroup(1)
     exp = lambda g: Z.exponents(Z.normal_form(g))[0]
-    dom = Domain("S", LineSpace(), exp)
+    dom = Domain("S", LineSpace(), exp, act=None, lift=lambda p: Z.from_exponents([p]))
     return TableHHG("orbit-only", Z, ConstantLedger(), [dom])
 
 

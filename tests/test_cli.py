@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -166,6 +167,22 @@ class TestMalformedStructureFile:
             assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+class TestDeepStructureFile:
+    @pytest.mark.parametrize("case", ["brackets", "direct products"])
+    def test_exits_two_with_one_error_line(self, capsys, tmp_path, case):
+        path = tmp_path / "deep.json"
+        if case == "brackets":
+            path.write_text("[" * 200_000)
+        else:
+            group = {"family": "free", "rank": 1, "labels": ["a"]}
+            for _ in range(450):
+                group = {"family": "direct_product", "factors": [group]}
+            path.write_text(json.dumps({"builder": "product", "group": group}))
+        code, out, err = run(capsys, "decompose", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: structure json nests too deeply\n"
+
+
 class TestCertify:
     def test_product_semigroup(self, capsys):
         code, doc, _ = run_json(capsys, "certify",
@@ -228,6 +245,22 @@ class TestCertify:
         code, out, err = run(capsys, "certify", str(path), "--genset", gens)
         assert code == 2 and out == ""
         assert err == f"error: power schedule overflows: {ratio} is not finite\n"
+
+    @pytest.mark.parametrize("tau0", [0.01, 1e-7])
+    def test_huge_factorial_schedule_is_usage_error(self, capsys, tmp_path, tau0):
+        # a small tau0 puts (2*n0 + 1)! past the schedule's digit limit; the
+        # estimate refuses it before computing any factorial
+        with open(f"{STRUCTURES}/free2.json") as fh:
+            recipe = json.load(fh)
+        recipe["constants"] = {"tau0": tau0}
+        path = tmp_path / "free2.json"
+        path.write_text(json.dumps(recipe))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "certify", str(path), "--genset", "a,b")
+        assert time.perf_counter() - start < 2.0
+        assert code == 2 and out == ""
+        assert err.startswith("error: power schedule overflows: k2 has about ")
+        assert err.count("\n") == 1
 
     def test_anomaly_exits_one_with_witness(self, capsys):
         code, _, err = run(capsys, "certify", "bad-orth-closure",
@@ -320,6 +353,19 @@ class TestGrowth:
         code, out, err = run(capsys, "growth", "free2", "--genset", "1")
         assert code == 2 and out == ""
         assert err == "error: generating set contains the identity\n"
+
+    def test_label_e_is_a_generator(self, capsys, tmp_path):
+        recipe = {"builder": "product", "label": "F5",
+                  "group": {"family": "free", "rank": 5, "labels": list("abcde")}}
+        path = tmp_path / "F5.json"
+        path.write_text(json.dumps(recipe))
+        assert structure_from_json(recipe).group.parse("e") == (8,)
+        code, out, err = run(capsys, "growth", str(path), "--genset", "e,a", "--n", "2")
+        assert code == 0 and err == ""
+        counts = [int(line.split(",")[1]) for line in out.strip().split("\n")[2:]]
+        assert counts == [3, 7]  # positive words in e and a: 1 + 2 + 4
+        code, out, err = run(capsys, "growth", "free2", "--genset", "e")
+        assert code == 2 and out == ""
 
     def test_json_format(self, capsys):
         code, doc, _ = run_json(capsys, "growth", "z2", "--n", "4",

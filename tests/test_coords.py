@@ -152,6 +152,14 @@ class TestRealization:
         assert theta_e == 3
         assert closest == [self.model.parse("tt")]
 
+    def test_closest_elements_report_the_first_closest_element(self):
+        # z1 is one line domain with a declared lift; the target point is -3
+        # and the ball has radius 1: the identity, t and T in that order,
+        # of which T is closest, 2 away
+        hh = build_named("z1")
+        ball = standard_ball(hh.group, 1)
+        assert closest_elements(hh, ball, [("S", -3)]) == (2, [hh.group.parse("T")])
+
     def test_exact_tuple_realizes_to_singleton(self):
         for g in random_words(self.model, 30, 4, seed=5):
             res = realize(self.hh, project_tuple(self.hh, g), search_radius=4)

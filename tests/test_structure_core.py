@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from hhglab import balls
 from hhglab.builders import (
     FIXTURE_BUILDERS,
     STANDARD_BUILDERS,
@@ -207,6 +208,29 @@ class TestFreeProductStructure:
             assert (self.hh.domains_between(x, y)
                     == self.hh.domains_between(self.m.normal_form(x),
                                                self.m.normal_form(y))), (x, y)
+
+    def test_domains_build_no_ball_after_construction(self, monkeypatch):
+        hh = build_named("f2freez")
+        built = []
+        layers = balls.cayley_ball_layers
+        monkeypatch.setattr(balls, "cayley_ball_layers",
+                            lambda *args: built.append(args) or layers(*args))
+        first = hh.domains()
+        first.append("mutated")
+        assert hh.domains() == first[:-1]
+        assert built == []
+
+    def test_domains_between_is_the_coset_walk(self):
+        rng = random.Random(11)
+        letters = range(2 * self.m.ngens)
+        for _ in range(40):
+            x, y = (self.m.normal_form(tuple(rng.choice(letters)
+                                             for _ in range(rng.randrange(0, 7))))
+                    for _ in range(2))
+            between = self.hh.domains_between(x, y)
+            assert len(set(between)) == len(between), (x, y)
+            assert between == ["S"] + [self.hh.vertex_label(v)
+                                       for v in self.hh.tree.cosets(x, y)]
 
     def test_action_on_domains(self):
         c = self.m.parse("c")
