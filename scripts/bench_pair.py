@@ -1,0 +1,156 @@
+"""Benchmark a change against its parent checkout and write BENCH_<pr>.json.
+
+    python3 scripts/bench_pair.py PARENT_CHECKOUT PR_NUMBER
+
+For each workload of BENCHMARK.json, runs ``benchmark/run.py --trace 0``
+in PAIRS pairs, one run of the parent checkout and one of this checkout
+per pair, both at the pair's seed, and alternates which side runs first.
+Then one ``--trace 1`` run per side and workload gives the per-layer
+values.  Run length is the benchmark's own default.
+
+BENCH_<pr>.json, written to the root of this checkout, holds the machine,
+every raw run, each side's median and quartiles per end-to-end metric, the
+pairs each side won (ties count for neither), and the per-layer values of
+both sides with their differences.  Standard library only.
+"""
+
+import json
+import os
+import pathlib
+import platform
+import statistics
+import subprocess
+import sys
+import time
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PAIRS = 10
+FIRST_SEED = 1
+
+
+def machine():
+    model = ""
+    try:
+        for line in pathlib.Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                model = line.split(":", 1)[1].strip()
+                break
+    except OSError:
+        pass
+    return {"platform": platform.platform(), "python": platform.python_version(),
+            "cpus": os.cpu_count(), "cpu_model": model}
+
+
+def commit(checkout):
+    done = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=checkout,
+                          capture_output=True, text=True)
+    return done.stdout.strip() or None
+
+
+def run(checkout, workload, seed, trace):
+    """One benchmark run; its result line plus how it went."""
+    argv = [sys.executable, "benchmark/run.py", "--workload", workload,
+            "--seed", str(seed), "--trace", str(trace)]
+    started = time.time()
+    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    result = json.loads(lines[-1]) if lines else {}
+    return {"started": started, "elapsed_s": time.time() - started,
+            "returncode": done.returncode, "stderr": done.stderr[-2000:],
+            "correct": result.get("correct"), "attempted": result.get("attempted"),
+            "failed": result.get("failed"),
+            "metrics": {k: v["value"] for k, v in result.get("metrics", {}).items()}}
+
+
+def spread(values):
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
+def summarise(runs, spec):
+    """Per workload and end-to-end metric: each side's spread and wins."""
+    out = {}
+    for w in spec["workloads"]:
+        name = w["name"]
+        pairs = {}
+        for r in runs:
+            if r["workload"] == name and r["trace"] == 0:
+                pairs.setdefault(r["pair"], {})[r["side"]] = r["metrics"]
+        rows = {}
+        for m in spec["end_to_end"]:
+            key = m["name"]
+            sign = 1 if m["better"] == "lower" else -1
+            both = [(p["parent"][key], p["change"][key]) for p in pairs.values()
+                    if key in p.get("parent", {}) and key in p.get("change", {})]
+            if not both:
+                continue
+            rows[key] = {
+                "better": m["better"], "bound": m["bound"], "pairs": len(both),
+                "parent": spread([a for a, _ in both]),
+                "change": spread([b for _, b in both]),
+                "change_wins": sum(1 for a, b in both if sign * (a - b) > 0),
+                "parent_wins": sum(1 for a, b in both if sign * (b - a) > 0),
+            }
+        out[name] = rows
+    return out
+
+
+def layer_deltas(runs, spec):
+    out = {}
+    for w in spec["workloads"]:
+        traced = {r["side"]: r["metrics"] for r in runs
+                  if r["workload"] == w["name"] and r["trace"] == 1}
+        if len(traced) < 2:
+            continue
+        out[w["name"]] = {
+            m["name"]: {"parent": traced["parent"].get(m["name"]),
+                        "change": traced["change"].get(m["name"]),
+                        "delta": traced["change"].get(m["name"], 0)
+                        - traced["parent"].get(m["name"], 0)}
+            for m in spec["per_layer"]}
+    return out
+
+
+def main(argv):
+    if len(argv) != 2 or not argv[1].isdigit():
+        print("usage: python3 scripts/bench_pair.py PARENT_CHECKOUT PR_NUMBER", file=sys.stderr)
+        return 2
+    parent = pathlib.Path(argv[0]).resolve()
+    if not (parent / "benchmark" / "run.py").is_file():
+        print(f"error: {parent} has no benchmark/run.py", file=sys.stderr)
+        return 2
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    sides = {"parent": parent, "change": ROOT}
+    runs = []
+    for w in spec["workloads"]:
+        for pair in range(PAIRS):
+            seed = FIRST_SEED + pair
+            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            for position, side in enumerate(order):
+                r = run(sides[side], w["name"], seed, 0)
+                runs.append({"workload": w["name"], "pair": pair, "seed": seed,
+                             "side": side, "position": position, "trace": 0, **r})
+                print(f"{w['name']} pair {pair} {side}: "
+                      f"{r['metrics'].get('wall_s')} correct={r['correct']}", flush=True)
+        for side in ("parent", "change"):
+            r = run(sides[side], w["name"], FIRST_SEED, 1)
+            runs.append({"workload": w["name"], "pair": None, "seed": FIRST_SEED,
+                         "side": side, "position": None, "trace": 1, **r})
+    doc = {
+        "pr": int(argv[1]),
+        "machine": machine(),
+        "parent": {"commit": commit(parent)},
+        "change": {"commit": commit(ROOT)},
+        "pairs_per_workload": PAIRS,
+        "summary": summarise(runs, spec),
+        "layers": layer_deltas(runs, spec),
+        "runs": runs,
+    }
+    out = ROOT / f"BENCH_{argv[1]}.json"
+    out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -3,12 +3,35 @@
 Balls are taken in the word metric of a caller-supplied generating set,
 which need not generate the whole model: for a proper subgroup the
 enumeration walks that subgroup's Cayley graph.
+
+``growth_function`` takes its counts from a growth series when it can
+prove which Cayley graph the generating set spans (de la Harpe, *Topics in
+Geometric Group Theory*, ch. VI):
+
+- the symmetrised standard generators of a free or free-abelian group, or
+  of a direct or free product of such groups, nested to any depth.  The
+  free group of rank n has spheres s_k = 2n(2n-1)^(k-1), Z^n the Cauchy
+  product of n copies of 1, 2, 2, 2, ..., a direct product the Cauchy
+  product of its factors' series, and a free product of m factors
+  1/S = 1/S_1 + ... + 1/S_m - (m - 1);
+- a symmetric set of exactly 2n words in a free or free-abelian group of
+  rank n.  Its BFS runs layer by layer until the ball holds every standard
+  generator.  Then the set generates, so it is a basis (both groups are
+  Hopfian) and its Cayley graph is the standard one.  A set whose ball
+  never reaches the generators keeps the BFS counts.
+
+Every other set is counted by the BFS, which is also the reference the
+series are tested against.  The budget is the same on both paths: a ball
+of more than DEFAULT_MAX_ELEMENTS elements raises the same
+ResourceBudgetError at the same radius.
 """
 
+import functools
 import itertools
+from operator import mul
 
 from .errors import InputError, ResourceBudgetError
-from .groups import IDENTITY
+from .groups import IDENTITY, DirectProduct, FreeAbelianGroup, FreeGroup, FreeProduct
 
 DEFAULT_MAX_ELEMENTS = 2_000_000
 
@@ -32,22 +55,26 @@ def parse_generating_set(model, text):
     return words
 
 
-def cayley_ball_layers(model, gens, radius, max_elements=DEFAULT_MAX_ELEMENTS):
-    """BFS layers of the ball: layers[r] is the sorted list of elements at
-    distance exactly r from the identity in the given generating set.
-
-    Frontier elements and the given generators are normal forms, so each
-    step is the model's junction product."""
+def _check_ball_args(gens, radius):
     if radius < 0:
         raise InputError("radius must be nonnegative")
     if any(g == IDENTITY for g in gens):
         raise InputError("generating set contains the identity")
     if not gens:
         raise InputError("empty generating set")
+
+
+def _layers(model, gens, max_elements):
+    """BFS layers of the Cayley graph of gens, one per radius from 0, with
+    no end: layer r is the sorted list of elements at distance exactly r
+    from the identity.
+
+    Frontier elements and the given generators are normal forms, so each
+    step is the model's junction product."""
     seen = {IDENTITY}
-    layers = [[IDENTITY]]
     frontier = [IDENTITY]
-    for r in range(1, radius + 1):
+    yield frontier
+    for r in itertools.count(1):
         nxt = []
         for w in frontier:
             for s in gens:
@@ -61,9 +88,15 @@ def cayley_ball_layers(model, gens, radius, max_elements=DEFAULT_MAX_ELEMENTS):
                             partial_radius=r - 1,
                         )
         nxt.sort()
-        layers.append(nxt)
+        yield nxt
         frontier = nxt
-    return layers
+
+
+def cayley_ball_layers(model, gens, radius, max_elements=DEFAULT_MAX_ELEMENTS):
+    """BFS layers of the ball: layers[r] is the sorted list of elements at
+    distance exactly r from the identity in the given generating set."""
+    _check_ball_args(gens, radius)
+    return list(itertools.islice(_layers(model, gens, max_elements), radius + 1))
 
 
 def ball_elements(layers):
@@ -80,20 +113,115 @@ def standard_ball(model, radius):
         cayley_ball_layers(model, symmetrize(model, model.generators()), radius))
 
 
+def free_spheres(rank):
+    """Sphere sizes 1, 2r, 2r(2r-1), ... of the free group of rank r in its
+    symmetrised standard generators, with no end."""
+    yield 1
+    size = 2 * rank
+    while True:
+        yield size
+        size *= 2 * rank - 1
+
+
+def cauchy_product(s, t):
+    """Coefficients of the product of two power series, each read and
+    yielded one coefficient at a time."""
+    a, b = [], []
+    for x, y in zip(s, t):
+        a.append(x)
+        b.append(y)
+        yield sum(map(mul, a, reversed(b)))
+
+
+def series_inverse(s):
+    """Coefficients of 1/s for a power series s with s[0] == 1, read and
+    yielded one coefficient at a time."""
+    coeffs, inv = [], []
+    for x in s:
+        coeffs.append(x)
+        inv.append(-sum(map(mul, coeffs[1:], reversed(inv))) if inv else 1)
+        yield inv[-1]
+
+
+def standard_spheres(model):
+    """Sphere sizes of the model in its symmetrised standard generators,
+    with no end, or None for a family that no series here covers."""
+    if model.ngens == 0:
+        return free_spheres(0)  # the trivial group: 1, 0, 0, ...
+    if isinstance(model, FreeGroup):
+        return free_spheres(model.ngens)
+    if isinstance(model, FreeAbelianGroup):
+        return functools.reduce(cauchy_product,
+                                [free_spheres(1) for _ in range(model.ngens)])
+    if not isinstance(model, (DirectProduct, FreeProduct)):
+        return None
+    # a trivial factor changes no ball; dropping it keeps a slowly growing
+    # product from paying quadratic series arithmetic out to its budget
+    parts = [standard_spheres(p) for p in model.parts if p.ngens]
+    if any(s is None for s in parts):
+        return None
+    if isinstance(model, DirectProduct) or len(parts) == 1:
+        return functools.reduce(cauchy_product, parts)
+    # 1/S = 1/S_1 + ... + 1/S_m - (m - 1): the constant terms sum to 1
+    sums = (sum(c) for c in zip(*map(series_inverse, parts)))
+    return series_inverse(itertools.chain([1], itertools.islice(sums, 1, None)))
+
+
+def _walk_to_generators(model, gens, radius):
+    """(layers, reached): the BFS layers of gens out to the radius, stopped
+    at the first layer by which the ball holds every standard generator,
+    and whether it got there."""
+    missing = set(model.generators())
+    layers = []
+    for layer in itertools.islice(_layers(model, gens, DEFAULT_MAX_ELEMENTS), radius + 1):
+        layers.append(layer)
+        missing.difference_update(layer)
+        if not missing:
+            return layers, True
+    return layers, False
+
+
+def _sphere_sizes(model, gens, radius):
+    """Sphere sizes of the Cayley graph of gens out to at least the radius:
+    the standard series when the graph is provably the standard one (see
+    the module docstring), else the BFS layer sizes."""
+    series = standard_spheres(model)
+    standard = set(symmetrize(model, model.generators()))
+    given = set(gens)
+    if series is not None and given == standard:
+        return series
+    if (isinstance(model, (FreeGroup, FreeAbelianGroup))
+            and len(given) == len(standard)
+            and all(model.inverse(g) in given for g in given)):
+        layers, reached = _walk_to_generators(model, gens, radius)
+        return series if reached else map(len, layers)
+    return map(len, cayley_ball_layers(model, gens, radius))
+
+
 def growth_function(model, gens, radius):
-    """Cumulative ball sizes [beta(0), ..., beta(radius)]."""
-    layers = cayley_ball_layers(model, gens, radius)
+    """Cumulative ball sizes [beta(0), ..., beta(radius)], from a growth
+    series when the Cayley graph of gens is provably a standard one and
+    from the BFS otherwise; a ball past DEFAULT_MAX_ELEMENTS raises the
+    BFS's ResourceBudgetError either way."""
+    _check_ball_args(gens, radius)
     beta = []
     total = 0
-    for layer in layers:
-        total += len(layer)
+    sizes = itertools.islice(_sphere_sizes(model, gens, radius), radius + 1)
+    for r, size in enumerate(sizes):
+        total += size
+        if total > DEFAULT_MAX_ELEMENTS:
+            raise ResourceBudgetError(
+                f"ball exceeded {DEFAULT_MAX_ELEMENTS} elements at radius {r}",
+                partial_radius=r - 1,
+            )
         beta.append(total)
     return beta
 
 
 def generates_at_radius(model, words, radius):
     """True when the ball of the given radius in the candidate words contains
-    every standard generator of the model.
+    every standard generator of the model.  The BFS stops at the first
+    layer by which it holds them all.
 
     A certificate of generation, not a refutation: a set that genuinely
     generates may still fail the test when its short words only reach the
@@ -102,8 +230,8 @@ def generates_at_radius(model, words, radius):
     gens = symmetrize(model, words)
     if not gens:
         return False
-    reached = set(ball_elements(cayley_ball_layers(model, gens, radius)))
-    return all(t in reached for t in model.generators())
+    _check_ball_args(gens, radius)
+    return _walk_to_generators(model, gens, radius)[1]
 
 
 def enumerate_generating_sets(model, size_bound, length_bound, ambient_radius):

@@ -1,13 +1,25 @@
 """Ball enumeration against closed-form growth counts."""
 
+import itertools
+import random
+
 import pytest
 
+from hhglab import balls
 from hhglab.balls import (
+    DEFAULT_MAX_ELEMENTS,
+    cauchy_product,
     cayley_ball_layers,
+    free_spheres,
+    generates_at_radius,
     growth_function,
     parse_generating_set,
+    series_inverse,
+    standard_ball,
+    standard_spheres,
     symmetrize,
 )
+from hhglab.builders import STANDARD_BUILDERS, build_named
 from hhglab.cli import main
 from hhglab.errors import InputError, ResourceBudgetError
 from hhglab.groups import DirectProduct, FreeAbelianGroup, FreeGroup, FreeProduct, GroupModel
@@ -74,21 +86,15 @@ class TestProductGrowth:
         assert [len(layer) for layer in layers] == expected
 
 
-def free_spheres(rank, n):
-    """Sphere sizes 1, 2r, 2r(2r-1), ... of the free group of rank r."""
-    return [1] + [2 * rank * (2 * rank - 1) ** (k - 1) for k in range(1, n + 1)]
+def first(series, radius):
+    """Coefficients 0..radius of an endless series."""
+    return list(itertools.islice(series, radius + 1))
 
 
-def series_inverse(s):
-    """Coefficients of 1/s as a formal power series, s[0] == 1."""
-    inv = [1]
-    for k in range(1, len(s)):
-        inv.append(-sum(s[i] * inv[k - i] for i in range(1, k + 1)))
-    return inv
-
-
-def cauchy_product(s, t):
-    return [sum(s[i] * t[k - i] for i in range(k + 1)) for k in range(len(s))]
+def bfs_growth(model, gens, radius, max_elements=DEFAULT_MAX_ELEMENTS):
+    """Cumulative ball sizes counted by the BFS: the reference."""
+    return list(itertools.accumulate(
+        map(len, cayley_ball_layers(model, gens, radius, max_elements))))
 
 
 class TestGrowthSeriesOracle:
@@ -98,24 +104,137 @@ class TestGrowthSeriesOracle:
         # 1/S_{G*H} = 1/S_G + 1/S_H - 1 (de la Harpe, Topics in Geometric
         # Group Theory, ch. VI)
         radius = 7
-        inv_f2 = series_inverse(free_spheres(2, radius))
-        inv_z = series_inverse(free_spheres(1, radius))
-        inv = [a + b for a, b in zip(inv_f2, inv_z)]
-        inv[0] -= 1
-        expected = series_inverse(inv)
         G = FreeProduct([FreeGroup(2), FreeAbelianGroup(1, ["c"])])
+        expected = first(standard_spheres(G), radius)
+        inv = [a + b for a, b in zip(first(series_inverse(free_spheres(2)), radius),
+                                     first(series_inverse(free_spheres(1)), radius))]
+        inv[0] -= 1
+        assert first(series_inverse(inv), radius) == expected
         layers = cayley_ball_layers(G, std_gens(G), radius)
         assert [len(layer) for layer in layers] == expected
         assert expected[:4] == [1, 6, 30, 150]
 
     def test_direct_product_f2_x_f2(self):
         radius = 6
-        f2 = free_spheres(2, radius)
-        expected = cauchy_product(f2, f2)
+        expected = first(cauchy_product(free_spheres(2), free_spheres(2)), radius)
         G = DirectProduct([FreeGroup(2), FreeGroup(2, ["c", "d"])])
+        assert first(standard_spheres(G), radius) == expected
         layers = cayley_ball_layers(G, std_gens(G), radius)
         assert [len(layer) for layer in layers] == expected
         assert expected[6] == 8424
+
+    def test_series_inverse_round_trip(self):
+        s = first(free_spheres(3), 9)
+        assert first(cauchy_product(s, series_inverse(s)), 9) == [1] + [0] * 9
+
+
+def largest_radius_under(model, gens, max_elements, cap):
+    """The largest radius up to cap whose ball has at most max_elements
+    elements.  The cap is for the free-abelian groups, whose balls stay
+    small for their radius while the BFS pays per letter: the ball of Z
+    stays under 10^5 elements out to radius 49,999."""
+    try:
+        cayley_ball_layers(model, gens, cap, max_elements)
+    except ResourceBudgetError as err:
+        return err.partial_radius
+    return cap
+
+
+def random_model(rnd, depth, labels):
+    """A free or free-abelian group of rank 0 to 2, or, above depth 0, a
+    direct or free product of two or three such models."""
+    if depth == 0 or rnd.random() < 0.3:
+        family = rnd.choice([FreeGroup, FreeAbelianGroup])
+        rank = rnd.choice([0, 1, 1, 2, 2])
+        return family(rank, [labels.pop() for _ in range(rank)])
+    parts = [random_model(rnd, depth - 1, labels) for _ in range(rnd.choice([2, 2, 3]))]
+    return rnd.choice([DirectProduct, FreeProduct])(parts)
+
+
+def pairs_of_short_words(model, length):
+    """Every 2-element set of words of length at most `length`, one word
+    per inversion pair."""
+    reps = sorted({min(w, model.inverse(w))
+                   for w in standard_ball(model, length) if w != ()})
+    return [list(pair) for pair in itertools.combinations(reps, 2)]
+
+
+@pytest.fixture
+def poisoned_series(monkeypatch):
+    """Replace every growth series by -1, -1, ...: a count taken from a
+    series is then negative, one taken from the BFS is not."""
+    real = balls.standard_spheres
+    monkeypatch.setattr(balls, "standard_spheres",
+                        lambda model: None if real(model) is None else itertools.repeat(-1))
+
+
+class TestSeriesAgainstBfs:
+    """growth_function against the BFS counts it replaces."""
+
+    # the fixtures of the catalog reuse the groups of f2xz and z1
+    @pytest.mark.parametrize("name", sorted(STANDARD_BUILDERS))
+    def test_catalog_models_standard_generators(self, name):
+        model = build_named(name).group
+        gens = std_gens(model)
+        radius = largest_radius_under(model, gens, 10 ** 5 - 1, 100)
+        assert growth_function(model, gens, radius) == bfs_growth(model, gens, radius)
+
+    @pytest.mark.parametrize("model, radius, bases", [(FreeGroup(2), 7, 57),
+                                                      (FreeAbelianGroup(2), 12, 13)],
+                             ids=["F2", "Z2"])
+    def test_generating_pairs_of_length_at_most_3(self, model, radius, bases):
+        accepted = 0
+        for pair in pairs_of_short_words(model, 3):
+            if not generates_at_radius(model, pair, 6):
+                continue
+            accepted += 1
+            gens = symmetrize(model, pair)
+            assert growth_function(model, gens, radius) == bfs_growth(model, gens, radius), \
+                [model.format(w) for w in pair]
+        assert accepted == bases
+
+    @pytest.mark.parametrize("model, text", [(FreeGroup(2), "ab,ba"), (FreeGroup(2), "a,b,ab"),
+                                             (FreeAbelianGroup(2), "aa,b")],
+                             ids=["F2-ab-ba", "F2-a-b-ab", "Z2-aa-b"])
+    def test_non_bases_fall_back_to_the_bfs(self, poisoned_series, model, text):
+        gens = symmetrize(model, parse_generating_set(model, text))
+        assert growth_function(model, gens, 6) == bfs_growth(model, gens, 6)
+
+    @pytest.mark.parametrize("text", ["a,b", "ab,b", "baB,b"])
+    def test_bases_take_the_series(self, poisoned_series, text):
+        model = FreeGroup(2)
+        gens = symmetrize(model, parse_generating_set(model, text))
+        assert growth_function(model, gens, 3) == [-1, -2, -3, -4]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_products(self, seed):
+        rnd = random.Random(seed)
+        model = random_model(rnd, 2, list("abcdefghijklmnopqrstuvwxyz"))
+        if model.ngens == 0:
+            model = FreeProduct([model, FreeAbelianGroup(1, ["z"])])
+        gens = std_gens(model)
+        radius = largest_radius_under(model, gens, 20_000, 60)
+        assert growth_function(model, gens, radius) == bfs_growth(model, gens, radius), model
+
+    @pytest.mark.parametrize("text", ["a,b", "ab,b"])
+    def test_same_budget_error_as_the_bfs(self, monkeypatch, text):
+        model = FreeGroup(2)
+        gens = symmetrize(model, parse_generating_set(model, text))
+        with pytest.raises(ResourceBudgetError) as bfs:
+            bfs_growth(model, gens, 20, max_elements=1000)
+        monkeypatch.setattr(balls, "DEFAULT_MAX_ELEMENTS", 1000)
+        with pytest.raises(ResourceBudgetError) as series:
+            growth_function(model, gens, 20)
+        assert str(series.value) == str(bfs.value) == "ball exceeded 1000 elements at radius 6"
+        assert series.value.partial_radius == bfs.value.partial_radius == 5
+
+    def test_budget_error_at_the_real_budget(self):
+        # the BFS of F2 passes 2,000,000 elements at radius 13 (3,188,645)
+        F = FreeGroup(2)
+        with pytest.raises(ResourceBudgetError) as info:
+            growth_function(F, std_gens(F), 14)
+        assert str(info.value) == "ball exceeded 2000000 elements at radius 13"
+        assert info.value.partial_radius == 12
 
 
 class TestApiContracts:

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from hhglab import balls
 from hhglab.builders import structure_from_json
 from hhglab.cli import main
 from hhglab.errors import ResourceBudgetError
@@ -193,6 +194,25 @@ class TestCertify:
         assert doc["report"]["schema_version"] == 1
         assert doc["report"]["ledger"]["k1"] == 240
 
+    def test_f2xf2_builds_only_the_generation_ball(self, capsys, monkeypatch):
+        # every Cayley ball comes from the BFS core balls._layers; the growth
+        # cross-check takes its counts (472,393 at radius 9) from the series
+        built = []
+        layers = balls._layers
+
+        def counted(model, gens, max_elements):
+            for layer in layers(model, gens, max_elements):
+                built.append(len(layer))
+                yield layer
+
+        monkeypatch.setattr(balls, "_layers", counted)
+        code, doc, _ = run_json(capsys, "certify", f"{STRUCTURES}/f2xf2.json",
+                                "--genset", "a,b,c,d")
+        assert code == 0
+        assert doc["report"]["evidence"]["growth_check"]["rows"][-1]["beta"] == 472_393
+        # the generation check stops at radius 1, where a, b, c, d are reached
+        assert built == [1, 8]
+
     def test_nested_route(self, capsys):
         code, doc, _ = run_json(capsys, "certify", "f2freez", "--genset", "a,b,ac")
         assert code == 0
@@ -302,6 +322,17 @@ class TestScan:
                              "--growth-n", growth_n)
         assert code == 2 and out == ""
         assert err == "error: growth n must be at least 1\n"
+
+    def test_radius_past_the_ball_budget(self, capsys):
+        # {a, b} reaches the standard generators at radius 1, so the
+        # generation check stops there instead of building the radius-13
+        # ball of 3,188,645 elements, past the budget
+        code, out, err = run(capsys, "scan", f"{STRUCTURES}/free2.json", "--scan-size", "2",
+                             "--scan-length", "1", "--radius", "13")
+        assert code == 0 and err == ""
+        lines = out.strip().split("\n")
+        assert lines[2].startswith("0,a b,free-subgroup,3,")
+        assert lines[-1].startswith("summary,rows=1,errors=0")
 
     def test_empty_bounds_header_only(self, capsys):
         code, out, _ = run(capsys, "scan", "z1")
