@@ -210,8 +210,6 @@ class TestSeriesAgainstBfs:
     def test_random_products(self, seed):
         rnd = random.Random(seed)
         model = random_model(rnd, 2, list("abcdefghijklmnopqrstuvwxyz"))
-        if model.ngens == 0:
-            model = FreeProduct([model, FreeAbelianGroup(1, ["z"])])
         gens = std_gens(model)
         radius = largest_radius_under(model, gens, 20_000, 60)
         assert growth_function(model, gens, radius) == bfs_growth(model, gens, radius), model
