@@ -129,7 +129,8 @@ def free_product_constants():
     )
 
 
-def free_product_structure(model, label, generation_radius=2, constants=None):
+def free_product_structure(model, label, generation_radius=FreeProductHHG.GENERATION_RADIUS,
+                           constants=None):
     return FreeProductHHG(label, model, constants or free_product_constants(), generation_radius)
 
 
@@ -383,7 +384,7 @@ def structure_from_json(data) -> HHStructure:
     if builder == "product":
         return product_structure(model, label, constants)
     radius = json_field(data, "generation_radius", lambda v: is_int(v) and v >= 0,
-                        "a nonnegative integer", owner, default=2)
+                        "a nonnegative integer", owner, default=FreeProductHHG.GENERATION_RADIUS)
     return free_product_structure(model, label, generation_radius=radius,
                                   constants=constants)
 

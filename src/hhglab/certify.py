@@ -9,10 +9,13 @@ product).  Every emitted pair is re-verified by the exact group oracle one
 level beyond the requested depth.
 
 The generating set X enters only through `certify`, which normalises it
-once: sorted by (length, word), distinct, identity-free normal forms.
-`collect_big_domains`, `dichotomy`, `top_level_certify` and `case2_branch`
-take those words as they are, and the two route functions also take the
-dichotomy's `CaseOutcome` instead of recomputing it.
+once (sorted by (length, word), distinct, identity-free normal forms) and
+proves that it generates.  `scan_generating_sets` enumerates sets in that
+form, already proven, and hands them straight to the same core.  The core
+decides each thing once: it builds the certifier ledger, then runs the
+dichotomy, and hands both to the route that the outcome selects.  The
+routes trust the outcome: they do not re-check the relation, the big sets
+or the case that the dichotomy chose.
 
 Power constants follow fixed integer formulas from the structure constants
 and are deliberately far from optimal.  When the declared power is too large
@@ -44,6 +47,8 @@ GROWTH_CHECK_CAP = 12
 # most decimal digits of a power-schedule entry; reports print every
 # entry, and Python refuses to print an int of more than 4300 digits
 SCHEDULE_DIGITS = 4000
+# radius within which `certify` proves that its words generate
+REACH_RADIUS = 6
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +169,8 @@ class GrowthCertificate:
     """Outcome of one certification run.
 
     words holds the certified pair for the free variants; evidence carries
-    the route taken and the measurements that back the verdict.  `certify`
-    sets generating_set; the routes leave it empty.
+    the route taken and the measurements that back the verdict.
+    `_certify_words` sets generating_set; the routes leave it empty.
     """
 
     variant: str
@@ -204,18 +209,12 @@ def ueg_lower_bound(cert):
     variants that certify no free pair."""
     if cert.variant not in ("free-semigroup", "free-subgroup"):
         return None
-    if not cert.lengths:
-        return None
-    lam = math.log(2.0) / max(cert.lengths)
-    d = cert.subgroup_index or 1
-    return lam / (2 * d - 1) if d > 1 else lam
+    return math.log(2.0) / max(cert.lengths) / (2 * cert.subgroup_index - 1)
 
 
 def semigroup_growth_check(model, cert):
     """Empirical cross-check of a free-semigroup certificate: ambient ball
     counts must dominate 2^(n // L) for n up to 3L, L the longer word."""
-    if cert.variant != "free-semigroup" or not cert.generating_set:
-        return None
     length = max(cert.lengths)
     n_max = min(3 * length, GROWTH_CHECK_CAP)
     gens = symmetrize(model, cert.generating_set)
@@ -248,7 +247,6 @@ class BigDomains:
     big: list
     closure: list
     provenance: dict
-    invariant: bool
 
 
 def collect_big_domains(structure, words):
@@ -279,10 +277,7 @@ def collect_big_domains(structure, words):
                     closure[v] = entry
                     nxt.append((v, entry))
         frontier = nxt
-    labels = sorted(closure)
-    invariant = all(structure.act_on_domain(x, u) in closure
-                    for u in labels for x in sym)
-    return BigDomains(big, labels, closure, invariant)
+    return BigDomains(big, sorted(closure), closure)
 
 
 @dataclass
@@ -402,7 +397,9 @@ def dichotomy(structure, words):
         raise StructureInvalidError(
             "pairwise-orthogonal family exceeds the declared rank",
             witness={"labels": list(doms.closure), "N_rank": n})
-    if not doms.invariant:
+    sym = symmetrize(model, words)
+    if not all(structure.act_on_domain(x, u) in doms.provenance
+               for u in doms.closure for x in sym):
         raise StructureInvalidError(
             "orthogonal big-set family is not closed under the action",
             witness={"labels": list(doms.closure)})
@@ -439,7 +436,7 @@ def _y_mapping_check(structure, s, t, u, v, power):
     return True, {"sampled": len(ball), "y_s": len(y_s), "y_t": len(y_t)}
 
 
-def pingpong_transverse(structure, s, t, u, v, x_lengths, depth=6,
+def pingpong_transverse(structure, s, t, u, v, x_lengths, led, depth=6,
                         declared_power=None):
     """Free subgroup from loxodromics with transverse big-set domains.
 
@@ -452,13 +449,6 @@ def pingpong_transverse(structure, s, t, u, v, x_lengths, depth=6,
     model = structure.group
     if depth < 4:
         raise PreconditionError("verification depth must be at least 4")
-    if u == v or structure.relation(u, v) != TRANSVERSE:
-        raise PreconditionError(f"domains {u}, {v} are not transverse")
-    if big_set_member(structure, s, u) is None:
-        raise PreconditionError(f"{u} is not in the big set of the first word")
-    if big_set_member(structure, t, v) is None:
-        raise PreconditionError(f"{v} is not in the big set of the second word")
-    led = certifier_ledger(structure.constants)
     n = structure.constants.N_rank
     # the bound follows the route: k1 (2N + 1) for the direct transverse
     # pair, M once the nested reduction hands over its own power
@@ -515,7 +505,7 @@ def pingpong_transverse(structure, s, t, u, v, x_lengths, depth=6,
                   "sampling": detail})
 
 
-def nested_to_transverse(structure, s, t, u, v, x_lengths, depth=6):
+def nested_to_transverse(structure, s, t, u, v, x_lengths, led, depth=6):
     """Reduction of a properly nested big-set pair to the transverse case.
 
     Powers of t push u off itself inside v; once the relative projections in
@@ -524,13 +514,6 @@ def nested_to_transverse(structure, s, t, u, v, x_lengths, depth=6):
     of s and t as words in the generating set; t^n s t^-n is 2 n t + s long.
     """
     model = structure.group
-    if structure.relation(u, v) != NEST_IN:
-        raise PreconditionError(f"{u} must nest properly in {v}")
-    if big_set_member(structure, s, u) is None:
-        raise PreconditionError(f"{u} is not in the big set of the first word")
-    if big_set_member(structure, t, v) is None:
-        raise PreconditionError(f"{v} is not in the big set of the second word")
-    led = certifier_ledger(structure.constants)
     sp_v = structure.space(v)
     rho_u = structure.rho_point(u, v)
     target = 10.0 * structure.constants.D
@@ -557,8 +540,8 @@ def nested_to_transverse(structure, s, t, u, v, x_lengths, depth=6):
     t2 = model.conjugate(tn, s)
     s_xlen, t_xlen = x_lengths
     cert = pingpong_transverse(structure, s, t2, u, un,
-                               (s_xlen, 2 * n * t_xlen + s_xlen), depth=depth,
-                               declared_power=led.k2)
+                               (s_xlen, 2 * n * t_xlen + s_xlen), led,
+                               depth=depth, declared_power=led.k2)
     cert.evidence.update({"case": "nested", "parent_domain": v,
                           "escape_power": n, "separation": sep})
     if n > led.n0:
@@ -582,7 +565,7 @@ def _bf_pair(model, g, h, k, depth):
     return None
 
 
-def top_level_certify(structure, words, outcome, depth=6):
+def top_level_certify(structure, words, outcome, led, depth=6):
     """Certification when the maximal domain itself carries a big set.
 
     The first generator axial on the top domain (its seed in the outcome's
@@ -592,10 +575,7 @@ def top_level_certify(structure, words, outcome, depth=6):
     """
     model = structure.group
     top = structure.top_domain()
-    if top is None or top not in outcome.domains.closure:
-        raise PreconditionError("the top domain carries no big set here")
     s = outcome.domains.provenance[top]["seed"]
-    led = certifier_ledger(structure.constants)
     moved = next((t for t in words
                   if not preserves_endpoint_pair(model, s, t)), None)
     if moved is None:
@@ -635,7 +615,7 @@ def top_level_certify(structure, words, outcome, depth=6):
                                                    model.format(moved)]})
 
 
-def case2_branch(structure, words, outcome, depth=6):
+def case2_branch(structure, words, outcome, led, depth=6):
     """Certification inside the pointwise stabilizer of the orthogonal
     big-set family.
 
@@ -645,20 +625,10 @@ def case2_branch(structure, words, outcome, depth=6):
     virtually-abelian or line-times-bounded verdict.
     """
     model = structure.group
-    if outcome.case != 2:
-        raise PreconditionError("the dichotomy selected an explicit pair")
-    top = structure.top_domain()
-    if top is not None and top in outcome.domains.closure:
-        raise PreconditionError("top-level route applies, not the stabilizer")
-    led = certifier_ledger(structure.constants)
     labels = outcome.domains.closure
     axes = {}
     for u in labels:
         for y, _ in outcome.schreier:
-            if structure.act_on_domain(y, u) != u:
-                raise StructureInvalidError(
-                    "stabilizer generator moves a family domain",
-                    witness={"element": model.format(y), "domain": u})
             ev = big_set_member(structure, y, u)
             if ev is not None and ev.get("via") == "translation":
                 axes[u] = y
@@ -721,13 +691,13 @@ def case2_branch(structure, words, outcome, depth=6):
 # driver
 
 
-def certify(structure, X, depth=6, gen_radius=6):
-    """End-to-end certification for one generating set.
+def certify(structure, X, depth=6):
+    """End-to-end certification for one generating set, the trust boundary.
 
-    Routes through the dichotomy, emits the certificate of the selected
-    branch, and attaches the generating set and route summary.  Raises
-    InputError when the depth is below 1 or the words fail the generation
-    test, and CertifierRefutedError when a selected branch fails
+    Normalises X, proves that it generates within REACH_RADIUS and
+    hands it to `_certify_words`.  Raises InputError when the depth is
+    below 1, the words fail the generation test or the power schedule
+    overflows, and CertifierRefutedError when a selected branch fails
     verification.
     """
     if depth < 1:
@@ -736,24 +706,32 @@ def certify(structure, X, depth=6, gen_radius=6):
     words = _normalize_genset(model, X)
     if not words:
         raise InputError("generating set reduces to the identity")
-    if not generates_at_radius(model, words, gen_radius):
-        raise InputError(
-            f"words do not reach the standard generators within radius {gen_radius}")
+    if not generates_at_radius(model, words, REACH_RADIUS):
+        raise InputError("words do not reach the standard generators within "
+                         f"radius {REACH_RADIUS}")
+    return _certify_words(structure, words, depth)
+
+
+def _certify_words(structure, words, depth):
+    """Certificate for normalised words already proven to generate: builds
+    the ledger, routes through the dichotomy, emits the certificate of the
+    selected branch, and attaches the generating set and route summary."""
+    model = structure.group
+    led = certifier_ledger(structure.constants)
     outcome = dichotomy(structure, words)
     if outcome.case == 1:
-        x_lengths = (outcome.s_xlen, outcome.t_xlen)
+        args = (outcome.s, outcome.t, outcome.u, outcome.v,
+                (outcome.s_xlen, outcome.t_xlen), led)
         if outcome.kind == "transverse":
-            cert = pingpong_transverse(structure, outcome.s, outcome.t, outcome.u,
-                                       outcome.v, x_lengths, depth=depth)
+            cert = pingpong_transverse(structure, *args, depth=depth)
         else:
-            cert = nested_to_transverse(structure, outcome.s, outcome.t, outcome.u,
-                                        outcome.v, x_lengths, depth=depth)
+            cert = nested_to_transverse(structure, *args, depth=depth)
     else:
         top = structure.top_domain()
         if top is not None and top in outcome.domains.closure:
-            cert = top_level_certify(structure, words, outcome, depth=depth)
+            cert = top_level_certify(structure, words, outcome, led, depth=depth)
         else:
-            cert = case2_branch(structure, words, outcome, depth=depth)
+            cert = case2_branch(structure, words, outcome, led, depth=depth)
     cert.generating_set = words
     cert.evidence["generating_set_text"] = [model.format(w) for w in words]
     cert.evidence["route"] = outcome.to_json(model)
@@ -781,8 +759,7 @@ def scan_generating_sets(structure, size_bound, length_bound, ambient_radius,
     for gens in gensets:
         row = {"generating_set": [model.format(w) for w in gens]}
         try:
-            cert = certify(structure, gens, depth=depth,
-                           gen_radius=ambient_radius)
+            cert = _certify_words(structure, gens, depth)
             bound = ueg_lower_bound(cert)
             beta = growth_function(model, symmetrize(model, gens), growth_n)
             rate = math.log(beta[growth_n]) / growth_n

@@ -8,7 +8,7 @@ linear orbit-diameter threshold.  Whichever fired is retained as
 evidence on the result.
 """
 
-import math
+import itertools
 from dataclasses import dataclass
 
 from .errors import ClassificationAnomalyError, PreconditionError, StructureInvalidError
@@ -21,14 +21,20 @@ N_MAX = 6
 ORBIT_THRESHOLD = 0.5
 
 
-def domain_period(structure, g, u, cap):
-    """Smallest m <= cap with the m-th iterate of g mapping u to itself."""
+def domain_period(structure, g, u, n):
+    """Smallest m <= n! with the m-th iterate of g mapping u to itself.
+    n! is never built: k! grows alongside m only while it is below m."""
     v = u
-    for m in range(1, cap + 1):
+    k, k_fact = 1, 1
+    for m in itertools.count(1):
+        while k_fact < m and k < n:
+            k += 1
+            k_fact *= k
+        if k_fact < m:
+            return None
         v = structure.act_on_domain(g, v)
         if v == u:
             return m
-    return None
 
 
 def tau_on_domain(structure, g, u):
@@ -37,8 +43,7 @@ def tau_on_domain(structure, g, u):
     Returns (tau, m); tau is None when no stabilizing power exists within
     max(2, N_rank!) or the domain carries no point action.
     """
-    cap = max(2, math.factorial(structure.constants.N_rank))
-    m = domain_period(structure, g, u, cap)
+    m = domain_period(structure, g, u, max(2, structure.constants.N_rank))
     if m is None:
         return None, None
     h = structure.group.power(g, m)

@@ -335,8 +335,10 @@ class FreeProductHHG(HHStructure):
     """
 
     TOP = "S"
+    # generation_radius unless the structure file sets one
+    GENERATION_RADIUS = 2
 
-    def __init__(self, label, group, constants, generation_radius=2):
+    def __init__(self, label, group, constants, generation_radius):
         if not isinstance(group, FreeProduct) or len(group.parts) != 2:
             raise WrongKindError("need a two-factor free product model")
         self.label = label

@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -167,7 +166,7 @@ class TestStabilization:
             C_norm=0.0, tau0=0.5, N_rank=1,
         )
         t = hh.group.parse("t")
-        assert domain_period(hh, t, "P", math.factorial(hh.constants.N_rank)) is None
+        assert domain_period(hh, t, "P", hh.constants.N_rank) is None
         with pytest.raises(StructureInvalidError):
             dichotomy(hh, [t])
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import time
 
 import pytest
@@ -282,6 +283,30 @@ class TestCertify:
         assert err.startswith("error: power schedule overflows: k2 has about ")
         assert err.count("\n") == 1
 
+    def test_huge_rank_never_builds_its_factorial(self, capsys, tmp_path, monkeypatch):
+        # N_rank = 10^6: check bounds each domain period without building
+        # N_rank!, and certify refuses the power schedule before the
+        # dichotomy, whose classification would build it
+        with open(f"{STRUCTURES}/f2xz.json") as fh:
+            recipe = json.load(fh)
+        ledger = structure_from_json(recipe).constants.to_json()
+        recipe["constants"] = {**ledger, "N_rank": 10 ** 6}
+        path = tmp_path / "f2xz.json"
+        path.write_text(json.dumps(recipe))
+        factorial = math.factorial
+
+        def small_factorial(n):
+            if n > 1000:
+                raise AssertionError(f"computed {n}!")
+            return factorial(n)
+
+        monkeypatch.setattr(math, "factorial", small_factorial)
+        code, doc, _ = run_json(capsys, "check", str(path))
+        assert code == 0 and doc["report"]["passed"] is True
+        code, out, err = run(capsys, "certify", str(path), "--genset", "a,b,t")
+        assert code == 2 and out == ""
+        assert err == "error: power schedule overflows: k1 has about 11733481 digits\n"
+
     def test_anomaly_exits_one_with_witness(self, capsys):
         code, _, err = run(capsys, "certify", "bad-orth-closure",
                            "--genset", "t")
@@ -333,6 +358,23 @@ class TestScan:
         lines = out.strip().split("\n")
         assert lines[2].startswith("0,a b,free-subgroup,3,")
         assert lines[-1].startswith("summary,rows=1,errors=0")
+
+    def test_each_set_proves_generation_once(self, capsys, monkeypatch):
+        # the enumeration proves that each of the 36 candidate sets
+        # generates; certifying the 9 that do does not prove it again
+        calls = []
+        walk = balls.generates_at_radius
+
+        def counted(*args):
+            calls.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(balls, "generates_at_radius", counted)
+        monkeypatch.setattr("hhglab.certify.generates_at_radius", counted)
+        code, _, _ = run(capsys, "scan", "free2", "--scan-size", "2",
+                         "--scan-length", "2")
+        assert code == 0
+        assert len(calls) == 36
 
     def test_empty_bounds_header_only(self, capsys):
         code, out, _ = run(capsys, "scan", "z1")
