@@ -56,15 +56,12 @@ ALLOWED = {
     "spaces.Space.dist": TRACED,
     "spaces.Space.geodesic": ABSTRACT,
     "spaces.Space.sample_points": ABSTRACT,
-    "structures.HHStructure.act_in_space": ABSTRACT,
+    "structures.HHStructure._domain": ABSTRACT,
     "structures.HHStructure.act_on_domain": ABSTRACT,
     "structures.HHStructure.domains": ABSTRACT,
-    "structures.HHStructure.lift": ABSTRACT,
-    "structures.HHStructure.pi": TRACED,
     "structures.HHStructure.relation": ABSTRACT,
     "structures.HHStructure.rho_map_point": ABSTRACT,
     "structures.HHStructure.rho_point": TRACED,
-    "structures.HHStructure.space": ABSTRACT,
     "structures.HHStructure.to_json": ABSTRACT,
 }
 

@@ -24,7 +24,7 @@ power that passes verification and records both numbers.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .balls import generates_at_radius, growth_function, standard_ball, symmetrize
 from .classify import big_set_member, classify
@@ -76,10 +76,7 @@ class CertifierLedger:
     M: int
 
     def to_json(self):
-        out = {"constants": self.constants.to_json()}
-        out.update({"k1": self.k1, "n0": self.n0, "k2": self.k2,
-                    "k3": self.k3, "k4": self.k4, "M": self.M})
-        return out
+        return {**asdict(self), "constants": self.constants.to_json()}
 
 
 def _schedule_ceil(ratio, value):

@@ -143,7 +143,8 @@ def tau0_floor_check(structure, sample_elements):
     for g in samples:
         big = big_set(structure, g)
         for u in big.domains:
-            tau, _ = tau_on_domain(structure, big.element, u)
+            # big_set measured tau wherever the domain carries an action
+            tau = big.evidence[u].get("tau")
             if tau is None:
                 continue
             if tau < declared:

@@ -179,6 +179,8 @@ def _random_pairs(model, count, length, seed):
         raise InputError("sampled word length must be at least 1")
     rnd = random.Random(seed)
     letters = symmetrize(model, model.generators())
+    if not letters:
+        raise InputError("empty generating set")
     words = []
     for _ in range(2 * count):
         w = model.parse("1")

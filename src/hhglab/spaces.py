@@ -20,7 +20,6 @@ class Space:
     """Metric space with basepoint, geodesics, and a ball sampler."""
 
     label = "space"
-    delta = 0.0
     bounded = False
 
     def dist(self, x, y):

@@ -13,7 +13,7 @@ nested in v, "u > v" the reverse, "perp" orthogonal, "trans" transverse.
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .errors import IndexMismatchError, InputError, PreconditionError, WrongKindError
 from .groups import (FreeAbelianGroup, FreeGroup, FreeProduct, GroupModel, invert_word,
@@ -73,20 +73,7 @@ class ConstantLedger:
         return max(self.C_norm, self.kappa0, self.xi)
 
     def to_json(self):
-        return {
-            "delta": self.delta,
-            "xi": self.xi,
-            "kappa0": self.kappa0,
-            "E": self.E,
-            "lam": self.lam,
-            "alpha": self.alpha,
-            "K_proj": self.K_proj,
-            "n_complexity": self.n_complexity,
-            "theta_coeffs": list(self.theta_coeffs),
-            "C_norm": self.C_norm,
-            "tau0": self.tau0,
-            "N_rank": self.N_rank,
-        }
+        return {**asdict(self), "theta_coeffs": list(self.theta_coeffs)}
 
     @classmethod
     def from_json(cls, data):
@@ -95,7 +82,7 @@ class ConstantLedger:
         tau0, else InputError."""
         if not isinstance(data, dict):
             raise InputError("constants json must be an object")
-        allowed = set(cls().to_json())
+        allowed = {f.name for f in fields(cls)}
         bad = set(data) - allowed
         if bad:
             raise InputError(f"unknown constant names: {sorted(bad)}")
@@ -128,12 +115,17 @@ class HHStructure:
         """Labels of the materialized domains, deterministic order."""
         raise NotImplementedError
 
-    def space(self, u) -> Space:
+    def _domain(self, u) -> "Domain":
+        """The record of the domain u; IndexMismatchError when u names no
+        domain."""
         raise NotImplementedError
+
+    def space(self, u) -> Space:
+        return self._domain(u).space
 
     def pi(self, u, g):
         """Projection of the group element g to the domain space of u."""
-        raise NotImplementedError
+        return self._domain(u).pi(g)
 
     def relation(self, u, v) -> str:
         raise NotImplementedError
@@ -154,11 +146,16 @@ class HHStructure:
 
     def act_in_space(self, u, g, p):
         """Action of g on the space of u; defined when g preserves u."""
-        raise NotImplementedError
+        if self.act_on_domain(g, u) != u:
+            raise PreconditionError(f"element does not preserve domain {u}")
+        act = self._domain(u).act
+        if act is None:
+            raise PreconditionError(f"domain {u} has no declared action")
+        return act(g, p)
 
     def lift(self, u, p):
         """A group element projecting to p in the space of u."""
-        raise NotImplementedError
+        return self._domain(u).lift(p)
 
     def domains_between(self, x, y) -> list:
         """Domains that can separate the group elements x and y; the default
@@ -187,7 +184,10 @@ class HHStructure:
 
 @dataclass(frozen=True)
 class Domain:
-    """One finite-table domain; the structure calls its callables directly.
+    """One domain of a structure: its space, projection, action and lift.
+
+    Every structure keeps one record per domain label, built once, and
+    HHStructure reads space, pi, act_in_space and lift off it.
 
     pi(g): projection of the group element g to the space.
     act(g, p): action on the space of an element g preserving the domain,
@@ -282,12 +282,6 @@ class TableHHG(HHStructure):
         except (KeyError, TypeError):
             raise IndexMismatchError(f"{u!r} is not a domain of {self.label}") from None
 
-    def space(self, u):
-        return self._domain(u).space
-
-    def pi(self, u, g):
-        return self._domain(u).pi(g)
-
     def relation(self, u, v):
         self._domain(u)
         self._domain(v)
@@ -309,17 +303,6 @@ class TableHHG(HHStructure):
             return u
         return self._domain_action(g, u)
 
-    def act_in_space(self, u, g, p):
-        if self.act_on_domain(g, u) != u:
-            raise PreconditionError(f"element does not preserve domain {u}")
-        act = self._domains[u].act
-        if act is None:
-            raise PreconditionError(f"domain {u} has no declared action")
-        return act(g, p)
-
-    def lift(self, u, p):
-        return self._domain(u).lift(p)
-
     def to_json(self):
         return dict(self._recipe)
 
@@ -331,7 +314,9 @@ class FreeProductHHG(HHStructure):
     is a domain nested in S, distinct cosets are transverse.  Coset
     domains are created on demand, so the index set is unbounded;
     domains() lists those within generation_radius of the identity,
-    materialized once, at construction.
+    materialized once, at construction.  As in every structure, each
+    domain is a Domain record; a coset's record is built once, when its
+    label is first decoded, from its factor's space.
     """
 
     TOP = "S"
@@ -346,18 +331,28 @@ class FreeProductHHG(HHStructure):
         self.constants = constants
         self.generation_radius = generation_radius
         self.tree = CosetTreeSpace(group)
-        self._decoded = {}  # domain label -> tree vertex, successful decodes only
+        # domain label -> (tree vertex, Domain), successful decodes only.
+        # The top domain has no vertex; it lifts a tree vertex, a coset, to
+        # the coset's representative, which projects onto it (onto a
+        # neighbour for a coset of the second factor).
+        self._decoded = {self.TOP: (None, Domain(self.TOP, self.tree,
+                                                  lambda g: self.tree.vertex(0, g),
+                                                  self.tree.translate, lambda p: p[1]))}
         self._factor_names = ["".join(p.labels) for p in group.parts]
-        self._factor_spaces = []
-        for p in group.parts:
-            if isinstance(p, FreeGroup):
-                self._factor_spaces.append(CayleyTreeSpace(p))
-            elif isinstance(p, FreeAbelianGroup) and p.ngens == 1:
-                self._factor_spaces.append(LineSpace())
-            else:
-                raise WrongKindError("factors must be free or infinite cyclic")
+        self._factors = [self._factor(p) for p in group.parts]
         self._labels = [self.TOP] + [self.vertex_label(v)
                                      for v in self.tree.sample_points(generation_radius)]
+
+    @staticmethod
+    def _factor(part):
+        """(space, point of a local word, local word of a point) of a factor:
+        a free factor is its Cayley tree, an infinite cyclic one a line."""
+        if isinstance(part, FreeGroup):
+            return CayleyTreeSpace(part), lambda w: w, lambda p: p
+        if isinstance(part, FreeAbelianGroup) and part.ngens == 1:
+            return (LineSpace(), lambda w: part.exponents(w)[0],
+                    lambda n: part.from_exponents([n]))
+        raise WrongKindError("factors must be free or infinite cyclic")
 
     # domain labels
 
@@ -366,22 +361,26 @@ class FreeProductHHG(HHStructure):
         return f"{self._factor_names[i]}@{self.group.format(rep)}"
 
     def parse_domain(self, u):
-        """Tree vertex a coset label names (None for the top domain),
-        decoded once per label; IndexMismatchError on every call with a
-        label that names no domain."""
+        """Tree vertex a coset label names (None for the top domain)."""
+        return self._entry(u)[0]
+
+    def _domain(self, u):
+        return self._entry(u)[1]
+
+    def _entry(self, u):
+        """(tree vertex, Domain) of the label u, decoded once per label;
+        IndexMismatchError on every call with a label that names no
+        domain."""
         try:
             return self._decoded[u]
         except KeyError:
             pass
         except TypeError:
             raise IndexMismatchError(f"{u!r} is not a domain of {self.label}") from None
-        v = self._decode_domain(u)
-        self._decoded[u] = v
-        return v
+        entry = self._decoded[u] = self._decode_domain(u)
+        return entry
 
     def _decode_domain(self, u):
-        if u == self.TOP:
-            return None
         if not isinstance(u, str) or "@" not in u:
             raise IndexMismatchError(f"{u!r} is not a domain of {self.label}")
         name, rep_str = u.split("@", 1)
@@ -395,40 +394,33 @@ class FreeProductHHG(HHStructure):
         v = self.tree.vertex(i, rep)
         if v[1] != rep:
             raise IndexMismatchError(f"{u!r} does not name a coset canonically")
-        return v
+        return v, self._coset_domain(u, v)
+
+    def _coset_domain(self, u, v):
+        """Record of the coset rep F_i at the tree vertex v = (i, rep): pi
+        reads the first syllable of rep^-1 g, an element preserving the
+        coset acts by its conjugate by rep, and a point lifts to rep times
+        its local word."""
+        i, rep = v
+        group, part = self.group, self.group.parts[i]
+        space, point, word = self._factors[i]
+        rep_inverse = invert_word(rep)
+
+        def pi(g):
+            syls = group.syllables(rep_inverse + tuple(g))
+            return point(syls[0][1] if syls and syls[0][0] == i else ())
+
+        def act(g, p):
+            local = group.to_local(i, group.conjugate(rep_inverse, g))
+            return point(part.multiply(local, word(p)))
+
+        return Domain(u, space, pi, act,
+                      lambda p: group.multiply(rep, group.to_global(i, word(p))))
 
     def domains(self):
         return list(self._labels)
 
     # geometry
-
-    def space(self, u):
-        v = self.parse_domain(u)
-        if v is None:
-            return self.tree
-        return self._factor_spaces[v[0]]
-
-    def _local_point(self, i, local):
-        part = self.group.parts[i]
-        if isinstance(part, FreeAbelianGroup):
-            return part.exponents(local)[0]
-        return local
-
-    def _local_word(self, i, p):
-        part = self.group.parts[i]
-        if isinstance(part, FreeAbelianGroup):
-            return part.from_exponents([p])
-        return p
-
-    def pi(self, u, g):
-        v = self.parse_domain(u)
-        if v is None:
-            return self.tree.vertex(0, g)
-        i, rep = v
-        syls = self.group.syllables(invert_word(rep) + tuple(g))
-        if syls and syls[0][0] == i:
-            return self._local_point(i, syls[0][1])
-        return self._local_point(i, ())
 
     def relation(self, u, v):
         pu = self.parse_domain(u)
@@ -461,28 +453,6 @@ class FreeProductHHG(HHStructure):
         if v is None:
             return u
         return self.vertex_label(self.tree.translate(g, v))
-
-    def act_in_space(self, u, g, p):
-        v = self.parse_domain(u)
-        if v is None:
-            return self.tree.translate(g, p)
-        if self.act_on_domain(g, u) != u:
-            raise PreconditionError(f"element does not preserve domain {u}")
-        i, rep = v
-        conj = self.group.conjugate(self.group.inverse(rep), g)
-        local = self.group.to_local(i, conj)
-        part = self.group.parts[i]
-        if isinstance(part, FreeAbelianGroup):
-            return p + part.exponents(local)[0]
-        return part.multiply(local, p)
-
-    def lift(self, u, p):
-        v = self.parse_domain(u)
-        if v is None:
-            # a tree vertex is a coset; its representative projects onto it
-            return p[1]
-        i, rep = v
-        return self.group.multiply(rep, self.group.to_global(i, self._local_word(i, p)))
 
     def domains_between(self, x, y):
         return [self.TOP] + [self.vertex_label(v) for v in self.tree.cosets(x, y)]

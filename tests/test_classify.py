@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from hhglab import classify as classify_module
 from hhglab.axioms import structural_validators
+from hhglab.balls import symmetrize
 from hhglab.builders import build_named
 from hhglab.certify import dichotomy
 from hhglab.classify import (
@@ -190,6 +192,20 @@ class TestTauFloor:
         )
         with pytest.raises(StructureInvalidError):
             tau0_floor_check(hh, hh.group.generators())
+
+    def test_reads_tau_from_the_big_set(self, monkeypatch):
+        hh = build_named("f2xz")
+        gens = symmetrize(hh.group, hh.group.generators())
+        calls = []
+        measure = classify_module.tau_on_domain
+        monkeypatch.setattr(classify_module, "tau_on_domain",
+                            lambda *args: calls.append(args) or measure(*args))
+        for g in gens:
+            big_set(hh, g)
+        alone = len(calls)
+        calls.clear()
+        assert tau0_floor_check(hh, gens) == 1.0
+        assert len(calls) == alone
 
     def test_empty_sample_rejected(self):
         with pytest.raises(PreconditionError):

@@ -463,6 +463,14 @@ class TestDistance:
         assert code == 2 and out == ""
         assert err == "error: sampled word length must be at least 1\n"
 
+    def test_group_without_generators_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "z0.json"
+        path.write_text(json.dumps({"builder": "product", "label": "z0",
+                                    "group": {"family": "free_abelian", "rank": 0}}))
+        code, out, err = run(capsys, "distance", str(path), "--pairs", "3")
+        assert code == 2 and out == ""
+        assert err == "error: empty generating set\n"
+
 
 class TestDecompose:
     def test_two_tree_blocks(self, capsys):

@@ -22,6 +22,8 @@ from hhglab.structures import (
     ORTHOGONAL,
     TRANSVERSE,
     ConstantLedger,
+    FreeProductHHG,
+    TableHHG,
 )
 
 
@@ -252,6 +254,49 @@ class TestFreeProductStructure:
         assert self.m.format(g) == "cb"
         assert self.hh.pi("ab@c", g) == local_b
         assert self.hh.lift("c@1", -2) == self.m.parse("CC")
+
+    RECORD_LABELS = ("S", "ab@1", "c@1", "c@a", "ab@c")
+
+    def seeded_word(self, rng, model, length):
+        return model.normal_form(tuple(rng.randrange(2 * model.ngens)
+                                       for _ in range(rng.randrange(length + 1))))
+
+    def record_labels(self, rng):
+        """RECORD_LABELS and three translates of each by seeded words."""
+        labels = list(self.RECORD_LABELS)
+        for u in self.RECORD_LABELS:
+            labels += [self.hh.act_on_domain(self.seeded_word(rng, self.m, 6), u)
+                       for _ in range(3)]
+        assert set(labels) - set(self.hh.domains())
+        return labels
+
+    def test_lift_is_a_section_of_pi(self):
+        rng = random.Random(21)
+        for u in self.record_labels(rng):
+            for _ in range(5):
+                p = self.hh.pi(u, self.seeded_word(rng, self.m, 6))
+                assert self.hh.pi(u, self.hh.lift(u, p)) == p, (u, p)
+
+    def test_action_in_space_is_equivariant(self):
+        rng = random.Random(22)
+        for u in self.record_labels(rng):
+            v = self.hh.parse_domain(u)
+            for _ in range(5):
+                if v is None:
+                    h = self.seeded_word(rng, self.m, 4)
+                else:
+                    i, rep = v
+                    local = self.seeded_word(rng, self.m.parts[i], 4)
+                    h = self.m.conjugate(rep, self.m.to_global(i, local))
+                x = self.seeded_word(rng, self.m, 6)
+                assert (self.hh.act_in_space(u, h, self.hh.pi(u, x))
+                        == self.hh.pi(u, self.m.multiply(h, x))), (u, h, x)
+
+
+def test_domain_records_are_read_on_the_base_class():
+    for cls in (TableHHG, FreeProductHHG):
+        for name in ("space", "pi", "lift", "act_in_space"):
+            assert name not in cls.__dict__, (cls.__name__, name)
 
 
 class TestFixturesConstruct:
