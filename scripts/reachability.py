@@ -77,7 +77,8 @@ STRUCTURES = sorted(p.stem for p in (ROOT / "structures").glob("*.json"))
 CERTIFIES = (("free2", "a,b", 7), ("z2", "a,b", 6), ("f2xz", "a,b,t", 6),
              ("f2freez", "a,b,c", 6), ("f2xf2", "a,b,c,d", 6),
              ("free2", "ab,bab", 6), ("swapline", "t", 6), ("z1", "t", 6),
-             ("f2xz", "a,b,t,ab", 5), ("f2freez", "a,b,ac", 6))
+             ("f2xz", "a,b,t,ab", 5), ("f2freez", "a,b,ac", 6),
+             ("f2freez", "a,b,c,aaacAAA", 6))
 
 SCANS = (("free2", "--scan-size", "2", "--scan-length", "2"),
          ("free2", "--scan-size", "2", "--scan-length", "1", "--format", "json"),

@@ -160,7 +160,7 @@ def _check_projections(env):
     # declared hyperbolicity of each domain space, four-point sense
     for u in env.sample(env.domains, 12):
         pts = env.points(u)
-        defect, _ = max_four_point_defect(st.space(u), pts, quad_budget=20000)
+        defect = max_four_point_defect(st.space(u), pts, quad_budget=20000)
         worst.see(delta - defect, lambda: {"clause": "hyperbolicity", "domain": u, "defect": defect})
     return worst.report(1)
 
@@ -503,8 +503,7 @@ def structural_validators(structure):
         if quasi_line_detect(structure.space(u), radius=2, q_max=2) is None:
             continue
         # u is invariant, so each generator's period on it is 1
-        taus = (tau_on_domain(structure, g, u)[0] for g in gens)
-        if not any(tau is not None and tau > 0 for tau in taus):
+        if not any(tau_on_domain(structure, g, u)[0] > 0 for g in gens):
             continue
         for v in unbounded:
             report.checks += 1

@@ -26,11 +26,12 @@ power that passes verification and records both numbers.
 import math
 from dataclasses import asdict, dataclass, field
 
-from .balls import generates_at_radius, growth_function, standard_ball, symmetrize
-from .classify import big_set_member, classify
+from .balls import (enumerate_generating_sets, generates_at_radius, growth_function,
+                    standard_ball, symmetrize)
+from .classify import big_set, big_set_member
 from .coords import product_decomposition, quasi_line_detect
-from .errors import (CertifierRefutedError, InputError, PreconditionError,
-                     ResourceBudgetError, StructureInvalidError)
+from .errors import (CertifierRefutedError, ClassificationAnomalyError, InputError,
+                     PreconditionError, ResourceBudgetError, StructureInvalidError)
 from .groups import IDENTITY
 from .structures import NEST_IN, TRANSVERSE
 
@@ -248,16 +249,19 @@ class BigDomains:
 
 def collect_big_domains(structure, words):
     """Big domains of the normalised generating set (see `certify`) and
-    their orbit closure."""
+    their orbit closure.  Every model here is torsion-free, so an empty
+    big set of a word, never the identity, is an anomaly."""
     model = structure.group
     prov = {}
     for s in words:
-        cls = classify(structure, s)
-        for u in cls.big.domains:
+        found = big_set(structure, s).domains
+        if not found:
+            raise ClassificationAnomalyError(
+                f"non-identity element {model.format(s)} of the torsion-free "
+                f"model {model.family} has an empty big set")
+        for u in found:
             if u not in prov:
                 prov[u] = {"seed": s, "translator": IDENTITY, "xlen": 0}
-    if not prov:
-        raise InputError("no generator carries an unbounded orbit")
     big = sorted(prov)
     sym = symmetrize(model, words)
     closure = dict(prov)
@@ -626,8 +630,7 @@ def case2_branch(structure, words, outcome, led, depth=6):
     axes = {}
     for u in labels:
         for y, _ in outcome.schreier:
-            ev = big_set_member(structure, y, u)
-            if ev is not None and ev.get("via") == "translation":
+            if big_set_member(structure, y, u) is not None:
                 axes[u] = y
                 break
         else:
@@ -742,8 +745,6 @@ def scan_generating_sets(structure, size_bound, length_bound, ambient_radius,
     """Certify every enumerated generating set; one row per set, in
     enumeration order, with a summary of the worst measured rate.  A size
     or length bound below 1 enumerates nothing: the report has no rows."""
-    from .balls import enumerate_generating_sets
-
     if depth < 1:
         raise InputError("verification depth must be at least 1")
     if growth_n < 1:

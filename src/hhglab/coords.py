@@ -9,7 +9,7 @@ thresholded sum of domain distances, and read coarse product geometry
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .balls import standard_ball
 from .errors import InputError, PreconditionError
@@ -196,15 +196,7 @@ class FitResult:
     failure: dict
 
     def to_json(self):
-        return {
-            "ok": self.ok,
-            "K": self.K,
-            "C": self.C,
-            "s": self.s,
-            "n_samples": self.n_samples,
-            "binding": self.binding,
-            "failure": self.failure,
-        }
+        return asdict(self)
 
 
 FIT_STEP = 0.5  # grid step of both K and C
@@ -277,11 +269,7 @@ class Decomposition:
     degenerate: bool
 
     def to_json(self):
-        return {
-            "blocks": self.blocks,
-            "descriptors": self.descriptors,
-            "degenerate": self.degenerate,
-        }
+        return asdict(self)
 
 
 def _block_kind(structure, block):

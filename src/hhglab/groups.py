@@ -56,9 +56,6 @@ class GroupModel:
     """
 
     family = "abstract"
-    # every family shipped here is torsion-free; flags the classification
-    # anomaly path (an empty big set on a non-identity element)
-    torsion_free = True
 
     ngens: int
     labels: list[str]

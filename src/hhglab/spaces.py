@@ -294,20 +294,18 @@ def sample_diameter(dist, points, default):
     return max((d for i, row in enumerate(table) for d in row[i + 1:]), default=default)
 
 
-def max_four_point_defect(space, points, quad_budget=60000):
-    """(worst, witness) over the first quad_budget quadruples of the sample,
+def max_four_point_defect(space, points, quad_budget):
+    """Worst defect over the first quad_budget quadruples of the sample,
     the defect being half the gap between the two largest pairing sums; a
     space is delta-hyperbolic in the four-point sense when it is <= delta."""
     t = distance_table(space.dist, points)
     worst = 0.0
-    witness = None
     for i, j, k, l in islice(combinations(range(len(points)), 4), quad_budget):
         sums = sorted([t[i][j] + t[k][l], t[i][k] + t[j][l], t[i][l] + t[j][k]])
         defect = (sums[2] - sums[1]) / 2
         if defect > worst:
             worst = defect
-            witness = (points[i], points[j], points[k], points[l])
-    return worst, witness
+    return worst
 
 
 def translation_length(space, act, x):

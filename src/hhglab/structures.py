@@ -148,10 +148,7 @@ class HHStructure:
         """Action of g on the space of u; defined when g preserves u."""
         if self.act_on_domain(g, u) != u:
             raise PreconditionError(f"element does not preserve domain {u}")
-        act = self._domain(u).act
-        if act is None:
-            raise PreconditionError(f"domain {u} has no declared action")
-        return act(g, p)
+        return self._domain(u).act(g, p)
 
     def lift(self, u, p):
         """A group element projecting to p in the space of u."""
@@ -159,7 +156,8 @@ class HHStructure:
 
     def domains_between(self, x, y) -> list:
         """Domains that can separate the group elements x and y; the default
-        is every materialized domain."""
+        is every materialized domain.  big_set relies on the contract that
+        every domain of Big(g) is in domains_between(IDENTITY, g)."""
         return self.domains()
 
     def word_metric(self, x, y) -> int:
@@ -190,16 +188,19 @@ class Domain:
     HHStructure reads space, pi, act_in_space and lift off it.
 
     pi(g): projection of the group element g to the space.
-    act(g, p): action on the space of an element g preserving the domain,
-        or None when the domain declares no action.
+    act(g, p): action on the space of an element g preserving the domain;
+        every domain declares one.
     lift(p): a group element projecting to the point p; every domain
-        declares one.
+        declares one.  At the top domain of a free product, lift lands on
+        p or on a neighbour of p: it returns the coset representative,
+        which projects onto a coset of the first factor only.  Every pi
+        image there is such a coset, so lift is a section of pi on them.
     """
 
     label: str
     space: Space
     pi: Callable
-    act: Callable | None
+    act: Callable
     lift: Callable
 
 

@@ -60,27 +60,6 @@ def line_tree_structure():
     )
 
 
-def orbit_only_pair_structure():
-    """Like the above but the second domain has no declared point action, so
-    no stabilizer generator can witness a translation on it."""
-    model = FreeAbelianGroup(2, "ab")
-    domains = [
-        Domain("S", PointSpace(), lambda g: 0, act=lambda g, p: 0, lift=lambda p: ()),
-        Domain("P", LineSpace(), lambda g: model.exponents(g)[1],
-               act=lambda g, p: p + model.exponents(g)[1],
-               lift=lambda p: model.from_exponents([0, p])),
-        Domain("W", LineSpace(), lambda g: model.exponents(g)[0], act=None,
-               lift=lambda p: model.from_exponents([p, 0])),
-    ]
-    return TableHHG(
-        "orbit-pair", model, ConstantLedger(n_complexity=2, N_rank=2), domains,
-        nesting=[("P", "S"), ("W", "S")],
-        orthogonal=[("P", "W")],
-        rho_points={("P", "S"): 0, ("W", "S"): 0},
-        rho_maps={("S", "P"): lambda p: 0, ("S", "W"): lambda p: 0},
-    )
-
-
 class TestLedger:
     def test_free2_schedule(self):
         st = build_named("free2")
@@ -229,11 +208,6 @@ class TestCollect:
         assert len(doms.closure) == 8
         assert "ab@c" in doms.closure and "c@a" in doms.closure
         assert doms.provenance["ab@c"]["xlen"] == 1
-
-    def test_identity_only_rejected(self):
-        st = build_named("free2")
-        with pytest.raises(InputError):
-            collect_big_domains(st, [st.group.parse("1")])
 
     def test_anomaly_propagates(self):
         st = build_named("bad-orth-closure")
@@ -481,10 +455,12 @@ class TestCase2:
         assert cert.evidence["other_blocks"] == [["W"]]
         assert cert.evidence["line_constants"]["W"] is None
 
-    def test_missing_loxodromic_is_structural(self):
-        st = orbit_only_pair_structure()
+    def test_missing_loxodromic_is_structural(self, monkeypatch):
+        st = line_tree_structure()
+        routes = routed(st)
+        monkeypatch.setattr("hhglab.certify.big_set_member", lambda *args: None)
         with pytest.raises(StructureInvalidError):
-            case2_branch(st, *routed(st), depth=5)
+            case2_branch(st, *routes, depth=5)
 
 
 

@@ -7,21 +7,9 @@ from hhglab.axioms import structural_validators
 from hhglab.balls import symmetrize
 from hhglab.builders import build_named
 from hhglab.certify import dichotomy
-from hhglab.classify import (
-    big_set,
-    classify,
-    domain_period,
-    tau0_floor_check,
-    tau_on_domain,
-)
-from hhglab.errors import (
-    ClassificationAnomalyError,
-    PreconditionError,
-    StructureInvalidError,
-)
-from hhglab.groups import FreeAbelianGroup
-from hhglab.spaces import LineSpace
-from hhglab.structures import ConstantLedger, Domain, TableHHG
+from hhglab.classify import big_set, domain_period, tau0_floor_check, tau_on_domain
+from hhglab.errors import PreconditionError, StructureInvalidError
+from hhglab.structures import ConstantLedger
 
 
 def random_words(model, count, length, seed):
@@ -33,15 +21,6 @@ def random_words(model, count, length, seed):
         raw = tuple(rnd.choice(letters) for _ in range(rnd.randint(1, length)))
         out.append(model.normal_form(raw))
     return out
-
-
-def orbit_only_structure():
-    """Line domain with a projection but no point action: big-set
-    membership must come from the orbit-diameter fallback."""
-    Z = FreeAbelianGroup(1)
-    exp = lambda g: Z.exponents(Z.normal_form(g))[0]
-    dom = Domain("S", LineSpace(), exp, act=None, lift=lambda p: Z.from_exponents([p]))
-    return TableHHG("orbit-only", Z, ConstantLedger(), [dom])
 
 
 class TestBigSets:
@@ -82,11 +61,15 @@ class TestBigSets:
         assert big.domains == ["P", "Q"]
         assert big.evidence["P"] == {"via": "translation", "tau": 0.5, "power": 2}
 
-    def test_orbit_fallback(self):
-        hh = orbit_only_structure()
-        big = big_set(hh, hh.group.parse("t"))
-        assert big.domains == ["S"]
-        assert big.evidence["S"] == {"via": "orbit", "diameter": 12, "cutoff": 3.0}
+    def test_free_product_big_sets_follow_the_element(self):
+        hh = build_named("f2freez")
+        m = hh.group
+        # loxodromic on the coset tree: its powers fix no coset
+        assert big_set(hh, m.parse("ccccca")).domains == ["S"]
+        # elliptic: fixes the coset aaa<c>, outside the radius-2 window
+        big = big_set(hh, m.parse("aaacAAA"))
+        assert big.domains == ["c@aaa"]
+        assert big.evidence["c@aaa"] == {"via": "translation", "tau": 1.0, "power": 1}
 
     def test_conjugation_equivariance(self):
         for name in ("f2xz", "f2freez"):
@@ -109,37 +92,16 @@ class TestBigSets:
                     assert big_set(hh, hh.group.power(g, n)).domains == base
 
     def test_members_pairwise_orthogonal_and_small(self):
-        for name in ("f2xz", "z2", "f2freez", "swapline"):
+        for name, count, length in (("f2xz", 10, 3), ("z2", 10, 3), ("f2freez", 40, 8),
+                                    ("swapline", 10, 3)):
             hh = build_named(name)
-            for g in random_words(hh.group, 10, 3, seed=43):
+            for g in random_words(hh.group, count, length, seed=43):
                 big = big_set(hh, g)
+                assert big.domains or g == ()
                 assert len(big.domains) <= hh.constants.N_rank
                 for i, u in enumerate(big.domains):
                     for v in big.domains[i + 1:]:
                         assert hh.relation(u, v) == "perp"
-
-
-class TestClassify:
-    def test_identity_is_elliptic(self):
-        hh = build_named("f2xz")
-        assert classify(hh, ()).variant == "elliptic"
-
-    def test_loxodromic_is_axial(self):
-        hh = build_named("f2xz")
-        assert classify(hh, hh.group.parse("a")).variant == "axial"
-
-    def test_conjugation_invariance(self):
-        hh = build_named("f2freez")
-        m = hh.group
-        g = m.parse("ac")
-        h = m.parse("ba")
-        conj = m.multiply(m.multiply(h, g), m.inverse(h))
-        assert classify(hh, g).variant == classify(hh, conj).variant == "axial"
-
-    def test_empty_big_set_is_anomalous_when_torsion_free(self):
-        hh = build_named("bad-orth-closure")
-        with pytest.raises(ClassificationAnomalyError):
-            classify(hh, hh.group.parse("t"))
 
 
 class TestStabilization:
@@ -211,8 +173,8 @@ class TestTauFloor:
         with pytest.raises(PreconditionError):
             tau0_floor_check(build_named("f2xz"), [])
 
-    def test_actionless_structure_is_vacuous(self):
-        hh = orbit_only_structure()
+    def test_all_bounded_structure_is_vacuous(self):
+        hh = build_named("bad-orth-closure")
         assert tau0_floor_check(hh, hh.group.generators()) is None
 
 

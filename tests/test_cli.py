@@ -315,6 +315,14 @@ class TestCertify:
         assert dump["error"] == "ClassificationAnomalyError"
         assert "big set" in dump["message"]
 
+    def test_elliptic_word_on_a_far_coset(self, capsys):
+        # aaacAAA fixes only the coset aaa<c>, outside the radius-2 window
+        code, doc, _ = run_json(capsys, "certify", f"{STRUCTURES}/f2freez.json",
+                                "--genset", "a,b,c,aaacAAA")
+        assert code == 0
+        assert doc["report"]["variant"] == "free-subgroup"
+        assert "c@aaa" in doc["report"]["evidence"]["route"]["big"]
+
 
 class TestScan:
     def test_free_group_tiny_scan(self, capsys):
