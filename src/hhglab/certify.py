@@ -90,7 +90,10 @@ def _schedule_ceil(ratio, value):
 def _factorial_term(name, coeff, n):
     """coeff * n! for a power-schedule entry; InputError, before computing
     n!, when lgamma puts it above SCHEDULE_DIGITS decimal digits."""
-    digits = math.log10(coeff) + math.lgamma(n + 1) / math.log(10)
+    try:
+        digits = math.log10(coeff) + math.lgamma(n + 1) / math.log(10)
+    except OverflowError:
+        raise InputError(f"power schedule overflows: {name} is not finite") from None
     if digits > SCHEDULE_DIGITS:
         raise InputError(f"power schedule overflows: {name} has about {digits:.0f} digits")
     return coeff * math.factorial(n)
@@ -317,13 +320,15 @@ class CaseOutcome:
 
 def _stabilizer_data(structure, words, labels):
     """Transversal and Schreier generators of the pointwise stabilizer of the
-    label family, computed from the permutation action of the words."""
+    label family, computed from the permutation action of the words.  The
+    index is at most N_rank! by the dichotomy's rank check, and each
+    generator's x-length is at most 2 * index - 1."""
     model = structure.group
     sym = symmetrize(model, words)
-    n = structure.constants.N_rank
+    position = {u: i for i, u in enumerate(labels)}
 
     def perm_of(w):
-        return tuple(labels.index(structure.act_on_domain(w, u)) for u in labels)
+        return tuple(position[structure.act_on_domain(w, u)] for u in labels)
 
     ident = tuple(range(len(labels)))
     reps = {ident: (IDENTITY, 0)}
@@ -338,11 +343,6 @@ def _stabilizer_data(structure, words, labels):
                     reps[p] = (w, rx + 1)
                     nxt.append(reps[p])
         frontier = nxt
-    index = len(reps)
-    if index > math.factorial(n):
-        raise StructureInvalidError(
-            f"orbit permutation group has order {index}, above N_rank factorial",
-            witness={"labels": list(labels), "order": index})
     sgens = {}
     for p, (rw, rx) in sorted(reps.items()):
         for x in sym:
@@ -351,59 +351,55 @@ def _stabilizer_data(structure, words, labels):
             g = model.multiply(w, model.inverse(r2))
             if g == IDENTITY or g in sgens:
                 continue
-            gx = rx + 1 + r2x
             if perm_of(g) != ident:
                 raise StructureInvalidError(
                     "stabilizer generator moves the family",
                     witness={"element": model.format(g)})
-            if gx > 2 * math.factorial(n) - 1:
-                raise StructureInvalidError(
-                    "stabilizer generator exceeds the Schreier length bound",
-                    witness={"element": model.format(g), "xlen": gx})
-            sgens[g] = gx
+            sgens[g] = rx + 1 + r2x
     transversal = sorted((w for w, _ in reps.values()), key=lambda w: (len(w), w))
     schreier = sorted(sgens.items(), key=lambda it: (len(it[0]), it[0]))
-    return index, transversal, schreier
+    return len(reps), transversal, schreier
 
 
 def dichotomy(structure, words):
     """Split on the orbit closure of the union of big sets of the
     normalised generating set: a non-orthogonal pair yields explicit
     witnesses, else the family is finite-index stabilized and the certifier
-    descends to the stabilizer."""
+    descends to the stabilizer.  The pair is the least (len s, len t, u, v),
+    found by one scan in (len s, u) order in which each u takes its first
+    partner v, stopping after the first length class of u with a partner."""
     model = structure.group
     doms = collect_big_domains(structure, words)
     # each closure domain's loxodromic witness, its seed conjugated by its
     # translator, and the witness's length over the words
     witness = {u: (model.conjugate(p["translator"], p["seed"]), 2 * p["xlen"] + 1)
                for u, p in doms.provenance.items()}
-    cands = []
-    for u in doms.closure:
-        for v in doms.closure:
-            if u == v:
-                continue
-            rel = structure.relation(u, v)
-            if rel not in (TRANSVERSE, NEST_IN):
-                continue
-            (s, sx), (t, tx) = witness[u], witness[v]
-            kind = "transverse" if rel == TRANSVERSE else "nested"
-            cands.append((len(s), len(t), u, v, s, t, kind, sx, tx))
-    if cands:
-        cands.sort(key=lambda c: c[:4])
-        _, _, u, v, s, t, kind, sx, tx = cands[0]
+    order = sorted((len(s), u) for u, (s, _) in witness.items())
+    best = None
+    for ls, u in order:
+        if best and ls > best[0]:
+            break
+        for lt, v in order:
+            rel = structure.relation(u, v) if v != u else None
+            if rel in (TRANSVERSE, NEST_IN):
+                cand = (ls, lt, u, v, rel)
+                best = min(best or cand, cand)
+                break
+    if best:
+        _, _, u, v, rel = best
+        (s, sx), (t, tx) = witness[u], witness[v]
+        kind = "transverse" if rel == TRANSVERSE else "nested"
         return CaseOutcome(1, doms, s=s, t=t, u=u, v=v, kind=kind,
                            s_xlen=sx, t_xlen=tx)
+    # the rank check carries case 2: the closure BFS starts from a label and
+    # grows in each productive round of its N_rank, so at most N_rank labels
+    # means it stopped, closed under the action; their permutation group has
+    # order <= N_rank! and a Schreier generator x-length <= 2 * N_rank! - 1
     n = structure.constants.N_rank
     if len(doms.closure) > n:
         raise StructureInvalidError(
             "pairwise-orthogonal family exceeds the declared rank",
             witness={"labels": list(doms.closure), "N_rank": n})
-    sym = symmetrize(model, words)
-    if not all(structure.act_on_domain(x, u) in doms.provenance
-               for u in doms.closure for x in sym):
-        raise StructureInvalidError(
-            "orthogonal big-set family is not closed under the action",
-            witness={"labels": list(doms.closure)})
     index, transversal, schreier = _stabilizer_data(structure, words, doms.closure)
     return CaseOutcome(2, doms, index=index, transversal=transversal,
                        schreier=schreier)

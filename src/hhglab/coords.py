@@ -175,8 +175,8 @@ class ThresholdedSum:
 
 def distance_formula_sum(structure, x, y, s):
     """Sum of domain distances, counting a term iff it exceeds s."""
-    if s < 0:
-        raise InputError("threshold must be nonnegative")
+    if not 0 <= s < math.inf:
+        raise InputError("threshold must be finite and nonnegative")
     contributions = {}
     for u in structure.domains_between(x, y):
         d = structure.dsub(u, x, y)

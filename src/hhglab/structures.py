@@ -11,7 +11,7 @@ Relation codes, always read left to right: "u < v" means u is properly
 nested in v, "u > v" the reverse, "perp" orthogonal, "trans" transverse.
 """
 
-import math
+import sys
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields
 
@@ -77,22 +77,24 @@ class ConstantLedger:
 
     @classmethod
     def from_json(cls, data):
-        """Ledger from its json form: known names, finite numeric values
-        (nonnegative integers for n_complexity and N_rank) and a positive
-        tau0, else InputError."""
+        """Ledger from its json form: known names, numeric values within
+        float range (nonnegative integers for n_complexity and N_rank) and a
+        positive tau0, else InputError."""
         if not isinstance(data, dict):
             raise InputError("constants json must be an object")
         allowed = {f.name for f in fields(cls)}
         bad = set(data) - allowed
         if bad:
             raise InputError(f"unknown constant names: {sorted(bad)}")
-        is_number = lambda x: is_int(x) or (isinstance(x, float) and math.isfinite(x))
+        is_number = lambda x: ((is_int(x) or isinstance(x, float))
+                               and abs(x) <= sys.float_info.max)
         for name in data:
             if name == "theta_coeffs":
                 check = lambda v: isinstance(v, (list, tuple)) and all(map(is_number, v))
                 expected = "a list of numbers"
             elif name in ("n_complexity", "N_rank"):
-                check, expected = lambda v: is_int(v) and v >= 0, "a nonnegative integer"
+                check = lambda v: is_int(v) and 0 <= v <= sys.float_info.max
+                expected = "a nonnegative integer"
             else:
                 check, expected = is_number, "a number"
             json_field(data, name, check, expected, "constants")

@@ -7,7 +7,7 @@ import pytest
 
 from hhglab.balls import (enumerate_generating_sets, generates_at_radius,
                           growth_function, standard_ball, symmetrize)
-from hhglab.builders import build_named, structure_from_json
+from hhglab.builders import build_named, load_structure, structure_from_json
 from hhglab.certify import (CaseOutcome, certifier_ledger, certify,
                             case2_branch, collect_big_domains, dichotomy,
                             nested_to_transverse, pingpong_transverse,
@@ -19,7 +19,8 @@ from hhglab.errors import (CertifierRefutedError, ClassificationAnomalyError,
                            InputError, PreconditionError, StructureInvalidError)
 from hhglab.groups import IDENTITY, FreeAbelianGroup, FreeGroup, GroupModel
 from hhglab.spaces import CayleyTreeSpace, LineSpace, PointSpace
-from hhglab.structures import ConstantLedger, Domain, TableHHG
+from hhglab.structures import (NEST_IN, ORTHOGONAL, TRANSVERSE, ConstantLedger, Domain,
+                               FreeProductHHG, TableHHG)
 
 STANDARD = ("free2", "z1", "z2", "f2xz", "f2xf2", "f2freez")
 
@@ -270,6 +271,83 @@ class TestDichotomy:
         dichotomy(st, words)
         assert len(closure) > 2
         assert len(calls) == collect_calls + len(closure)
+
+    @staticmethod
+    def quadratic_pair(structure, words):
+        """The former case-1 search, kept as the reference: every ordered
+        transverse or nested-in pair of the closure, sorted by
+        (len s, len t, u, v); the least one, or None."""
+        model = structure.group
+        doms = collect_big_domains(structure, words)
+        witness = {u: model.conjugate(p["translator"], p["seed"])
+                   for u, p in doms.provenance.items()}
+        cands = []
+        for u in doms.closure:
+            for v in doms.closure:
+                rel = structure.relation(u, v) if u != v else None
+                if rel in (TRANSVERSE, NEST_IN):
+                    cands.append((len(witness[u]), len(witness[v]), u, v, rel))
+        return min(cands, default=None)
+
+    @staticmethod
+    def seeded_f2freez_sets():
+        """150 seeded sets of 1 to 3 words of length at most 4, on f2freez
+        declaring N_rank 1, 2 and 3."""
+        rng = random.Random(16)
+        with open("structures/f2freez.json") as fh:
+            recipe = json.load(fh)
+        cases = []
+        for n_rank in (1, 2, 3):
+            st = structure_from_json(
+                {**recipe, "constants": {**recipe["constants"], "N_rank": n_rank}})
+            letters = symmetrize(st.group, st.group.generators())
+            while len(cases) < 50 * n_rank:
+                words = set()
+                for _ in range(rng.randint(1, 3)):
+                    word = IDENTITY
+                    for _ in range(rng.randint(1, 4)):
+                        word = st.group.multiply(word, rng.choice(letters))
+                    words.add(word)
+                words.discard(IDENTITY)
+                if words:
+                    cases.append((st, sorted(words, key=lambda w: (len(w), w))))
+        return cases
+
+    def scan_kinds(self, cases):
+        """The kinds of the case-1 pairs that `dichotomy` picks, asserting
+        that it picks the reference's pair, or takes case 2 without one."""
+        kinds = set()
+        for st, words in cases:
+            want = self.quadratic_pair(st, words)
+            out = dichotomy(st, words)
+            if want is None:
+                assert out.case == 2
+                continue
+            assert (out.case, out.u, out.v) == (1, want[2], want[3])
+            assert out.kind == ("transverse" if want[4] == TRANSVERSE else "nested")
+            kinds.add(out.kind)
+        return kinds
+
+    def test_ordered_scan_agrees_with_the_quadratic_search(self, reachability):
+        cases = self.seeded_f2freez_sets()
+        for name, gens, _ in reachability.CERTIFIES:
+            st = load_structure(reachability.path(name))
+            words = {st.group.parse(w) for w in gens.split(",")}
+            cases.append((st, sorted(words, key=lambda w: (len(w), w))))
+        assert self.scan_kinds(cases) == {"transverse", "nested"}
+
+    def test_ordered_scan_agrees_on_a_thinned_relation(self, monkeypatch):
+        # dropping a seeded part of the pairs makes the relation asymmetric,
+        # so a later u of a length class can have a shorter partner than
+        # the first u that has one
+        relation = FreeProductHHG.relation
+
+        def thinned(self, u, v):
+            keep = random.Random(f"{u} {v}").random() < 0.5
+            return relation(self, u, v) if keep else ORTHOGONAL
+
+        monkeypatch.setattr(FreeProductHHG, "relation", thinned)
+        assert self.scan_kinds(self.seeded_f2freez_sets()) == {"transverse", "nested"}
 
     def test_deterministic(self):
         st = build_named("f2freez")

@@ -7,8 +7,10 @@ import pytest
 
 from hhglab import balls
 from hhglab.builders import structure_from_json
+from hhglab.certify import collect_big_domains
 from hhglab.cli import main
 from hhglab.errors import ResourceBudgetError
+from hhglab.structures import FreeProductHHG
 
 STRUCTURES = "structures"
 
@@ -22,6 +24,18 @@ def run(capsys, *argv):
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     return code, json.loads(out), err
+
+
+def with_constants(tmp_path, name, **constants):
+    """A copy of the catalog file NAME in tmp_path, with its full constant
+    ledger written out and the given constants overridden."""
+    with open(f"{STRUCTURES}/{name}.json") as fh:
+        recipe = json.load(fh)
+    ledger = structure_from_json(recipe).constants.to_json()
+    recipe["constants"] = {**ledger, **constants}
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(recipe))
+    return path
 
 
 class TestCheck:
@@ -154,6 +168,14 @@ MALFORMED_RECIPES = {
     "tau0 not finite": {"builder": "product", "group": F2XZ,
                         "constants": {"tau0": float("nan")}},
 }
+# a json integer past float range, for each constant that check or certify
+# would convert to a float
+MALFORMED_RECIPES.update({
+    f"{name} past float range": {"builder": "product", "group": F2XZ,
+                                 "constants": {name: value}}
+    for name, value in [("E", 10 ** 400), ("kappa0", 10 ** 400),
+                        ("n_complexity", 10 ** 400), ("theta_coeffs", [0, 10 ** 400]),
+                        ("tau0", 10 ** 400), ("N_rank", 10 ** 400)]})
 
 
 class TestMalformedStructureFile:
@@ -221,6 +243,30 @@ class TestCertify:
         assert doc["report"]["evidence"]["case"] == "nested"
         assert doc["report"]["evidence"]["parent_domain"] == "S"
 
+    def test_over_declared_rank_scans_the_closure_once(self, capsys, tmp_path,
+                                                       monkeypatch):
+        # N_rank 5 on f2freez orbits the big sets into 4,688 labels; the
+        # dichotomy's ordered scan asks for a handful of relations, where
+        # the whole pair table of the closure would ask for 21,972,656
+        path = with_constants(tmp_path, "f2freez", N_rank=5)
+        st = structure_from_json(json.loads(path.read_text()))
+        closure = collect_big_domains(st, [st.group.parse(w) for w in "abc"]).closure
+        assert len(closure) == 4688
+        calls = []
+        relation = FreeProductHHG.relation
+
+        def counted(self, u, v):
+            calls.append((u, v))
+            assert len(calls) <= len(closure), "more relations than labels"
+            return relation(self, u, v)
+
+        monkeypatch.setattr(FreeProductHHG, "relation", counted)
+        code, doc, _ = run_json(capsys, "certify", str(path), "--genset", "a,b,c")
+        assert code == 0
+        assert doc["report"]["variant"] == "free-subgroup"
+        assert doc["report"]["evidence"]["domains"] == ["ab@1", "c@1"]
+        assert doc["report"]["evidence"]["route"]["closure"] == closure
+
     def test_summary_lines(self, capsys, tmp_path):
         out = tmp_path / "cert.json"
         code, text, _ = run(capsys, "certify", "free2",
@@ -254,15 +300,12 @@ class TestCertify:
     @pytest.mark.parametrize("name, gens, constant, value, ratio", [
         ("free2", "a,b", "tau0", 5e-324, "10*D/tau0"),
         ("f2freez", "a,b,c", "kappa0", 1e308, "2*kappa0/tau0"),
+        # a finite float, but past lgamma's range
+        pytest.param("f2xz", "a,b,t", "N_rank", 10 ** 306, "k1", id="N_rank-1e306"),
     ])
     def test_power_schedule_overflow_is_usage_error(self, capsys, tmp_path, name, gens,
                                                     constant, value, ratio):
-        with open(f"{STRUCTURES}/{name}.json") as fh:
-            recipe = json.load(fh)
-        ledger = structure_from_json(recipe).constants.to_json()
-        recipe["constants"] = {**ledger, constant: value}
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(recipe))
+        path = with_constants(tmp_path, name, **{constant: value})
         code, out, err = run(capsys, "certify", str(path), "--genset", gens)
         assert code == 2 and out == ""
         assert err == f"error: power schedule overflows: {ratio} is not finite\n"
@@ -287,12 +330,7 @@ class TestCertify:
         # N_rank = 10^6: check bounds each domain period without building
         # N_rank!, and certify refuses the power schedule before the
         # dichotomy, whose classification would build it
-        with open(f"{STRUCTURES}/f2xz.json") as fh:
-            recipe = json.load(fh)
-        ledger = structure_from_json(recipe).constants.to_json()
-        recipe["constants"] = {**ledger, "N_rank": 10 ** 6}
-        path = tmp_path / "f2xz.json"
-        path.write_text(json.dumps(recipe))
+        path = with_constants(tmp_path, "f2xz", N_rank=10 ** 6)
         factorial = math.factorial
 
         def small_factorial(n):
@@ -470,6 +508,13 @@ class TestDistance:
         code, out, err = run(capsys, "distance", "f2xz", "--length", length)
         assert code == 2 and out == ""
         assert err == "error: sampled word length must be at least 1\n"
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-1"])
+    def test_threshold_not_finite_and_nonnegative_is_usage_error(self, capsys, threshold):
+        # a NaN or infinite threshold would be written as invalid json
+        code, out, err = run(capsys, "distance", "f2xz", f"--s={threshold}")
+        assert code == 2 and out == ""
+        assert err == "error: threshold must be finite and nonnegative\n"
 
     def test_group_without_generators_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "z0.json"
