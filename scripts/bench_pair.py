@@ -8,6 +8,13 @@ per pair, both at the pair's seed, and alternates which side runs first.
 Then one ``--trace 1`` run per side and workload gives the per-layer
 values.  Run length is the benchmark's own default.
 
+Each side runs with PYTHONPYCACHEPREFIX set to a fresh, empty directory of
+its own, which the benchmark's worker inherits.  Python then reads no
+bytecode from either checkout's ``__pycache__``: a ``.pyc`` written before
+its source was last edited is recompiled in every run under
+PYTHONDONTWRITEBYTECODE, and would charge that side compile time the other
+side does not pay.
+
 BENCH_<pr>.json, written to the root of this checkout, holds the machine,
 every raw run, each side's median and quartiles per end-to-end metric, the
 pairs each side won (ties count for neither), and the per-layer values of
@@ -21,6 +28,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -47,12 +55,14 @@ def commit(checkout):
     return done.stdout.strip() or None
 
 
-def run(checkout, workload, seed, trace):
-    """One benchmark run; its result line plus how it went."""
+def run(checkout, pycache, workload, seed, trace):
+    """One benchmark run, its bytecode kept under pycache; its result line
+    plus how it went."""
     argv = [sys.executable, "benchmark/run.py", "--workload", workload,
             "--seed", str(seed), "--trace", str(trace)]
+    env = {**os.environ, "PYTHONPYCACHEPREFIX": str(pycache)}
     started = time.time()
-    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    done = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     result = json.loads(lines[-1]) if lines else {}
     return {"started": started, "elapsed_s": time.time() - started,
@@ -111,6 +121,27 @@ def layer_deltas(runs, spec):
     return out
 
 
+def run_pairs(sides, pycaches, spec):
+    """Every run of every workload: PAIRS alternating untraced pairs, then
+    one traced run per side."""
+    runs = []
+    for w in spec["workloads"]:
+        for pair in range(PAIRS):
+            seed = FIRST_SEED + pair
+            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            for position, side in enumerate(order):
+                r = run(sides[side], pycaches[side], w["name"], seed, 0)
+                runs.append({"workload": w["name"], "pair": pair, "seed": seed,
+                             "side": side, "position": position, "trace": 0, **r})
+                print(f"{w['name']} pair {pair} {side}: "
+                      f"{r['metrics'].get('wall_s')} correct={r['correct']}", flush=True)
+        for side in ("parent", "change"):
+            r = run(sides[side], pycaches[side], w["name"], FIRST_SEED, 1)
+            runs.append({"workload": w["name"], "pair": None, "seed": FIRST_SEED,
+                         "side": side, "position": None, "trace": 1, **r})
+    return runs
+
+
 def main(argv):
     if len(argv) != 2 or not argv[1].isdigit():
         print("usage: python3 scripts/bench_pair.py PARENT_CHECKOUT PR_NUMBER", file=sys.stderr)
@@ -121,21 +152,9 @@ def main(argv):
         return 2
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     sides = {"parent": parent, "change": ROOT}
-    runs = []
-    for w in spec["workloads"]:
-        for pair in range(PAIRS):
-            seed = FIRST_SEED + pair
-            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-            for position, side in enumerate(order):
-                r = run(sides[side], w["name"], seed, 0)
-                runs.append({"workload": w["name"], "pair": pair, "seed": seed,
-                             "side": side, "position": position, "trace": 0, **r})
-                print(f"{w['name']} pair {pair} {side}: "
-                      f"{r['metrics'].get('wall_s')} correct={r['correct']}", flush=True)
-        for side in ("parent", "change"):
-            r = run(sides[side], w["name"], FIRST_SEED, 1)
-            runs.append({"workload": w["name"], "pair": None, "seed": FIRST_SEED,
-                         "side": side, "position": None, "trace": 1, **r})
+    with tempfile.TemporaryDirectory() as scratch:
+        pycaches = {side: pathlib.Path(scratch, side) for side in sides}
+        runs = run_pairs(sides, pycaches, spec)
     doc = {
         "pr": int(argv[1]),
         "machine": machine(),

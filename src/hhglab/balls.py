@@ -108,9 +108,15 @@ def ball_elements(layers):
 
 def standard_ball(model, radius):
     """Elements of the ball of the given radius in the symmetrized standard
-    generators, layer by layer: the one ball every sampler draws from."""
-    return ball_elements(
-        cayley_ball_layers(model, symmetrize(model, model.generators()), radius))
+    generators, layer by layer: the one ball every sampler draws from.
+
+    Each ball is built once per model and radius and kept on the model as
+    a tuple; every call gets a fresh list of it."""
+    balls = vars(model).setdefault("_standard_balls", {})
+    if radius not in balls:
+        balls[radius] = tuple(ball_elements(
+            cayley_ball_layers(model, symmetrize(model, model.generators()), radius)))
+    return list(balls[radius])
 
 
 def free_spheres(rank):

@@ -152,7 +152,12 @@ class GraphSpace(Space):
 
 
 class CayleyTreeSpace(Space):
-    """Cayley graph of a free group with its standard generators (a tree)."""
+    """Cayley graph of a free group with its standard generators (a tree).
+
+    Points are reduced words.  They are checked where they enter the
+    package (``contains``), and ``dist`` trusts it: the distance of two
+    reduced words is their lengths less twice their common prefix.
+    """
 
     label = "tree"
 
@@ -162,7 +167,12 @@ class CayleyTreeSpace(Space):
         self.model = free_model
 
     def dist(self, x, y):
-        return len(self.model.multiply(self.model.inverse(x), y))
+        common = 0
+        for a, b in zip(x, y):
+            if a != b:
+                break
+            common += 1
+        return len(x) + len(y) - 2 * common
 
     def basepoint(self):
         return ()

@@ -14,6 +14,7 @@ nested in v, "u > v" the reverse, "perp" orthogonal, "trans" transverse.
 import sys
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 
 from .errors import IndexMismatchError, InputError, PreconditionError, WrongKindError
 from .groups import (FreeAbelianGroup, FreeGroup, FreeProduct, GroupModel, invert_word,
@@ -126,8 +127,26 @@ class HHStructure:
         return self._domain(u).space
 
     def pi(self, u, g):
-        """Projection of the group element g to the domain space of u."""
-        return self._domain(u).pi(g)
+        """Projection of the group element g to the domain space of u.
+
+        Kept per structure as {u: {g: point}}, so each is computed once; a
+        g that cannot be hashed is projected afresh."""
+        try:
+            return self._pi_memo[u][g]
+        except KeyError:
+            pass
+        except TypeError:
+            return self._domain(u).pi(g)
+        point = self._domain(u).pi(g)
+        try:
+            self._pi_memo.setdefault(u, {})[g] = point
+        except TypeError:  # the first g projected to u cannot be hashed
+            pass
+        return point
+
+    @cached_property
+    def _pi_memo(self):
+        return {}
 
     def relation(self, u, v) -> str:
         raise NotImplementedError

@@ -270,6 +270,26 @@ class TestApiContracts:
         capsys.readouterr()
         assert calls == []
 
+    def test_standard_ball_is_built_once_per_model_and_radius(self, monkeypatch):
+        built = []
+
+        def counted(model, gens, radius, *rest):
+            built.append(radius)
+            return cayley_ball_layers(model, gens, radius, *rest)
+
+        monkeypatch.setattr(balls, "cayley_ball_layers", counted)
+        F = FreeGroup(2)
+        want = [w for layer in cayley_ball_layers(F, std_gens(F), 3) for w in layer]
+        first = standard_ball(F, 3)
+        assert first == want
+        first[0] = "junk"  # a caller's list is its own
+        first.append("junk")
+        assert standard_ball(F, 3) == want
+        assert built == [3]
+        assert standard_ball(F, 2) == want[:17]
+        assert standard_ball(FreeGroup(2), 3) == want  # a new model, a new cache
+        assert built == [3, 2, 3]
+
     def test_budget_reports_completed_radius(self):
         F = FreeGroup(2)
         with pytest.raises(ResourceBudgetError) as info:

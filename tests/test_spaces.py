@@ -99,6 +99,27 @@ class TestCayleyTree:
             assert len(geo) - 1 == self.T.dist(x, y)
             assert verify_geodesic(self.T, geo)
 
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_dist_is_the_length_of_the_quotient(self, rank):
+        # dist reads the common prefix of two reduced words; the reference
+        # reduces x^-1 y
+        T = CayleyTreeSpace(FreeGroup(rank))
+        F = T.model
+        rng = random.Random(rank)
+
+        def word(n):
+            return F.normal_form([rng.randrange(2 * rank) for _ in range(n)])
+
+        pairs = [((), ()), ((), word(5)), (word(5), ())]
+        for _ in range(200):
+            x, y = word(rng.randrange(9)), word(rng.randrange(9))
+            pairs += [(x, y), (x, x), (x[:len(x) // 2], x), (x, x[:1])]  # prefixes
+        a, b = F.parse("a"), F.parse("A")  # differ in the first letter
+        pairs += [(F.multiply(a, w), F.multiply(b, w)) for w in (word(4), word(6))
+                  if w[:1] not in (a, b)]
+        for x, y in pairs:
+            assert T.dist(x, y) == len(F.multiply(F.inverse(x), y)), (x, y)
+
     def test_membership(self):
         assert self.T.contains(self.F.parse("ab"))
         assert not self.T.contains((0, 1))  # unreduced a a^-1

@@ -299,6 +299,26 @@ def test_domain_records_are_read_on_the_base_class():
             assert name not in cls.__dict__, (cls.__name__, name)
 
 
+@pytest.mark.parametrize("name", ["f2xz", "f2freez"])
+def test_pi_agrees_with_the_domain_records(name):
+    # pi keeps each projection on its structure; the f2freez translates of
+    # its first domains are coset labels that get their records on first use
+    hh = build_named(name)
+    m = hh.group
+    rng = random.Random(24)
+    words = [m.normal_form([rng.randrange(2 * m.ngens) for _ in range(rng.randrange(7))])
+             for _ in range(20)]
+    labels = hh.domains() + sorted({hh.act_on_domain(g, u)
+                                    for g in words for u in hh.domains()[:3]})
+    if name == "f2freez":
+        assert set(labels) - set(hh._decoded)
+    for u in labels:
+        for x in words:
+            assert hh.pi(u, list(x)) == hh._domain(u).pi(list(x)), (u, x)
+            got = hh.pi(u, x)
+            assert got == hh._domain(u).pi(x) == hh.pi(u, x), (u, x)
+
+
 class TestFixturesConstruct:
     def test_all_named_structures_build(self):
         for name in (
