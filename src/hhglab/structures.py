@@ -27,6 +27,11 @@ CONTAINS = ">"
 ORTHOGONAL = "perp"
 TRANSVERSE = "trans"
 
+# a miss in pi's memo is common (certify projects mostly new elements), so
+# it is told apart by sentinels rather than by a raised KeyError
+_NO_POINTS = {}
+_UNSEEN = object()
+
 _FLIP = {EQUAL: EQUAL, NEST_IN: CONTAINS, CONTAINS: NEST_IN, ORTHOGONAL: ORTHOGONAL, TRANSVERSE: TRANSVERSE}
 
 
@@ -132,16 +137,12 @@ class HHStructure:
         Kept per structure as {u: {g: point}}, so each is computed once; a
         g that cannot be hashed is projected afresh."""
         try:
-            return self._pi_memo[u][g]
-        except KeyError:
-            pass
+            point = self._pi_memo.get(u, _NO_POINTS).get(g, _UNSEEN)
         except TypeError:
             return self._domain(u).pi(g)
-        point = self._domain(u).pi(g)
-        try:
+        if point is _UNSEEN:
+            point = self._domain(u).pi(g)
             self._pi_memo.setdefault(u, {})[g] = point
-        except TypeError:  # the first g projected to u cannot be hashed
-            pass
         return point
 
     @cached_property
