@@ -112,7 +112,10 @@ def standard_ball(model, radius):
 
     Each ball is built once per model and radius and kept on the model as
     a tuple; every call gets a fresh list of it."""
-    balls = vars(model).setdefault("_standard_balls", {})
+    try:
+        balls = model._standard_balls
+    except AttributeError:
+        balls = model._standard_balls = {}
     if radius not in balls:
         balls[radius] = tuple(ball_elements(
             cayley_ball_layers(model, symmetrize(model, model.generators()), radius)))

@@ -14,7 +14,6 @@ nested in v, "u > v" the reverse, "perp" orthogonal, "trans" transverse.
 import sys
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields
-from functools import cached_property
 
 from .errors import IndexMismatchError, InputError, PreconditionError, WrongKindError
 from .groups import (FreeAbelianGroup, FreeGroup, FreeProduct, GroupModel, invert_word,
@@ -27,9 +26,8 @@ CONTAINS = ">"
 ORTHOGONAL = "perp"
 TRANSVERSE = "trans"
 
-# a miss in pi's memo is common (certify projects mostly new elements), so
-# it is told apart by sentinels rather than by a raised KeyError
-_NO_POINTS = {}
+# marks an element pi has not projected yet: certify projects mostly new
+# elements, and a raised KeyError would cost about what the projection does
 _UNSEEN = object()
 
 _FLIP = {EQUAL: EQUAL, NEST_IN: CONTAINS, CONTAINS: NEST_IN, ORTHOGONAL: ORTHOGONAL, TRANSVERSE: TRANSVERSE}
@@ -137,17 +135,19 @@ class HHStructure:
         Kept per structure as {u: {g: point}}, so each is computed once; a
         g that cannot be hashed is projected afresh."""
         try:
-            point = self._pi_memo.get(u, _NO_POINTS).get(g, _UNSEEN)
+            points = self._pi_memo[u]
+        except KeyError:
+            self._domain(u)  # a label that names no domain raises here
+            points = self._pi_memo[u] = {}
+        except TypeError:
+            return self._domain(u).pi(g)
+        try:
+            point = points.get(g, _UNSEEN)
         except TypeError:
             return self._domain(u).pi(g)
         if point is _UNSEEN:
-            point = self._domain(u).pi(g)
-            self._pi_memo.setdefault(u, {})[g] = point
+            point = points[g] = self._domain(u).pi(g)
         return point
-
-    @cached_property
-    def _pi_memo(self):
-        return {}
 
     def relation(self, u, v) -> str:
         raise NotImplementedError
@@ -246,6 +246,7 @@ class TableHHG(HHStructure):
         self.label = label
         self.group = group
         self.constants = constants
+        self._pi_memo = {}
         self._domains = {d.label: d for d in domains}
         if len(self._domains) != len(domains):
             raise InputError("duplicate domain labels")
@@ -352,15 +353,19 @@ class FreeProductHHG(HHStructure):
         self.label = label
         self.group = group
         self.constants = constants
+        self._pi_memo = {}
         self.generation_radius = generation_radius
         self.tree = CosetTreeSpace(group)
         # domain label -> (tree vertex, Domain), successful decodes only.
         # The top domain has no vertex; it lifts a tree vertex, a coset, to
         # the coset's representative, which projects onto it (onto a
-        # neighbour for a coset of the second factor).
-        self._decoded = {self.TOP: (None, Domain(self.TOP, self.tree,
-                                                  lambda g: self.tree.vertex(0, g),
-                                                  self.tree.translate, lambda p: p[1]))}
+        # neighbour for a coset of the second factor).  No record refers
+        # back to the structure: a cycle would keep it and its pi memo alive
+        # until a full garbage collection.
+        tree = self.tree
+        self._decoded = {self.TOP: (None, Domain(self.TOP, tree,
+                                                  lambda g: tree.vertex(0, g),
+                                                  tree.translate, lambda p: p[1]))}
         self._factor_names = ["".join(p.labels) for p in group.parts]
         self._factors = [self._factor(p) for p in group.parts]
         self._labels = [self.TOP] + [self.vertex_label(v)

@@ -1,8 +1,10 @@
 """Domain tables, projections, relative projections, group actions."""
 
+import gc
 import json
 import pathlib
 import random
+import weakref
 
 import pytest
 
@@ -317,6 +319,22 @@ def test_pi_agrees_with_the_domain_records(name):
             assert hh.pi(u, list(x)) == hh._domain(u).pi(list(x)), (u, x)
             got = hh.pi(u, x)
             assert got == hh._domain(u).pi(x) == hh.pi(u, x), (u, x)
+
+
+@pytest.mark.parametrize("name", sorted(STANDARD_BUILDERS))
+def test_a_structure_dies_with_its_last_reference(name):
+    # no record refers back to its structure, so the structure and its pi
+    # memo go at once, not at the next full garbage collection
+    hh = build_named(name)
+    for u in hh.domains():
+        hh.pi(u, hh.group.parse("1"))
+    gone = weakref.ref(hh)
+    gc.disable()
+    try:
+        del hh
+        assert gone() is None
+    finally:
+        gc.enable()
 
 
 class TestFixturesConstruct:
