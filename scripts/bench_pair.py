@@ -15,8 +15,7 @@ its source was last edited; under PYTHONDONTWRITEBYTECODE Python recompiles
 that module in every run, and charges one side compile time the other does
 not pay.  PYTHONPYCACHEPREFIX would hide such files too, but it also hides
 the standard library's bytecode, so every process would compile the
-library modules it imports: setup_s read about 0.21 s on both sides
-instead of 0.095 s.
+library modules it imports, about doubling setup_s on both sides.
 
 BENCH_<pr>.json, written to the root of this checkout, holds the machine,
 every raw run, each side's median and quartiles per end-to-end metric, the
