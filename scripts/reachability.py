@@ -3,7 +3,9 @@ parameter defaults that no caller overrides.
 
 Runs every CLI command on the shipped structure files, and the library
 calls the benchmark's geometry jobs make (``realize``, ``big_set``,
-``tau0_floor_check``), in this process under ``sys.setprofile``.  Then it
+``tau0_floor_check``) together with ``realize`` and ``big_set`` on the
+free product's cosets and the swapline fixture, in this process under
+``sys.setprofile``.  Then it
 prints each function or method defined in ``src/hhglab/*.py`` (found with
 ``ast``) that was never entered and is not on ALLOWED below.
 
@@ -108,21 +110,38 @@ def commands():
 
 def geometry_jobs():
     """realize, big_set and tau0_floor_check as the geometry workload calls
-    them, with its reports."""
+    them, plus realize and big_set on f2freez (cosets, transverse pairs) and
+    big_set on swapline (a domain fixed by a square only).  Returns
+    [(job, json-ready report)]."""
+    reports = []
+    for name, radius, texts in (("f2xz", 4, ("1", "abt", "aBAt")),
+                                ("f2freez", 3, ("1", "aC", "cbA"))):
+        st = load_structure(path(name))
+        for text in texts:
+            tup = project_tuple(st, st.group.parse(text))
+            reports.append((f"realize {name} {text}",
+                            realize(st, tup, search_radius=radius).to_json(st.group)))
     f2xz = load_structure(path("f2xz"))
     model = f2xz.group
-    for text in ("1", "abt", "aBAt"):
-        g = model.parse(text)
-        realize(f2xz, project_tuple(f2xz, g), search_radius=4).to_json(model)
     for g_text, h_text in (("ab", "t"), ("t", "a")):
         g, h = model.parse(g_text), model.parse(h_text)
-        big_set(f2xz, g).to_json(model)
-        big_set(f2xz, model.conjugate(h, g))
+        reports.append((f"big_set f2xz {g_text}", big_set(f2xz, g).to_json(model)))
+        reports.append((f"big_set f2xz conjugate {h_text} {g_text}",
+                        big_set(f2xz, model.conjugate(h, g)).to_json(model)))
         for n in (2, 3):
-            big_set(f2xz, model.power(g, n))
+            reports.append((f"big_set f2xz {g_text}^{n}",
+                            big_set(f2xz, model.power(g, n)).to_json(model)))
+    for name, texts in (("f2freez", ("a", "c", "caC", "acA", "ac", "aCbAc", "cbcAC")),
+                        ("swapline", ("t", "tt", "TTT"))):
+        st = load_structure(path(name))
+        for text in texts:
+            reports.append((f"big_set {name} {text}",
+                            big_set(st, st.group.parse(text)).to_json(st.group)))
     for name in ("free2", "z1", "z2", "f2xz", "f2xf2", "f2freez"):
         st = load_structure(path(name))
-        tau0_floor_check(st, symmetrize(st.group, st.group.generators()))
+        reports.append((f"tau0 {name}",
+                        tau0_floor_check(st, symmetrize(st.group, st.group.generators()))))
+    return reports
 
 
 def package_functions():

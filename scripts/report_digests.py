@@ -1,11 +1,14 @@
-"""Print one digest line per command of the reachability sweep.
+"""Print one digest line per command of the reachability sweep, and one
+per report of its library calls.
 
 Runs every argv of ``reachability.commands()`` as ``python3 -m hhglab``
 from the repo root, with the structure paths made relative (a report's
 ``structure_source`` holds the path as given, so absolute paths would
 differ between checkouts), and prints for each: the exit code, the
 sha256 of stdout, of stderr and of the ``--out`` report ("-" when none
-was written), and the argv.
+was written), and the argv.  Then, for each report of
+``reachability.geometry_jobs()`` (realize and big_set JSON, tau0 floors),
+it prints the sha256 of its sorted-key JSON and the job.
 
 Two checkouts keep every report byte when the outputs of this script,
 run in each, do not differ:
@@ -17,6 +20,7 @@ Takes no options; standard library only.
 """
 
 import hashlib
+import json
 import os
 import pathlib
 import subprocess
@@ -47,6 +51,8 @@ def main():
             report = sha(out.read_bytes()) if out.exists() else "-"
             print(run.returncode, sha(run.stdout), sha(run.stderr), report, " ".join(argv),
                   flush=True)
+    for job, doc in reachability.geometry_jobs():
+        print(sha(json.dumps(doc, sort_keys=True).encode()), job, flush=True)
     return 0
 
 

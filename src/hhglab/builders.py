@@ -35,8 +35,7 @@ def _tree_piece(model, factor_index):
         fmodel = model.parts[factor_index]
         extract = lambda g: model.factor_word(g, factor_index)
         to_global = lambda p: model.to_global(factor_index, p)
-    return Domain("T", CayleyTreeSpace(fmodel), extract,
-                  lambda g, p: fmodel.multiply(extract(g), p), to_global)
+    return Domain("T", CayleyTreeSpace(fmodel), extract, to_global)
 
 
 def _line_piece(model, factor_index, gen_index):
@@ -50,7 +49,7 @@ def _line_piece(model, factor_index, gen_index):
     def exponent(g):
         return g.count(letter) - g.count(letter + 1)
 
-    return Domain("L", LineSpace(), exponent, lambda g, p: p + exponent(g),
+    return Domain("L", LineSpace(), exponent,
                   lambda p: (letter if p >= 0 else letter + 1,) * abs(p))
 
 
@@ -106,7 +105,7 @@ def product_structure(model, label, constants=None):
     if len(pieces) == 1:
         return TableHHG(label, model, constants, [replace(pieces[0], label="S")],
                         recipe=recipe)
-    domains = [Domain("S", PointSpace(), lambda g: 0, lambda g, p: 0, lambda p: ())]
+    domains = [Domain("S", PointSpace(), lambda g: 0, lambda p: ())]
     domains.extend(pieces)
     nesting = [(name, "S") for name in names]
     orthogonal = [(names[i], names[j]) for i in range(len(names)) for j in range(i + 1, len(names))]
@@ -173,7 +172,7 @@ def _f2xz_table(pi_line=None, line_lift=None, drop_line=False, s_space=None,
     space_S = s_space or PointSpace()
     bp = space_S.basepoint()
     domains = [
-        Domain("S", space_S, lambda g: bp, act=lambda g, p: p, lift=lambda p: ()),
+        Domain("S", space_S, lambda g: bp, lift=lambda p: ()),
         _tree_piece(model, 0),
     ]
     nesting = [("T", "S")]
@@ -181,8 +180,7 @@ def _f2xz_table(pi_line=None, line_lift=None, drop_line=False, s_space=None,
     rho_points = {("T", "S"): s_rho_T}
     rho_maps = {("S", "T"): lambda p: ()}
     if not drop_line:
-        domains.append(Domain("L", LineSpace(), pi_L,
-                              act=lambda g, p: p + pi_L(g), lift=lift_L))
+        domains.append(Domain("L", LineSpace(), pi_L, lift=lift_L))
         nesting.append(("L", "S"))
         orthogonal.append(("T", "L"))
         rho_points[("L", "S")] = bp
@@ -254,11 +252,9 @@ def fixture_swapline():
         C_norm=0.0, tau0=0.5, N_rank=2,
     )
     domains = [
-        Domain("S", PointSpace(), lambda g: 0, act=lambda g, p: 0, lift=lambda p: ()),
-        Domain("P", LineSpace(), pi_P, act=lambda g, p: p + exp(g) // 2,
-               lift=lambda p: Z.from_exponents([2 * p])),
-        Domain("Q", LineSpace(), pi_Q, act=lambda g, p: p + exp(g) // 2,
-               lift=lambda p: Z.from_exponents([2 * p])),
+        Domain("S", PointSpace(), lambda g: 0, lift=lambda p: ()),
+        Domain("P", LineSpace(), pi_P, lift=lambda p: Z.from_exponents([2 * p])),
+        Domain("Q", LineSpace(), pi_Q, lift=lambda p: Z.from_exponents([2 * p])),
     ]
     return TableHHG(
         "swapline", Z, constants, domains,
@@ -274,8 +270,7 @@ def fixture_bad_orth_closure():
     orthogonal to U, yet V declared transverse to U.  Uniqueness also
     fails, unavoidably: every domain is bounded over an infinite group."""
     Z = FreeAbelianGroup(1)
-    mk = lambda name: Domain(name, PointSpace(), lambda g: 0, act=lambda g, p: 0,
-                             lift=lambda p: ())
+    mk = lambda name: Domain(name, PointSpace(), lambda g: 0, lift=lambda p: ())
     domains = [mk("S"), mk("W"), mk("V"), mk("U")]
     return TableHHG(
         "bad-orth-closure", Z, ConstantLedger(n_complexity=3), domains,
@@ -389,10 +384,16 @@ def structure_from_json(data) -> HHStructure:
                                   constants=constants)
 
 
+def names_a_file(source) -> bool:
+    """Whether load_structure reads the source as a path to a structure
+    json file (it ends in .json or holds a /) rather than a catalog name."""
+    return isinstance(source, str) and (source.endswith(".json") or "/" in source)
+
+
 def load_structure(source) -> HHStructure:
     """Accepts a catalog name or a path to a structure json file; a file
     nested past the interpreter's recursion limit raises InputError."""
-    if isinstance(source, str) and (source.endswith(".json") or "/" in source):
+    if names_a_file(source):
         with open(source) as fh:
             try:
                 return structure_from_json(json.load(fh))

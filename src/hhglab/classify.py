@@ -3,9 +3,22 @@
 The big set of a group element g collects the domains on which its
 cyclic orbit is unbounded.  Membership has one test: some power g^m with
 m <= max(2, N_rank)! maps the domain u to itself, and g^m translates the
-space of u by a positive amount.  Every domain carries an action, so the
-translation length is always defined; it is retained, with m, as
-evidence on the result.
+space of u by a positive amount.  The translation length is retained,
+with m, as evidence on the result.
+
+It is read off the projections.  Every structure here is equivariant: an
+element h fixing u moves pi_u(g) to pi_u(hg).  So with x = pi_u(1) the
+points h x and h^2 x are pi_u(h) and pi_u(h^2), and no action on the
+space is needed.  Per family of domains:
+- a tree or line piece of a product projects by a homomorphism (the
+  factor word, an exponent sum, or three times one in the
+  corrupt-Lipschitz fixture);
+- the top domain of a free product projects g to the coset g F_0, and
+  vertex(0, hg) = translate(h, vertex(0, g));
+- if h fixes the coset rep F_i, then rep^-1 h = f rep^-1 with f in F_i, so
+  the first syllable of rep^-1 h g is f times that of rep^-1 g;
+- in the swapline fixture an element fixing P or Q has an even exponent,
+  on which both half-speed lines are homomorphisms.
 
 Only the domains along g's own path are scanned:
 `structure.domains_between(IDENTITY, g)`, which contains every domain of
@@ -47,9 +60,9 @@ def tau_on_domain(structure, g, u):
     m = domain_period(structure, g, u, max(2, structure.constants.N_rank))
     if m is None:
         return None, None
-    h = structure.group.power(g, m)
-    tau = translation_length(structure.space(u), lambda p: structure.act_in_space(u, h, p),
-                             x=structure.pi(u, IDENTITY))
+    power = structure.group.power
+    tau = translation_length(structure.space(u), structure.pi(u, IDENTITY),
+                             structure.pi(u, power(g, m)), structure.pi(u, power(g, 2 * m)))
     return tau / m, m
 
 

@@ -14,13 +14,12 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import random
 import sys
 
 from .axioms import check_structure, structural_validators
 from .balls import growth_function, parse_generating_set, symmetrize
-from .builders import load_structure
+from .builders import load_structure, names_a_file
 from .certify import certify, scan_generating_sets
 from .coords import fit_distance_formula, product_decomposition
 from .errors import (CertifierRefutedError, ClassificationAnomalyError,
@@ -32,7 +31,7 @@ REPORT_SCHEMA = 1
 def structure_fingerprint(source, structure):
     """sha256 of the structure file, or of the canonical recipe when the
     structure came from the built-in catalog."""
-    if os.path.isfile(source):
+    if names_a_file(source):
         with open(source, "rb") as fh:
             return {"kind": "file", "source": source,
                     "sha256": hashlib.sha256(fh.read()).hexdigest()}

@@ -39,11 +39,6 @@ class Space:
     def contains(self, x) -> bool:
         raise NotImplementedError
 
-    def check_point(self, x):
-        if not self.contains(x):
-            raise InputError(f"{x!r} is not a point of {self.label}")
-        return x
-
 
 class PointSpace(Space):
     """Single point; the coordinate space of a bounded domain."""
@@ -128,8 +123,6 @@ class GraphSpace(Space):
         return dist, parent
 
     def dist(self, x, y):
-        self.check_point(x)
-        self.check_point(y)
         return self._bfs(x)[0][y]
 
     def basepoint(self):
@@ -199,11 +192,11 @@ class CosetTreeSpace(Space):
     factor, so each coset names exactly one vertex.  Cosets g F_i and
     h F_j are adjacent when they intersect, which yields a tree.
 
-    Points are checked where they enter the package (``contains`` in
-    ``coords.is_consistent``, ``check_point`` in the relative projection of
-    a free-product structure); ``dist`` and ``geodesic`` trust that the
-    points they get come from ``vertex``, ``translate``, ``sample_points``
-    or a projection, and do not check them again.
+    Points are checked where they enter the package (``contains``, in
+    ``coords.is_consistent`` and in the projection axiom); ``dist`` and
+    ``geodesic`` trust that the points they get come from ``vertex``,
+    ``translate``, ``sample_points`` or a projection, and do not check them
+    again.
     """
 
     label = "coset tree"
@@ -318,9 +311,9 @@ def max_four_point_defect(space, points, quad_budget):
     return worst
 
 
-def translation_length(space, act, x):
-    """max(0, d(x, g^2 x) - d(x, g x)): exact translation length whenever the
-    space is a tree (coset trees, Cayley trees, lines, paths)."""
-    gx = act(x)
-    ggx = act(gx)
+def translation_length(space, x, gx, ggx):
+    """max(0, d(x, g^2 x) - d(x, g x)) from a point x and its images gx and
+    ggx under an isometry g and its square: the exact translation length of
+    g whenever the space is a tree (coset trees, Cayley trees, lines,
+    paths)."""
     return max(0, space.dist(x, ggx) - space.dist(x, gx))

@@ -166,12 +166,6 @@ class HHStructure:
         """The domain g u."""
         raise NotImplementedError
 
-    def act_in_space(self, u, g, p):
-        """Action of g on the space of u; defined when g preserves u."""
-        if self.act_on_domain(g, u) != u:
-            raise PreconditionError(f"element does not preserve domain {u}")
-        return self._domain(u).act(g, p)
-
     def lift(self, u, p):
         """A group element projecting to p in the space of u."""
         return self._domain(u).lift(p)
@@ -204,14 +198,15 @@ class HHStructure:
 
 @dataclass(frozen=True)
 class Domain:
-    """One domain of a structure: its space, projection, action and lift.
+    """One domain of a structure: its space, projection and lift.
 
     Every structure keeps one record per domain label, built once, and
-    HHStructure reads space, pi, act_in_space and lift off it.
+    HHStructure reads space, pi and lift off it.  No action on the space is
+    declared: every structure here is equivariant, so an element h fixing
+    the domain moves pi(g) to pi(hg), and translation lengths are read off
+    the projections.
 
     pi(g): projection of the group element g to the space.
-    act(g, p): action on the space of an element g preserving the domain;
-        every domain declares one.
     lift(p): a group element projecting to the point p; every domain
         declares one.  At the top domain of a free product, lift lands on
         p or on a neighbour of p: it returns the coset representative,
@@ -222,7 +217,6 @@ class Domain:
     label: str
     space: Space
     pi: Callable
-    act: Callable
     lift: Callable
 
 
@@ -365,7 +359,7 @@ class FreeProductHHG(HHStructure):
         tree = self.tree
         self._decoded = {self.TOP: (None, Domain(self.TOP, tree,
                                                   lambda g: tree.vertex(0, g),
-                                                  tree.translate, lambda p: p[1]))}
+                                                  lambda p: p[1]))}
         self._factor_names = ["".join(p.labels) for p in group.parts]
         self._factors = [self._factor(p) for p in group.parts]
         self._labels = [self.TOP] + [self.vertex_label(v)
@@ -426,11 +420,10 @@ class FreeProductHHG(HHStructure):
 
     def _coset_domain(self, u, v):
         """Record of the coset rep F_i at the tree vertex v = (i, rep): pi
-        reads the first syllable of rep^-1 g, an element preserving the
-        coset acts by its conjugate by rep, and a point lifts to rep times
+        reads the first syllable of rep^-1 g, and a point lifts to rep times
         its local word."""
         i, rep = v
-        group, part = self.group, self.group.parts[i]
+        group = self.group
         space, point, word = self._factors[i]
         rep_inverse = invert_word(rep)
 
@@ -438,11 +431,7 @@ class FreeProductHHG(HHStructure):
             syls = group.syllables(rep_inverse + tuple(g))
             return point(syls[0][1] if syls and syls[0][0] == i else ())
 
-        def act(g, p):
-            local = group.to_local(i, group.conjugate(rep_inverse, g))
-            return point(part.multiply(local, word(p)))
-
-        return Domain(u, space, pi, act,
+        return Domain(u, space, pi,
                       lambda p: group.multiply(rep, group.to_global(i, word(p))))
 
     def domains(self):
@@ -473,7 +462,6 @@ class FreeProductHHG(HHStructure):
     def rho_map_point(self, w, v, p):
         if self.parse_domain(w) is not None:
             raise PreconditionError(f"no downward projection from {w} to {v}")
-        self.tree.check_point(p)
         return self.pi(v, p[1])
 
     def act_on_domain(self, g, u):

@@ -45,11 +45,10 @@ def line_tree_structure():
         return tm.normal_form(((0,) if n >= 0 else (1,)) * abs(n))
 
     domains = [
-        Domain("S", PointSpace(), lambda g: 0, act=lambda g, p: 0, lift=lambda p: ()),
+        Domain("S", PointSpace(), lambda g: 0, lift=lambda p: ()),
         Domain("P", LineSpace(), lambda g: model.exponents(g)[1],
-               act=lambda g, p: p + model.exponents(g)[1],
                lift=lambda p: model.from_exponents([0, p])),
-        Domain("W", tree, tree_pi, act=lambda g, p: tm.multiply(tree_pi(g), p),
+        Domain("W", tree, tree_pi,
                lift=lambda p: model.from_exponents([p.count(0) - p.count(1), 0])),
     ]
     return TableHHG(

@@ -120,6 +120,30 @@ class TestStabilization:
         assert [domain_period(hh, t, u, 2) for u in ("P", "Q")] == [2, 2]
         assert tau_on_domain(hh, t, "P") == (0.5, 2)
 
+    def test_conjugate_fixes_its_coset(self):
+        # caC fixes the coset c F_0 and moves its points by a; no power of a
+        # up to 2! fixes that coset
+        hh = build_named("f2freez")
+        assert tau_on_domain(hh, hh.group.parse("caC"), "ab@c") == (1.0, 1)
+        assert tau_on_domain(hh, hh.group.parse("a"), "ab@c") == (None, None)
+
+    @pytest.mark.parametrize("name", ["f2xz", "f2xf2", "f2freez"])
+    def test_tau_is_each_step_of_the_projected_orbit(self, name):
+        # on a tree, with h = g^m fixing u and x = pi_u(1), every step
+        # d(x, h^(n+1) x) - d(x, h^n x) with n >= 1 is the translation length
+        # of h; the orbit points are read off pi as pi_u(h^n)
+        hh = build_named(name)
+        m = hh.group
+        for g in random_words(m, 70, 6, seed=31):
+            for u in hh.domains_between((), g):
+                tau, period = tau_on_domain(hh, g, u)
+                if tau is None:
+                    continue
+                h, space, x = m.power(g, period), hh.space(u), hh.pi(u, ())
+                orbit = [space.dist(x, hh.pi(u, m.power(h, n))) for n in range(1, 6)]
+                steps = [b - a for a, b in zip(orbit, orbit[1:])]
+                assert steps == [tau * period] * 4, (g, u, steps)
+
     def test_missing_power_is_structure_invalid(self):
         # with N_rank = 1 no power up to N_rank! fixes the swapped lines,
         # and the certifier refuses the declared rank

@@ -63,6 +63,15 @@ class TestCheck:
         assert doc["structure_source"]["kind"] == "recipe"
         assert len(doc["structure_source"]["sha256"]) == 64
 
+    def test_catalog_name_beside_a_file_of_that_name(self, capsys, tmp_path, monkeypatch):
+        # a source without ".json" or "/" is loaded as a catalog name, so its
+        # fingerprint is the recipe's, whatever file of that name lies here
+        (tmp_path / "free2").write_text("unrelated")
+        monkeypatch.chdir(tmp_path)
+        code, doc, _ = run_json(capsys, "decompose", "free2")
+        assert code == 0
+        assert doc["structure_source"]["kind"] == "recipe"
+
     def test_constants_embedded(self, capsys):
         _, doc, _ = run_json(capsys, "check", "z1")
         assert doc["constants"]["tau0"] == 1.0

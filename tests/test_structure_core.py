@@ -16,7 +16,7 @@ from hhglab.builders import (
     load_structure,
     structure_from_json,
 )
-from hhglab.errors import IndexMismatchError, InputError, PreconditionError
+from hhglab.errors import IndexMismatchError, InputError
 from hhglab.structures import (
     CONTAINS,
     EQUAL,
@@ -85,8 +85,6 @@ class TestProductStructures:
         assert hh.rho_point("T", "S") == 0
         assert hh.rho_map_point("S", "T", 0) == ()
         g = hh.group.parse("at")
-        assert hh.act_in_space("L", g, 5) == 6
-        assert hh.act_in_space("T", g, ()) == (0,)
         assert hh.act_on_domain(g, "T") == "T"
 
     def test_z2_two_lines(self):
@@ -243,13 +241,6 @@ class TestFreeProductStructure:
         caC = self.m.parse("caC")
         assert self.hh.act_on_domain(caC, "ab@c") == "ab@c"
 
-    def test_action_in_conjugate_domain(self):
-        caC = self.m.parse("caC")
-        p = self.hh.act_in_space("ab@c", caC, ())
-        assert p == self.m.parts[0].parse("a")
-        with pytest.raises(PreconditionError):
-            self.hh.act_in_space("ab@c", self.m.parse("a"), ())
-
     def test_lift(self):
         local_b = self.m.parts[0].parse("b")
         g = self.hh.lift("ab@c", local_b)
@@ -279,25 +270,10 @@ class TestFreeProductStructure:
                 p = self.hh.pi(u, self.seeded_word(rng, self.m, 6))
                 assert self.hh.pi(u, self.hh.lift(u, p)) == p, (u, p)
 
-    def test_action_in_space_is_equivariant(self):
-        rng = random.Random(22)
-        for u in self.record_labels(rng):
-            v = self.hh.parse_domain(u)
-            for _ in range(5):
-                if v is None:
-                    h = self.seeded_word(rng, self.m, 4)
-                else:
-                    i, rep = v
-                    local = self.seeded_word(rng, self.m.parts[i], 4)
-                    h = self.m.conjugate(rep, self.m.to_global(i, local))
-                x = self.seeded_word(rng, self.m, 6)
-                assert (self.hh.act_in_space(u, h, self.hh.pi(u, x))
-                        == self.hh.pi(u, self.m.multiply(h, x))), (u, h, x)
-
 
 def test_domain_records_are_read_on_the_base_class():
     for cls in (TableHHG, FreeProductHHG):
-        for name in ("space", "pi", "lift", "act_in_space"):
+        for name in ("space", "pi", "lift"):
             assert name not in cls.__dict__, (cls.__name__, name)
 
 
@@ -357,7 +333,6 @@ class TestFixturesConstruct:
         t = hh.group.parse("t")
         assert hh.act_on_domain(t, "P") == "Q"
         assert hh.act_on_domain(hh.group.parse("tt"), "P") == "P"
-        assert hh.act_in_space("P", hh.group.parse("tt"), 0) == 1
 
     def test_corrupt_rho_moved(self):
         hh = build_named("f2xz-corrupt-rho")
