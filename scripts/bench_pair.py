@@ -1,6 +1,6 @@
 """Benchmark a change against its parent checkout and write BENCH_<pr>.json.
 
-    python3 scripts/bench_pair.py PARENT_CHECKOUT PR_NUMBER
+    python3 scripts/bench_pair.py PARENT_CHECKOUT PARENT_COMMIT PR_NUMBER
 
 For each workload of BENCHMARK.json, runs ``benchmark/run.py --trace 0``
 in PAIRS pairs, one run of the parent checkout and one of this checkout
@@ -17,16 +17,22 @@ not pay.  PYTHONPYCACHEPREFIX would hide such files too, but it also hides
 the standard library's bytecode, so every process would compile the
 library modules it imports, about doubling setup_s on both sides.
 
+PARENT_COMMIT is the parent's commit id, recorded as given: a checkout
+made with ``git archive`` has no ``.git`` to ask.  This checkout's commit
+is read from git (``git describe --always --dirty``).
+
 BENCH_<pr>.json, written to the root of this checkout, holds the machine,
-every raw run, each side's median and quartiles per end-to-end metric, the
-pairs each side won (ties count for neither), and the per-layer values of
-both sides with their differences.  Standard library only.
+both commits, every raw run, each side's median and quartiles per
+end-to-end metric, the pairs each side won (ties count for neither), and
+the per-layer values of both sides with their differences.  Standard
+library only.
 """
 
 import json
 import os
 import pathlib
 import platform
+import re
 import shutil
 import statistics
 import subprocess
@@ -52,8 +58,9 @@ def machine():
             "cpus": os.cpu_count(), "cpu_model": model}
 
 
-def commit(checkout):
-    done = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=checkout,
+def commit():
+    """This checkout's commit, marked -dirty when its tree differs."""
+    done = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT,
                           capture_output=True, text=True)
     return done.stdout.strip() or None
 
@@ -144,8 +151,10 @@ def run_pairs(sides, spec):
 
 
 def main(argv):
-    if len(argv) != 2 or not argv[1].isdigit():
-        print("usage: python3 scripts/bench_pair.py PARENT_CHECKOUT PR_NUMBER", file=sys.stderr)
+    if (len(argv) != 3 or not re.fullmatch(r"[0-9a-f]{7,40}", argv[1])
+            or not argv[2].isdigit()):
+        print("usage: python3 scripts/bench_pair.py PARENT_CHECKOUT PARENT_COMMIT PR_NUMBER",
+              file=sys.stderr)
         return 2
     parent = pathlib.Path(argv[0]).resolve()
     if not (parent / "benchmark" / "run.py").is_file():
@@ -160,16 +169,16 @@ def main(argv):
                 ".git", "__pycache__", ".bench_out"))
         runs = run_pairs(sides, spec)
     doc = {
-        "pr": int(argv[1]),
+        "pr": int(argv[2]),
         "machine": machine(),
-        "parent": {"commit": commit(parent)},
-        "change": {"commit": commit(ROOT)},
+        "parent": {"commit": argv[1]},
+        "change": {"commit": commit()},
         "pairs_per_workload": PAIRS,
         "summary": summarise(runs, spec),
         "layers": layer_deltas(runs, spec),
         "runs": runs,
     }
-    out = ROOT / f"BENCH_{argv[1]}.json"
+    out = ROOT / f"BENCH_{argv[2]}.json"
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"wrote {out}")
     return 0

@@ -6,6 +6,12 @@ individual checks run, and a witness for the worst case.  Sampling is
 deterministic for a fixed seed.  A pass is evidence on the sample
 window, never a proof; a fail is a concrete counterexample.
 
+One run draws its samples once, in ``_Env``, and the nine checks share
+them: the ball elements, the sampled pairs each with its word distance
+``(x, y, d_G(x, y))`` (checks 1 and 9 read it), and one point sample per
+space object, which domains on the same space share; ``points`` hands out
+a fresh list of it on each call.
+
 Checks 1, 4 and 6-9 keep that worst case in one record, ``_Worst``: the
 smallest margin, the first witness that reached it and the check count.
 A check that runs nothing passes with its vacuous margin: inf (1),
@@ -105,11 +111,18 @@ class _Env:
             if i == j or (i, j) in seen:
                 continue
             seen.add((i, j))
-            self.pairs.append((self.elements[i], self.elements[j]))
+            x, y = self.elements[i], self.elements[j]
+            self.pairs.append((x, y, st.word_metric(x, y)))
         self.domains = st.domains()
+        self._points = {}  # space -> its sample, a tuple
 
     def points(self, u):
-        return self.st.space(u).sample_points(self.radius)[:POINTS_PER_DOMAIN]
+        space = self.st.space(u)
+        pts = self._points.get(space)
+        if pts is None:
+            pts = self._points[space] = tuple(
+                space.sample_points(self.radius)[:POINTS_PER_DOMAIN])
+        return list(pts)
 
     def show(self, w):
         return self.st.group.format(w)
@@ -151,8 +164,7 @@ def _check_projections(env):
     delta = st.constants.delta
     worst = _Worst()
     # coarse Lipschitz bound on every materialized domain
-    for x, y in env.pairs:
-        dg = st.word_metric(x, y)
+    for x, y, dg in env.pairs:
         for u in env.sample(env.domains, 40):
             du = st.dsub(u, x, y)
             worst.see(K * dg + K - du, lambda: {"clause": "lipschitz", "domain": u, "x": env.show(x),
@@ -300,7 +312,7 @@ def _check_large_links(env):
     E = st.constants.E
     lam = st.constants.lam
     worst = _Worst()
-    for x, y in env.pairs:
+    for x, y, _ in env.pairs:
         between = st.domains_between(x, y)
         for w in env.domains:
             candidates = [v for v in between if st.relation(v, w) == NEST_IN]
@@ -391,11 +403,12 @@ def _check_partial_realization(env):
 def _check_uniqueness(env):
     st = env.st
     worst = _Worst()
-    for x, y in env.pairs:
-        dg = st.word_metric(x, y)
+    thresholds = [(kappa, st.constants.theta_of(kappa))
+                  for kappa in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)]
+    for x, y, dg in env.pairs:
         best = None
-        for kappa in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0):
-            if dg <= st.constants.theta_of(kappa):
+        for kappa, theta in thresholds:
+            if dg <= theta:
                 continue
             if best is None:
                 best = max(distance_formula_sum(st, x, y, 0).contributions.values(),

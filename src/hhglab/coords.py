@@ -141,12 +141,32 @@ def closest_elements(structure, candidates, targets):
     """(theta_e, closest): theta_e is the least, over the candidates g, of
     the largest distance from a target point p of a domain u to pi_u(g),
     for (u, p) in targets; closest lists the candidates achieving it, in
-    candidate order."""
-    spaces = {u: structure.space(u) for u, _ in targets}
-    scores = [(max(spaces[u].dist(p, structure.pi(u, g)) for u, p in targets), g)
-              for g in candidates]
-    theta_e = min(s for s, _ in scores)
-    return theta_e, [g for s, g in scores if s == theta_e]
+    candidate order.
+
+    A candidate is dropped at its first distance above the least score so
+    far, which it can no longer reach.  A score is the first largest of its
+    distances and theta_e the first least score, so theta_e has the value
+    and the int/float type that max and min over all scores would give.
+    """
+    pi = structure.pi
+    targets = [(u, p, structure.space(u).dist) for u, p in targets]
+    theta_e = None
+    closest = []
+    for g in candidates:
+        score = None
+        for u, p, dist in targets:
+            d = dist(p, pi(u, g))
+            if score is None or d > score:
+                if theta_e is not None and d > theta_e:
+                    break
+                score = d
+        else:
+            if theta_e is None or score < theta_e:
+                theta_e = score
+                closest = [g]
+            elif score == theta_e:
+                closest.append(g)
+    return theta_e, closest
 
 
 def realize(structure, tup, search_radius):

@@ -9,8 +9,6 @@ The pairwise distances of a finite sample are computed once, in one place,
 sample diameter read them from it.
 """
 
-from itertools import combinations, islice
-
 from .balls import standard_ball
 from .errors import InputError, WrongKindError
 from .groups import FreeGroup, FreeProduct, invert_word, is_int
@@ -298,17 +296,42 @@ def sample_diameter(dist, points, default):
 
 
 def max_four_point_defect(space, points, quad_budget):
-    """Worst defect over the first quad_budget quadruples of the sample,
-    the defect being half the gap between the two largest pairing sums; a
-    space is delta-hyperbolic in the four-point sense when it is <= delta."""
+    """Worst defect over the first quad_budget quadruples i < j < k < l of
+    the sample, in lexicographic order, the defect being half the gap
+    between the two largest pairing sums; a space is delta-hyperbolic in
+    the four-point sense when it is <= delta."""
     t = distance_table(space.dist, points)
-    worst = 0.0
-    for i, j, k, l in islice(combinations(range(len(points)), 4), quad_budget):
-        sums = sorted([t[i][j] + t[k][l], t[i][k] + t[j][l], t[i][l] + t[j][k]])
-        defect = (sums[2] - sums[1]) / 2
-        if defect > worst:
-            worst = defect
-    return worst
+    n = len(t)
+    left = quad_budget
+    worst = 0.0  # largest gap; halving is monotone, so it is halved once
+    for i in range(n - 3):
+        ti = t[i]
+        for j in range(i + 1, n - 2):
+            tj = t[j]
+            tij = ti[j]
+            for k in range(j + 1, n - 1):
+                if left <= 0:
+                    return worst / 2
+                tk = t[k]
+                tik, tjk = ti[k], tj[k]
+                stop = min(n, k + 1 + left)
+                left -= stop - k - 1
+                for til, tjl, tkl in zip(ti[k + 1:stop], tj[k + 1:stop], tk[k + 1:stop]):
+                    a = tij + tkl
+                    b = tik + tjl
+                    c = til + tjk
+                    if a < b:
+                        a, b = b, a
+                    # a >= b; the gap is the largest sum less the middle one
+                    if c <= b:
+                        gap = a - b
+                    elif c <= a:
+                        gap = a - c
+                    else:
+                        gap = c - a
+                    if gap > worst:
+                        worst = gap
+    return worst / 2
 
 
 def translation_length(space, x, gx, ggx):

@@ -1,10 +1,13 @@
 """Axiom checker: clean structures pass, corrupted ones fail where intended."""
 
+from collections import Counter
+
 import pytest
 
-from hhglab.axioms import AXIOM_NAMES, check_structure
+from hhglab.axioms import AXIOM_NAMES, _Env, check_structure
 from hhglab.builders import build_named, structure_from_json
 from hhglab.errors import InputError
+from hhglab.spaces import Space
 
 STANDARD = ("free2", "z1", "z2", "f2xz", "f2xf2", "f2freez")
 
@@ -116,3 +119,55 @@ class TestCheckerApi:
         report = check_structure(build_named("f2freez"))
         for a in report.axioms:
             assert a.checks > 0, a.name
+
+
+def space_classes():
+    """Space and every subclass of it loaded so far."""
+    out, stack = [], [Space]
+    while stack:
+        cls = stack.pop()
+        out.append(cls)
+        stack.extend(cls.__subclasses__())
+    return out
+
+
+class TestSharedSamples:
+    """One checker run computes each sampled quantity once."""
+
+    def test_each_space_is_sampled_once(self, monkeypatch):
+        st = build_named("f2freez")
+        sampled = []
+        for cls in space_classes():
+            if "sample_points" in cls.__dict__:
+                def counting(self, radius, original=cls.__dict__["sample_points"]):
+                    sampled.append(self)
+                    return original(self, radius)
+                monkeypatch.setattr(cls, "sample_points", counting)
+        check_structure(st, radius=3, seed=0, max_pairs=500)
+        assert any(space is st.tree for space in sampled)
+        assert max(Counter(map(id, sampled)).values()) == 1
+
+    def test_points_hands_out_a_fresh_list(self):
+        env = _Env(build_named("f2freez"), 3, 0, 5)
+        pts = env.points("S")
+        assert len(pts) == 25
+        pts.clear()
+        assert env.points("S") is not env.points("S")
+        assert len(env.points("S")) == 25
+
+    def test_word_metric_once_per_sampled_pair(self, monkeypatch):
+        st = build_named("f2freez")
+        env = _Env(st, 3, 0, 500)
+        assert len(env.pairs) == 500
+        assert all(dg == st.word_metric(x, y) for x, y, dg in env.pairs)
+        calls = []
+        original = st.word_metric
+
+        def counting(x, y):
+            calls.append((x, y))
+            return original(x, y)
+
+        monkeypatch.setattr(st, "word_metric", counting)
+        check_structure(st, radius=3, seed=0, max_pairs=500)
+        assert Counter(calls) == Counter((x, y) for x, y, _ in env.pairs)
+        assert len(calls) == len(env.pairs)

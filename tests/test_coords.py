@@ -137,6 +137,47 @@ class TestRawLibraryInputs:
         assert tau0_floor_check(hh, [list(w) for w in raws]) == expected
 
 
+def reference_closest_elements(structure, candidates, targets):
+    """The unpruned search: every candidate scored on every target."""
+    spaces = {u: structure.space(u) for u, _ in targets}
+    scores = [(max(spaces[u].dist(p, structure.pi(u, g)) for u, p in targets), g)
+              for g in candidates]
+    theta_e = min(s for s, _ in scores)
+    return theta_e, [g for s, g in scores if s == theta_e]
+
+
+class TestClosestElementsPruning:
+    @pytest.mark.parametrize("name", ["f2xz", "z1", "f2freez"])
+    def test_pruned_search_matches_the_full_scoring(self, name):
+        hh = build_named(name)
+        rng = random.Random(19)
+        ball = standard_ball(hh.group, 3)
+        far = standard_ball(hh.group, 5)
+        domains = hh.domains()
+        positive = ties = 0
+        for trial in range(60):
+            us = rng.sample(domains, rng.randint(1, min(len(domains), 6)))
+            kind = trial % 3
+            if kind == 0:
+                # a projected tuple of a ball element
+                g = rng.choice(ball)
+                targets = [(u, hh.pi(u, g)) for u in us]
+            elif kind == 1:
+                # each entry projected from its own ball element
+                targets = [(u, hh.pi(u, rng.choice(ball))) for u in us]
+            else:
+                # entries shifted out of the ball's reach
+                targets = [(u, hh.pi(u, rng.choice(far))) for u in us]
+            candidates = rng.sample(ball, rng.randint(1, len(ball)))
+            want = reference_closest_elements(hh, candidates, targets)
+            got = closest_elements(hh, candidates, targets)
+            assert got == want
+            assert type(got[0]) is type(want[0])
+            positive += want[0] > 0
+            ties += len(want[1]) > 1
+        assert positive > 0 and ties > 0
+
+
 class TestRealization:
     def setup_method(self):
         self.hh = build_named("f2xz")

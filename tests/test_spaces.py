@@ -14,6 +14,7 @@ from hhglab.spaces import (
     GraphSpace,
     LineSpace,
     PointSpace,
+    Space,
     distance_table,
     max_four_point_defect,
     sample_diameter,
@@ -250,6 +251,45 @@ class CountingLine(LineSpace):
         return super().dist(x, y)
 
 
+def four_point_budget(kind, n):
+    """The budget of that kind for a sample of n points; a cut kind with no
+    such cut in the sample falls back to the full count."""
+    quads = list(combinations(range(n), 4))
+    if kind is None:
+        return len(quads)
+    if kind == "C-1":
+        return max(len(quads) - 1, 0)
+    if kind in ("j", "k"):
+        shared = 2 if kind == "j" else 3
+        cuts = [b for b in range(1, len(quads))
+                if quads[b - 1][:shared] == quads[b][:shared]
+                and quads[b - 1][shared] != quads[b][shared]]
+        return cuts[len(cuts) // 2] if cuts else len(quads)
+    return kind
+
+
+class MatrixSpace(Space):
+    """Points 0..n-1 under a seeded random symmetric table, not always a
+    metric, whose entries mix ints, halves and other floats, so that
+    pairing sums tie across types."""
+
+    def __init__(self, n, rng):
+        self.table = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                kind = rng.randrange(3)
+                if kind == 0:
+                    d = rng.randint(0, 6)
+                elif kind == 1:
+                    d = rng.randint(0, 12) / 2
+                else:
+                    d = rng.uniform(0, 6)
+                self.table[i][j] = self.table[j][i] = d
+
+    def dist(self, x, y):
+        return self.table[x][y]
+
+
 class TestDistanceTable:
     def samples(self):
         C4 = GraphSpace(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -264,11 +304,16 @@ class TestDistanceTable:
         G = random_connected_graph(5)
         assert max_four_point_defect(G, G.sample_points(9), QUADS) > 0
 
-    # None: a budget that covers every quadruple of the sample
-    @pytest.mark.parametrize("budget", [1, 5, None])
+    # a budget by its place in the lexicographic order of quadruples: a
+    # count, a cut between two k of one (i, j), a cut between two l of one
+    # (i, j, k), all quadruples but the last, or all of them (None)
+    @pytest.mark.parametrize("budget", [0, 1, 5, "j", "k", "C-1", None])
     def test_four_point_matches_per_quadruple_reference(self, budget):
-        for space, pts in self.samples():
-            quads = math.comb(len(pts), 4) if budget is None else budget
+        rng = random.Random(4)
+        samples = self.samples() + [(MatrixSpace(n, rng), list(range(n)))
+                                    for n in range(12) for _ in range(3)]
+        for space, pts in samples:
+            quads = four_point_budget(budget, len(pts))
             got = max_four_point_defect(space, pts, quads)
             want = reference_four_point(space, pts, quads)
             assert got == want
