@@ -5,8 +5,10 @@
 For each workload of BENCHMARK.json, runs ``benchmark/run.py --trace 0``
 in PAIRS pairs, one run of the parent checkout and one of this checkout
 per pair, both at the pair's seed, and alternates which side runs first.
-Then one ``--trace 1`` run per side and workload gives the per-layer
-values.  Run length is the benchmark's own default.
+Then TRACED_RUNS ``--trace 1`` runs per side and workload, the sides
+alternating, give the per-layer values: one traced run cannot carry a
+comparison, since traced seconds spread widely from run to run.  Run
+length is the benchmark's own default.
 
 Each side runs in a fresh copy of its checkout, made without ``.git``,
 ``__pycache__`` or ``.bench_out``, as a benchmark run on a new checkout
@@ -24,8 +26,8 @@ is read from git (``git describe --always --dirty``).
 BENCH_<pr>.json, written to the root of this checkout, holds the machine,
 both commits, every raw run, each side's median and quartiles per
 end-to-end metric, the pairs each side won (ties count for neither), and
-the per-layer values of both sides with their differences.  Standard
-library only.
+each side's median and quartiles per per-layer metric, with the difference
+of the medians.  Standard library only.
 """
 
 import json
@@ -42,6 +44,7 @@ import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PAIRS = 10
+TRACED_RUNS = 3
 FIRST_SEED = 1
 
 
@@ -113,25 +116,31 @@ def summarise(runs, spec):
     return out
 
 
-def layer_deltas(runs, spec):
+def layer_spreads(runs, spec):
+    """Per workload and per-layer metric: each side's spread over its
+    traced runs (None below two values) and the difference of the medians."""
     out = {}
     for w in spec["workloads"]:
-        traced = {r["side"]: r["metrics"] for r in runs
-                  if r["workload"] == w["name"] and r["trace"] == 1}
-        if len(traced) < 2:
-            continue
-        out[w["name"]] = {
-            m["name"]: {"parent": traced["parent"].get(m["name"]),
-                        "change": traced["change"].get(m["name"]),
-                        "delta": traced["change"].get(m["name"], 0)
-                        - traced["parent"].get(m["name"], 0)}
-            for m in spec["per_layer"]}
+        traced = {"parent": [], "change": []}
+        for r in runs:
+            if r["workload"] == w["name"] and r["trace"] == 1:
+                traced[r["side"]].append(r["metrics"])
+        rows = {}
+        for m in spec["per_layer"]:
+            row = {}
+            for side, metrics in traced.items():
+                values = [t[m["name"]] for t in metrics if m["name"] in t]
+                row[side] = spread(values) if len(values) > 1 else None
+            row["delta"] = (row["change"]["median"] - row["parent"]["median"]
+                            if row["parent"] and row["change"] else None)
+            rows[m["name"]] = row
+        out[w["name"]] = rows
     return out
 
 
 def run_pairs(sides, spec):
     """Every run of every workload: PAIRS alternating untraced pairs, then
-    one traced run per side."""
+    TRACED_RUNS traced runs per side, alternating."""
     runs = []
     for w in spec["workloads"]:
         for pair in range(PAIRS):
@@ -143,10 +152,12 @@ def run_pairs(sides, spec):
                              "side": side, "position": position, "trace": 0, **r})
                 print(f"{w['name']} pair {pair} {side}: "
                       f"{r['metrics'].get('wall_s')} correct={r['correct']}", flush=True)
-        for side in ("parent", "change"):
-            r = run(sides[side], w["name"], FIRST_SEED, 1)
-            runs.append({"workload": w["name"], "pair": None, "seed": FIRST_SEED,
-                         "side": side, "position": None, "trace": 1, **r})
+        for i in range(TRACED_RUNS):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for position, side in enumerate(order):
+                r = run(sides[side], w["name"], FIRST_SEED, 1)
+                runs.append({"workload": w["name"], "pair": None, "seed": FIRST_SEED,
+                             "side": side, "position": position, "trace": 1, **r})
     return runs
 
 
@@ -174,8 +185,9 @@ def main(argv):
         "parent": {"commit": argv[1]},
         "change": {"commit": commit()},
         "pairs_per_workload": PAIRS,
+        "traced_runs_per_side": TRACED_RUNS,
         "summary": summarise(runs, spec),
-        "layers": layer_deltas(runs, spec),
+        "layers": layer_spreads(runs, spec),
         "runs": runs,
     }
     out = ROOT / f"BENCH_{argv[2]}.json"

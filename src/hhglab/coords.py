@@ -75,14 +75,7 @@ def is_consistent(structure, tup):
     """
     kappa = tup.kappa
     doms = list(tup.entries)
-
-    worst = (math.inf, "vacuous", ())
-    checks = 0
-
-    def consider(margin, condition, pair):
-        nonlocal worst
-        if margin < worst[0]:
-            worst = (margin, condition, pair)
+    found = []  # (margin, condition, pair) per check, in check order
 
     for u in doms:
         b = tup.entries[u]
@@ -90,26 +83,25 @@ def is_consistent(structure, tup):
         if not space.contains(b):
             raise InputError(f"entry for {u} is not a point of its space")
         val = space.dist(b, structure.pi(u, structure.lift(u, b)))
-        checks += 1
-        consider(kappa - val, "projection-image", (u,))
+        found.append((kappa - val, "projection-image", (u,)))
 
     for i, u in enumerate(doms):
         for v in doms[i + 1:]:
             rel = structure.relation(u, v)
             if rel == TRANSVERSE:
                 distances = consistency_inequality(structure, TRANSVERSE, u, v)
-                checks += 1
-                consider(kappa - min(distances(tup.entries[u], tup.entries[v])),
-                         "transverse", (u, v))
+                found.append((kappa - min(distances(tup.entries[u], tup.entries[v])),
+                              "transverse", (u, v)))
             elif rel in (NEST_IN, CONTAINS):
                 lo, hi = (u, v) if rel == NEST_IN else (v, u)
                 distances = consistency_inequality(structure, NEST_IN, lo, hi)
-                checks += 1
-                consider(kappa - min(distances(tup.entries[lo], tup.entries[hi])),
-                         "nested", (lo, hi))
+                found.append((kappa - min(distances(tup.entries[lo], tup.entries[hi])),
+                              "nested", (lo, hi)))
 
-    margin, condition, pair = worst
-    return ConsistencyReport(margin >= 0, kappa, margin, condition, pair, checks)
+    # the first least margin is the worst
+    margin, condition, pair = min(found, key=lambda c: c[0],
+                                  default=(math.inf, "vacuous", ()))
+    return ConsistencyReport(margin >= 0, kappa, margin, condition, pair, len(found))
 
 
 @dataclass

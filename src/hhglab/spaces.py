@@ -177,7 +177,7 @@ class CayleyTreeSpace(Space):
 
     def contains(self, x):
         try:
-            return self.model.normal_form(x) == tuple(x)
+            return self.model.normal_form(x) == x
         except InputError:
             return False
 
@@ -190,7 +190,10 @@ class CosetTreeSpace(Space):
     factor, so each coset names exactly one vertex.  Cosets g F_i and
     h F_j are adjacent when they intersect, which yields a tree.
 
-    Points are checked where they enter the package (``contains``, in
+    Words are normal forms, as everywhere inside the package: ``vertex``,
+    ``translate`` and ``cosets`` take them, and a representative is its
+    word less the trailing run of its own factor's letters.  Points are
+    checked where they enter the package (``contains``, in
     ``coords.is_consistent`` and in the projection axiom); ``dist`` and
     ``geodesic`` trust that the points they get come from ``vertex``,
     ``translate``, ``sample_points`` or a projection, and do not check them
@@ -210,13 +213,11 @@ class CosetTreeSpace(Space):
         return (factor, self._rep(factor, word))
 
     def _rep(self, factor, word):
-        syls = self.model.syllables(word)
-        if syls and syls[-1][0] == factor:
-            syls = syls[:-1]
-        out = []
-        for fi, local in syls:
-            out.extend(self.model.to_global(fi, local))
-        return tuple(out)
+        part_of = self.model._part_of
+        end = len(word)
+        while end and part_of[word[end - 1]] == factor:
+            end -= 1
+        return word[:end]
 
     def translate(self, g, v):
         """Left action of the group on cosets."""
@@ -227,7 +228,7 @@ class CosetTreeSpace(Space):
         if x == y:
             return 0
         (i, h), (j, k) = x, y
-        syls = self.model.syllables(invert_word(h) + tuple(k))
+        syls = self.model.syllables(invert_word(h) + k)
         if syls and syls[0][0] == i:
             syls = syls[1:]
         if syls and syls[-1][0] == j:
@@ -244,7 +245,7 @@ class CosetTreeSpace(Space):
         distinct."""
         out = []
         g = h
-        for fi, local in self.model.syllables(invert_word(h) + tuple(k)):
+        for fi, local in self.model.syllables(invert_word(h) + k):
             out.append((fi, self._rep(fi, g)))
             g = self.model.multiply(g, self.model.to_global(fi, local))
         return out
@@ -272,7 +273,7 @@ class CosetTreeSpace(Space):
             w = self.model.normal_form(rep)
         except InputError:
             return False
-        return w == tuple(rep) and self._rep(factor, w) == w
+        return w == rep and self._rep(factor, w) == w
 
 
 def distance_table(dist, points):

@@ -130,21 +130,16 @@ class HHStructure:
         return self._domain(u).space
 
     def pi(self, u, g):
-        """Projection of the group element g to the domain space of u.
+        """Projection of the group element g, a normal form, to the domain
+        space of u.
 
-        Kept per structure as {u: {g: point}}, so each is computed once; a
-        g that cannot be hashed is projected afresh."""
+        Kept per structure as {u: {g: point}}, so each is computed once."""
         try:
             points = self._pi_memo[u]
-        except KeyError:
+        except (KeyError, TypeError):
             self._domain(u)  # a label that names no domain raises here
             points = self._pi_memo[u] = {}
-        except TypeError:
-            return self._domain(u).pi(g)
-        try:
-            point = points.get(g, _UNSEEN)
-        except TypeError:
-            return self._domain(u).pi(g)
+        point = points.get(g, _UNSEEN)
         if point is _UNSEEN:
             point = points[g] = self._domain(u).pi(g)
         return point
@@ -171,9 +166,10 @@ class HHStructure:
         return self._domain(u).lift(p)
 
     def domains_between(self, x, y) -> list:
-        """Domains that can separate the group elements x and y; the default
-        is every materialized domain.  big_set relies on the contract that
-        every domain of Big(g) is in domains_between(IDENTITY, g)."""
+        """Domains that can separate the group elements x and y, both normal
+        forms; the default is every materialized domain.  big_set relies on
+        the contract that every domain of Big(g) is in
+        domains_between(IDENTITY, g)."""
         return self.domains()
 
     def word_metric(self, x, y) -> int:
@@ -414,7 +410,7 @@ class FreeProductHHG(HHStructure):
         except InputError:
             raise IndexMismatchError(f"{u!r} names no coset of {self.label}") from None
         v = self.tree.vertex(i, rep)
-        if v[1] != rep:
+        if self.vertex_label(v) != u:
             raise IndexMismatchError(f"{u!r} does not name a coset canonically")
         return v, self._coset_domain(u, v)
 
@@ -428,7 +424,7 @@ class FreeProductHHG(HHStructure):
         rep_inverse = invert_word(rep)
 
         def pi(g):
-            syls = group.syllables(rep_inverse + tuple(g))
+            syls = group.syllables(rep_inverse + g)
             return point(syls[0][1] if syls and syls[0][0] == i else ())
 
         return Domain(u, space, pi,

@@ -125,7 +125,7 @@ class TestCayleyTree:
         assert not self.T.contains((0, 1))  # unreduced a a^-1
 
     def test_membership_rejects_non_words(self):
-        for x in (5, None, 2.0, (True,), (0, False), (0, 9), (-1,), (0.0,)):
+        for x in (5, None, 2.0, (True,), (0, False), (0, 9), (-1,), (0.0,), [0], []):
             assert not self.T.contains(x)
 
 
@@ -154,9 +154,37 @@ class TestCosetTree:
         assert S.vertex(1, m.parse("ab")) == S.vertex(1, m.parse("a"))
         assert S.contains(S.vertex(0, m.parse("ab")))
 
+    @staticmethod
+    def syllable_rep(model, factor, word):
+        """Reference representative: the syllables of the word, less a
+        trailing one in the given factor, joined again."""
+        syls = model.syllables(word)
+        if syls and syls[-1][0] == factor:
+            syls = syls[:-1]
+        return tuple(x for fi, local in syls for x in model.to_global(fi, local))
+
+    def test_rep_matches_the_syllable_reference(self):
+        rng = random.Random(31)
+        for model in (f2_star_z(), two_rank_one_factors()):
+            S = CosetTreeSpace(model)
+            p = model.parse
+            words = [(), p("a"), p("c" if "c" in model.labels else "b")]
+            if "c" in model.labels:  # long c/C runs, alone, inside and at the end
+                words += [p("c" * 9), p("C" * 7), p("ab" + "c" * 6),
+                          p("C" * 5 + "ba"), p("a" + "C" * 8 + "b" + "c" * 4)]
+            words += [model.normal_form([rng.randrange(2 * model.ngens)
+                                         for _ in range(rng.randrange(12))])
+                      for _ in range(300)]
+            ends = {model.syllables(w)[-1][0] for w in words if w}
+            assert ends == {0, 1}
+            for w in words:
+                for factor in (0, 1):
+                    assert S._rep(factor, w) == self.syllable_rep(model, factor, w), (w, factor)
+
     def test_membership_rejects_non_words(self):
         S = CosetTreeSpace(two_rank_one_factors())
-        for x in ((0, 5), (1, None), (0, (True,)), (1, (0, 9)), (0, (1,)), 5, (2, ())):
+        for x in ((0, 5), (1, None), (0, (True,)), (1, (0, 9)), (0, (1,)), 5, (2, ()),
+                  (1, [0]), (0, [])):
             assert not S.contains(x)
 
     def test_geodesics_match_distance(self):

@@ -133,7 +133,8 @@ class TestFreeProductStructure:
         with pytest.raises(IndexMismatchError):
             self.hh.space("ab@A")  # not a canonical coset name: aA = A
 
-    @pytest.mark.parametrize("label", ["ab@A", "xy@1", "ab@xz", "ab", "", 5,
+    @pytest.mark.parametrize("label", ["ab@A", "ab@", "ab@aA", "ab@ 1", "c@aA",
+                                       "xy@1", "ab@xz", "ab", "", 5,
                                        None, ("ab", "1"), ["ab@1"], {"u": 1}])
     def test_bad_label_raises_on_every_call(self, label):
         free_product, table = build_named("f2freez"), build_named("f2xz")
@@ -184,32 +185,6 @@ class TestFreeProductStructure:
         # projections on the listed cosets add up to the word metric exactly
         total = sum(self.hh.dsub(u, x, y) for u in between if u != "S")
         assert total == self.hh.word_metric(x, y) == 4
-
-    def unreduced_words(self, count, seed):
-        """Seeded random words, each with a cancelling pair spliced in."""
-        rng = random.Random(seed)
-        words = []
-        for _ in range(count):
-            w = [rng.randrange(2 * self.m.ngens) for _ in range(rng.randrange(0, 7))]
-            x = rng.randrange(2 * self.m.ngens)
-            at = rng.randrange(len(w) + 1)
-            words.append(tuple(w[:at] + [x, x ^ 1] + w[at:]))
-        return words
-
-    def test_raw_words_project_as_their_normal_forms(self):
-        doms = self.hh.domains()
-        for g in self.unreduced_words(30, seed=5):
-            nf = self.m.normal_form(g)
-            assert nf != g
-            for u in doms:
-                assert self.hh.pi(u, g) == self.hh.pi(u, nf), (u, g)
-
-    def test_domains_between_raw_words(self):
-        words = self.unreduced_words(40, seed=9)
-        for x, y in zip(words[::2], words[1::2]):
-            assert (self.hh.domains_between(x, y)
-                    == self.hh.domains_between(self.m.normal_form(x),
-                                               self.m.normal_form(y))), (x, y)
 
     def test_domains_build_no_ball_after_construction(self, monkeypatch):
         hh = build_named("f2freez")
@@ -292,9 +267,30 @@ def test_pi_agrees_with_the_domain_records(name):
         assert set(labels) - set(hh._decoded)
     for u in labels:
         for x in words:
-            assert hh.pi(u, list(x)) == hh._domain(u).pi(list(x)), (u, x)
             got = hh.pi(u, x)
             assert got == hh._domain(u).pi(x) == hh.pi(u, x), (u, x)
+
+
+@pytest.mark.parametrize("name", sorted(STANDARD_BUILDERS))
+def test_equal_relation_means_equal_labels(name):
+    # axiom 2: u = v exactly when u == v; every other spelling of a coset
+    # label (a blank, a cancelling pair, an empty representative) is no label
+    hh = build_named(name)
+    m = hh.group
+    rng = random.Random(27)
+    words = [m.normal_form([rng.randrange(2 * m.ngens) for _ in range(rng.randrange(7))])
+             for _ in range(12)]
+    labels = sorted(set(hh.domains()) | {hh.act_on_domain(g, u)
+                                         for g in words for u in hh.domains()})
+    for u in [u for u in labels if "@" in u]:
+        factor, rep = u.split("@")
+        word = "" if rep == "1" else rep
+        for other in (f"{factor}@ {rep}", f"{factor}@{word}aA", f"{factor}@{word} "):
+            with pytest.raises(IndexMismatchError):
+                hh.relation(other, u)
+    for u in labels:
+        for v in labels:
+            assert (hh.relation(u, v) == EQUAL) == (u == v), (u, v)
 
 
 @pytest.mark.parametrize("name", sorted(STANDARD_BUILDERS))

@@ -17,6 +17,8 @@ from hhglab.groups import (
     invert_word,
     model_from_json,
 )
+from hhglab.spaces import CosetTreeSpace
+from hhglab.structures import FreeProductHHG, HHStructure
 
 
 def models_under_test():
@@ -276,10 +278,14 @@ class TestSerialization:
 class TestWordContract:
     """Every word an operation gets inside the package is a normal form."""
 
-    # (class, method, positions of its word operands)
+    # (class, method, positions of its word operands); a structure's words
+    # are in its group, a coset tree's in its model
     GUARDED = ((GroupModel, "multiply", (0, 1)), (GroupModel, "power", (0,)),
                (GroupModel, "conjugate", (0, 1)), (GroupModel, "inverse", (0,)),
-               (DirectProduct, "factor_word", (0,)))
+               (DirectProduct, "factor_word", (0,)), (HHStructure, "pi", (1,)),
+               (HHStructure, "domains_between", (0, 1)),
+               (FreeProductHHG, "domains_between", (0, 1)),
+               (CosetTreeSpace, "vertex", (1,)))
 
     def test_no_command_hands_an_operation_a_raw_word(self, monkeypatch, tmp_path,
                                                        reachability):
@@ -287,9 +293,10 @@ class TestWordContract:
         checking = []  # non-empty while a guard computes a normal form
 
         def guard(method, positions):
-            def wrapped(model, *args):
+            def wrapped(owner, *args):
                 if not checking:
                     checking.append(method)
+                    model = getattr(owner, "group", getattr(owner, "model", owner))
                     try:
                         for k in positions:
                             w = args[k]
@@ -297,7 +304,7 @@ class TestWordContract:
                                 raw.append((method.__name__, model, w))
                     finally:
                         checking.pop()
-                return method(model, *args)
+                return method(owner, *args)
             return wrapped
 
         for cls, name, positions in self.GUARDED:
