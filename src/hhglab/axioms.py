@@ -115,6 +115,7 @@ class _Env:
             self.pairs.append((x, y, st.word_metric(x, y)))
         self.domains = st.domains()
         self._points = {}  # space -> its sample, a tuple
+        self._defects = {}  # space -> four-point defect of its sample
 
     def points(self, u):
         space = self.st.space(u)
@@ -123,6 +124,12 @@ class _Env:
             pts = self._points[space] = tuple(
                 space.sample_points(self.radius)[:POINTS_PER_DOMAIN])
         return list(pts)
+
+    def four_point_defect(self, u):
+        space = self.st.space(u)
+        if space not in self._defects:
+            self._defects[space] = max_four_point_defect(space, self.points(u), quad_budget=20000)
+        return self._defects[space]
 
     def show(self, w):
         return self.st.group.format(w)
@@ -171,8 +178,7 @@ def _check_projections(env):
                                                 "y": env.show(y), "d_domain": du, "d_group": dg})
     # declared hyperbolicity of each domain space, four-point sense
     for u in env.sample(env.domains, 12):
-        pts = env.points(u)
-        defect = max_four_point_defect(st.space(u), pts, quad_budget=20000)
+        defect = env.four_point_defect(u)
         worst.see(delta - defect, lambda: {"clause": "hyperbolicity", "domain": u, "defect": defect})
     return worst.report(1)
 

@@ -16,8 +16,7 @@ from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields
 
 from .errors import IndexMismatchError, InputError, PreconditionError, WrongKindError
-from .groups import (FreeAbelianGroup, FreeGroup, FreeProduct, GroupModel, invert_word,
-                     is_int, json_field)
+from .groups import FreeAbelianGroup, FreeGroup, FreeProduct, GroupModel, is_int, json_field
 from .spaces import CayleyTreeSpace, CosetTreeSpace, LineSpace, Space
 
 EQUAL = "="
@@ -416,16 +415,20 @@ class FreeProductHHG(HHStructure):
 
     def _coset_domain(self, u, v):
         """Record of the coset rep F_i at the tree vertex v = (i, rep): pi
-        reads the first syllable of rep^-1 g, and a point lifts to rep times
-        its local word."""
+        reads the leading factor-i syllable of the normal form rep^-1 g,
+        and a point lifts to rep times its local word."""
         i, rep = v
         group = self.group
         space, point, word = self._factors[i]
-        rep_inverse = invert_word(rep)
+        rep_inverse = group.inverse(rep)
+        part_of = group._part_of
 
         def pi(g):
-            syls = group.syllables(rep_inverse + g)
-            return point(syls[0][1] if syls and syls[0][0] == i else ())
+            h = group._product(rep_inverse, g)
+            end = 0
+            while end < len(h) and part_of[h[end]] == i:
+                end += 1
+            return point(group.to_local(i, h[:end]))
 
         return Domain(u, space, pi,
                       lambda p: group.multiply(rep, group.to_global(i, word(p))))

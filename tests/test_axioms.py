@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from hhglab import axioms
 from hhglab.axioms import AXIOM_NAMES, _Env, check_structure
 from hhglab.builders import build_named, structure_from_json
 from hhglab.errors import InputError
@@ -146,6 +147,22 @@ class TestSharedSamples:
         check_structure(st, radius=3, seed=0, max_pairs=500)
         assert any(space is st.tree for space in sampled)
         assert max(Counter(map(id, sampled)).values()) == 1
+
+    def test_four_point_check_once_per_space(self, monkeypatch):
+        # the 12 sampled domains of f2freez share fewer spaces than that
+        st = build_named("f2freez")
+        checked = []
+        original = axioms.max_four_point_defect
+
+        def counting(space, points, quad_budget):
+            checked.append(space)
+            return original(space, points, quad_budget=quad_budget)
+
+        monkeypatch.setattr(axioms, "max_four_point_defect", counting)
+        report = check_structure(st, radius=3, seed=0, max_pairs=500)
+        assert report.axioms[0].passed
+        assert 1 < len(checked) < 12
+        assert max(Counter(map(id, checked)).values()) == 1
 
     def test_points_hands_out_a_fresh_list(self):
         env = _Env(build_named("f2freez"), 3, 0, 5)

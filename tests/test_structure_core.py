@@ -17,6 +17,7 @@ from hhglab.builders import (
     structure_from_json,
 )
 from hhglab.errors import IndexMismatchError, InputError
+from hhglab.groups import IDENTITY, invert_word
 from hhglab.structures import (
     CONTAINS,
     EQUAL,
@@ -245,6 +246,32 @@ class TestFreeProductStructure:
                 p = self.hh.pi(u, self.seeded_word(rng, self.m, 6))
                 assert self.hh.pi(u, self.hh.lift(u, p)) == p, (u, p)
 
+
+    def test_coset_projection_matches_the_syllable_reference(self):
+        # reference: the first syllable of the raw word rep^-1 g, split by
+        # the free-product reducer, when it lies in the coset's factor
+        rng = random.Random(31)
+        m = self.m
+        runs = [m.parse(text) for text in ("c" * 9, "C" * 9, "c" * 7 + "ab", "C" * 6 + "bA",
+                                           "ab" + "c" * 8, "a")]
+        words = [IDENTITY] + runs + [self.seeded_word(rng, m, 10) for _ in range(40)]
+        labels = [u for u in self.hh.domains() if u != "S"]
+        labels += [self.hh.act_on_domain(self.seeded_word(rng, m, 6), u) for u in labels[:8]]
+        assert {self.hh.parse_domain(u)[0] for u in labels} == {0, 1}
+        moved = set()  # factors with a projection off the coset's base point
+        for u in labels:
+            i, rep = self.hh.parse_domain(u)
+            point = self.hh._factors[i][1]
+            # words read from the coset's own representative as well
+            tests = words + [m.multiply(rep, g) for g in words]
+            assert {m._part_of[g[-1]] for g in tests if g} == {0, 1}
+            for g in tests:
+                syls = m.syllables(invert_word(rep) + g)
+                expected = point(syls[0][1] if syls and syls[0][0] == i else ())
+                assert self.hh._domain(u).pi(g) == expected, (u, m.format(g))
+                if expected != point(()):
+                    moved.add(i)
+        assert moved == {0, 1}
 
 def test_domain_records_are_read_on_the_base_class():
     for cls in (TableHHG, FreeProductHHG):
