@@ -64,7 +64,8 @@ class CertifierLedger:
     k1: transverse ping-pong power.
     n0: escape power for the nesting-to-transverse reduction.
     k2: ping-pong power after that reduction.
-    k3: top-level conjugation power, searched then recorded.
+    k3: top-level conjugation power, fixed at 1: if s commutes with t s t^-1,
+        so do their k-th powers, so power 1 decides every power.
     k4: fallback semigroup power.
     M: master length bound; certified words must fit under it.
     """
@@ -100,7 +101,7 @@ def _factorial_term(name, coeff, n):
     return coeff * math.factorial(n)
 
 
-def certifier_ledger(constants, k3=1):
+def certifier_ledger(constants):
     if constants.tau0 <= 0:
         raise StructureInvalidError("tau0 must be positive to certify growth")
     n = int(constants.N_rank)
@@ -109,9 +110,9 @@ def certifier_ledger(constants, k3=1):
     n0 = _schedule_ceil("10*D/tau0", 10.0 * constants.D / constants.tau0)
     k2 = _factorial_term("k2", base, 2 * n0 + 1)
     k4 = _schedule_ceil("10000*delta/tau0", 10000.0 * constants.delta / constants.tau0)
-    m = max(k1, 2 * n0 + k2, k3 + 2,
+    m = max(k1, 2 * n0 + k2,
             _factorial_term("3*(k4+2)*(N_rank+1)!", 3 * (k4 + 2), n + 1))
-    return CertifierLedger(constants, k1, n0, k2, k3, k4, m)
+    return CertifierLedger(constants, k1, n0, k2, 1, k4, m)
 
 
 # ---------------------------------------------------------------------------
@@ -542,14 +543,10 @@ def nested_to_transverse(structure, s, t, u, v, x_lengths, led, depth=6):
 
 
 def _bf_pair(model, g, h, k, depth):
-    """First sign combination of (g^k, h^k) that the semigroup oracle accepts
-    at depth + 1, or None."""
-    gk, hk = model.power(g, k), model.power(h, k)
-    for uu in (gk, model.inverse(gk)):
-        for ww in (hk, model.inverse(hk)):
-            if verify_free_semigroup(model, uu, ww, depth + 1):
-                return uu, ww
-    return None
+    """(g^k, h^k) if the semigroup oracle accepts it at depth + 1, else None;
+    g^-k commutes with h^k exactly when g^k does, so no other sign is tried."""
+    pair = model.power(g, k), model.power(h, k)
+    return pair if verify_free_semigroup(model, *pair, depth + 1) else None
 
 
 def top_level_certify(structure, words, outcome, led, depth=6):
@@ -557,8 +554,8 @@ def top_level_certify(structure, words, outcome, led, depth=6):
 
     The first generator axial on the top domain (its seed in the outcome's
     provenance) either has its endpoint pair moved by some other generator,
-    giving a free subgroup after a power search, or every generator
-    preserves it and the group is certified virtually cyclic.
+    giving a free subgroup at power 1, or every generator preserves it and
+    the group is certified virtually cyclic.
     """
     model = structure.group
     top = structure.top_domain()
@@ -573,33 +570,28 @@ def top_level_certify(structure, words, outcome, led, depth=6):
                       "endpoint_power": ENDPOINT_POWER,
                       "checked": [model.format(t) for t in words]},
             caveats=["endpoint preservation tested at a finite power"])
-    refused = []
-    for k in range(1, led.k4 + 1):
-        uu = model.power(s, k)
-        ww = model.conjugate(moved, uu)
-        if verify_free_subgroup(model, uu, ww, depth + 1):
-            led = certifier_ledger(structure.constants, k3=k)
-            fallback = _bf_pair(model, s, model.conjugate(moved, s), led.k4, depth)
-            evidence = {"case": "top-level", "domains": [top],
-                        "base_words": [model.format(s), model.format(moved)],
-                        "power": k}
-            if fallback is not None:
-                evidence["fallback_semigroup_pair"] = [model.format(fallback[0]),
-                                                       model.format(fallback[1])]
-            return GrowthCertificate(
-                variant="free-subgroup",
-                ledger=led,
-                words={"u": uu, "w": ww},
-                lengths=[len(uu), len(ww)],
-                verified_depth=depth,
-                subgroup_index=1,
-                x_length_bound=led.M,
-                evidence=evidence)
-        refused.append(k)
-    raise CertifierRefutedError(
-        "no conjugation power up to k4 passes the freeness oracle",
-        witness={"powers": refused, "base_words": [model.format(s),
-                                                   model.format(moved)]})
+    base_words = [model.format(s), model.format(moved)]
+    c = model.conjugate(moved, s)
+    if not verify_free_subgroup(model, s, c, depth + 1):
+        # s^k commutes with c^k = moved s^k moved^-1 too: every power is refused
+        raise CertifierRefutedError(
+            "no conjugation power up to k4 passes the freeness oracle",
+            witness={"powers": list(range(1, led.k4 + 1)), "base_words": base_words})
+    evidence = {"case": "top-level", "domains": [top], "base_words": base_words,
+                "power": 1}
+    fallback = _bf_pair(model, s, c, led.k4, depth)
+    if fallback is not None:
+        evidence["fallback_semigroup_pair"] = [model.format(fallback[0]),
+                                               model.format(fallback[1])]
+    return GrowthCertificate(
+        variant="free-subgroup",
+        ledger=led,
+        words={"u": s, "w": c},
+        lengths=[len(s), len(c)],
+        verified_depth=depth,
+        subgroup_index=1,
+        x_length_bound=led.M,
+        evidence=evidence)
 
 
 def case2_branch(structure, words, outcome, led, depth=6):
@@ -609,7 +601,9 @@ def case2_branch(structure, words, outcome, led, depth=6):
     Each family domain gets a loxodromic from the Schreier generators; an
     endpoint failure yields a free-semigroup pair at the fallback power,
     while full preservation routes to the product decomposition and a
-    virtually-abelian or line-times-bounded verdict.
+    virtually-abelian or line-times-bounded verdict.  Every domain and
+    every mover is tried before a refusal, which names the first one, so
+    the verdict does not depend on how the labels sort.
     """
     model = structure.group
     labels = outcome.domains.closure
@@ -623,6 +617,7 @@ def case2_branch(structure, words, outcome, led, depth=6):
             raise StructureInvalidError(
                 "no stabilizer generator is loxodromic on a family domain",
                 witness={"domain": u})
+    refused = None
     for u in labels:
         s_u = axes[u]
         for y, _ in outcome.schreier:
@@ -630,10 +625,9 @@ def case2_branch(structure, words, outcome, led, depth=6):
                 continue
             pair = _bf_pair(model, s_u, model.conjugate(y, s_u), led.k4, depth)
             if pair is None:
-                raise CertifierRefutedError(
-                    "endpoint failure produced no verifiable semigroup pair",
-                    witness={"domain": u, "axis": model.format(s_u),
-                             "mover": model.format(y)})
+                refused = refused or {"domain": u, "axis": model.format(s_u),
+                                      "mover": model.format(y)}
+                continue
             return GrowthCertificate(
                 variant="free-semigroup",
                 ledger=led,
@@ -645,6 +639,10 @@ def case2_branch(structure, words, outcome, led, depth=6):
                 evidence={"case": "stabilizer", "domain": u,
                           "axis": model.format(s_u), "mover": model.format(y),
                           "power": led.k4, "subgroup_index": outcome.index})
+    if refused is not None:
+        raise CertifierRefutedError(
+            "endpoint failure produced no verifiable semigroup pair",
+            witness=refused)
     line_constants = {}
     for u in labels:
         line_constants[u] = quasi_line_detect(structure.space(u), radius=3)

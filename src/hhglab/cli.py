@@ -273,13 +273,13 @@ def build_parser():
     p = sub.add_parser("certify", help="growth certificate for one set")
     common(p)
     p.add_argument("--depth", type=int, default=6,
-                   help="freeness verification depth")
+                   help="recorded as verified_depth; the freeness test is exact at every depth")
     p.add_argument("--genset", help='comma-separated words, e.g. "a,b"')
 
     p = sub.add_parser("scan", help="certify every small generating set")
     common(p)
     p.add_argument("--depth", type=int, default=6,
-                   help="freeness verification depth")
+                   help="recorded as verified_depth; the freeness test is exact at every depth")
     p.add_argument("--format", choices=("json", "csv"), default="csv")
     p.add_argument("--scan-size", type=int, default=0,
                    help="max words per generating set")

@@ -32,6 +32,19 @@ def routed(st):
     return words, dichotomy(st, words), certifier_ledger(st.constants)
 
 
+def seeded_pairs(m):
+    """Seeded pairs from the radius-2 ball of m: random pairs, a word with
+    two of its powers and with its inverse, and words with conjugates."""
+    ball = standard_ball(m, 2)
+    rng = random.Random(11)
+    pairs = [tuple(rng.sample(ball, 2)) for _ in range(6)]
+    pairs += [(u, m.power(u, n)) for u, n in zip(rng.sample(ball[1:], 2), (2, -3))]
+    pairs += [(u, m.inverse(u)) for u in rng.sample(ball[1:], 1)]
+    pairs += [(u, m.conjugate(t, u))
+              for u, t in zip(rng.sample(ball[1:], 2), rng.sample(ball[1:], 2))]
+    return pairs
+
+
 def line_tree_structure():
     """Rank-2 abelian model with a line domain and a tree domain whose image
     is a single axis: all endpoints are preserved but the tree block is not a
@@ -84,18 +97,14 @@ class TestLedger:
     @pytest.mark.parametrize("name", STANDARD + ("swapline",))
     def test_invariants(self, name):
         st = build_named(name)
-        led = certifier_ledger(st.constants, k3=3)
+        led = certifier_ledger(st.constants)
         n = st.constants.N_rank
         assert led.k1 % math.factorial(2 * n + 1) == 0
         assert led.M >= 3 * (led.k4 + 2) * math.factorial(n + 1)
         assert led.M >= 2 * led.n0 + led.k2
-        for value in (led.k1, led.n0, led.k2, led.k3, led.k4, led.M):
+        assert led.k3 == led.to_json()["k3"] == 1
+        for value in (led.k1, led.n0, led.k2, led.k4, led.M):
             assert value >= 1
-
-    def test_k3_recorded(self):
-        led = certifier_ledger(build_named("free2").constants, k3=5)
-        assert led.k3 == 5
-        assert led.to_json()["k3"] == 5
 
     def test_zero_tau0_rejected(self):
         with pytest.raises(StructureInvalidError):
@@ -149,15 +158,8 @@ class TestOracles:
         # keeps the freely reduced ones (no i, i ^ 1).  At depth 1 this
         # reference compares only the letters, the oracles every length.
         m = build_named(name).group
-        ball = standard_ball(m, 2)
-        rng = random.Random(11)
-        pairs = [tuple(rng.sample(ball, 2)) for _ in range(6)]
-        pairs += [(u, m.power(u, n)) for u, n in zip(rng.sample(ball[1:], 2), (2, -3))]
-        pairs += [(u, m.inverse(u)) for u in rng.sample(ball[1:], 1)]
-        pairs += [(u, m.conjugate(t, u))
-                  for u, t in zip(rng.sample(ball[1:], 2), rng.sample(ball[1:], 2))]
         verdicts = set()
-        for u, w in pairs:
+        for u, w in seeded_pairs(m):
             for oracle, letters, reduced in (
                     (verify_free_semigroup, [u, w], False),
                     (verify_free_subgroup, [u, m.inverse(u), w, m.inverse(w)], True)):
@@ -174,6 +176,25 @@ class TestOracles:
                     assert oracle(m, u, w, d) is expected, (m.format(u), m.format(w), d)
                     verdicts.add(expected)
         assert verdicts == ({False} if name in ("z1", "z2") else {True, False})
+
+    @pytest.mark.parametrize("name", STANDARD + ("swapline",))
+    def test_sign_and_power_choices_share_a_verdict(self, name):
+        # the certifier tests one sign choice of (g^k, h^k) and the top
+        # level only power 1: the four sign choices must agree, and a
+        # commuting pair must have commuting powers
+        m = build_named(name).group
+        commuting = 0
+        for g, h in seeded_pairs(m):
+            free = verify_free_subgroup(m, g, h, 2)
+            commuting += not free
+            for k in range(1, 5):
+                gk, hk = m.power(g, k), m.power(h, k)
+                signs = {verify_free_semigroup(m, uu, ww, 2)
+                         for uu in (gk, m.inverse(gk)) for ww in (hk, m.inverse(hk))}
+                assert len(signs) == 1, (m.format(g), m.format(h), k)
+                if not free:
+                    assert signs == {False}, (m.format(g), m.format(h), k)
+        assert commuting >= 2
 
     def test_depth_one_answers_for_every_length(self):
         # a and t are distinct, so no two words of length 1 collide, but at
@@ -519,6 +540,21 @@ class TestTopLevel:
         assert cert.words is None
         assert cert.evidence["axis_word"] == "t"
 
+    def test_commuting_conjugate_refused_at_every_power(self, monkeypatch):
+        # t "moves" its own axis, but t t T = t commutes with t, so every
+        # power up to k4 = 10000 * delta / tau0 = 10 is refused
+        st = build_named("z1")
+        st.constants.delta = 0.001
+        routes = routed(st)
+        assert routes[2].k4 == 10
+        monkeypatch.setattr("hhglab.certify.preserves_endpoint_pair",
+                            lambda *args: False)
+        with pytest.raises(CertifierRefutedError,
+                           match="no conjugation power up to k4") as err:
+            top_level_certify(st, *routes, depth=5)
+        assert err.value.witness == {"powers": list(range(1, 11)),
+                                     "base_words": ["t", "t"]}
+
 
 
 class TestCase2:
@@ -562,6 +598,31 @@ class TestCase2:
         assert cert.evidence["z_blocks"] == [["P"]]
         assert cert.evidence["other_blocks"] == [["W"]]
         assert cert.evidence["line_constants"]["W"] is None
+
+    def test_refusal_waits_for_every_mover(self, monkeypatch):
+        # the oracle stand-in refuses the mover b on T1 (a with baB, and with
+        # its inverse bAB); the next mover B still certifies
+        st = build_named("f2xf2")
+        m = st.group
+        oracle = verify_free_semigroup
+        monkeypatch.setattr(
+            "hhglab.certify.verify_free_semigroup",
+            lambda model, u, w, depth: (model.format(w) not in ("baB", "bAB")
+                                        and oracle(model, u, w, depth)))
+        cert = certify(st, [m.parse(w) for w in "abcd"])
+        assert cert.variant == "free-semigroup"
+        assert (cert.evidence["domain"], cert.evidence["axis"],
+                cert.evidence["mover"]) == ("T1", "a", "B")
+
+    def test_refusal_names_the_first_failure(self, monkeypatch):
+        st = build_named("f2xf2")
+        m = st.group
+        monkeypatch.setattr("hhglab.certify.verify_free_semigroup",
+                            lambda *args: False)
+        with pytest.raises(CertifierRefutedError,
+                           match="no verifiable semigroup pair") as err:
+            certify(st, [m.parse(w) for w in "abcd"])
+        assert err.value.witness == {"domain": "T1", "axis": "a", "mover": "b"}
 
     def test_missing_loxodromic_is_structural(self, monkeypatch):
         st = line_tree_structure()

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from hhglab import balls
+from hhglab import balls, cli
 from hhglab.builders import structure_from_json
 from hhglab.certify import collect_big_domains
 from hhglab.cli import main
@@ -576,3 +576,36 @@ class TestDeterminism:
         a, b = self.rerun(tmp_path, "dist", "distance", "f2xz",
                           "--pairs", "30", "--seed", "7")
         assert a == b
+
+
+class TestBenchmarkTracer:
+    """The benchmark's tracer wraps hhglab functions by name and reads the
+    oracles' positional depth; renaming either fails here, not in a traced
+    benchmark run."""
+
+    RUNS = (("free2", "a,b"), ("f2xf2", "a,b,c,d"))
+
+    def test_traced_certify_keeps_its_bytes(self, tracing, tmp_path):
+        argv = [["certify", f"{STRUCTURES}/{name}.json", "--genset", genset]
+                for name, genset in self.RUNS]
+        untraced = []
+        for i, args in enumerate(argv):
+            assert cli.main(args + ["--out", str(tmp_path / f"plain{i}")]) == 0
+            untraced.append((tmp_path / f"plain{i}").read_bytes())
+        tracer = tracing.Tracer()
+        tracer.install()
+        restore = list(tracer._restore)
+        try:
+            codes = [cli.main(args + ["--out", str(tmp_path / f"traced{i}")])
+                     for i, args in enumerate(argv)]
+        finally:
+            tracer.uninstall()
+        assert codes == [0, 0]
+        assert [(tmp_path / f"traced{i}").read_bytes()
+                for i in range(len(argv))] == untraced
+        for owner, name, value in restore:
+            current = owner[name] if isinstance(owner, dict) else getattr(owner, name)
+            assert current is value, name
+        for oracle in ("verify_free_subgroup", "verify_free_semigroup"):
+            assert tracer.stats[f"certify.{oracle}"][0] >= 1
+            assert tracer.counts[f"certify.{oracle}.words"] > 0
