@@ -14,16 +14,21 @@ Geometric Group Theory*, ch. VI):
   product of n copies of 1, 2, 2, 2, ..., a direct product the Cauchy
   product of its factors' series, and a free product of m factors
   1/S = 1/S_1 + ... + 1/S_m - (m - 1);
-- a symmetric set of exactly 2n words in a free or free-abelian group of
-  rank n.  Its BFS runs layer by layer until the ball holds every standard
-  generator.  Then the set generates, so it is a basis (both groups are
-  Hopfian) and its Cayley graph is the standard one.  A set whose ball
-  never reaches the generators keeps the BFS counts.
+- a symmetric set of exactly 2n words that generates a free or
+  free-abelian group of rank n.  It is a basis (both groups are Hopfian),
+  so its Cayley graph is the standard one.
 
 Every other set is counted by the BFS, which is also the reference the
 series are tested against.  The budget is the same on both paths: a ball
 of more than DEFAULT_MAX_ELEMENTS elements raises the same
 ResourceBudgetError at the same radius.
+
+``generates_at_radius`` is exact on Z^n (integer row reduction) and on free
+groups and free products of them (Stallings folding: Stallings, "Topology of
+finite graphs", Invent. Math. 1983; Kapovich-Myasnikov, "Stallings foldings
+and subgroups of free groups", J. Algebra 2002).  Membership in F2 x F2 is
+undecidable (Mihailova, 1958), so on a direct product or any other model the
+words must reach the standard generators within the radius.
 """
 
 import functools
@@ -176,20 +181,6 @@ def standard_spheres(model):
     return series_inverse(itertools.chain([1], itertools.islice(sums, 1, None)))
 
 
-def _walk_to_generators(model, gens, radius):
-    """(layers, reached): the BFS layers of gens out to the radius, stopped
-    at the first layer by which the ball holds every standard generator,
-    and whether it got there."""
-    missing = set(model.generators())
-    layers = []
-    for layer in itertools.islice(_layers(model, gens, DEFAULT_MAX_ELEMENTS), radius + 1):
-        layers.append(layer)
-        missing.difference_update(layer)
-        if not missing:
-            return layers, True
-    return layers, False
-
-
 def _sphere_sizes(model, gens, radius):
     """Sphere sizes of the Cayley graph of gens out to at least the radius:
     the standard series when the graph is provably the standard one (see
@@ -197,13 +188,12 @@ def _sphere_sizes(model, gens, radius):
     series = standard_spheres(model)
     standard = set(symmetrize(model, model.generators()))
     given = set(gens)
-    if series is not None and given == standard:
-        return series
-    if (isinstance(model, (FreeGroup, FreeAbelianGroup))
+    if (series is not None and given == standard) or (
+            isinstance(model, (FreeGroup, FreeAbelianGroup))
             and len(given) == len(standard)
-            and all(model.inverse(g) in given for g in given)):
-        layers, reached = _walk_to_generators(model, gens, radius)
-        return series if reached else map(len, layers)
+            and all(model.inverse(g) in given for g in given)
+            and _generates(model, gens, radius)):
+        return series
     return map(len, cayley_ball_layers(model, gens, radius))
 
 
@@ -227,20 +217,80 @@ def growth_function(model, gens, radius):
     return beta
 
 
-def generates_at_radius(model, words, radius):
-    """True when the ball of the given radius in the candidate words contains
-    every standard generator of the model.  The BFS stops at the first
-    layer by which it holds them all.
+def _free_on_letters(model):
+    """Whether the normal form is free reduction on all the model's letters."""
+    if isinstance(model, FreeProduct):
+        return all(map(_free_on_letters, model.parts))
+    return isinstance(model, FreeGroup) or (isinstance(model, FreeAbelianGroup) and model.ngens < 2)
 
-    A certificate of generation, not a refutation: a set that genuinely
-    generates may still fail the test when its short words only reach the
-    standard generators beyond the radius.
-    """
+
+def _folds_to_rose(nletters, words):
+    """Whether the Stallings folding of the flower of the words (a loop at
+    vertex 0 spelling each word) is one vertex with a loop per letter."""
+    parent, edges, merges = [0], [{}], []
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    def add(v, x, u):
+        if edges[v].setdefault(x, u) != u:
+            merges.append((edges[v][x], u))
+
+    for w in words:
+        path = [0, *range(len(parent), len(parent) + len(w) - 1), 0]
+        parent += path[1:-1]
+        edges += [{} for _ in path[1:-1]]
+        for v, x, u in zip(path, w, path[1:]):
+            add(v, x, u)
+            add(u, x ^ 1, v)
+    while merges:
+        a, b = map(find, merges.pop())
+        if a != b:
+            parent[b] = a
+            for x, u in edges[b].items():
+                add(a, x, u)
+    return len(edges[find(0)]) == nletters and len(set(map(find, range(len(parent))))) == 1
+
+
+def _spans_lattice(rows, rank):
+    """Whether the integer rows span Z^rank: Euclid steps clear each column
+    below one pivot row, which must be +-1."""
+    for col in range(rank):
+        while len(live := [r for r in rows if r[col]]) > 1:
+            p = min(live, key=lambda r: abs(r[col]))
+            rows = [r if r is p else [x - r[col] // p[col] * y for x, y in zip(r, p)]
+                    for r in rows]
+        if not live or abs(live[0][col]) != 1:
+            return False
+        rows.remove(live[0])
+    return True
+
+
+def _generates(model, gens, radius):
+    """generates_at_radius for symmetric nonidentity normal forms gens."""
+    if isinstance(model, FreeAbelianGroup):
+        return _spans_lattice([model.exponents(w) for w in gens], model.ngens)
+    if _free_on_letters(model):
+        return _folds_to_rose(2 * model.ngens, gens)
+    missing = set(model.generators())
+    for layer in itertools.islice(_layers(model, gens, DEFAULT_MAX_ELEMENTS), radius + 1):
+        missing.difference_update(layer)
+        if not missing:
+            return True
+    return False
+
+
+def generates_at_radius(model, words, radius):
+    """True when the words generate the model: exactly on the families of
+    the module docstring, else when the ball of the radius holds every
+    standard generator (the BFS stops at the first layer that does)."""
     gens = symmetrize(model, words)
     if not gens:
         return False
     _check_ball_args(gens, radius)
-    return _walk_to_generators(model, gens, radius)[1]
+    return _generates(model, gens, radius)
 
 
 def enumerate_generating_sets(model, size_bound, length_bound, ambient_radius):

@@ -49,7 +49,7 @@ GROWTH_CHECK_CAP = 12
 # most decimal digits of a power-schedule entry; reports print every
 # entry, and Python refuses to print an int of more than 4300 digits
 SCHEDULE_DIGITS = 4000
-# radius within which `certify` proves that its words generate
+# radius within which `certify` proves that words generate a direct product
 REACH_RADIUS = 6
 
 
@@ -678,11 +678,11 @@ def case2_branch(structure, words, outcome, led, depth=6):
 def certify(structure, X, depth=6):
     """End-to-end certification for one generating set, the trust boundary.
 
-    Normalises X, proves that it generates within REACH_RADIUS and
-    hands it to `_certify_words`.  Raises InputError when the depth is
-    below 1, the words fail the generation test or the power schedule
-    overflows, and CertifierRefutedError when a selected branch fails
-    verification.
+    Normalises X, proves that it generates (on a direct product, within
+    REACH_RADIUS) and hands it to `_certify_words`.  Raises InputError when
+    the depth is below 1, the words fail the generation test or the power
+    schedule overflows, and CertifierRefutedError when a selected branch
+    fails verification.
     """
     if depth < 1:
         raise InputError("verification depth must be at least 1")
@@ -691,8 +691,8 @@ def certify(structure, X, depth=6):
     if not words:
         raise InputError("generating set reduces to the identity")
     if not generates_at_radius(model, words, REACH_RADIUS):
-        raise InputError("words do not reach the standard generators within "
-                         f"radius {REACH_RADIUS}")
+        raise InputError("words do not generate the group, or, where no exact test applies, "
+                         f"do not reach the standard generators within radius {REACH_RADIUS}")
     return _certify_words(structure, words, depth)
 
 

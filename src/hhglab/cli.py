@@ -286,7 +286,7 @@ def build_parser():
     p.add_argument("--scan-length", type=int, default=0,
                    help="max word length in the enumeration pool")
     p.add_argument("--radius", type=int, default=6,
-                   help="generation must be witnessed inside this ball")
+                   help="where no exact test applies, generation must be witnessed in this ball")
     p.add_argument("--growth-n", type=int, default=10,
                    help="ball radius for the measured rate")
 

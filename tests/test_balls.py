@@ -235,6 +235,122 @@ class TestSeriesAgainstBfs:
         assert info.value.partial_radius == 12
 
 
+def reaches_generators(model, words, radius):
+    """The BFS reference: whether the ball of the given radius in the
+    symmetrised words holds every standard generator."""
+    layers = itertools.islice(balls._layers(model, symmetrize(model, words),
+                                            DEFAULT_MAX_ELEMENTS), radius + 1)
+    ball = set(itertools.chain.from_iterable(layers))
+    return ball.issuperset(model.generators())
+
+
+def candidate_sets(model, size, length):
+    """Every set of at most `size` words of length at most `length`, one
+    word per inversion pair, in the enumeration's order."""
+    reps = sorted({min(w, model.inverse(w)) for w in standard_ball(model, length) if w != ()},
+                  key=lambda w: (len(w), w))
+    for k in range(1, size + 1):
+        yield from (list(c) for c in itertools.combinations(reps, k))
+
+
+def nielsen_basis(model, rnd, moves):
+    """The standard basis after seeded Nielsen moves: a basis again."""
+    basis = model.generators()
+    for _ in range(moves):
+        i, j = rnd.sample(range(len(basis)), 2)
+        other = basis[j] if rnd.random() < 0.5 else model.inverse(basis[j])
+        if rnd.random() < 0.5:
+            basis[i] = model.multiply(basis[i], other)
+        else:
+            basis[i] = model.multiply(other, basis[i])
+        if rnd.random() < 0.3:
+            basis[i] = model.inverse(basis[i])
+    return basis
+
+
+def forbid_bfs(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the exact test ran a BFS")
+    monkeypatch.setattr(balls, "_layers", refuse)
+
+
+class TestExactGeneration:
+    """generates_at_radius decides free, free-product and free-abelian
+    models exactly, and walks the radius BFS on every other model."""
+
+    @pytest.mark.parametrize("name, size, length", [
+        ("free2", 2, 3), ("free2", 3, 2), ("f2freez", 2, 2), ("f2freez", 3, 1),
+        ("z2", 2, 3), ("z2", 3, 2), ("z1", 2, 3)])
+    def test_agrees_with_the_bfs_on_every_candidate_set(self, name, size, length):
+        model = build_named(name).group
+        for words in candidate_sets(model, size, length):
+            assert generates_at_radius(model, words, 6) == reaches_generators(model, words, 6), \
+                [model.format(w) for w in words]
+
+    @pytest.mark.parametrize("name", ["free2", "f2freez"])
+    def test_nielsen_bases_generate(self, monkeypatch, name):
+        model = build_named(name).group
+        forbid_bfs(monkeypatch)
+        rnd = random.Random(23)
+        for _ in range(500):
+            basis = nielsen_basis(model, rnd, rnd.randrange(1, 16))
+            assert generates_at_radius(model, basis, 0), [model.format(w) for w in basis]
+
+    @pytest.mark.parametrize("name, text", [
+        ("free2", "aa,b"), ("free2", "ab,ba"), ("f2freez", "a,b,cc"),
+        ("z2", "aab,abb")])  # z2: determinant 3
+    def test_fixed_refusals(self, monkeypatch, name, text):
+        model = build_named(name).group
+        forbid_bfs(monkeypatch)
+        words = parse_generating_set(model, text)
+        assert not generates_at_radius(model, words, 6)
+        assert not generates_at_radius(model, words, 100)
+
+    def test_a_direct_product_still_needs_the_radius(self):
+        # t = A·A·aat is three steps out
+        model = build_named("f2xz").group
+        words = parse_generating_set(model, "a,b,aat")
+        assert not generates_at_radius(model, words, 2)
+        assert generates_at_radius(model, words, 3)
+
+    def test_bad_radius_and_identity_still_refused(self):
+        model = FreeGroup(2)
+        with pytest.raises(InputError, match="radius must be nonnegative"):
+            generates_at_radius(model, model.generators(), -1)
+        assert not generates_at_radius(model, [()], 6)
+
+    def test_every_family_takes_a_declared_test(self, monkeypatch):
+        # a new family falls to the radius BFS until it opts in here
+        classes, stack = set(), [GroupModel]
+        while stack:
+            cls = stack.pop()
+            classes.add(cls)
+            stack.extend(cls.__subclasses__())
+        assert {cls.family for cls in classes} - {"abstract"} == {
+            "free", "free_abelian", "direct_product", "free_product"}
+        calls = []
+        for name in ("_folds_to_rose", "_spans_lattice", "_layers"):
+            real = getattr(balls, name)
+            monkeypatch.setattr(balls, name,
+                                lambda *args, _name=name, _real=real:
+                                calls.append(_name) or _real(*args))
+        z = FreeAbelianGroup(1, ["c"])
+        cases = [
+            (FreeGroup(2), "_folds_to_rose"),
+            (FreeAbelianGroup(1), "_spans_lattice"),
+            (FreeAbelianGroup(3), "_spans_lattice"),
+            (FreeProduct([FreeGroup(2), z]), "_folds_to_rose"),
+            (FreeProduct([FreeProduct([FreeGroup(1), FreeGroup(1, ["b"])]), z]),
+             "_folds_to_rose"),
+            (FreeProduct([FreeGroup(1), FreeAbelianGroup(2, ["b", "c"])]), "_layers"),
+            (DirectProduct([FreeGroup(2), z]), "_layers"),
+        ]
+        for model, test in cases:
+            calls.clear()
+            assert generates_at_radius(model, model.generators(), 1), model
+            assert calls == [test], model
+
+
 class TestApiContracts:
     def test_symmetrize_dedupes(self):
         F = FreeGroup(2)

@@ -296,9 +296,29 @@ class TestCertify:
         assert code == 2
         assert "genset" in err
 
+    NOT_GENERATING = ("error: words do not generate the group, or, where no exact test "
+                      "applies, do not reach the standard generators within radius 6\n")
+
     def test_non_generating_usage(self, capsys):
-        code, _, err = run(capsys, "certify", "free2", "--genset", "a")
-        assert code == 2
+        code, out, err = run(capsys, "certify", "free2", "--genset", "a")
+        assert code == 2 and out == ""
+        assert err == self.NOT_GENERATING
+
+    def test_direct_product_generation_past_the_radius_is_usage_error(self, capsys):
+        # t = A^7 · aaaaaaat is eight steps out; a direct product has no
+        # exact generation test, so the radius-6 BFS refuses the set
+        code, out, err = run(capsys, "certify", "f2xz", "--genset", "a,b,aaaaaaat")
+        assert code == 2 and out == ""
+        assert err == self.NOT_GENERATING
+
+    def test_far_basis_certifies(self, capsys):
+        # a is nine steps out in {b, abbbbbbbb}, past the radius-6 BFS that
+        # refused this set before generation was decided exactly
+        code, doc, _ = run_json(capsys, "certify", f"{STRUCTURES}/free2.json",
+                                "--genset", "b,abbbbbbbb")
+        assert code == 0
+        assert doc["report"]["variant"] == "free-subgroup"
+        assert doc["report"]["lengths"] == [1, 3]
 
     def test_depth_below_one_is_usage_error(self, capsys):
         code, out, err = run(capsys, "certify", "free2", "--genset", "a,b",
@@ -404,9 +424,8 @@ class TestScan:
         assert err == "error: growth n must be at least 1\n"
 
     def test_radius_past_the_ball_budget(self, capsys):
-        # {a, b} reaches the standard generators at radius 1, so the
-        # generation check stops there instead of building the radius-13
-        # ball of 3,188,645 elements, past the budget
+        # free2 decides generation exactly, so no BFS runs: the radius-13
+        # ball of 3,188,645 elements would be past the budget
         code, out, err = run(capsys, "scan", f"{STRUCTURES}/free2.json", "--scan-size", "2",
                              "--scan-length", "1", "--radius", "13")
         assert code == 0 and err == ""
@@ -609,3 +628,19 @@ class TestBenchmarkTracer:
         for oracle in ("verify_free_subgroup", "verify_free_semigroup"):
             assert tracer.stats[f"certify.{oracle}"][0] >= 1
             assert tracer.counts[f"certify.{oracle}.words"] > 0
+
+    def test_traced_scan_keeps_its_bytes_and_counts(self, tracing, tmp_path):
+        # the scan workload's counters: 36 candidate sets tested, 9 generate
+        args = ["scan", f"{STRUCTURES}/free2.json", "--scan-size", "2",
+                "--scan-length", "2"]
+        assert cli.main(args + ["--out", str(tmp_path / "plain")]) == 0
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            code = cli.main(args + ["--out", str(tmp_path / "traced")])
+        finally:
+            tracer.uninstall()
+        assert code == 0
+        assert (tmp_path / "traced").read_bytes() == (tmp_path / "plain").read_bytes()
+        assert tracer.stats["balls.generates_at_radius"][0] == 36
+        assert tracer.counts["balls.generates_at_radius.accepted"] == 9
