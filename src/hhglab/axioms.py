@@ -10,7 +10,10 @@ One run draws its samples once, in ``_Env``, and the nine checks share
 them: the ball elements, the sampled pairs each with its word distance
 ``(x, y, d_G(x, y))`` (checks 1 and 9 read it), and one point sample per
 space object, which domains on the same space share; ``points`` hands out
-a fresh list of it on each call.
+a fresh list of it on each call.  Nesting is a relation between labels,
+not points, so ``above(v)``, the sampled domains that v nests in, is asked
+of the structure once per label; checks 4, 6 and 7 read their nested pairs
+off it.
 
 Checks 1, 4 and 6-9 keep that worst case in one record, ``_Worst``: the
 smallest margin, the first witness that reached it and the check count.
@@ -114,8 +117,16 @@ class _Env:
             x, y = self.elements[i], self.elements[j]
             self.pairs.append((x, y, st.word_metric(x, y)))
         self.domains = st.domains()
+        self._above = {}  # label -> the sampled domains it nests in
         self._points = {}  # space -> its sample, a tuple
         self._defects = {}  # space -> four-point defect of its sample
+
+    def above(self, v):
+        """The sampled domains that v nests in, in domains order."""
+        ups = self._above.get(v)
+        if ups is None:
+            ups = self._above[v] = [w for w in self.domains if self.st.relation(v, w) == NEST_IN]
+        return ups
 
     def points(self, u):
         space = self.st.space(u)
@@ -272,9 +283,7 @@ def _check_consistency(env):
         for v in env.domains[i + 1 :]
         if st.relation(u, v) == TRANSVERSE
     ]
-    nest_pairs = [
-        (u, v) for u in env.domains for v in env.domains if st.relation(u, v) == NEST_IN
-    ]
+    nest_pairs = [(u, v) for u in env.domains for v in env.above(u)]
     xs = env.sample(env.elements, 40)
     for u, v in env.sample(trans_pairs, 60):
         distances = consistency_inequality(st, TRANSVERSE, u, v)
@@ -291,23 +300,25 @@ def _check_consistency(env):
     return worst.report(4, kappa0)
 
 
+def _chain_depth(st, doms, u, depth):
+    """Longest nesting chain among doms that ends at u, kept in depth; not
+    a closure, whose self-reference would hold st until a collection."""
+    if u in depth:
+        return depth[u]
+    best = 1
+    for v in doms:
+        if v != u and st.relation(v, u) == NEST_IN:
+            best = max(best, 1 + _chain_depth(st, doms, v, depth))
+    depth[u] = best
+    return best
+
+
 def _check_complexity(env):
     st = env.st
     # longest chain in the materialized nesting order
     doms = env.domains
     depth = {}
-
-    def chain_depth(u):
-        if u in depth:
-            return depth[u]
-        best = 1
-        for v in doms:
-            if v != u and st.relation(v, u) == NEST_IN:
-                best = max(best, 1 + chain_depth(v))
-        depth[u] = best
-        return best
-
-    longest = max((chain_depth(u) for u in doms), default=0)
+    longest = max((_chain_depth(st, doms, u, depth) for u in doms), default=0)
     bound = st.constants.n_complexity
     margin = float(bound - longest)
     return _report(5, margin >= 0, margin, len(doms), {"longest_chain": longest})
@@ -319,9 +330,12 @@ def _check_large_links(env):
     lam = st.constants.lam
     worst = _Worst()
     for x, y, _ in env.pairs:
-        between = st.domains_between(x, y)
+        below = {}  # w -> the domains between x and y nested in w, in order
+        for v in st.domains_between(x, y):
+            for w in env.above(v):
+                below.setdefault(w, []).append(v)
         for w in env.domains:
-            candidates = [v for v in between if st.relation(v, w) == NEST_IN]
+            candidates = below.get(w)
             if not candidates:
                 continue
             dw = st.dsub(w, x, y)
@@ -341,9 +355,7 @@ def _check_geodesic_image(env):
     st = env.st
     E = st.constants.E
     worst = _Worst()
-    nest_pairs = [
-        (v, w) for v in env.domains for w in env.domains if st.relation(v, w) == NEST_IN
-    ]
+    nest_pairs = [(v, w) for v in env.domains for w in env.above(v)]
     for v, w in env.sample(nest_pairs, 25):
         space_w = st.space(w)
         space_v = st.space(v)

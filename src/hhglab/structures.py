@@ -416,19 +416,26 @@ class FreeProductHHG(HHStructure):
     def _coset_domain(self, u, v):
         """Record of the coset rep F_i at the tree vertex v = (i, rep): pi
         reads the leading factor-i syllable of the normal form rep^-1 g,
-        and a point lifts to rep times its local word."""
+        and a point lifts to rep times its local word.
+
+        Every factor is free or infinite cyclic, so a normal form is a
+        freely reduced word on all letters, and rep^-1 g is the free
+        reduction of the two words.  Unless g starts with rep, that
+        reduction stops inside rep and rep^-1 g starts with the inverse of
+        rep's last letter; rep never ends in a letter of factor i, so the
+        syllable is empty.  When g starts with rep, rep^-1 g is the rest
+        of g."""
         i, rep = v
         group = self.group
         space, point, word = self._factors[i]
-        rep_inverse = group.inverse(rep)
         part_of = group._part_of
 
         def pi(g):
-            h = group._product(rep_inverse, g)
-            end = 0
-            while end < len(h) and part_of[h[end]] == i:
-                end += 1
-            return point(group.to_local(i, h[:end]))
+            start = end = len(rep)
+            if g[:start] == rep:
+                while end < len(g) and part_of[g[end]] == i:
+                    end += 1
+            return point(group.to_local(i, g[start:end]))
 
         return Domain(u, space, pi,
                       lambda p: group.multiply(rep, group.to_global(i, word(p))))

@@ -1,14 +1,19 @@
 """Axiom checker: clean structures pass, corrupted ones fail where intended."""
 
+import pathlib
 from collections import Counter
 
 import pytest
 
 from hhglab import axioms
-from hhglab.axioms import AXIOM_NAMES, _Env, check_structure
-from hhglab.builders import build_named, structure_from_json
+from hhglab.axioms import AXIOM_NAMES, _Env, _Worst, check_structure
+from hhglab.builders import build_named, load_structure, structure_from_json
+from hhglab.coords import consistency_inequality
 from hhglab.errors import InputError
-from hhglab.spaces import Space
+from hhglab.spaces import Space, sample_diameter
+from hhglab.structures import NEST_IN, TRANSVERSE
+
+STRUCTURE_FILES = sorted((pathlib.Path(__file__).resolve().parents[1] / "structures").glob("*.json"))
 
 STANDARD = ("free2", "z1", "z2", "f2xz", "f2xf2", "f2freez")
 
@@ -188,3 +193,106 @@ class TestSharedSamples:
         check_structure(st, radius=3, seed=0, max_pairs=500)
         assert Counter(calls) == Counter((x, y) for x, y, _ in env.pairs)
         assert len(calls) == len(env.pairs)
+
+    def test_nesting_asked_once_per_label(self, monkeypatch):
+        # axiom 6 asks each (label, domain) relation once, however many
+        # sampled pairs share the label, and nothing once the map is full
+        st = build_named("f2freez")
+        env = _Env(st, 3, 0, 500)
+        calls = []
+        original = st.relation
+
+        def counting(u, v):
+            calls.append((u, v))
+            return original(u, v)
+
+        monkeypatch.setattr(st, "relation", counting)
+        axioms._check_large_links(env)
+        assert calls and max(Counter(calls).values()) == 1
+        calls.clear()
+        axioms._check_large_links(env)
+        assert calls == []
+
+
+# The per-pair loops of checks 4, 6 and 7 as they were before _Env kept a
+# nesting map: each asks relation for every pair of domains it meets.
+
+def _reference_consistency(env):
+    st = env.st
+    kappa0 = st.constants.kappa0
+    worst = _Worst()
+    trans_pairs = [(u, v) for i, u in enumerate(env.domains) for v in env.domains[i + 1:]
+                   if st.relation(u, v) == TRANSVERSE]
+    nest_pairs = [(u, v) for u in env.domains for v in env.domains
+                  if st.relation(u, v) == NEST_IN]
+    xs = env.sample(env.elements, 40)
+    for u, v in env.sample(trans_pairs, 60):
+        distances = consistency_inequality(st, TRANSVERSE, u, v)
+        for x in xs:
+            du, dv = distances(st.pi(u, x), st.pi(v, x))
+            worst.see(kappa0 - min(du, dv), lambda: {
+                "clause": "transverse", "u": u, "v": v, "x": env.show(x), "d_u": du, "d_v": dv})
+    for v, w in env.sample(nest_pairs, 60):
+        distances = consistency_inequality(st, NEST_IN, v, w)
+        for x in xs:
+            outer, inner = distances(st.pi(v, x), st.pi(w, x))
+            worst.see(kappa0 - min(outer, inner), lambda: {
+                "clause": "nested", "v": v, "w": w, "x": env.show(x), "d_outer": outer, "d_inner": inner})
+    return worst.report(4, kappa0)
+
+
+def _reference_large_links(env):
+    st = env.st
+    E = st.constants.E
+    lam = st.constants.lam
+    worst = _Worst()
+    for x, y, _ in env.pairs:
+        between = st.domains_between(x, y)
+        for w in env.domains:
+            candidates = [v for v in between if st.relation(v, w) == NEST_IN]
+            if not candidates:
+                continue
+            dw = st.dsub(w, x, y)
+            bound = lam * dw + lam
+            links = [v for v in candidates if st.dsub(v, x, y) >= E]
+            worst.see(bound - len(links), lambda: {"clause": "count", "w": w, "x": env.show(x),
+                                                   "y": env.show(y), "links": len(links), "bound": bound})
+            pw = st.pi(w, x)
+            for v in links:
+                d = st.space(w).dist(pw, st.rho_point(v, w))
+                worst.see(bound - d, lambda: {
+                    "clause": "rho distance", "w": w, "v": v, "x": env.show(x), "y": env.show(y), "d": d})
+    return worst.report(6, lam)
+
+
+def _reference_geodesic_image(env):
+    st = env.st
+    E = st.constants.E
+    worst = _Worst()
+    nest_pairs = [(v, w) for v in env.domains for w in env.domains
+                  if st.relation(v, w) == NEST_IN]
+    for v, w in env.sample(nest_pairs, 25):
+        space_w = st.space(w)
+        space_v = st.space(v)
+        rho = st.rho_point(v, w)
+        pts = env.points(w)
+        point_pairs = [(p, q) for i, p in enumerate(pts) for q in pts[i + 1:]]
+        for p, q in env.sample(point_pairs, 20):
+            geo = space_w.geodesic(p, q)
+            if min(space_w.dist(z, rho) for z in geo) <= E:
+                continue
+            diam = sample_diameter(space_v.dist, [st.rho_map_point(w, v, z) for z in geo], 0.0)
+            worst.see(E - diam, lambda: {"v": v, "w": w, "p": p, "q": q, "image_diameter": diam})
+    return worst.report(7, E)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("path", STRUCTURE_FILES, ids=lambda p: p.stem)
+def test_nesting_map_matches_the_per_pair_reference(path, seed):
+    # the same draws from the same rng, so every report agrees, witnesses too
+    reference = {4: _reference_consistency, 6: _reference_large_links,
+                 7: _reference_geodesic_image}
+    env = _Env(load_structure(str(path)), 3, seed, 60)
+    expected = [reference.get(i, check)(env) for i, check in axioms._CHECKERS.items()]
+    got = check_structure(load_structure(str(path)), radius=3, seed=seed, max_pairs=60)
+    assert [a.to_json() for a in got.axioms] == [a.to_json() for a in expected]

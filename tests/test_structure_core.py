@@ -9,6 +9,7 @@ import weakref
 import pytest
 
 from hhglab import balls
+from hhglab.axioms import check_structure
 from hhglab.builders import (
     FIXTURE_BUILDERS,
     STANDARD_BUILDERS,
@@ -247,6 +248,27 @@ class TestFreeProductStructure:
                 assert self.hh.pi(u, self.hh.lift(u, p)) == p, (u, p)
 
 
+    def near_misses(self, rep):
+        """Words, each to follow rep, that make rep times it miss rep by a
+        letter: rep less its last letter plus a different one, rep with
+        more letters of its last factor, and rep with its last c or C
+        doubled or cancelled."""
+        m = self.m
+        inv = invert_word
+        out = []
+        if rep:
+            last = rep[-1:]
+            out += [inv(last) + (x,) for x in range(2 * m.ngens) if (x,) != last]
+            out += [m.parse(t) for t in ("a", "ab", "bA", "c", "C", "cc")
+                    if m._part_of[m.parse(t)[0]] == m._part_of[rep[-1]]]
+        cs = [k for k, x in enumerate(rep) if m.format((x,)) in "cC"]
+        if cs:
+            tail = rep[cs[-1]:]
+            # rep tail^-1 c^+-1 tail: the c doubled, and then cancelled
+            out += [m.normal_form(inv(tail) + rep[cs[-1]:cs[-1] + 1] + tail),
+                    m.normal_form(inv(tail) + inv(rep[cs[-1]:cs[-1] + 1]) + tail)]
+        return [m.normal_form(w) for w in out]
+
     def test_coset_projection_matches_the_syllable_reference(self):
         # reference: the first syllable of the raw word rep^-1 g, split by
         # the free-product reducer, when it lies in the coset's factor
@@ -256,14 +278,16 @@ class TestFreeProductStructure:
                                            "ab" + "c" * 8, "a")]
         words = [IDENTITY] + runs + [self.seeded_word(rng, m, 10) for _ in range(40)]
         labels = [u for u in self.hh.domains() if u != "S"]
-        labels += [self.hh.act_on_domain(self.seeded_word(rng, m, 6), u) for u in labels[:8]]
+        labels += [self.hh.act_on_domain(self.seeded_word(rng, m, 6), u) for u in labels]
         assert {self.hh.parse_domain(u)[0] for u in labels} == {0, 1}
+        assert sum(len(self.hh.parse_domain(u)[1]) >= 3 for u in labels) >= 10
         moved = set()  # factors with a projection off the coset's base point
         for u in labels:
             i, rep = self.hh.parse_domain(u)
             point = self.hh._factors[i][1]
-            # words read from the coset's own representative as well
-            tests = words + [m.multiply(rep, g) for g in words]
+            # words read from the coset's own representative as well, and
+            # near misses of it
+            tests = words + [m.multiply(rep, g) for g in words + self.near_misses(rep)]
             assert {m._part_of[g[-1]] for g in tests if g} == {0, 1}
             for g in tests:
                 syls = m.syllables(invert_word(rep) + g)
@@ -322,14 +346,16 @@ def test_equal_relation_means_equal_labels(name):
 
 @pytest.mark.parametrize("name", sorted(STANDARD_BUILDERS))
 def test_a_structure_dies_with_its_last_reference(name):
-    # no record refers back to its structure, so the structure and its pi
-    # memo go at once, not at the next full garbage collection
+    # no record refers back to its structure, and a check leaves no cycle
+    # that holds it, so the structure and its pi memo go at once, not at
+    # the next full garbage collection
     hh = build_named(name)
-    for u in hh.domains():
-        hh.pi(u, hh.group.parse("1"))
     gone = weakref.ref(hh)
     gc.disable()
     try:
+        check_structure(hh)
+        for u in hh.domains():
+            hh.pi(u, hh.group.parse("1"))
         del hh
         assert gone() is None
     finally:
