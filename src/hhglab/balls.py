@@ -8,12 +8,11 @@ enumeration walks that subgroup's Cayley graph.
 prove which Cayley graph the generating set spans (de la Harpe, *Topics in
 Geometric Group Theory*, ch. VI):
 
-- the symmetrised standard generators of a free or free-abelian group, or
-  of a direct or free product of such groups, nested to any depth.  The
-  free group of rank n has spheres s_k = 2n(2n-1)^(k-1), Z^n the Cauchy
-  product of n copies of 1, 2, 2, 2, ..., a direct product the Cauchy
-  product of its factors' series, and a free product of m factors
-  1/S = 1/S_1 + ... + 1/S_m - (m - 1);
+- the symmetrised standard generators of a free or free-abelian group, of
+  a free product (free on its letters), or of a direct product of such
+  groups, nested to any depth.  The free group of rank n has spheres
+  s_k = 2n(2n-1)^(k-1), Z^n the Cauchy product of n copies of 1, 2, 2,
+  2, ..., and a direct product the Cauchy product of its factors' series;
 - a symmetric set of exactly 2n words that generates a free or
   free-abelian group of rank n.  It is a basis (both groups are Hopfian),
   so its Cayley graph is the standard one.
@@ -24,7 +23,7 @@ of more than DEFAULT_MAX_ELEMENTS elements raises the same
 ResourceBudgetError at the same radius.
 
 ``generates_at_radius`` is exact on Z^n (integer row reduction) and on free
-groups and free products of them (Stallings folding: Stallings, "Topology of
+groups and free products (Stallings folding: Stallings, "Topology of
 finite graphs", Invent. Math. 1983; Kapovich-Myasnikov, "Stallings foldings
 and subgroups of free groups", J. Algebra 2002).  Membership in F2 x F2 is
 undecidable (Mihailova, 1958), so on a direct product or any other model the
@@ -147,38 +146,24 @@ def cauchy_product(s, t):
         yield sum(map(mul, a, reversed(b)))
 
 
-def series_inverse(s):
-    """Coefficients of 1/s for a power series s with s[0] == 1, read and
-    yielded one coefficient at a time."""
-    coeffs, inv = [], []
-    for x in s:
-        coeffs.append(x)
-        inv.append(-sum(map(mul, coeffs[1:], reversed(inv))) if inv else 1)
-        yield inv[-1]
-
-
 def standard_spheres(model):
     """Sphere sizes of the model in its symmetrised standard generators,
     with no end, or None for a family that no series here covers."""
     if model.ngens == 0:
         return free_spheres(0)  # the trivial group: 1, 0, 0, ...
-    if isinstance(model, FreeGroup):
+    if isinstance(model, (FreeGroup, FreeProduct)):
         return free_spheres(model.ngens)
     if isinstance(model, FreeAbelianGroup):
         return functools.reduce(cauchy_product,
                                 [free_spheres(1) for _ in range(model.ngens)])
-    if not isinstance(model, (DirectProduct, FreeProduct)):
+    if not isinstance(model, DirectProduct):
         return None
     # a trivial factor changes no ball; dropping it keeps a slowly growing
     # product from paying quadratic series arithmetic out to its budget
     parts = [standard_spheres(p) for p in model.parts if p.ngens]
     if any(s is None for s in parts):
         return None
-    if isinstance(model, DirectProduct) or len(parts) == 1:
-        return functools.reduce(cauchy_product, parts)
-    # 1/S = 1/S_1 + ... + 1/S_m - (m - 1): the constant terms sum to 1
-    sums = (sum(c) for c in zip(*map(series_inverse, parts)))
-    return series_inverse(itertools.chain([1], itertools.islice(sums, 1, None)))
+    return functools.reduce(cauchy_product, parts)
 
 
 def _sphere_sizes(model, gens, radius):
@@ -215,13 +200,6 @@ def growth_function(model, gens, radius):
             )
         beta.append(total)
     return beta
-
-
-def _free_on_letters(model):
-    """Whether the normal form is free reduction on all the model's letters."""
-    if isinstance(model, FreeProduct):
-        return all(map(_free_on_letters, model.parts))
-    return isinstance(model, FreeGroup) or (isinstance(model, FreeAbelianGroup) and model.ngens < 2)
 
 
 def _folds_to_rose(nletters, words):
@@ -272,7 +250,7 @@ def _generates(model, gens, radius):
     """generates_at_radius for symmetric nonidentity normal forms gens."""
     if isinstance(model, FreeAbelianGroup):
         return _spans_lattice([model.exponents(w) for w in gens], model.ngens)
-    if _free_on_letters(model):
+    if isinstance(model, (FreeGroup, FreeProduct)):  # free on their letters
         return _folds_to_rose(2 * model.ngens, gens)
     missing = set(model.generators())
     for layer in itertools.islice(_layers(model, gens, DEFAULT_MAX_ELEMENTS), radius + 1):

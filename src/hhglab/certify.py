@@ -120,27 +120,26 @@ def certifier_ledger(constants):
 
 
 def _free_pair(model, u, w, depth):
-    """True iff u and w do not commute.  Every family in `groups` is built
-    from free and free-abelian groups by direct and free products, where
-    <u, w> is either abelian or free on u and w: Nielsen-Schreier for free
-    groups; Kurosh's subgroup theorem and the Grushko-Neumann rank formula
-    for free products of torsion-free factors; for direct products, a
-    factor projecting <u, w> onto F2, or else all projections abelian.  F2
-    is Hopfian, so two generators of a non-abelian <u, w> are a basis, and
-    also generate a free semigroup.  depth >= 1 changes no answer."""
+    """True iff the normal forms u and w do not commute.  Every family in
+    `groups` is built from free and free-abelian groups, where <u, w> is
+    either abelian or free on u and w: Nielsen-Schreier for free groups and
+    for free products, which are free on their letters; for direct
+    products, a factor projecting <u, w> onto F2, or else all projections
+    abelian.  F2 is Hopfian, so two generators of a non-abelian <u, w> are
+    a basis, and also generate a free semigroup.  depth >= 1 changes no
+    answer."""
     if depth < 1:
         raise PreconditionError("verification depth must be at least 1")
-    u, w = model.normal_form(u), model.normal_form(w)
     return model._product(u, w) != model._product(w, u)
 
 
 def verify_free_semigroup(model, u, w, depth):
-    """Exact check that u and w generate a free subsemigroup."""
+    """Exact check that the normal forms u and w generate a free subsemigroup."""
     return _free_pair(model, u, w, depth)
 
 
 def verify_free_subgroup(model, u, w, depth):
-    """Exact check that u and w generate a rank-2 free subgroup."""
+    """Exact check that the normal forms u and w generate a rank-2 free subgroup."""
     return _free_pair(model, u, w, depth)
 
 

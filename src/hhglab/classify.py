@@ -16,7 +16,8 @@ space is needed.  Per family of domains:
 - the top domain of a free product projects g to the coset g F_0, and
   vertex(0, hg) = translate(h, vertex(0, g));
 - if h fixes the coset rep F_i, then rep^-1 h = f rep^-1 with f in F_i, so
-  the first syllable of rep^-1 h g is f times that of rep^-1 g;
+  the first syllable (one-factor run) of rep^-1 h g is f times that of
+  rep^-1 g;
 - in the swapline fixture an element fixing P or Q has an even exponent,
   on which both half-speed lines are homomorphisms.
 

@@ -17,25 +17,28 @@ is AB, not BA).
 
 ``multiply(u, v)`` is the family's ``_product``, which only works at the
 junction where the two words meet (free cancellation, exponent sums, the
-factor blocks v touches, the syllables that merge).  It trusts that u and
-v are normal forms and never checks it: on other words its result is
-wrong.  ``_reduce`` is the reference it is tested against.  The Cayley-ball
-BFS, the freeness oracles and ``power`` call ``_product`` directly.
+factor blocks v touches).  It trusts that u and v are normal forms and
+never checks it: on other words its result is wrong.  ``_reduce`` is the
+reference it is tested against.  The Cayley-ball BFS, the freeness oracles
+and ``power`` call ``_product`` directly.
 
-``FreeProduct.syllables`` is the free-product reducer: it splits any word
-with in-range letters into the syllables of its normal form, so a caller
-can read u^-1 v off the raw concatenation without forming u^-1 first.
+A free product takes free and infinite cyclic factors only, so it is the
+free group on all its letters and shares ``FreeGroup``'s kernels.
+``FreeProduct.syllables`` splits the free reduction of any word with
+in-range letters into its one-factor runs, so a caller can read u^-1 v off
+the raw concatenation without forming u^-1 first.
 
-Families: free, free abelian, direct products and free products of the
-above.  Labels are single lowercase ASCII letters; the compact string
-form writes inverses as uppercase ("caC" is c a c^-1, "1" is the
-identity).
+Families: free, free abelian, direct products of the above, and free
+products of free and infinite cyclic groups.  Labels are single lowercase
+ASCII letters; the compact string form writes inverses as uppercase ("caC"
+is c a c^-1, "1" is the identity).
 """
 
 from __future__ import annotations
 
 import string
 from bisect import bisect_left
+from itertools import groupby
 
 from .errors import InputError, WrongKindError
 
@@ -268,13 +271,6 @@ class _CombinedModel(GroupModel):
         off = self._offsets[part_index]
         return tuple(x + off for x in w)
 
-    def _local_product(self, i: int, u: Word, v: Word) -> Word:
-        """Product of two factor-i normal forms, in global letters."""
-        part = self.parts[i]
-        if not self._offsets[i] or part.shift_free:
-            return part._product(u, v)
-        return self.to_global(i, part._product(self.to_local(i, u), self.to_local(i, v)))
-
 
 class DirectProduct(_CombinedModel):
     """Direct product; factors commute, normal form concatenates factor forms."""
@@ -295,6 +291,13 @@ class DirectProduct(_CombinedModel):
             local = self.to_local(i, [x for x in w if self._part_of[x] == i])
             out.extend(self.to_global(i, part._reduce(local)))
         return tuple(out)
+
+    def _local_product(self, i: int, u: Word, v: Word) -> Word:
+        """Product of two factor-i normal forms, in global letters."""
+        part = self.parts[i]
+        if not self._offsets[i] or part.shift_free:
+            return part._product(u, v)
+        return self.to_global(i, part._product(self.to_local(i, u), self.to_local(i, v)))
 
     def _product(self, u: Word, v: Word) -> Word:
         # a normal form lists the factor blocks in order and factor i owns
@@ -319,58 +322,28 @@ class DirectProduct(_CombinedModel):
 
 
 class FreeProduct(_CombinedModel):
-    """Free product; normal form is the alternating-syllable form."""
+    """Free product of free and infinite cyclic groups: the free group on
+    all its letters, so its normal form, free reduction, is also the
+    alternating-syllable form."""
 
     family = "free_product"
+    shift_free = True
+    _reduce = FreeGroup._reduce
+    _product = FreeGroup._product
 
     def __init__(self, factors):
         self._init_parts(factors)
         if len(self.parts) < 2:
             raise InputError("a free product needs at least two factors")
-
-    def _push_syllable(self, stack, fi: int, local: Word):
-        while local:
-            if stack and stack[-1][0] == fi:
-                _, prev = stack.pop()
-                local = self.parts[fi]._product(prev, local)
-                continue
-            stack.append((fi, local))
-            return
+        if not all(isinstance(p, FreeGroup) or (isinstance(p, FreeAbelianGroup) and p.ngens == 1)
+                   for p in self.parts):
+            raise WrongKindError("factors must be free or infinite cyclic")
 
     def syllables(self, w: Word) -> list[tuple[int, Word]]:
-        """Alternating factor syllables of nf(w) as (factor index, local word)."""
-        stack = []
-        for x in w:
-            fi = self._part_of[x]
-            self._push_syllable(stack, fi, (x - self._offsets[fi],))
-        return stack
-
-    def _reduce(self, w: Word) -> Word:
-        out = []
-        for fi, local in self.syllables(w):
-            out.extend(self.to_global(fi, local))
-        return tuple(out)
-
-    def _product(self, u: Word, v: Word) -> Word:
-        # merge the last syllable of u with the first of v; when they
-        # cancel, the next pair meets
-        part_of = self._part_of
-        a, b = len(u), 0
-        while a and b < len(v):
-            fi = part_of[v[b]]
-            if part_of[u[a - 1]] != fi:
-                break
-            start = a - 1
-            while start and part_of[u[start - 1]] == fi:
-                start -= 1
-            end = b + 1
-            while end < len(v) and part_of[v[end]] == fi:
-                end += 1
-            merged = self._local_product(fi, u[start:a], v[b:end])
-            if merged:
-                return u[:start] + merged + v[end:]
-            a, b = start, end
-        return u[:a] + v[b:]
+        """Alternating factor syllables of nf(w) as (factor index, local word):
+        the maximal one-factor runs of the free reduction of w."""
+        return [(fi, self.to_local(fi, run))
+                for fi, run in groupby(self._reduce(w), self._part_of.__getitem__)]
 
     def to_json(self) -> dict:
         return {"family": "free_product", "factors": [p.to_json() for p in self.parts]}

@@ -9,6 +9,8 @@ The pairwise distances of a finite sample are computed once, in one place,
 sample diameter read them from it.
 """
 
+from itertools import groupby
+
 from .balls import standard_ball
 from .errors import InputError, WrongKindError
 from .groups import FreeGroup, FreeProduct, invert_word, is_int
@@ -188,7 +190,8 @@ class CosetTreeSpace(Space):
     Vertices are pairs (factor index, canonical representative): the
     representative drops a trailing syllable lying in the vertex's own
     factor, so each coset names exactly one vertex.  Cosets g F_i and
-    h F_j are adjacent when they intersect, which yields a tree.
+    h F_j are adjacent when they intersect, which yields a tree.  A
+    syllable is a maximal one-factor run of a (freely reduced) normal form.
 
     Words are normal forms, as everywhere inside the package: ``vertex``,
     ``translate`` and ``cosets`` take them, and a representative is its
@@ -228,12 +231,14 @@ class CosetTreeSpace(Space):
         if x == y:
             return 0
         (i, h), (j, k) = x, y
-        syls = self.model.syllables(invert_word(h) + k)
-        if syls and syls[0][0] == i:
-            syls = syls[1:]
-        if syls and syls[-1][0] == j:
-            syls = syls[:-1]
-        return len(syls) + 1
+        # the factor of each syllable of h^-1 k (h^-1 is reduced, as h is)
+        runs = [fi for fi, _ in groupby(map(self.model._part_of.__getitem__,
+                                            self.model.multiply(invert_word(h), k)))]
+        if runs and runs[0] == i:
+            runs = runs[1:]
+        if runs and runs[-1] == j:
+            runs = runs[:-1]
+        return len(runs) + 1
 
     def basepoint(self):
         return (0, ())

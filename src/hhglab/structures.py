@@ -16,7 +16,7 @@ from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields
 
 from .errors import IndexMismatchError, InputError, PreconditionError, WrongKindError
-from .groups import FreeAbelianGroup, FreeGroup, FreeProduct, GroupModel, is_int, json_field
+from .groups import FreeGroup, FreeProduct, GroupModel, is_int, json_field
 from .spaces import CayleyTreeSpace, CosetTreeSpace, LineSpace, Space
 
 EQUAL = "="
@@ -366,10 +366,8 @@ class FreeProductHHG(HHStructure):
         a free factor is its Cayley tree, an infinite cyclic one a line."""
         if isinstance(part, FreeGroup):
             return CayleyTreeSpace(part), lambda w: w, lambda p: p
-        if isinstance(part, FreeAbelianGroup) and part.ngens == 1:
-            return (LineSpace(), lambda w: part.exponents(w)[0],
-                    lambda n: part.from_exponents([n]))
-        raise WrongKindError("factors must be free or infinite cyclic")
+        return (LineSpace(), lambda w: part.exponents(w)[0],
+                lambda n: part.from_exponents([n]))
 
     # domain labels
 

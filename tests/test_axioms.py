@@ -10,8 +10,9 @@ from hhglab.axioms import AXIOM_NAMES, _Env, _Worst, check_structure
 from hhglab.builders import build_named, load_structure, structure_from_json
 from hhglab.coords import consistency_inequality
 from hhglab.errors import InputError
-from hhglab.spaces import Space, sample_diameter
-from hhglab.structures import NEST_IN, TRANSVERSE
+from hhglab.groups import FreeAbelianGroup
+from hhglab.spaces import PointSpace, Space, sample_diameter
+from hhglab.structures import NEST_IN, TRANSVERSE, ConstantLedger, Domain, TableHHG
 
 STRUCTURE_FILES = sorted((pathlib.Path(__file__).resolve().parents[1] / "structures").glob("*.json"))
 
@@ -286,13 +287,37 @@ def _reference_geodesic_image(env):
     return worst.report(7, E)
 
 
+def _crossing_nesting():
+    """Point-space table whose nesting order crosses its listing order: W1
+    is listed first but holds only Y, listed after X < W2.  Read in the
+    order the domains between two elements name them, the parents are S,
+    W2, W1; axiom 6 must visit them in listing order, W1, W2, S, and every
+    margin ties, so its witness names the first parent visited."""
+    names = ["W1", "W2", "X", "Y", "S"]
+    nesting = [("X", "W2"), ("Y", "W1")] + [(u, "S") for u in names[:-1]]
+    related = {frozenset(pair) for pair in nesting}
+    orthogonal = [(u, v) for i, u in enumerate(names) for v in names[i + 1:]
+                  if frozenset((u, v)) not in related]
+    return TableHHG(
+        "crossing-nesting", FreeAbelianGroup(1), ConstantLedger(n_complexity=2),
+        [Domain(u, PointSpace(), lambda g: 0, lambda p: ()) for u in names],
+        nesting=nesting, orthogonal=orthogonal,
+        rho_points={pair: 0 for pair in nesting},
+        rho_maps={(w, v): lambda p: 0 for v, w in nesting})
+
+
+NESTING_SOURCES = {p.stem: lambda p=p: load_structure(str(p)) for p in STRUCTURE_FILES}
+NESTING_SOURCES["crossing-nesting"] = _crossing_nesting
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("path", STRUCTURE_FILES, ids=lambda p: p.stem)
-def test_nesting_map_matches_the_per_pair_reference(path, seed):
+@pytest.mark.parametrize("source", sorted(NESTING_SOURCES))
+def test_nesting_map_matches_the_per_pair_reference(source, seed):
     # the same draws from the same rng, so every report agrees, witnesses too
     reference = {4: _reference_consistency, 6: _reference_large_links,
                  7: _reference_geodesic_image}
-    env = _Env(load_structure(str(path)), 3, seed, 60)
+    build = NESTING_SOURCES[source]
+    env = _Env(build(), 3, seed, 60)
     expected = [reference.get(i, check)(env) for i, check in axioms._CHECKERS.items()]
-    got = check_structure(load_structure(str(path)), radius=3, seed=seed, max_pairs=60)
+    got = check_structure(build(), radius=3, seed=seed, max_pairs=60)
     assert [a.to_json() for a in got.axioms] == [a.to_json() for a in expected]

@@ -200,6 +200,44 @@ class TestMalformedStructureFile:
             assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+F1 = {"family": "free", "rank": 1, "labels": ["a"]}
+Z2 = {"family": "free_abelian", "rank": 2, "labels": ["b", "c"]}
+ILLEGAL_FREE_PRODUCTS = {
+    "Z^2 factor": ({"builder": "free_product",
+                    "group": {"family": "free_product", "factors": [F1, Z2]}},
+                   "factors must be free or infinite cyclic"),
+    "nested free product": ({"builder": "free_product",
+                             "group": {"family": "free_product", "factors": [
+                                 {"family": "free_product", "factors": [
+                                     F1, {"family": "free", "rank": 1, "labels": ["b"]}]},
+                                 {"family": "free_abelian", "rank": 1, "labels": ["c"]}]}},
+                            "factors must be free or infinite cyclic"),
+    "three factors": ({"builder": "free_product",
+                       "group": {"family": "free_product", "factors": [
+                           F1, {"family": "free", "rank": 1, "labels": ["b"]},
+                           {"family": "free_abelian", "rank": 1, "labels": ["c"]}]}},
+                      "need a two-factor free product model"),
+    "direct product of F1*Z^2": ({"builder": "product",
+                                  "group": {"family": "direct_product", "factors": [
+                                      {"family": "free_abelian", "rank": 1, "labels": ["t"]},
+                                      {"family": "free_product", "factors": [F1, Z2]}]}},
+                                 "factors must be free or infinite cyclic"),
+}
+
+
+class TestFreeProductRefusals:
+    """A free product takes two free or infinite cyclic factors; any other
+    exits 2 with one error line."""
+
+    @pytest.mark.parametrize("case", sorted(ILLEGAL_FREE_PRODUCTS))
+    def test_exits_two_with_one_error_line(self, capsys, tmp_path, case):
+        recipe, message = ILLEGAL_FREE_PRODUCTS[case]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(recipe))
+        code, out, err = run(capsys, "check", str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 class TestDeepStructureFile:
     @pytest.mark.parametrize("case", ["brackets", "direct products"])
     def test_exits_two_with_one_error_line(self, capsys, tmp_path, case):

@@ -194,17 +194,17 @@ class TestTrustBoundary:
 
 def junction_models():
     """models_under_test plus offsets and factors that stress the kernels:
-    a Z^2 factor away from offset 0, a three-factor free product with a Z^2
-    factor, and products nested inside products."""
+    a Z^2 factor away from offset 0, three-factor free products (one with a
+    trivial factor), and a free product nested in a direct product away
+    from offset 0."""
     return models_under_test() + [
         DirectProduct([FreeGroup(2), FreeAbelianGroup(2, ["c", "d"]),
                        FreeAbelianGroup(1, ["t"])]),
-        FreeProduct([FreeGroup(1, ["a"]), FreeAbelianGroup(2, ["b", "c"]),
+        FreeProduct([FreeGroup(1, ["a"]), FreeAbelianGroup(1, ["b"]),
                      FreeGroup(1, ["d"])]),
-        FreeProduct([DirectProduct([FreeGroup(1, ["a"]), FreeAbelianGroup(1, ["t"])]),
-                     FreeGroup(2, ["b", "c"])]),
+        FreeProduct([FreeGroup(0), FreeAbelianGroup(1, ["t"]), FreeGroup(2, ["b", "c"])]),
         DirectProduct([FreeAbelianGroup(1, ["t"]),
-                       FreeProduct([FreeGroup(1, ["a"]), FreeAbelianGroup(2, ["b", "c"])])]),
+                       FreeProduct([FreeGroup(1, ["a"]), FreeAbelianGroup(1, ["b"])])]),
     ]
 
 
