@@ -24,7 +24,7 @@ at the first failure and check 5 computes its margin directly.
 
 import math
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .balls import standard_ball
 from .classify import tau_on_domain
@@ -49,14 +49,8 @@ AXIOM_NAMES = {
 POINTS_PER_DOMAIN = 25
 
 
-@dataclass
-class AxiomReport:
-    index: int
-    name: str
-    passed: bool
-    margin: float
-    checks: int
-    witness: dict = field(default_factory=dict)
+class AxiomReport(namedtuple("AxiomReport", "index name passed margin checks witness")):
+    __slots__ = ()
 
     def to_json(self):
         return {
@@ -69,12 +63,8 @@ class AxiomReport:
         }
 
 
-@dataclass
-class StructureReport:
-    label: str
-    radius: int
-    seed: int
-    axioms: list
+class StructureReport(namedtuple("StructureReport", "label radius seed axioms")):
+    __slots__ = ()
 
     @property
     def passed(self):
@@ -156,13 +146,13 @@ def _report(index, passed, margin, checks, witness=None):
     return AxiomReport(index, AXIOM_NAMES[index], passed, margin, checks, witness or {})
 
 
-@dataclass
 class _Worst:
     """One check's smallest margin, the first witness for it, and its count."""
 
-    margin: float = math.inf
-    witness: dict = field(default_factory=dict)
-    checks: int = 0
+    def __init__(self):
+        self.margin = math.inf
+        self.witness = {}
+        self.checks = 0
 
     def see(self, margin, witness):
         """Count one check; witness() builds the dict for a new worst."""
@@ -467,13 +457,10 @@ VALIDATOR_RULES = {
 }
 
 
-@dataclass
-class ValidatorReport:
+class ValidatorReport(namedtuple("ValidatorReport", "structure failures checks")):
     """Outcome of the three structural-consequence checks."""
 
-    structure: str
-    failures: list = field(default_factory=list)
-    checks: int = 0
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -504,11 +491,12 @@ def structural_validators(structure):
     doms = structure.domains()
     unbounded = [u for u in doms if not structure.is_bounded_domain(u)]
     invariant = {u: all(structure.act_on_domain(g, u) == u for g in gens) for u in doms}
-    report = ValidatorReport(structure.label)
+    failures = []
+    checks = 0
 
     def fail(rule, pair, detail):
-        report.failures.append({"rule": rule, "name": VALIDATOR_RULES[rule],
-                                "pair": list(pair), "detail": detail})
+        failures.append({"rule": rule, "name": VALIDATOR_RULES[rule],
+                         "pair": list(pair), "detail": detail})
 
     for i, u in enumerate(unbounded):
         for v in unbounded[i + 1:]:
@@ -522,7 +510,7 @@ def structural_validators(structure):
                 continue
             for member in (u, v):
                 for w in unbounded:
-                    report.checks += 1
+                    checks += 1
                     if structure.relation(member, w) == NEST_IN:
                         fail(1, (member, w),
                              f"{member} sits in the invariant orthogonal family "
@@ -537,7 +525,7 @@ def structural_validators(structure):
         if not any(tau_on_domain(structure, g, u)[0] > 0 for g in gens):
             continue
         for v in unbounded:
-            report.checks += 1
+            checks += 1
             if structure.relation(v, u) == NEST_IN:
                 fail(2, (v, u),
                      f"unbounded {v} nests into the translated quasi-line {u}")
@@ -546,8 +534,8 @@ def structural_validators(structure):
         if not invariant[w]:
             continue
         for v in unbounded:
-            report.checks += 1
+            checks += 1
             if structure.relation(v, w) == TRANSVERSE:
                 fail(3, (v, w), f"unbounded {v} is transverse to the invariant {w}")
 
-    return report
+    return ValidatorReport(structure.label, failures, checks)

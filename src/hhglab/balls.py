@@ -13,9 +13,10 @@ Geometric Group Theory*, ch. VI):
   groups, nested to any depth.  The free group of rank n has spheres
   s_k = 2n(2n-1)^(k-1), Z^n the Cauchy product of n copies of 1, 2, 2,
   2, ..., and a direct product the Cauchy product of its factors' series;
-- a symmetric set of exactly 2n words that generates a free or
-  free-abelian group of rank n.  It is a basis (both groups are Hopfian),
-  so its Cayley graph is the standard one.
+- a symmetric set of exactly 2n words that generates a free,
+  free-abelian or free-product group of rank n.  It is a basis (free and
+  free-abelian groups are Hopfian, and a free product here is free on its
+  letters), so its Cayley graph is the standard one.
 
 Every other set is counted by the BFS, which is also the reference the
 series are tested against.  The budget is the same on both paths: a ball
@@ -148,7 +149,7 @@ def cauchy_product(s, t):
 
 def standard_spheres(model):
     """Sphere sizes of the model in its symmetrised standard generators,
-    with no end, or None for a family that no series here covers."""
+    with no end."""
     if model.ngens == 0:
         return free_spheres(0)  # the trivial group: 1, 0, 0, ...
     if isinstance(model, (FreeGroup, FreeProduct)):
@@ -156,29 +157,25 @@ def standard_spheres(model):
     if isinstance(model, FreeAbelianGroup):
         return functools.reduce(cauchy_product,
                                 [free_spheres(1) for _ in range(model.ngens)])
-    if not isinstance(model, DirectProduct):
-        return None
-    # a trivial factor changes no ball; dropping it keeps a slowly growing
-    # product from paying quadratic series arithmetic out to its budget
-    parts = [standard_spheres(p) for p in model.parts if p.ngens]
-    if any(s is None for s in parts):
-        return None
-    return functools.reduce(cauchy_product, parts)
+    # a direct product; a trivial factor changes no ball, and dropping it
+    # keeps a slowly growing product from paying quadratic series
+    # arithmetic out to its budget
+    return functools.reduce(cauchy_product,
+                            [standard_spheres(p) for p in model.parts if p.ngens])
 
 
 def _sphere_sizes(model, gens, radius):
     """Sphere sizes of the Cayley graph of gens out to at least the radius:
     the standard series when the graph is provably the standard one (see
     the module docstring), else the BFS layer sizes."""
-    series = standard_spheres(model)
     standard = set(symmetrize(model, model.generators()))
     given = set(gens)
-    if (series is not None and given == standard) or (
-            isinstance(model, (FreeGroup, FreeAbelianGroup))
+    if given == standard or (
+            not isinstance(model, DirectProduct)
             and len(given) == len(standard)
             and all(model.inverse(g) in given for g in given)
             and _generates(model, gens, radius)):
-        return series
+        return standard_spheres(model)
     return map(len, cayley_ball_layers(model, gens, radius))
 
 

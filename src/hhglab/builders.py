@@ -9,7 +9,6 @@ fixture's docstring says exactly what it breaks.
 """
 
 import json
-from dataclasses import replace
 
 from .errors import InputError, WrongKindError
 from .groups import (
@@ -98,12 +97,12 @@ def product_structure(model, label, constants=None):
     kinds = [d.label for d in pieces]
     for k, d in enumerate(pieces):
         if kinds.count(d.label) > 1:
-            pieces[k] = replace(d, label=f"{d.label}{kinds[:k + 1].count(d.label)}")
+            pieces[k] = d._replace(label=f"{d.label}{kinds[:k + 1].count(d.label)}")
     names = [d.label for d in pieces]
     constants = constants or _product_constants(len(pieces))
     recipe = {"builder": "product", "label": label, "group": model.to_json()}
     if len(pieces) == 1:
-        return TableHHG(label, model, constants, [replace(pieces[0], label="S")],
+        return TableHHG(label, model, constants, [pieces[0]._replace(label="S")],
                         recipe=recipe)
     domains = [Domain("S", PointSpace(), lambda g: 0, lambda p: ())]
     domains.extend(pieces)
@@ -287,7 +286,7 @@ def fixture_bad_orth_closure():
 def _line_top_table(with_second_line=False, transverse_mode=False, label="bad"):
     model = _model_f2xz()
     domains = [
-        replace(_line_piece(model, 1, 0), label="S"),
+        _line_piece(model, 1, 0)._replace(label="S"),
         _tree_piece(model, 0),
     ]
     nesting = [("T", "S")]

@@ -25,7 +25,7 @@ power that passes verification and records both numbers.
 """
 
 import math
-from dataclasses import asdict, dataclass, field
+from collections import namedtuple
 
 from .balls import (enumerate_generating_sets, generates_at_radius, growth_function,
                     standard_ball, symmetrize)
@@ -57,8 +57,7 @@ REACH_RADIUS = 6
 # power schedule
 
 
-@dataclass
-class CertifierLedger:
+class CertifierLedger(namedtuple("CertifierLedger", "constants k1 n0 k2 k3 k4 M")):
     """Integer power schedule derived from the structure constants.
 
     k1: transverse ping-pong power.
@@ -70,16 +69,10 @@ class CertifierLedger:
     M: master length bound; certified words must fit under it.
     """
 
-    constants: object
-    k1: int
-    n0: int
-    k2: int
-    k3: int
-    k4: int
-    M: int
+    __slots__ = ()
 
     def to_json(self):
-        return {**asdict(self), "constants": self.constants.to_json()}
+        return {**self._asdict(), "constants": self.constants.to_json()}
 
 
 def _schedule_ceil(ratio, value):
@@ -155,7 +148,6 @@ def preserves_endpoint_pair(model, s, t):
 # certificates
 
 
-@dataclass
 class GrowthCertificate:
     """Outcome of one certification run.
 
@@ -164,16 +156,18 @@ class GrowthCertificate:
     `_certify_words` sets generating_set; the routes leave it empty.
     """
 
-    variant: str
-    ledger: CertifierLedger
-    generating_set: list = field(default_factory=list)
-    words: dict = None
-    lengths: list = None
-    verified_depth: int = None
-    subgroup_index: int = 1
-    x_length_bound: int = None
-    caveats: list = field(default_factory=list)
-    evidence: dict = field(default_factory=dict)
+    def __init__(self, variant, ledger, evidence, words=None, lengths=None,
+                 verified_depth=None, subgroup_index=1, x_length_bound=None, caveats=()):
+        self.variant = variant
+        self.ledger = ledger
+        self.generating_set = []
+        self.words = words
+        self.lengths = lengths
+        self.verified_depth = verified_depth
+        self.subgroup_index = subgroup_index
+        self.x_length_bound = x_length_bound
+        self.caveats = list(caveats)
+        self.evidence = evidence
 
     def to_json(self):
         words = None
@@ -230,14 +224,11 @@ def _normalize_genset(model, words):
     return sorted(out, key=lambda w: (len(w), w))
 
 
-@dataclass
-class BigDomains:
+class BigDomains(namedtuple("BigDomains", "big closure provenance")):
     """Union of the generators' big sets and its orbit closure under words of
     length at most N_rank, with provenance for every label."""
 
-    big: list
-    closure: list
-    provenance: dict
+    __slots__ = ()
 
 
 def collect_big_domains(structure, words):
@@ -274,24 +265,14 @@ def collect_big_domains(structure, words):
     return BigDomains(big, sorted(closure), closure)
 
 
-@dataclass
-class CaseOutcome:
+class CaseOutcome(namedtuple(
+        "CaseOutcome", "case domains s t u v kind s_xlen t_xlen index transversal schreier",
+        defaults=(None,) * 10)):
     """Route selected by the dichotomy: an explicit non-orthogonal pair with
     loxodromic witnesses (case 1), or a pointwise stabilizer of the closed
     orthogonal family (case 2)."""
 
-    case: int
-    domains: BigDomains
-    s: tuple = None
-    t: tuple = None
-    u: str = None
-    v: str = None
-    kind: str = None
-    s_xlen: int = None
-    t_xlen: int = None
-    index: int = None
-    transversal: list = None
-    schreier: list = None
+    __slots__ = ()
 
     def to_json(self, model):
         fmt = model.format

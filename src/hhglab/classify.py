@@ -29,7 +29,7 @@ g, among them the one coset an elliptic g fixes.
 """
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import PreconditionError, StructureInvalidError
 from .groups import IDENTITY
@@ -67,13 +67,10 @@ def tau_on_domain(structure, g, u):
     return tau / m, m
 
 
-@dataclass
-class BigSet:
+class BigSet(namedtuple("BigSet", "element domains evidence")):
     """Domains with unbounded cyclic orbit, plus the evidence per member."""
 
-    element: tuple
-    domains: list
-    evidence: dict
+    __slots__ = ()
 
     def to_json(self, model):
         return {

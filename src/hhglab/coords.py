@@ -9,7 +9,7 @@ thresholded sum of domain distances, and read coarse product geometry
 """
 
 import math
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 
 from .balls import standard_ball
 from .errors import InputError, PreconditionError
@@ -18,22 +18,14 @@ from .spaces import (CayleyTreeSpace, CosetTreeSpace, LineSpace, distance_table,
 from .structures import CONTAINS, NEST_IN, ORTHOGONAL, TRANSVERSE
 
 
-@dataclass
-class ConsistentTuple:
+class ConsistentTuple(namedtuple("ConsistentTuple", "entries kappa")):
     """Coordinates: one point per domain, plus the slack they claim."""
 
-    entries: dict
-    kappa: float
+    __slots__ = ()
 
 
-@dataclass
-class ConsistencyReport:
-    ok: bool
-    kappa: float
-    worst_margin: float
-    condition: str
-    pair: tuple
-    checks: int
+ConsistencyReport = namedtuple("ConsistencyReport",
+                               "ok kappa worst_margin condition pair checks")
 
 
 def project_tuple(structure, g):
@@ -104,18 +96,15 @@ def is_consistent(structure, tup):
     return ConsistencyReport(margin >= 0, kappa, margin, condition, pair, len(found))
 
 
-@dataclass
-class RealizationResult:
+class RealizationResult(namedtuple("RealizationResult",
+                                   "elements theta_e diameter search_radius")):
     """Ball elements closest to a coordinate tuple.
 
     theta_e is the smallest slack putting an element within reach of every
     entry; diameter is the word-metric spread of the achievers.
     """
 
-    elements: list
-    theta_e: float
-    diameter: int
-    search_radius: int
+    __slots__ = ()
 
     def to_json(self, model):
         return {
@@ -176,13 +165,10 @@ def realize(structure, tup, search_radius):
     return RealizationResult(elements, theta_e, diameter, search_radius)
 
 
-@dataclass
-class ThresholdedSum:
+class ThresholdedSum(namedtuple("ThresholdedSum", "s contributions total")):
     """Per-domain distances above the threshold, and their total."""
 
-    s: float
-    contributions: dict
-    total: float
+    __slots__ = ()
 
 
 def distance_formula_sum(structure, x, y, s):
@@ -197,18 +183,11 @@ def distance_formula_sum(structure, x, y, s):
     return ThresholdedSum(s, contributions, float(sum(contributions.values())))
 
 
-@dataclass
-class FitResult:
-    ok: bool
-    K: float
-    C: float
-    s: float
-    n_samples: int
-    binding: dict
-    failure: dict
+class FitResult(namedtuple("FitResult", "ok K C s n_samples binding failure")):
+    __slots__ = ()
 
     def to_json(self):
-        return asdict(self)
+        return self._asdict()
 
 
 FIT_STEP = 0.5  # grid step of both K and C
@@ -272,16 +251,13 @@ def fit_distance_formula(structure, sample_pairs, s):
     return FitResult(False, None, None, s, len(rows), None, failure)
 
 
-@dataclass
-class Decomposition:
+class Decomposition(namedtuple("Decomposition", "blocks descriptors degenerate")):
     """Partition of the unbounded domains into mutually orthogonal blocks."""
 
-    blocks: list
-    descriptors: list
-    degenerate: bool
+    __slots__ = ()
 
     def to_json(self):
-        return asdict(self)
+        return self._asdict()
 
 
 def _block_kind(structure, block):

@@ -23,10 +23,9 @@ reference it is tested against.  The Cayley-ball BFS, the freeness oracles
 and ``power`` call ``_product`` directly.
 
 A free product takes free and infinite cyclic factors only, so it is the
-free group on all its letters and shares ``FreeGroup``'s kernels.
-``FreeProduct.syllables`` splits the free reduction of any word with
-in-range letters into its one-factor runs, so a caller can read u^-1 v off
-the raw concatenation without forming u^-1 first.
+free group on all its letters and shares ``FreeGroup``'s kernels.  The
+syllables of a normal form, its maximal one-factor runs, are its letters
+grouped by ``_part_of``, the factor index of each letter.
 
 Families: free, free abelian, direct products of the above, and free
 products of free and infinite cyclic groups.  Labels are single lowercase
@@ -38,7 +37,6 @@ from __future__ import annotations
 
 import string
 from bisect import bisect_left
-from itertools import groupby
 
 from .errors import InputError, WrongKindError
 
@@ -338,12 +336,6 @@ class FreeProduct(_CombinedModel):
         if not all(isinstance(p, FreeGroup) or (isinstance(p, FreeAbelianGroup) and p.ngens == 1)
                    for p in self.parts):
             raise WrongKindError("factors must be free or infinite cyclic")
-
-    def syllables(self, w: Word) -> list[tuple[int, Word]]:
-        """Alternating factor syllables of nf(w) as (factor index, local word):
-        the maximal one-factor runs of the free reduction of w."""
-        return [(fi, self.to_local(fi, run))
-                for fi, run in groupby(self._reduce(w), self._part_of.__getitem__)]
 
     def to_json(self) -> dict:
         return {"family": "free_product", "factors": [p.to_json() for p in self.parts]}

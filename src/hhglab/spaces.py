@@ -250,9 +250,10 @@ class CosetTreeSpace(Space):
         distinct."""
         out = []
         g = h
-        for fi, local in self.model.syllables(invert_word(h) + k):
+        for fi, run in groupby(self.model.multiply(invert_word(h), k),
+                               self.model._part_of.__getitem__):
             out.append((fi, self._rep(fi, g)))
-            g = self.model.multiply(g, self.model.to_global(fi, local))
+            g = self.model.multiply(g, tuple(run))
         return out
 
     def geodesic(self, x, y):

@@ -12,8 +12,7 @@ nested in v, "u > v" the reverse, "perp" orthogonal, "trans" transverse.
 """
 
 import sys
-from collections.abc import Callable
-from dataclasses import asdict, dataclass, fields
+from collections import namedtuple
 
 from .errors import IndexMismatchError, InputError, PreconditionError, WrongKindError
 from .groups import FreeGroup, FreeProduct, GroupModel, is_int, json_field
@@ -32,8 +31,10 @@ _UNSEEN = object()
 _FLIP = {EQUAL: EQUAL, NEST_IN: CONTAINS, CONTAINS: NEST_IN, ORTHOGONAL: ORTHOGONAL, TRANSVERSE: TRANSVERSE}
 
 
-@dataclass
-class ConstantLedger:
+class ConstantLedger(namedtuple(
+        "ConstantLedger",
+        "delta xi kappa0 E lam alpha K_proj n_complexity theta_coeffs C_norm tau0 N_rank",
+        defaults=(0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1, (0.0, 1.0), 0.0, 1.0, 1))):
     """Declared constants of a structure.
 
     delta: hyperbolicity of every domain space (four-point sense).
@@ -50,18 +51,7 @@ class ConstantLedger:
     N_rank: largest pairwise-orthogonal family of unbounded domains.
     """
 
-    delta: float = 0.0
-    xi: float = 0.0
-    kappa0: float = 0.0
-    E: float = 1.0
-    lam: float = 1.0
-    alpha: float = 1.0
-    K_proj: float = 1.0
-    n_complexity: int = 1
-    theta_coeffs: tuple = (0.0, 1.0)
-    C_norm: float = 0.0
-    tau0: float = 1.0
-    N_rank: int = 1
+    __slots__ = ()
 
     def theta_of(self, kappa):
         return sum(c * kappa**i for i, c in enumerate(self.theta_coeffs))
@@ -76,7 +66,7 @@ class ConstantLedger:
         return max(self.C_norm, self.kappa0, self.xi)
 
     def to_json(self):
-        return {**asdict(self), "theta_coeffs": list(self.theta_coeffs)}
+        return {**self._asdict(), "theta_coeffs": list(self.theta_coeffs)}
 
     @classmethod
     def from_json(cls, data):
@@ -85,7 +75,7 @@ class ConstantLedger:
         positive tau0, else InputError."""
         if not isinstance(data, dict):
             raise InputError("constants json must be an object")
-        allowed = {f.name for f in fields(cls)}
+        allowed = set(cls._fields)
         bad = set(data) - allowed
         if bad:
             raise InputError(f"unknown constant names: {sorted(bad)}")
@@ -191,8 +181,7 @@ class HHStructure:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class Domain:
+class Domain(namedtuple("Domain", "label space pi lift")):
     """One domain of a structure: its space, projection and lift.
 
     Every structure keeps one record per domain label, built once, and
@@ -209,10 +198,7 @@ class Domain:
         image there is such a coset, so lift is a section of pi on them.
     """
 
-    label: str
-    space: Space
-    pi: Callable
-    lift: Callable
+    __slots__ = ()
 
 
 class TableHHG(HHStructure):

@@ -162,9 +162,7 @@ def pairs_of_short_words(model, length):
 def poisoned_series(monkeypatch):
     """Replace every growth series by -1, -1, ...: a count taken from a
     series is then negative, one taken from the BFS is not."""
-    real = balls.standard_spheres
-    monkeypatch.setattr(balls, "standard_spheres",
-                        lambda model: None if real(model) is None else itertools.repeat(-1))
+    monkeypatch.setattr(balls, "standard_spheres", lambda model: itertools.repeat(-1))
 
 
 class TestSeriesAgainstBfs:
@@ -204,6 +202,18 @@ class TestSeriesAgainstBfs:
         model = FreeGroup(2)
         gens = symmetrize(model, parse_generating_set(model, text))
         assert growth_function(model, gens, 3) == [-1, -2, -3, -4]
+
+    @pytest.mark.parametrize("text, series", [("ab,b,c", True), ("ac,b,c", True),
+                                              ("ab,ba,c", False)])
+    def test_free_product_bases_take_the_series(self, poisoned_series, text, series):
+        # f2freez is F3 on a, b, c: a basis of it takes the series, a set
+        # that does not generate keeps the BFS
+        model = build_named("f2freez").group
+        gens = symmetrize(model, parse_generating_set(model, text))
+        if series:
+            assert growth_function(model, gens, 3) == [-1, -2, -3, -4]
+        else:
+            assert growth_function(model, gens, 4) == bfs_growth(model, gens, 4)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_products(self, seed):

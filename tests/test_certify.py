@@ -544,7 +544,7 @@ class TestTopLevel:
         # t "moves" its own axis, but t t T = t commutes with t, so every
         # power up to k4 = 10000 * delta / tau0 = 10 is refused
         st = build_named("z1")
-        st.constants.delta = 0.001
+        st.constants = st.constants._replace(delta=0.001)
         routes = routed(st)
         assert routes[2].k4 == 10
         monkeypatch.setattr("hhglab.certify.preserves_endpoint_pair",

@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -28,3 +29,13 @@ def test_imports_are_relative_or_stdlib(path):
         outside += [f"line {node.lineno}: {name}" for name in names
                     if name.partition(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_cli_import_loads_no_dataclass_machinery():
+    # records are namedtuples: a CLI process never pays for dataclasses,
+    # nor for the inspect/ast/dis/tokenize imports it pulls in
+    probe = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import hhglab.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", probe],
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
