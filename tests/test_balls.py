@@ -90,6 +90,10 @@ def first(series, radius):
     return list(itertools.islice(series, radius + 1))
 
 
+# the group of f2freez, F2*Z, which is F3 on a, b, c
+F2_STAR_Z = FreeProduct([FreeGroup(2), FreeAbelianGroup(1, ["c"])])
+
+
 def bfs_growth(model, gens, radius, max_elements=DEFAULT_MAX_ELEMENTS):
     """Cumulative ball sizes counted by the BFS: the reference."""
     return list(itertools.accumulate(
@@ -191,29 +195,19 @@ class TestSeriesAgainstBfs:
         assert accepted == bases
 
     @pytest.mark.parametrize("model, text", [(FreeGroup(2), "ab,ba"), (FreeGroup(2), "a,b,ab"),
-                                             (FreeAbelianGroup(2), "aa,b")],
-                             ids=["F2-ab-ba", "F2-a-b-ab", "Z2-aa-b"])
+                                             (FreeAbelianGroup(2), "aa,b"), (F2_STAR_Z, "ab,ba,c")],
+                             ids=["F2-ab-ba", "F2-a-b-ab", "Z2-aa-b", "F2freeZ-ab-ba-c"])
     def test_non_bases_fall_back_to_the_bfs(self, poisoned_series, model, text):
         gens = symmetrize(model, parse_generating_set(model, text))
         assert growth_function(model, gens, 6) == bfs_growth(model, gens, 6)
 
-    @pytest.mark.parametrize("text", ["a,b", "ab,b", "baB,b"])
-    def test_bases_take_the_series(self, poisoned_series, text):
-        model = FreeGroup(2)
+    @pytest.mark.parametrize("model, text", [(FreeGroup(2), "a,b"), (FreeGroup(2), "ab,b"),
+                                             (FreeGroup(2), "baB,b"), (F2_STAR_Z, "ab,b,c"),
+                                             (F2_STAR_Z, "ac,b,c")],
+                             ids=["a,b", "ab,b", "baB,b", "ab,b,c", "ac,b,c"])
+    def test_bases_take_the_series(self, poisoned_series, model, text):
         gens = symmetrize(model, parse_generating_set(model, text))
         assert growth_function(model, gens, 3) == [-1, -2, -3, -4]
-
-    @pytest.mark.parametrize("text, series", [("ab,b,c", True), ("ac,b,c", True),
-                                              ("ab,ba,c", False)])
-    def test_free_product_bases_take_the_series(self, poisoned_series, text, series):
-        # f2freez is F3 on a, b, c: a basis of it takes the series, a set
-        # that does not generate keeps the BFS
-        model = build_named("f2freez").group
-        gens = symmetrize(model, parse_generating_set(model, text))
-        if series:
-            assert growth_function(model, gens, 3) == [-1, -2, -3, -4]
-        else:
-            assert growth_function(model, gens, 4) == bfs_growth(model, gens, 4)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_products(self, seed):
