@@ -62,7 +62,6 @@ ALLOWED = {
     "structures.HHStructure.act_on_domain": ABSTRACT,
     "structures.HHStructure.domains": ABSTRACT,
     "structures.HHStructure.relation": ABSTRACT,
-    "structures.HHStructure.rho_map_point": ABSTRACT,
     "structures.HHStructure.rho_point": TRACED,
     "structures.HHStructure.to_json": ABSTRACT,
 }

@@ -108,15 +108,8 @@ def product_structure(model, label, constants=None):
     domains.extend(pieces)
     nesting = [(name, "S") for name in names]
     orthogonal = [(names[i], names[j]) for i in range(len(names)) for j in range(i + 1, len(names))]
-    rho_points = {(name, "S"): 0 for name in names}
-    rho_maps = {
-        ("S", d.label): (lambda q, _bp=d.space.basepoint(): _bp) for d in pieces
-    }
-    return TableHHG(
-        label, model, constants, domains,
-        nesting=nesting, orthogonal=orthogonal,
-        rho_points=rho_points, rho_maps=rho_maps, recipe=recipe,
-    )
+    return TableHHG(label, model, constants, domains,
+                    nesting=nesting, orthogonal=orthogonal, recipe=recipe)
 
 
 def free_product_constants():
@@ -162,12 +155,10 @@ def _model_f2freez():
 # fixtures
 
 
-def _f2xz_table(pi_line=None, line_lift=None, drop_line=False, s_space=None,
-                s_rho_T=0, constants=None, label="f2xz-fixture"):
+def _f2xz_table(line, label, s_space=None, rho_points=None, constants=None):
+    """F2 x Z over a top S (a point unless s_space is given), with the tree
+    T and the line domain `line` nested in it; None drops the line."""
     model = _model_f2xz()
-    line = _line_piece(model, 1, 0)
-    pi_L = pi_line or line.pi
-    lift_L = line_lift or line.lift
     space_S = s_space or PointSpace()
     bp = space_S.basepoint()
     domains = [
@@ -176,17 +167,12 @@ def _f2xz_table(pi_line=None, line_lift=None, drop_line=False, s_space=None,
     ]
     nesting = [("T", "S")]
     orthogonal = []
-    rho_points = {("T", "S"): s_rho_T}
-    rho_maps = {("S", "T"): lambda p: ()}
-    if not drop_line:
-        domains.append(Domain("L", LineSpace(), pi_L, lift=lift_L))
+    if line is not None:
+        domains.append(line)
         nesting.append(("L", "S"))
         orthogonal.append(("T", "L"))
-        rho_points[("L", "S")] = bp
-        rho_maps[("S", "L")] = lambda p: 0
     return TableHHG(label, model, constants or _product_constants(2), domains,
-                    nesting=nesting, orthogonal=orthogonal,
-                    rho_points=rho_points, rho_maps=rho_maps)
+                    nesting=nesting, orthogonal=orthogonal, rho_points=rho_points)
 
 
 def fixture_corrupt_rho():
@@ -199,17 +185,17 @@ def fixture_corrupt_rho():
         C_norm=8.0, tau0=1.0, N_rank=2,
     )
     path = GraphSpace(9, [(i, i + 1) for i in range(8)], label="path")
-    return _f2xz_table(s_space=path, s_rho_T=8,
-                       constants=constants, label="f2xz-corrupt-rho")
+    return _f2xz_table(_line_piece(_model_f2xz(), 1, 0), "f2xz-corrupt-rho",
+                       s_space=path, rho_points={("T", "S"): 8}, constants=constants)
 
 
 def fixture_corrupt_lipschitz():
     """Line projection runs at triple speed while still declaring the unit
     Lipschitz constant: only the projection axiom fails."""
     line = _line_piece(_model_f2xz(), 1, 0)
-    return _f2xz_table(pi_line=lambda g: 3 * line.pi(g),
-                       line_lift=lambda p: line.lift(round(p / 3)),
-                       label="f2xz-corrupt-lipschitz")
+    tripled = line._replace(pi=lambda g: 3 * line.pi(g),
+                            lift=lambda p: line.lift(round(p / 3)))
+    return _f2xz_table(tripled, "f2xz-corrupt-lipschitz")
 
 
 def fixture_corrupt_uniqueness():
@@ -220,8 +206,7 @@ def fixture_corrupt_uniqueness():
         K_proj=1.0, n_complexity=2, theta_coeffs=(0.0, 2.0),
         C_norm=0.0, tau0=1.0, N_rank=1,
     )
-    return _f2xz_table(drop_line=True, constants=constants,
-                       label="f2xz-corrupt-uniqueness")
+    return _f2xz_table(None, "f2xz-corrupt-uniqueness", constants=constants)
 
 
 def fixture_swapline():
@@ -258,8 +243,6 @@ def fixture_swapline():
     return TableHHG(
         "swapline", Z, constants, domains,
         nesting=[("P", "S"), ("Q", "S")], orthogonal=[("P", "Q")],
-        rho_points={("P", "S"): 0, ("Q", "S"): 0},
-        rho_maps={("S", "P"): lambda p: 0, ("S", "Q"): lambda p: 0},
         domain_action=action,
     )
 
@@ -276,10 +259,6 @@ def fixture_bad_orth_closure():
         nesting=[("V", "W"), ("V", "S"), ("W", "S"), ("U", "S")],
         orthogonal=[("W", "U")],
         transverse=[("V", "U")],
-        rho_points={("V", "W"): 0, ("V", "S"): 0, ("W", "S"): 0, ("U", "S"): 0,
-                    ("V", "U"): 0, ("U", "V"): 0},
-        rho_maps={("W", "V"): lambda p: 0, ("S", "V"): lambda p: 0,
-                  ("S", "W"): lambda p: 0, ("S", "U"): lambda p: 0},
     )
 
 
@@ -289,28 +268,17 @@ def _line_top_table(with_second_line=False, transverse_mode=False, label="bad"):
         _line_piece(model, 1, 0)._replace(label="S"),
         _tree_piece(model, 0),
     ]
-    nesting = [("T", "S")]
+    nesting = []
     orthogonal = []
     transverse = []
-    rho_points = {("T", "S"): 0}
-    rho_maps = {("S", "T"): lambda p: ()}
+    # T sits in the line top, nested unless it is declared transverse to it
+    (transverse if transverse_mode else nesting).append(("T", "S"))
     if with_second_line:
         domains.append(_line_piece(model, 0, 0))
         nesting.append(("L", "S"))
         orthogonal.append(("T", "L"))
-        rho_points[("L", "S")] = 0
-        rho_maps[("S", "L")] = lambda p: 0
-    if transverse_mode:
-        # replace the nesting of T in S by a transverse declaration
-        return TableHHG(label, model, _product_constants(2), domains,
-                        nesting=[p for p in nesting if p != ("T", "S")],
-                        orthogonal=orthogonal,
-                        transverse=[("T", "S")],
-                        rho_points={**rho_points, ("S", "T"): ()},
-                        rho_maps={k: v for k, v in rho_maps.items() if k != ("S", "T")})
     return TableHHG(label, model, _product_constants(2), domains,
-                    nesting=nesting, orthogonal=orthogonal, transverse=transverse,
-                    rho_points=rho_points, rho_maps=rho_maps)
+                    nesting=nesting, orthogonal=orthogonal, transverse=transverse)
 
 
 def fixture_bad_nest_in_line():

@@ -581,7 +581,10 @@ def case2_branch(structure, words, outcome, led, depth=6):
     Each family domain gets a loxodromic from the Schreier generators; an
     endpoint failure yields a free-semigroup pair at the fallback power,
     while full preservation routes to the product decomposition and a
-    virtually-abelian or line-times-bounded verdict.  Every domain and
+    virtually-abelian or line-times-bounded verdict.  The verdict rests on
+    the blocks alone: when every block is a single quasi-line the group is
+    quasi-isometric to Z^n, hence virtually abelian.  The doubling test
+    on the growth counts is recorded as evidence only.  Every domain and
     every mover is tried before a refusal, which names the first one, so
     the verdict does not depend on how the labels sort.
     """
@@ -639,7 +642,7 @@ def case2_branch(structure, words, outcome, led, depth=6):
                 "line_constants": line_constants,
                 "growth": beta, "doubling_bound": bound,
                 "polynomial": polynomial}
-    abelian = not other_blocks and polynomial
+    abelian = not other_blocks
     if not abelian:
         evidence["z_blocks"] = [list(b) for b in z_blocks]
         evidence["other_blocks"] = [list(b) for b in other_blocks]

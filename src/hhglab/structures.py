@@ -143,8 +143,11 @@ class HHStructure:
 
     def rho_map_point(self, w, v, p):
         """Downward relative projection: image in the space of v of a point
-        p of the space of w, defined when v < w."""
-        raise NotImplementedError
+        p of the space of w, defined when v < w.  It is pi_v of a lift of p,
+        the map the consistency axiom ties to the projections."""
+        if self.relation(v, w) != NEST_IN:
+            raise PreconditionError(f"no downward projection from {w} to {v}")
+        return self.pi(v, self.lift(w, p))
 
     def act_on_domain(self, g, u):
         """The domain g u."""
@@ -202,7 +205,11 @@ class Domain(namedtuple("Domain", "label space pi lift")):
 
 
 class TableHHG(HHStructure):
-    """Structure given by an explicit finite table of domains and relations."""
+    """Structure given by an explicit finite table of domains and relations.
+
+    rho_points maps a pair (v, w), v nested in or transverse to w, to the
+    point rho_point returns; every pair it leaves out gets the basepoint of
+    the space of w."""
 
     def __init__(
         self,
@@ -214,7 +221,6 @@ class TableHHG(HHStructure):
         orthogonal=(),
         transverse=(),
         rho_points=None,
-        rho_maps=None,
         domain_action=None,
         recipe=None,
     ):
@@ -237,8 +243,6 @@ class TableHHG(HHStructure):
             self._set_rel(u, v, TRANSVERSE)
         self._validate_relations()
         self._rho_points = dict(rho_points or {})
-        self._rho_maps = dict(rho_maps or {})
-        self._validate_rhos()
         self._domain_action = domain_action
         self._recipe = recipe or {"builder": "named", "name": label}
 
@@ -263,15 +267,6 @@ class TableHHG(HHStructure):
                         if self._rel[(u, w)] != NEST_IN:
                             raise InputError(f"nesting not transitive at ({u}, {v}, {w})")
 
-    def _validate_rhos(self):
-        for (u, v), code in self._rel.items():
-            if u == v:
-                continue
-            if code in (NEST_IN, TRANSVERSE) and (u, v) not in self._rho_points:
-                raise InputError(f"missing relative projection point for ({u}, {v})")
-            if code == CONTAINS and (u, v) not in self._rho_maps:
-                raise InputError(f"missing downward projection map for ({u}, {v})")
-
     def domains(self):
         return list(self._order)
 
@@ -289,12 +284,7 @@ class TableHHG(HHStructure):
     def rho_point(self, v, w):
         if self.relation(v, w) not in (NEST_IN, TRANSVERSE):
             raise PreconditionError(f"no point projection from {v} to {w}")
-        return self._rho_points[(v, w)]
-
-    def rho_map_point(self, w, v, p):
-        if self.relation(v, w) != NEST_IN:
-            raise PreconditionError(f"no downward projection from {w} to {v}")
-        return self._rho_maps[(w, v)](p)
+        return self._rho_points.get((v, w), self.space(w).basepoint())
 
     def act_on_domain(self, g, u):
         self._domain(u)
@@ -448,11 +438,6 @@ class FreeProductHHG(HHStructure):
         if pw is None:
             return pv
         return self.pi(w, pv[1])
-
-    def rho_map_point(self, w, v, p):
-        if self.parse_domain(w) is not None:
-            raise PreconditionError(f"no downward projection from {w} to {v}")
-        return self.pi(v, p[1])
 
     def act_on_domain(self, g, u):
         v = self.parse_domain(u)

@@ -6,6 +6,10 @@ from itertools import groupby
 
 import pytest
 
+from hhglab.groups import FreeAbelianGroup, FreeGroup
+from hhglab.spaces import CayleyTreeSpace, LineSpace, PointSpace
+from hhglab.structures import ConstantLedger, Domain, TableHHG
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
@@ -43,3 +47,35 @@ def syllables():
     """The syllable split the coset tree and the coset projections are
     tested against."""
     return _syllables
+
+
+def _line_tree_structure():
+    model = FreeAbelianGroup(2, "ab")
+    tm = FreeGroup(2, "xy")
+    tree = CayleyTreeSpace(tm)
+
+    def tree_pi(g):
+        n = model.exponents(g)[0]
+        return tm.normal_form(((0,) if n >= 0 else (1,)) * abs(n))
+
+    domains = [
+        Domain("S", PointSpace(), lambda g: 0, lift=lambda p: ()),
+        Domain("P", LineSpace(), lambda g: model.exponents(g)[1],
+               lift=lambda p: model.from_exponents([0, p])),
+        Domain("W", tree, tree_pi,
+               lift=lambda p: model.from_exponents([p.count(0) - p.count(1), 0])),
+    ]
+    return TableHHG(
+        "line-tree", model, ConstantLedger(n_complexity=2, N_rank=2), domains,
+        nesting=[("P", "S"), ("W", "S")],
+        orthogonal=[("P", "W")],
+    )
+
+
+@pytest.fixture(scope="session")
+def line_tree():
+    """Builds a rank-2 abelian table with a line domain and a tree domain
+    whose image is a single axis: all endpoints are preserved but the tree
+    block is not a quasi-line, so the stabilizer route must refuse the
+    abelian verdict."""
+    return _line_tree_structure

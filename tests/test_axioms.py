@@ -9,10 +9,11 @@ from hhglab import axioms
 from hhglab.axioms import AXIOM_NAMES, _Env, _Worst, check_structure
 from hhglab.builders import build_named, load_structure, structure_from_json
 from hhglab.coords import consistency_inequality
-from hhglab.errors import InputError
+from hhglab.errors import InputError, PreconditionError
 from hhglab.groups import FreeAbelianGroup
 from hhglab.spaces import PointSpace, Space, sample_diameter
-from hhglab.structures import NEST_IN, TRANSVERSE, ConstantLedger, Domain, TableHHG
+from hhglab.structures import (NEST_IN, TRANSVERSE, ConstantLedger, Domain, FreeProductHHG,
+                               TableHHG)
 
 STRUCTURE_FILES = sorted((pathlib.Path(__file__).resolve().parents[1] / "structures").glob("*.json"))
 
@@ -301,13 +302,46 @@ def _crossing_nesting():
     return TableHHG(
         "crossing-nesting", FreeAbelianGroup(1), ConstantLedger(n_complexity=2),
         [Domain(u, PointSpace(), lambda g: 0, lambda p: ()) for u in names],
-        nesting=nesting, orthogonal=orthogonal,
-        rho_points={pair: 0 for pair in nesting},
-        rho_maps={(w, v): lambda p: 0 for v, w in nesting})
+        nesting=nesting, orthogonal=orthogonal)
 
 
 NESTING_SOURCES = {p.stem: lambda p=p: load_structure(str(p)) for p in STRUCTURE_FILES}
 NESTING_SOURCES["crossing-nesting"] = _crossing_nesting
+
+
+def _declared_rho_map(st, v, p):
+    """The downward map each structure once declared by hand: the basepoint
+    of v under a table's point or line top, and on the free product pi_v of
+    the coset representative p[1] of the tree vertex p."""
+    if isinstance(st, FreeProductHHG):
+        return st.pi(v, p[1])
+    return st.space(v).basepoint()
+
+
+@pytest.mark.parametrize("source", sorted(NESTING_SOURCES) + ["line-tree"])
+def test_derived_relative_projections_match_the_declared_ones(source, line_tree):
+    st = line_tree() if source == "line-tree" else NESTING_SOURCES[source]()
+    env = _Env(st, 3, 0, 60)
+    for w in st.domains():
+        for v in st.domains():
+            code = st.relation(v, w)
+            if code == NEST_IN:
+                for p in env.points(w):
+                    assert st.rho_map_point(w, v, p) == _declared_rho_map(st, v, p), (v, w, p)
+            if isinstance(st, TableHHG) and code in (NEST_IN, TRANSVERSE):
+                moved = source == "f2xz-corrupt-rho" and (v, w) == ("T", "S")
+                assert st.rho_point(v, w) == (8 if moved else st.space(w).basepoint()), (v, w)
+
+
+@pytest.mark.parametrize("name, w, v", [
+    ("f2xz", "S", "S"), ("f2xz", "T", "S"), ("f2xz", "T", "L"),
+    ("bad-transverse-invariant", "S", "T"),
+    ("f2freez", "S", "S"), ("f2freez", "ab@1", "S"), ("f2freez", "c@1", "ab@1"),
+])
+def test_downward_projection_needs_a_nested_pair(name, w, v):
+    st = build_named(name)
+    with pytest.raises(PreconditionError):
+        st.rho_map_point(w, v, st.space(w).basepoint())
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

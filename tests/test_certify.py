@@ -16,11 +16,9 @@ from hhglab.certify import (CaseOutcome, certifier_ledger, certify,
                             verify_free_subgroup)
 from hhglab.errors import (CertifierRefutedError, ClassificationAnomalyError,
                            InputError, PreconditionError, StructureInvalidError)
-from hhglab.groups import (IDENTITY, FreeAbelianGroup, FreeGroup, GroupModel,
-                           model_from_json)
-from hhglab.spaces import CayleyTreeSpace, LineSpace, PointSpace
-from hhglab.structures import (NEST_IN, ORTHOGONAL, TRANSVERSE, ConstantLedger, Domain,
-                               FreeProductHHG, TableHHG)
+from hhglab.groups import IDENTITY, GroupModel, model_from_json
+from hhglab.structures import (NEST_IN, ORTHOGONAL, TRANSVERSE, ConstantLedger,
+                               FreeProductHHG)
 
 STANDARD = ("free2", "z1", "z2", "f2xz", "f2xf2", "f2freez")
 
@@ -43,34 +41,6 @@ def seeded_pairs(m):
     pairs += [(u, m.conjugate(t, u))
               for u, t in zip(rng.sample(ball[1:], 2), rng.sample(ball[1:], 2))]
     return pairs
-
-
-def line_tree_structure():
-    """Rank-2 abelian model with a line domain and a tree domain whose image
-    is a single axis: all endpoints are preserved but the tree block is not a
-    quasi-line, so the stabilizer route must refuse the abelian verdict."""
-    model = FreeAbelianGroup(2, "ab")
-    tm = FreeGroup(2, "xy")
-    tree = CayleyTreeSpace(tm)
-
-    def tree_pi(g):
-        n = model.exponents(g)[0]
-        return tm.normal_form(((0,) if n >= 0 else (1,)) * abs(n))
-
-    domains = [
-        Domain("S", PointSpace(), lambda g: 0, lift=lambda p: ()),
-        Domain("P", LineSpace(), lambda g: model.exponents(g)[1],
-               lift=lambda p: model.from_exponents([0, p])),
-        Domain("W", tree, tree_pi,
-               lift=lambda p: model.from_exponents([p.count(0) - p.count(1), 0])),
-    ]
-    return TableHHG(
-        "line-tree", model, ConstantLedger(n_complexity=2, N_rank=2), domains,
-        nesting=[("P", "S"), ("W", "S")],
-        orthogonal=[("P", "W")],
-        rho_points={("P", "S"): 0, ("W", "S"): 0},
-        rho_maps={("S", "P"): lambda p: 0, ("S", "W"): lambda p: tm.normal_form(())},
-    )
 
 
 class TestLedger:
@@ -591,8 +561,8 @@ class TestCase2:
         assert cert.variant == "virtually-abelian"
         assert cert.subgroup_index == 2
 
-    def test_line_times_tree_block(self):
-        st = line_tree_structure()
+    def test_line_times_tree_block(self, line_tree):
+        st = line_tree()
         cert = case2_branch(st, *routed(st), depth=5)
         assert cert.variant == "product-z-e"
         assert cert.evidence["z_blocks"] == [["P"]]
@@ -624,8 +594,8 @@ class TestCase2:
             certify(st, [m.parse(w) for w in "abcd"])
         assert err.value.witness == {"domain": "T1", "axis": "a", "mover": "b"}
 
-    def test_missing_loxodromic_is_structural(self, monkeypatch):
-        st = line_tree_structure()
+    def test_missing_loxodromic_is_structural(self, monkeypatch, line_tree):
+        st = line_tree()
         routes = routed(st)
         monkeypatch.setattr("hhglab.certify.big_set_member", lambda *args: None)
         with pytest.raises(StructureInvalidError):

@@ -358,6 +358,19 @@ class TestCertify:
         assert doc["report"]["variant"] == "free-subgroup"
         assert doc["report"]["lengths"] == [1, 3]
 
+    def test_z2_basis_that_grows_fast_at_small_radii_is_abelian(self, capsys):
+        # beta(8)/beta(4) = 9525/965 exceeds the doubling bound 8, yet both
+        # blocks are single quasi-lines, so Z^2 is virtually abelian
+        code, doc, _ = run_json(capsys, "certify", "z2", "--genset",
+                                "a,b,aaaaaaaaaaab,abbbbbbbbbbb,aaaaabbbbbbbbb,aaaaaaaabbbbb")
+        assert code == 0
+        report = doc["report"]
+        assert report["variant"] == "virtually-abelian"
+        assert report["evidence"]["blocks"] == [["L1"], ["L2"]]
+        assert report["evidence"]["polynomial"] is False
+        assert report["evidence"]["growth"][4] == 965
+        assert report["evidence"]["growth"][8] == 9525
+
     def test_depth_below_one_is_usage_error(self, capsys):
         code, out, err = run(capsys, "certify", "free2", "--genset", "a,b",
                              "--depth", "0")
