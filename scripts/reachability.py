@@ -48,6 +48,7 @@ ALLOWED = {
     "errors.ResourceBudgetError.__init__": "error-class constructor",
     "errors.StructureInvalidError.__init__": "error-class constructor",
     "groups.GroupModel.__repr__": "names the model in tracebacks and test failures",
+    "groups.GroupModel._inverse": ABSTRACT,
     "groups.GroupModel._product": ABSTRACT,
     "groups.GroupModel._reduce": ABSTRACT,
     "groups.GroupModel.to_json": ABSTRACT,

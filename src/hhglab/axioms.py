@@ -10,10 +10,14 @@ One run draws its samples once, in ``_Env``, and the nine checks share
 them: the ball elements, the sampled pairs each with its word distance
 ``(x, y, d_G(x, y))`` (checks 1 and 9 read it), and one point sample per
 space object, which domains on the same space share; ``points`` hands out
-a fresh list of it on each call.  Nesting is a relation between labels,
-not points, so ``above(v)``, the sampled domains that v nests in, is asked
-of the structure once per label; checks 4, 6 and 7 read their nested pairs
-off it.
+a fresh list of it on each call.  Each sampled pair also has a row of
+domain distances ``{u: d_u(x, y)}`` and its ``domains_between``, both
+measured at most once per run: check 1 fills the rows, check 6 reads its
+distances and its path domains from them, and check 9 reads the largest
+term of the distance formula off them.  Nesting is a relation between
+labels, not points, so ``above(v)``, the sampled domains that v nests in,
+is asked of the structure once per label; checks 4, 6 and 7 read their
+nested pairs off it.
 
 Checks 1, 4 and 6-9 keep that worst case in one record, ``_Worst``: the
 smallest margin, the first witness that reached it and the check count.
@@ -28,7 +32,7 @@ from collections import namedtuple
 
 from .balls import standard_ball
 from .classify import tau_on_domain
-from .coords import consistency_inequality, distance_formula_sum, quasi_line_detect
+from .coords import consistency_inequality, quasi_line_detect
 from .errors import InputError
 from .spaces import max_four_point_defect, sample_diameter
 from .structures import _FLIP, EQUAL, NEST_IN, ORTHOGONAL, TRANSVERSE
@@ -106,10 +110,29 @@ class _Env:
             seen.add((i, j))
             x, y = self.elements[i], self.elements[j]
             self.pairs.append((x, y, st.word_metric(x, y)))
+        self.rows = [{} for _ in self.pairs]  # pair index -> {domain: d_u(x, y)}
+        self._between = {}  # pair index -> domains_between(x, y)
         self.domains = st.domains()
         self._above = {}  # label -> the sampled domains it nests in
         self._points = {}  # space -> its sample, a tuple
         self._defects = {}  # space -> four-point defect of its sample
+
+    def dsub(self, k, u):
+        """d_u(x, y) of sampled pair k, measured at most once per run."""
+        row = self.rows[k]
+        d = row.get(u)
+        if d is None:
+            x, y, _ = self.pairs[k]
+            d = row[u] = self.st.dsub(u, x, y)
+        return d
+
+    def between(self, k):
+        """domains_between(x, y) of sampled pair k, asked once per run."""
+        doms = self._between.get(k)
+        if doms is None:
+            x, y, _ = self.pairs[k]
+            doms = self._between[k] = self.st.domains_between(x, y)
+        return doms
 
     def above(self, v):
         """The sampled domains that v nests in, in domains order."""
@@ -171,10 +194,11 @@ def _check_projections(env):
     K = st.constants.K_proj
     delta = st.constants.delta
     worst = _Worst()
-    # coarse Lipschitz bound on every materialized domain
-    for x, y, dg in env.pairs:
+    # coarse Lipschitz bound on every materialized domain; the first check
+    # to run, so each distance it measures fills its pair's row
+    for (x, y, dg), row in zip(env.pairs, env.rows):
         for u in env.sample(env.domains, 40):
-            du = st.dsub(u, x, y)
+            du = row[u] = st.dsub(u, x, y)
             worst.see(K * dg + K - du, lambda: {"clause": "lipschitz", "domain": u, "x": env.show(x),
                                                 "y": env.show(y), "d_domain": du, "d_group": dg})
     # declared hyperbolicity of each domain space, four-point sense
@@ -319,18 +343,18 @@ def _check_large_links(env):
     E = st.constants.E
     lam = st.constants.lam
     worst = _Worst()
-    for x, y, _ in env.pairs:
+    for k, (x, y, _) in enumerate(env.pairs):
         below = {}  # w -> the domains between x and y nested in w, in order
-        for v in st.domains_between(x, y):
+        for v in env.between(k):
             for w in env.above(v):
                 below.setdefault(w, []).append(v)
         for w in env.domains:
             candidates = below.get(w)
             if not candidates:
                 continue
-            dw = st.dsub(w, x, y)
+            dw = env.dsub(k, w)
             bound = lam * dw + lam
-            links = [v for v in candidates if st.dsub(v, x, y) >= E]
+            links = [v for v in candidates if env.dsub(k, v) >= E]
             worst.see(bound - len(links), lambda: {"clause": "count", "w": w, "x": env.show(x),
                                                    "y": env.show(y), "links": len(links), "bound": bound})
             pw = st.pi(w, x)
@@ -413,13 +437,14 @@ def _check_uniqueness(env):
     worst = _Worst()
     thresholds = [(kappa, st.constants.theta_of(kappa))
                   for kappa in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)]
-    for x, y, dg in env.pairs:
+    for k, (x, y, dg) in enumerate(env.pairs):
         best = None
         for kappa, theta in thresholds:
             if dg <= theta:
                 continue
             if best is None:
-                best = max(distance_formula_sum(st, x, y, 0).contributions.values(),
+                # the largest term of the distance formula at threshold 0
+                best = max([d for u in env.between(k) if (d := env.dsub(k, u)) > 0],
                            default=0.0)
             worst.see(best - kappa, lambda: {"x": env.show(x), "y": env.show(y), "d_group": dg,
                                              "kappa": kappa, "best_domain_distance": best})

@@ -11,17 +11,20 @@ Geometric Group Theory*, ch. VI):
 - the symmetrised standard generators of a free or free-abelian group, of
   a free product (free on its letters), or of a direct product of such
   groups, nested to any depth.  The free group of rank n has spheres
-  s_k = 2n(2n-1)^(k-1), Z^n the Cauchy product of n copies of 1, 2, 2,
-  2, ..., and a direct product the Cauchy product of its factors' series;
+  s_k = 2n(2n-1)^(k-1), the series (1 + x)/(1 - (2n-1)x); Z^n has the
+  n-th power of Z's (1 + x)/(1 - x), and a direct product the product of
+  its factors' series.  Each is a rational function, so its coefficients
+  follow a linear recurrence with one term per free factor;
 - a symmetric set of exactly 2n words that generates a free,
   free-abelian or free-product group of rank n.  It is a basis (free and
   free-abelian groups are Hopfian, and a free product here is free on its
   letters), so its Cayley graph is the standard one.
 
 Every other set is counted by the BFS, which is also the reference the
-series are tested against.  The budget is the same on both paths: a ball
-of more than DEFAULT_MAX_ELEMENTS elements raises the same
-ResourceBudgetError at the same radius.
+series are tested against.  Each path has its own budget, and both raise
+ResourceBudgetError with the last radius completed: the BFS stops past
+DEFAULT_MAX_ELEMENTS elements, which it must hold in memory, and a series
+count, which holds none, once it passes COUNT_MAX_DIGITS digits.
 
 ``generates_at_radius`` is exact on Z^n (integer row reduction) and on free
 groups and free products (Stallings folding: Stallings, "Topology of
@@ -31,7 +34,7 @@ undecidable (Mihailova, 1958), so on a direct product or any other model the
 words must reach the standard generators within the radius.
 """
 
-import functools
+import collections
 import itertools
 from operator import mul
 
@@ -39,6 +42,10 @@ from .errors import InputError, ResourceBudgetError
 from .groups import IDENTITY, DirectProduct, FreeAbelianGroup, FreeGroup, FreeProduct
 
 DEFAULT_MAX_ELEMENTS = 2_000_000
+# decimal digits of the largest ball count, below Python's 4,300-digit
+# limit on int to str, so every count a command returns can be printed
+COUNT_MAX_DIGITS = 4000
+_COUNT_LIMIT = 10 ** COUNT_MAX_DIGITS
 
 
 def symmetrize(model, words):
@@ -127,41 +134,41 @@ def standard_ball(model, radius):
     return list(balls[radius])
 
 
-def free_spheres(rank):
-    """Sphere sizes 1, 2r, 2r(2r-1), ... of the free group of rank r in its
-    symmetrised standard generators, with no end."""
-    yield 1
-    size = 2 * rank
-    while True:
-        yield size
-        size *= 2 * rank - 1
+def _poly_mul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
 
 
-def cauchy_product(s, t):
-    """Coefficients of the product of two power series, each read and
-    yielded one coefficient at a time."""
-    a, b = [], []
-    for x, y in zip(s, t):
-        a.append(x)
-        b.append(y)
-        yield sum(map(mul, a, reversed(b)))
+def _growth_series(model):
+    """Growth series of the model in its symmetrised standard generators,
+    a rational function (numerator, denominator) as coefficient lists."""
+    if isinstance(model, (FreeGroup, FreeProduct)):
+        # rank n > 0: spheres 1, 2n, 2n(2n-1), ... sum to (1 + x)/(1 - (2n-1)x)
+        return ([1, 1], [1, 1 - 2 * model.ngens]) if model.ngens else ([1], [1])
+    if isinstance(model, FreeAbelianGroup):
+        factors = [([1, 1], [1, -1])] * model.ngens  # Z: 1, 2, 2, ...
+    else:
+        factors = [_growth_series(p) for p in model.parts]
+    num, den = [1], [1]
+    for n, d in factors:
+        num, den = _poly_mul(num, n), _poly_mul(den, d)
+    return num, den
 
 
 def standard_spheres(model):
     """Sphere sizes of the model in its symmetrised standard generators,
-    with no end."""
-    if model.ngens == 0:
-        return free_spheres(0)  # the trivial group: 1, 0, 0, ...
-    if isinstance(model, (FreeGroup, FreeProduct)):
-        return free_spheres(model.ngens)
-    if isinstance(model, FreeAbelianGroup):
-        return functools.reduce(cauchy_product,
-                                [free_spheres(1) for _ in range(model.ngens)])
-    # a direct product; a trivial factor changes no ball, and dropping it
-    # keeps a slowly growing product from paying quadratic series
-    # arithmetic out to its budget
-    return functools.reduce(cauchy_product,
-                            [standard_spheres(p) for p in model.parts if p.ngens])
+    with no end: the coefficients of its growth series, by the linear
+    recurrence its denominator gives, so each costs one step per factor."""
+    num, den = _growth_series(model)
+    tail = den[1:]
+    past = collections.deque([0] * len(tail), maxlen=len(tail))  # s(r-1), s(r-2), ...
+    for r in itertools.count():
+        size = (num[r] if r < len(num) else 0) - sum(map(mul, tail, past))
+        past.appendleft(size)
+        yield size
 
 
 def _sphere_sizes(model, gens, radius):
@@ -182,17 +189,18 @@ def _sphere_sizes(model, gens, radius):
 def growth_function(model, gens, radius):
     """Cumulative ball sizes [beta(0), ..., beta(radius)], from a growth
     series when the Cayley graph of gens is provably a standard one and
-    from the BFS otherwise; a ball past DEFAULT_MAX_ELEMENTS raises the
-    BFS's ResourceBudgetError either way."""
+    from the BFS otherwise.  The BFS raises ResourceBudgetError past
+    DEFAULT_MAX_ELEMENTS elements, and a count raises it past
+    COUNT_MAX_DIGITS digits, which only a series reaches."""
     _check_ball_args(gens, radius)
     beta = []
     total = 0
     sizes = itertools.islice(_sphere_sizes(model, gens, radius), radius + 1)
     for r, size in enumerate(sizes):
         total += size
-        if total > DEFAULT_MAX_ELEMENTS:
+        if total >= _COUNT_LIMIT:
             raise ResourceBudgetError(
-                f"ball exceeded {DEFAULT_MAX_ELEMENTS} elements at radius {r}",
+                f"ball count exceeded {COUNT_MAX_DIGITS} digits at radius {r}",
                 partial_radius=r - 1,
             )
         beta.append(total)

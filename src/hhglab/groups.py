@@ -11,9 +11,12 @@ in range) and hands the word to the family's ``_reduce``, which expects
 in-range letters and returns the normal form; ``parse`` builds its letters
 from the labels, so it reduces without checking.  Every other operation
 (multiply, conjugate, power, exponents, factor_word) takes normal forms and
-never reduces them again.  ``inverse`` reduces the reversed word once: the
-reversed word of a normal form need not be one (in Z^2 the inverse of ab
-is AB, not BA).
+never reduces them again.  ``inverse`` is the family's ``_inverse``, which
+inverts a normal form without reducing it: a free group (and so a free
+product) reverses the word and flips each letter; Z^n flips each letter in
+place, keeping the generator order (in Z^2 the inverse of ab is AB, not
+BA); a direct product inverts each factor block with that factor's kernel
+and keeps the blocks in their order.
 
 ``multiply(u, v)`` is the family's ``_product``, which only works at the
 junction where the two words meet (free cancellation, exponent sums, the
@@ -52,17 +55,17 @@ def invert_word(w: Word) -> Word:
 class GroupModel:
     """Base class: a marked group with normal forms.
 
-    Subclasses must set self.ngens, self.labels and implement _reduce and
-    _product.  All other operations are derived.
+    Subclasses must set self.ngens, self.labels and implement _reduce,
+    _product and _inverse.  All other operations are derived.
     """
 
     family = "abstract"
 
     ngens: int
     labels: list[str]
-    # True when _product only compares letters and inverts them (x ^ 1):
-    # then it multiplies words whose letters all carry the same even offset
-    # without shifting them, as a factor of a product sees them
+    # True when _product and _inverse only compare letters and invert them
+    # (x ^ 1): then they take words whose letters all carry the same even
+    # offset without shifting them, as a factor of a product sees them
     shift_free = False
 
     def _check_labels(self):
@@ -97,12 +100,17 @@ class GroupModel:
         """Normal form of u·v for normal forms u and v."""
         raise NotImplementedError
 
+    def _inverse(self, w: Word) -> Word:
+        """Normal form of w^-1 for a normal form w."""
+        raise NotImplementedError
+
     def multiply(self, u: Word, v: Word) -> Word:
         """Normal form of u·v for normal forms u and v."""
         return self._product(u, v)
 
     def inverse(self, w: Word) -> Word:
-        return self._reduce(invert_word(w))
+        """Normal form of w^-1 for a normal form w."""
+        return self._inverse(w)
 
     def conjugate(self, t: Word, g: Word) -> Word:
         """t g t^-1."""
@@ -183,6 +191,9 @@ class FreeGroup(GroupModel):
             k += 1
         return u[:n - k] + v[k:]
 
+    def _inverse(self, w: Word) -> Word:
+        return invert_word(w)
+
     def to_json(self) -> dict:
         return {"family": "free", "rank": self.ngens, "labels": list(self.labels)}
 
@@ -233,6 +244,9 @@ class FreeAbelianGroup(GroupModel):
         if u[0] == v[0]:
             return u + v
         return u[len(v):] if len(u) >= len(v) else v[len(u):]
+
+    def _inverse(self, w: Word) -> Word:
+        return tuple([x ^ 1 for x in w])
 
     def to_json(self) -> dict:
         return {"family": "free_abelian", "rank": self.ngens, "labels": list(self.labels)}
@@ -315,6 +329,20 @@ class DirectProduct(_CombinedModel):
             j = j_end
         return out + u[cut:]
 
+    def _inverse(self, w: Word) -> Word:
+        out: Word = ()
+        start = 0
+        while start < len(w):
+            i = self._part_of[w[start]]
+            end = bisect_left(w, self._bounds[i + 1], start)
+            part = self.parts[i]
+            if not self._offsets[i] or part.shift_free:
+                out += part._inverse(w[start:end])
+            else:
+                out += self.to_global(i, part._inverse(self.to_local(i, w[start:end])))
+            start = end
+        return out
+
     def to_json(self) -> dict:
         return {"family": "direct_product", "factors": [p.to_json() for p in self.parts]}
 
@@ -328,6 +356,7 @@ class FreeProduct(_CombinedModel):
     shift_free = True
     _reduce = FreeGroup._reduce
     _product = FreeGroup._product
+    _inverse = FreeGroup._inverse
 
     def __init__(self, factors):
         self._init_parts(factors)

@@ -1,5 +1,7 @@
 """Axiom checker: clean structures pass, corrupted ones fail where intended."""
 
+import hashlib
+import json
 import pathlib
 from collections import Counter
 
@@ -8,14 +10,15 @@ import pytest
 from hhglab import axioms
 from hhglab.axioms import AXIOM_NAMES, _Env, _Worst, check_structure
 from hhglab.builders import build_named, load_structure, structure_from_json
-from hhglab.coords import consistency_inequality
+from hhglab.coords import consistency_inequality, distance_formula_sum
 from hhglab.errors import InputError, PreconditionError
 from hhglab.groups import FreeAbelianGroup
 from hhglab.spaces import PointSpace, Space, sample_diameter
 from hhglab.structures import (NEST_IN, TRANSVERSE, ConstantLedger, Domain, FreeProductHHG,
                                TableHHG)
 
-STRUCTURE_FILES = sorted((pathlib.Path(__file__).resolve().parents[1] / "structures").glob("*.json"))
+STRUCTURE_DIR = pathlib.Path(__file__).resolve().parents[1] / "structures"
+STRUCTURE_FILES = sorted(STRUCTURE_DIR.glob("*.json"))
 
 STANDARD = ("free2", "z1", "z2", "f2xz", "f2xf2", "f2freez")
 
@@ -216,8 +219,59 @@ class TestSharedSamples:
         assert calls == []
 
 
+def _f2freez_radius_3():
+    """f2freez with generation_radius 3: 189 domains, so check 1 samples 40
+    of them per pair and leaves each row of distances partly filled."""
+    data = json.loads((STRUCTURE_DIR / "f2freez.json").read_text())
+    data["generation_radius"] = 3
+    return structure_from_json(data)
+
+
+PAIR_SOURCES = {"f2xz": lambda: build_named("f2xz"), "f2freez-radius-3": _f2freez_radius_3}
+
+
+class TestPairRows:
+    """Checks 1, 6 and 9 measure each (pair, domain) distance once."""
+
+    # sha256 of each sorted-key report, recorded from the checker that
+    # measured every distance where it was used
+    DIGESTS = {0: "9a4d6ba59bab55cc4cfb8201632620953cb2754f75275dbe935f658565834c21",
+               1: "7071de9a1a244af1bc577f70d3ead28ff56bf27f7d9951f5d8939356ce7e9b2a",
+               2: "e25e3ed6b92057f43c8f0ebed5e866c1a28bc2b35c5e63b784848baaeafddc48"}
+
+    @pytest.mark.parametrize("seed", sorted(DIGESTS))
+    def test_reports_match_the_recorded_digests(self, seed):
+        st = _f2freez_radius_3()
+        assert len(st.domains()) == 189
+        report = check_structure(st, radius=3, seed=seed, max_pairs=300).to_json()
+        digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+        assert digest == self.DIGESTS[seed]
+
+    @pytest.mark.parametrize("source", sorted(PAIR_SOURCES))
+    def test_each_distance_and_path_measured_once(self, monkeypatch, source):
+        st = PAIR_SOURCES[source]()
+        distances, paths = [], []
+        dsub, between = st.dsub, st.domains_between
+
+        def counting_dsub(u, x, y):
+            distances.append((u, x, y))
+            return dsub(u, x, y)
+
+        def counting_between(x, y):
+            paths.append((x, y))
+            return between(x, y)
+
+        monkeypatch.setattr(st, "dsub", counting_dsub)
+        monkeypatch.setattr(st, "domains_between", counting_between)
+        check_structure(st, radius=3, seed=0, max_pairs=300)
+        assert distances and max(Counter(distances).values()) == 1
+        assert paths and max(Counter(paths).values()) == 1
+
+
 # The per-pair loops of checks 4, 6 and 7 as they were before _Env kept a
 # nesting map: each asks relation for every pair of domains it meets.
+# Check 9 as it was before the pairs kept rows: the largest term of the
+# distance formula, summed afresh for each pair.
 
 def _reference_consistency(env):
     st = env.st
@@ -265,6 +319,24 @@ def _reference_large_links(env):
                 worst.see(bound - d, lambda: {
                     "clause": "rho distance", "w": w, "v": v, "x": env.show(x), "y": env.show(y), "d": d})
     return worst.report(6, lam)
+
+
+def _reference_uniqueness(env):
+    st = env.st
+    worst = _Worst()
+    thresholds = [(kappa, st.constants.theta_of(kappa))
+                  for kappa in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)]
+    for x, y, dg in env.pairs:
+        best = None
+        for kappa, theta in thresholds:
+            if dg <= theta:
+                continue
+            if best is None:
+                best = max(distance_formula_sum(st, x, y, 0).contributions.values(),
+                           default=0.0)
+            worst.see(best - kappa, lambda: {"x": env.show(x), "y": env.show(y), "d_group": dg,
+                                             "kappa": kappa, "best_domain_distance": best})
+    return worst.report(9, 0.0)
 
 
 def _reference_geodesic_image(env):
@@ -349,7 +421,7 @@ def test_downward_projection_needs_a_nested_pair(name, w, v):
 def test_nesting_map_matches_the_per_pair_reference(source, seed):
     # the same draws from the same rng, so every report agrees, witnesses too
     reference = {4: _reference_consistency, 6: _reference_large_links,
-                 7: _reference_geodesic_image}
+                 7: _reference_geodesic_image, 9: _reference_uniqueness}
     build = NESTING_SOURCES[source]
     env = _Env(build(), 3, seed, 60)
     expected = [reference.get(i, check)(env) for i, check in axioms._CHECKERS.items()]

@@ -1,16 +1,17 @@
 """Ball enumeration against closed-form growth counts."""
 
+import functools
 import itertools
 import random
+from operator import mul
 
 import pytest
 
 from hhglab import balls
 from hhglab.balls import (
+    COUNT_MAX_DIGITS,
     DEFAULT_MAX_ELEMENTS,
-    cauchy_product,
     cayley_ball_layers,
-    free_spheres,
     generates_at_radius,
     growth_function,
     parse_generating_set,
@@ -88,6 +89,38 @@ class TestProductGrowth:
 def first(series, radius):
     """Coefficients 0..radius of an endless series."""
     return list(itertools.islice(series, radius + 1))
+
+
+def free_spheres(rank):
+    """Sphere sizes 1, 2r, 2r(2r-1), ... of the free group of rank r in its
+    symmetrised standard generators, with no end."""
+    yield 1
+    size = 2 * rank
+    while True:
+        yield size
+        size *= 2 * rank - 1
+
+
+def cauchy_product(s, t):
+    """Coefficients of the product of two power series, each read and
+    yielded one coefficient at a time."""
+    a, b = [], []
+    for x, y in zip(s, t):
+        a.append(x)
+        b.append(y)
+        yield sum(map(mul, a, reversed(b)))
+
+
+def cauchy_spheres(model):
+    """standard_spheres by closed forms and Cauchy products, with no
+    recurrence: the reference for the rational series."""
+    if isinstance(model, (FreeGroup, FreeProduct)):
+        return free_spheres(model.ngens)
+    if isinstance(model, FreeAbelianGroup):
+        parts = [free_spheres(1) for _ in range(model.ngens)]
+    else:
+        parts = [cauchy_spheres(p) for p in model.parts]
+    return functools.reduce(cauchy_product, parts, free_spheres(0))
 
 
 # the group of f2freez, F2*Z, which is F3 on a, b, c
@@ -218,24 +251,44 @@ class TestSeriesAgainstBfs:
         assert growth_function(model, gens, radius) == bfs_growth(model, gens, radius), model
 
     @pytest.mark.parametrize("text", ["a,b", "ab,b"])
-    def test_same_budget_error_as_the_bfs(self, monkeypatch, text):
+    def test_element_budget_stops_the_bfs_only(self, monkeypatch, text):
+        # a series count holds no elements, so it passes the budget that
+        # stops the BFS of the same basis
         model = FreeGroup(2)
         gens = symmetrize(model, parse_generating_set(model, text))
         with pytest.raises(ResourceBudgetError) as bfs:
-            bfs_growth(model, gens, 20, max_elements=1000)
+            cayley_ball_layers(model, gens, 20, max_elements=1000)
+        assert str(bfs.value) == "ball exceeded 1000 elements at radius 6"
+        assert bfs.value.partial_radius == 5
         monkeypatch.setattr(balls, "DEFAULT_MAX_ELEMENTS", 1000)
-        with pytest.raises(ResourceBudgetError) as series:
-            growth_function(model, gens, 20)
-        assert str(series.value) == str(bfs.value) == "ball exceeded 1000 elements at radius 6"
-        assert series.value.partial_radius == bfs.value.partial_radius == 5
+        assert growth_function(model, gens, 20) == [2 * 3 ** n - 1 for n in range(21)]
 
-    def test_budget_error_at_the_real_budget(self):
-        # the BFS of F2 passes 2,000,000 elements at radius 13 (3,188,645)
+    def test_series_count_past_the_real_budget(self):
+        # the ball of F2 passes 2,000,000 elements at radius 13 (3,188,645)
         F = FreeGroup(2)
+        beta = growth_function(F, std_gens(F), 14)
+        assert beta == [2 * 3 ** n - 1 for n in range(15)]
+        assert beta[13] == 3_188_645 > DEFAULT_MAX_ELEMENTS
+
+    @pytest.mark.parametrize("name", ["free2", "f2xz", "f2xf2"])
+    def test_count_budget_stops_a_series(self, name):
+        # beta(r) of F2 is 2*3^r - 1, which first has more than 4,000
+        # digits at r = 8,383
+        model = build_named(name).group
         with pytest.raises(ResourceBudgetError) as info:
-            growth_function(F, std_gens(F), 14)
-        assert str(info.value) == "ball exceeded 2000000 elements at radius 13"
-        assert info.value.partial_radius == 12
+            growth_function(model, std_gens(model), 10_000)
+        stop = info.value.partial_radius + 1
+        assert str(info.value) == f"ball count exceeded {COUNT_MAX_DIGITS} digits at radius {stop}"
+        beta = growth_function(model, std_gens(model), stop - 1)
+        assert len(str(beta[-1])) == COUNT_MAX_DIGITS
+        if name == "free2":
+            assert stop == 8383 and beta[-1] == 2 * 3 ** 8382 - 1
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_recurrence_matches_the_cauchy_products(self, seed):
+        rnd = random.Random(seed)
+        model = random_model(rnd, 3, list("abcdefghijklmnopqrstuvwxyz"))
+        assert first(standard_spheres(model), 80) == first(cauchy_spheres(model), 80), model
 
 
 def reaches_generators(model, words, radius):

@@ -1,9 +1,12 @@
 """Normal forms and word arithmetic for the group families."""
 
+import importlib
+import pkgutil
 import random
 
 import pytest
 
+import hhglab
 from hhglab.balls import cayley_ball_layers, symmetrize
 from hhglab.cli import main
 from hhglab.errors import InputError
@@ -30,6 +33,11 @@ def models_under_test():
         DirectProduct([FreeGroup(2), FreeAbelianGroup(1, ["t"])]),
         DirectProduct([FreeGroup(2), FreeGroup(2, ["c", "d"])]),
         FreeProduct([FreeGroup(2), FreeAbelianGroup(1, ["c"])]),
+        # a Z^2 factor at a nonzero offset, and a product nested in a
+        # product, so that inverse and multiply shift factor letters
+        DirectProduct([FreeGroup(2), FreeAbelianGroup(2, ["c", "d"])]),
+        DirectProduct([FreeAbelianGroup(1, ["t"]),
+                       DirectProduct([FreeGroup(2), FreeAbelianGroup(2, ["c", "d"])])]),
     ]
 
 
@@ -286,6 +294,18 @@ class TestWordContract:
                (HHStructure, "domains_between", (0, 1)),
                (FreeProductHHG, "domains_between", (0, 1)),
                (CosetTreeSpace, "vertex", (1,)))
+
+    def test_every_override_of_a_guarded_method_is_guarded(self):
+        # the guard wraps the method of the class it names, so a subclass
+        # that defines the method again would slip past it
+        listed = {(cls, name) for cls, name, _ in self.GUARDED}
+        classes = {obj for info in pkgutil.iter_modules(hhglab.__path__)
+                   for obj in vars(importlib.import_module(f"hhglab.{info.name}")).values()
+                   if isinstance(obj, type) and obj.__module__.startswith("hhglab.")}
+        unguarded = [(sub.__name__, name) for cls, name in listed for sub in classes
+                     if issubclass(sub, cls) and name in vars(sub) and (sub, name) not in listed]
+        assert unguarded == []
+        assert GroupModel in classes and FreeProductHHG in classes
 
     def test_no_command_hands_an_operation_a_raw_word(self, monkeypatch, tmp_path,
                                                        reachability):
