@@ -30,7 +30,7 @@ import math
 import random
 from collections import namedtuple
 
-from .balls import standard_ball
+from .balls import standard_ball_prefix
 from .classify import tau_on_domain
 from .coords import consistency_inequality, quasi_line_detect
 from .errors import InputError
@@ -95,7 +95,7 @@ class _Env:
         self.st = st
         self.radius = radius
         self.rng = random.Random(seed)
-        self.elements = standard_ball(st.group, radius)[:600]
+        self.elements = standard_ball_prefix(st.group, radius, 600)
         n = len(self.elements)
         want = min(max_pairs, n * (n - 1) // 2)
         seen = set()
@@ -146,7 +146,7 @@ class _Env:
         pts = self._points.get(space)
         if pts is None:
             pts = self._points[space] = tuple(
-                space.sample_points(self.radius)[:POINTS_PER_DOMAIN])
+                space.sample_prefix(self.radius, POINTS_PER_DOMAIN))
         return list(pts)
 
     def four_point_defect(self, u):

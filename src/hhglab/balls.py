@@ -134,6 +134,18 @@ def standard_ball(model, radius):
     return list(balls[radius])
 
 
+def standard_ball_prefix(model, radius, count):
+    """The first count elements of standard_ball(model, radius): the ball
+    of the least radius holding that many, cut to count.  The growth
+    series gives that radius, so no layer past it is built."""
+    total = 0
+    for r, size in zip(range(radius + 1), standard_spheres(model)):
+        total += size
+        if total >= count:
+            break
+    return standard_ball(model, r)[:count]
+
+
 def _poly_mul(p, q):
     out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):

@@ -3,13 +3,20 @@
 A group element is recorded by its projections to every domain space.
 The operations here run the other direction: test whether an abstract
 tuple satisfies the consistency inequalities, search a Cayley ball for
-elements realizing it, compare the word metric against the th
-thresholded sum of domain distances, and read coarse product geometry
-(orthogonal blocks, quasi-lines) off the structure.
+elements realizing it, compare the word metric against the thresholded
+sum of domain distances, and read coarse product geometry (orthogonal
+blocks, quasi-lines) off the structure.
+
+The realization search does not score every ball element.  It reads the
+projection column of one lead domain (the ball's distinct points there,
+and the elements at each, built once per structure and radius) and
+visits the lead's points nearest the target first, stopping once the
+lead distance alone exceeds the best score found.
 """
 
 import math
 from collections import namedtuple
+from operator import itemgetter
 
 from .balls import standard_ball
 from .errors import InputError, PreconditionError
@@ -118,40 +125,64 @@ class RealizationResult(namedtuple("RealizationResult",
         }
 
 
-def closest_elements(structure, candidates, targets):
-    """(theta_e, closest): theta_e is the least, over the candidates g, of
-    the largest distance from a target point p of a domain u to pi_u(g),
-    for (u, p) in targets; closest lists the candidates achieving it, in
-    candidate order.
+def closest_elements(structure, targets, radius):
+    """(theta_e, closest) over the standard ball of the radius: theta_e is
+    the least, over the ball elements g, of the largest distance from a
+    target point p of a domain u to pi_u(g), for (u, p) in targets;
+    closest lists the elements achieving it, in ball order.
 
-    A candidate is dropped at its first distance above the least score so
-    far, which it can no longer reach.  A score is the first largest of its
-    distances and theta_e the first least score, so theta_e has the value
-    and the int/float type that max and min over all scores would give.
+    The search reads the projection column of one lead target, the first
+    unbounded one in the structure's domain order.  It takes the lead's
+    points by increasing distance from the lead's target point and scores
+    the elements at each, dropping an element at its first distance above
+    the least score so far.  It stops at the first point farther than
+    that score, where no element can reach it.  A score is the first
+    largest of its distances in target order and theta_e the score of the
+    first closest element, so theta_e has the value and the int/float type
+    that max and min over all scores in ball order would give.
     """
+    # unbounded before bounded, then in domain order; a label domains()
+    # does not list comes last
+    rank = {u: i for i, u in enumerate(structure.domains())}
+    lead = min(range(len(targets)), key=lambda j: (
+        structure.is_bounded_domain(targets[j][0]), rank.get(targets[j][0], len(rank))))
+    lead_u, lead_p = targets[lead]
+    lead_dist = structure.space(lead_u).dist
+    near = sorted(((lead_dist(lead_p, q), at)
+                   for q, at in structure.projection_column(lead_u, radius).items()),
+                  key=itemgetter(0))
+    ball = standard_ball(structure.group, radius)
     pi = structure.pi
-    targets = [(u, p, structure.space(u).dist) for u, p in targets]
-    theta_e = None
-    closest = []
-    for g in candidates:
-        score = None
-        for u, p, dist in targets:
-            d = dist(p, pi(u, g))
-            if score is None or d > score:
-                if theta_e is not None and d > theta_e:
-                    break
-                score = d
-        else:
-            if theta_e is None or score < theta_e:
-                theta_e = score
-                closest = [g]
-            elif score == theta_e:
-                closest.append(g)
-    return theta_e, closest
+    # the lead's distance comes from the column: its dist is None here
+    targets = [(u, p, None if j == lead else structure.space(u).dist)
+               for j, (u, p) in enumerate(targets)]
+    best = None  # the least score so far
+    found = []  # (ball index, score) of the elements scoring best
+    for d_lead, at in near:
+        if best is not None and d_lead > best:
+            break
+        for i in at:
+            g = ball[i]
+            score = None
+            for u, p, dist in targets:
+                d = d_lead if dist is None else dist(p, pi(u, g))
+                if score is None or d > score:
+                    if best is not None and d > best:
+                        break
+                    score = d
+            else:
+                if best is None or score < best:
+                    best, found = score, [(i, score)]
+                elif score == best:
+                    found.append((i, score))
+    found.sort()
+    return found[0][1], [ball[i] for i, _ in found]
 
 
 def realize(structure, tup, search_radius):
     """All ball elements whose projections sit within theta_e of the tuple."""
+    if not tup.entries:
+        raise InputError("a tuple with no entries has nothing to realize")
     report = is_consistent(structure, tup)
     if not report.ok:
         raise PreconditionError(
@@ -159,8 +190,7 @@ def realize(structure, tup, search_radius):
             f"violated on {report.pair} by {-report.worst_margin}"
         )
     theta_e, elements = closest_elements(
-        structure, standard_ball(structure.group, search_radius),
-        sorted(tup.entries.items()))
+        structure, sorted(tup.entries.items()), search_radius)
     diameter = sample_diameter(structure.word_metric, elements, 0)
     return RealizationResult(elements, theta_e, diameter, search_radius)
 

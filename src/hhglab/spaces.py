@@ -11,7 +11,7 @@ sample diameter read them from it.
 
 from itertools import groupby
 
-from .balls import standard_ball
+from .balls import standard_ball, standard_ball_prefix
 from .errors import InputError, WrongKindError
 from .groups import FreeGroup, FreeProduct, invert_word, is_int
 
@@ -35,6 +35,10 @@ class Space:
     def sample_points(self, radius):
         """Deterministic list of points within the given radius of the basepoint."""
         raise NotImplementedError
+
+    def sample_prefix(self, radius, count):
+        """The first count points of sample_points(radius)."""
+        return self.sample_points(radius)[:count]
 
     def contains(self, x) -> bool:
         raise NotImplementedError
@@ -176,6 +180,9 @@ class CayleyTreeSpace(Space):
 
     def sample_points(self, radius):
         return standard_ball(self.model, int(radius))
+
+    def sample_prefix(self, radius, count):
+        return standard_ball_prefix(self.model, int(radius), count)
 
     def contains(self, x):
         try:

@@ -14,6 +14,7 @@ nested in v, "u > v" the reverse, "perp" orthogonal, "trans" transverse.
 import sys
 from collections import namedtuple
 
+from .balls import standard_ball
 from .errors import IndexMismatchError, InputError, PreconditionError, WrongKindError
 from .groups import FreeGroup, FreeProduct, GroupModel, is_int, json_field
 from .spaces import CayleyTreeSpace, CosetTreeSpace, LineSpace, Space
@@ -133,6 +134,22 @@ class HHStructure:
             point = points[g] = self._domain(u).pi(g)
         return point
 
+    def projection_column(self, u, radius):
+        """The projections to u of standard_ball(group, radius), grouped by
+        point: {point: ascending ball indices of the elements projecting to
+        it}, one key per distinct point.
+
+        Built once per domain and radius and kept on the structure.  It
+        projects with the domain's own map, so the pi memo does not hold
+        the ball a second time."""
+        column = self._columns.get((u, radius))
+        if column is None:
+            project = self._domain(u).pi
+            column = self._columns[(u, radius)] = {}
+            for i, g in enumerate(standard_ball(self.group, radius)):
+                column.setdefault(project(g), []).append(i)
+        return column
+
     def relation(self, u, v) -> str:
         raise NotImplementedError
 
@@ -228,6 +245,7 @@ class TableHHG(HHStructure):
         self.group = group
         self.constants = constants
         self._pi_memo = {}
+        self._columns = {}  # (u, radius) -> projection_column
         self._domains = {d.label: d for d in domains}
         if len(self._domains) != len(domains):
             raise InputError("duplicate domain labels")
@@ -319,6 +337,7 @@ class FreeProductHHG(HHStructure):
         self.group = group
         self.constants = constants
         self._pi_memo = {}
+        self._columns = {}  # (u, radius) -> projection_column
         self.generation_radius = generation_radius
         self.tree = CosetTreeSpace(group)
         # domain label -> (tree vertex, Domain), successful decodes only.

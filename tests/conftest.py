@@ -6,6 +6,7 @@ from itertools import groupby
 
 import pytest
 
+from hhglab import balls
 from hhglab.groups import FreeAbelianGroup, FreeGroup
 from hhglab.spaces import CayleyTreeSpace, LineSpace, PointSpace
 from hhglab.structures import ConstantLedger, Domain, TableHHG
@@ -32,6 +33,22 @@ def tracing():
     """benchmark/tracing.py as a module: the benchmark's per-layer tracer,
     which wraps hhglab functions by name."""
     return _load("tracing", "benchmark/tracing.py")
+
+
+@pytest.fixture
+def built_layers(monkeypatch):
+    """The size of each BFS layer built during the test, in build order:
+    every Cayley ball comes from balls._layers."""
+    built = []
+    layers = balls._layers
+
+    def counted(model, gens, max_elements):
+        for layer in layers(model, gens, max_elements):
+            built.append(len(layer))
+            yield layer
+
+    monkeypatch.setattr(balls, "_layers", counted)
+    return built
 
 
 def _syllables(model, w):

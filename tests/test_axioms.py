@@ -13,7 +13,7 @@ from hhglab.builders import build_named, load_structure, structure_from_json
 from hhglab.coords import consistency_inequality, distance_formula_sum
 from hhglab.errors import InputError, PreconditionError
 from hhglab.groups import FreeAbelianGroup
-from hhglab.spaces import PointSpace, Space, sample_diameter
+from hhglab.spaces import CayleyTreeSpace, PointSpace, Space, sample_diameter
 from hhglab.structures import (NEST_IN, TRANSVERSE, ConstantLedger, Domain, FreeProductHHG,
                                TableHHG)
 
@@ -149,13 +149,14 @@ class TestSharedSamples:
         st = build_named("f2freez")
         sampled = []
         for cls in space_classes():
-            if "sample_points" in cls.__dict__:
-                def counting(self, radius, original=cls.__dict__["sample_points"]):
+            if "sample_prefix" in cls.__dict__:
+                def counting(self, radius, count, original=cls.__dict__["sample_prefix"]):
                     sampled.append(self)
-                    return original(self, radius)
-                monkeypatch.setattr(cls, "sample_points", counting)
+                    return original(self, radius, count)
+                monkeypatch.setattr(cls, "sample_prefix", counting)
         check_structure(st, radius=3, seed=0, max_pairs=500)
         assert any(space is st.tree for space in sampled)
+        assert any(isinstance(space, CayleyTreeSpace) for space in sampled)
         assert max(Counter(map(id, sampled)).values()) == 1
 
     def test_four_point_check_once_per_space(self, monkeypatch):

@@ -16,13 +16,15 @@ from hhglab.balls import (
     growth_function,
     parse_generating_set,
     standard_ball,
+    standard_ball_prefix,
     standard_spheres,
     symmetrize,
 )
 from hhglab.builders import STANDARD_BUILDERS, build_named
 from hhglab.cli import main
 from hhglab.errors import InputError, ResourceBudgetError
-from hhglab.groups import DirectProduct, FreeAbelianGroup, FreeGroup, FreeProduct, GroupModel
+from hhglab.groups import (DirectProduct, FreeAbelianGroup, FreeGroup, FreeProduct, GroupModel,
+                           model_from_json)
 
 
 def free_ball_count(rank, n):
@@ -458,6 +460,25 @@ class TestApiContracts:
         assert standard_ball(F, 2) == want[:17]
         assert standard_ball(FreeGroup(2), 3) == want  # a new model, a new cache
         assert built == [3, 2, 3]
+
+    @pytest.mark.parametrize("name", sorted(STANDARD_BUILDERS))
+    def test_prefix_is_the_least_ball_that_holds_it(self, name, monkeypatch):
+        model = build_named(name).group
+        for radius, count in ((0, 5), (2, 1), (3, 25), (4, 600), (6, 600)):
+            want = standard_ball(model, radius)[:count]
+            least = next(r for r in range(radius + 1)
+                         if len(standard_ball(model, r)) >= count or r == radius)
+            fresh = model_from_json(model.to_json())  # a new model, no balls kept
+            built = []
+
+            def counted(model, gens, radius, *rest):
+                built.append(radius)
+                return cayley_ball_layers(model, gens, radius, *rest)
+
+            monkeypatch.setattr(balls, "cayley_ball_layers", counted)
+            assert standard_ball_prefix(fresh, radius, count) == want
+            assert built == [least]
+            monkeypatch.undo()
 
     def test_budget_reports_completed_radius(self):
         F = FreeGroup(2)

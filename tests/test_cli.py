@@ -137,6 +137,18 @@ class TestCheck:
             "message": "ball exceeded 161 elements at radius 4",
             "witness": {"partial_radius": 3}}
 
+    @pytest.mark.parametrize("name", ["free2", "f2xz", "z2"])
+    def test_a_huge_radius_builds_only_the_sample(self, capsys, built_layers, name):
+        # the checker keeps 600 ball elements and 25 points of each tree,
+        # so it builds the least balls holding them, not the ball of the
+        # radius; the lines of f2xz and z2 are ranges, not balls
+        code, doc, _ = run_json(capsys, "check", name, "--radius", "99999",
+                                "--max-pairs", "1")
+        assert code == 0
+        assert doc["report"]["axioms"]["radius"] == 99999
+        assert doc["report"]["passed"] is True
+        assert 600 < sum(built_layers) < 1600
+
     def test_missing_argument_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["check"])
@@ -264,24 +276,15 @@ class TestCertify:
         assert doc["report"]["schema_version"] == 1
         assert doc["report"]["ledger"]["k1"] == 240
 
-    def test_f2xf2_builds_only_the_generation_ball(self, capsys, monkeypatch):
-        # every Cayley ball comes from the BFS core balls._layers; the growth
-        # cross-check takes its counts (472,393 at radius 9) from the series
-        built = []
-        layers = balls._layers
-
-        def counted(model, gens, max_elements):
-            for layer in layers(model, gens, max_elements):
-                built.append(len(layer))
-                yield layer
-
-        monkeypatch.setattr(balls, "_layers", counted)
+    def test_f2xf2_builds_only_the_generation_ball(self, capsys, built_layers):
+        # the growth cross-check takes its counts (472,393 at radius 9) from
+        # the series
         code, doc, _ = run_json(capsys, "certify", f"{STRUCTURES}/f2xf2.json",
                                 "--genset", "a,b,c,d")
         assert code == 0
         assert doc["report"]["evidence"]["growth_check"]["rows"][-1]["beta"] == 472_393
         # the generation check stops at radius 1, where a, b, c, d are reached
-        assert built == [1, 8]
+        assert built_layers == [1, 8]
 
     def test_nested_route(self, capsys):
         code, doc, _ = run_json(capsys, "certify", "f2freez", "--genset", "a,b,ac")

@@ -19,9 +19,10 @@ from hhglab.coords import (
     realize,
 )
 from hhglab.errors import IndexMismatchError, InputError, PreconditionError
-from hhglab.groups import FreeGroup
+from hhglab.groups import FreeAbelianGroup, FreeGroup
 from hhglab.spaces import CayleyTreeSpace, GraphSpace, LineSpace
-from hhglab.structures import NEST_IN, ORTHOGONAL, TRANSVERSE
+from hhglab.structures import (NEST_IN, ORTHOGONAL, TRANSVERSE, ConstantLedger, Domain,
+                               TableHHG)
 
 
 def random_words(model, count, length, seed):
@@ -137,45 +138,119 @@ class TestRawLibraryInputs:
         assert tau0_floor_check(hh, [list(w) for w in raws]) == expected
 
 
-def reference_closest_elements(structure, candidates, targets):
-    """The unpruned search: every candidate scored on every target."""
+def reference_closest_elements(structure, radius, targets):
+    """The full scoring: every ball element scored on every target."""
+    ball = standard_ball(structure.group, radius)
     spaces = {u: structure.space(u) for u, _ in targets}
     scores = [(max(spaces[u].dist(p, structure.pi(u, g)) for u, p in targets), g)
-              for g in candidates]
+              for g in ball]
     theta_e = min(s for s, _ in scores)
     return theta_e, [g for s, g in scores if s == theta_e]
 
 
+CATALOG = ["free2", "z1", "z2", "f2xz", "f2xf2", "f2freez"]
+
+
 class TestClosestElementsPruning:
-    @pytest.mark.parametrize("name", ["f2xz", "z1", "f2freez"])
+    @pytest.mark.parametrize("name", CATALOG)
     def test_pruned_search_matches_the_full_scoring(self, name):
         hh = build_named(name)
-        rng = random.Random(19)
-        ball = standard_ball(hh.group, 3)
-        far = standard_ball(hh.group, 5)
         domains = hh.domains()
-        positive = ties = 0
-        for trial in range(60):
-            us = rng.sample(domains, rng.randint(1, min(len(domains), 6)))
-            kind = trial % 3
-            if kind == 0:
-                # a projected tuple of a ball element
-                g = rng.choice(ball)
-                targets = [(u, hh.pi(u, g)) for u in us]
-            elif kind == 1:
-                # each entry projected from its own ball element
-                targets = [(u, hh.pi(u, rng.choice(ball))) for u in us]
-            else:
-                # entries shifted out of the ball's reach
-                targets = [(u, hh.pi(u, rng.choice(far))) for u in us]
-            candidates = rng.sample(ball, rng.randint(1, len(ball)))
-            want = reference_closest_elements(hh, candidates, targets)
-            got = closest_elements(hh, candidates, targets)
-            assert got == want
-            assert type(got[0]) is type(want[0])
-            positive += want[0] > 0
-            ties += len(want[1]) > 1
-        assert positive > 0 and ties > 0
+        types = set()
+        for radius in (2, 3, 4):
+            rng = random.Random(19 + radius)
+            ball = standard_ball(hh.group, radius)
+            far = standard_ball(hh.group, radius + 2)
+            positive = ties = 0
+            for trial in range(30):
+                # a sample of the domains in a random order: the lead is not
+                # always the first target, and a bounded domain (distance
+                # 0.0) may come before an unbounded one (distance 0)
+                us = rng.sample(domains, rng.randint(1, min(len(domains), 6)))
+                if trial % 2 and domains[0] not in us:
+                    # f2freez has 39 domains: S must come up often enough
+                    us.insert(rng.randrange(len(us) + 1), domains[0])
+                kind = trial % 3
+                if kind == 0:
+                    # a projected tuple of a ball element
+                    g = rng.choice(ball)
+                    targets = [(u, hh.pi(u, g)) for u in us]
+                elif kind == 1:
+                    # each entry projected from its own ball element
+                    targets = [(u, hh.pi(u, rng.choice(ball))) for u in us]
+                else:
+                    # entries projected from outside the ball
+                    targets = [(u, hh.pi(u, rng.choice(far))) for u in us]
+                want = reference_closest_elements(hh, radius, targets)
+                got = closest_elements(hh, targets, radius)
+                assert got == want
+                assert type(got[0]) is type(want[0])
+                positive += want[0] > 0
+                ties += len(want[1]) > 1
+                types.add(type(want[0]))
+            assert positive > 0
+            if len(domains) > 1:  # one tree or line domain separates the ball
+                assert ties > 0
+        if name in ("z2", "f2xz", "f2xf2"):  # S is a point: its distance is 0.0
+            assert types == {int, float}
+
+
+class FloatLine(LineSpace):
+    """The integer line with float distances."""
+
+    def dist(self, x, y):
+        return float(abs(x - y))
+
+
+def z2_with_a_float_line():
+    """Z^2 with two orthogonal lines, the second measured in floats."""
+    Z2 = FreeAbelianGroup(2)
+    domains = [Domain("L1", LineSpace(), lambda g: Z2.exponents(g)[0], lambda p: ()),
+               Domain("L2", FloatLine(), lambda g: Z2.exponents(g)[1], lambda p: ())]
+    return TableHHG("z2-float", Z2, ConstantLedger(), domains, orthogonal=[("L1", "L2")])
+
+
+class TestRealizationCache:
+    """The search reads one projection column per structure, domain and
+    radius; a repeated search builds nothing."""
+
+    def test_a_second_call_builds_no_ball_and_no_projection(self, built_layers):
+        hh = build_named("f2xz")
+        projected = []
+
+        def counted(u, pi):
+            def count(g):
+                projected.append(u)
+                return pi(g)
+            return count
+
+        hh._domains = {u: d._replace(pi=counted(u, d.pi)) for u, d in hh._domains.items()}
+        g, h = hh.group.parse("abtt"), hh.group.parse("BBt")
+        first = realize(hh, project_tuple(hh, g), search_radius=4)
+        assert built_layers and projected
+        built_layers.clear()
+        projected.clear()
+        assert realize(hh, project_tuple(hh, g), search_radius=4) == first
+        assert built_layers == [] and projected == []
+        # the search for another tuple reads the same column of T; only
+        # its other domains may need projections the memo lacks
+        targets = sorted(project_tuple(hh, h).entries.items())
+        projected.clear()
+        assert closest_elements(hh, targets, 4) == (0, [h])
+        assert built_layers == [] and "T" not in projected
+        assert list(hh._columns) == [("T", 4)]
+
+    def test_one_call_builds_at_most_one_column(self):
+        hh = build_named("f2freez")
+        assert len(hh.domains()) == 39
+        g = hh.group.parse("acbC")
+        res = realize(hh, project_tuple(hh, g), search_radius=4)
+        assert res.elements == [g]
+        assert list(hh._columns) == [("S", 4)]
+
+    def test_empty_tuple_refused(self):
+        with pytest.raises(InputError):
+            realize(build_named("f2xz"), ConsistentTuple({}, 1.0), search_radius=2)
 
 
 class TestRealization:
@@ -183,23 +258,55 @@ class TestRealization:
         self.hh = build_named("f2xz")
         self.model = self.hh.group
 
-    def test_closest_elements_keep_candidate_order(self):
-        ball = standard_ball(self.model, 2)
-        theta_e, closest = closest_elements(self.hh, ball, [("L", 1), ("T", ())])
+    def test_a_target_off_the_domain_list(self):
+        # a coset past the generation radius names a domain that domains()
+        # does not list; it can still be the only unbounded target
+        hh = build_named("f2freez")
+        u = "ab@cccc"
+        assert u not in hh.domains()
+        g = hh.group.parse("ccca")
+        for targets in ([(u, hh.pi(u, g))], [(u, hh.pi(u, g)), ("c@1", 5)]):
+            want = reference_closest_elements(hh, 3, targets)
+            assert closest_elements(hh, targets, 3) == want
+
+    def test_closest_elements_keep_ball_order(self):
+        hh = build_named("f2xz")
+        ball = standard_ball(hh.group, 2)
+        theta_e, closest = closest_elements(hh, [("L", 1), ("T", ())], 2)
         assert theta_e == 0
         assert closest == [g for g in ball
-                           if self.hh.pi("L", g) == 1 and self.hh.pi("T", g) == ()]
-        theta_e, closest = closest_elements(self.hh, ball, [("L", 5)])
+                           if hh.pi("L", g) == 1 and hh.pi("T", g) == ()]
+        theta_e, closest = closest_elements(hh, [("L", 5)], 2)
         assert theta_e == 3
-        assert closest == [self.model.parse("tt")]
+        assert closest == [hh.group.parse("tt")]
 
     def test_closest_elements_report_the_first_closest_element(self):
         # z1 is one line domain with a declared lift; the target point is -3
         # and the ball has radius 1: the identity, t and T in that order,
         # of which T is closest, 2 away
         hh = build_named("z1")
-        ball = standard_ball(hh.group, 1)
-        assert closest_elements(hh, ball, [("S", -3)]) == (2, [hh.group.parse("T")])
+        assert closest_elements(hh, [("S", -3)], 1) == (2, [hh.group.parse("T")])
+
+    def test_theta_e_takes_the_type_of_the_first_largest_distance(self):
+        # S is a point (distance 0.0), T a tree (distance 0): the first of
+        # the equal largest distances, in target order, is the score
+        hh = build_named("f2xz")
+        g = hh.group.parse("abt")
+        theta_e, _ = closest_elements(hh, [("S", 0), ("T", hh.pi("T", g))], 3)
+        assert theta_e == 0 and type(theta_e) is float
+        theta_e, _ = closest_elements(hh, [("T", hh.pi("T", g)), ("S", 0)], 3)
+        assert theta_e == 0 and type(theta_e) is int
+
+    def test_theta_e_is_the_score_of_the_first_closest_element(self):
+        # the ball of radius 1 is 1, a, A, b, B; against (2, 2) they score
+        # 2, 2.0, 3, 2 and 3.0.  The lead L1 reaches a first (distance 1),
+        # but the identity comes first in the ball, so theta_e is its int 2
+        hh = z2_with_a_float_line()
+        targets = [("L1", 2), ("L2", 2)]
+        theta_e, closest = closest_elements(hh, targets, 1)
+        assert (theta_e, closest) == reference_closest_elements(hh, 1, targets)
+        assert type(theta_e) is int
+        assert closest == [(), hh.group.parse("a"), hh.group.parse("b")]
 
     def test_exact_tuple_realizes_to_singleton(self):
         for g in random_words(self.model, 30, 4, seed=5):
