@@ -270,15 +270,14 @@ class TestRealization:
             assert closest_elements(hh, targets, 3) == want
 
     def test_closest_elements_keep_ball_order(self):
-        hh = build_named("f2xz")
-        ball = standard_ball(hh.group, 2)
-        theta_e, closest = closest_elements(hh, [("L", 1), ("T", ())], 2)
+        ball = standard_ball(self.model, 2)
+        theta_e, closest = closest_elements(self.hh, [("L", 1), ("T", ())], 2)
         assert theta_e == 0
         assert closest == [g for g in ball
-                           if hh.pi("L", g) == 1 and hh.pi("T", g) == ()]
-        theta_e, closest = closest_elements(hh, [("L", 5)], 2)
+                           if self.hh.pi("L", g) == 1 and self.hh.pi("T", g) == ()]
+        theta_e, closest = closest_elements(self.hh, [("L", 5)], 2)
         assert theta_e == 3
-        assert closest == [hh.group.parse("tt")]
+        assert closest == [self.model.parse("tt")]
 
     def test_closest_elements_report_the_first_closest_element(self):
         # z1 is one line domain with a declared lift; the target point is -3
