@@ -416,18 +416,21 @@ class FreeProductHHG(HHStructure):
         reduction of the two words.  Unless g starts with rep, that
         reduction stops inside rep and rep^-1 g starts with the inverse of
         rep's last letter; rep never ends in a letter of factor i, so the
-        syllable is empty.  When g starts with rep, rep^-1 g is the rest
-        of g."""
+        syllable is empty, and pi returns the factor's base point, computed
+        once.  When g starts with rep, rep^-1 g is the rest of g."""
         i, rep = v
         group = self.group
         space, point, word = self._factors[i]
         part_of = group._part_of
+        start = len(rep)
+        base = point(group.to_local(i, ()))
 
         def pi(g):
-            start = end = len(rep)
-            if g[:start] == rep:
-                while end < len(g) and part_of[g[end]] == i:
-                    end += 1
+            if g[:start] != rep:
+                return base
+            end = start
+            while end < len(g) and part_of[g[end]] == i:
+                end += 1
             return point(group.to_local(i, g[start:end]))
 
         return Domain(u, space, pi,

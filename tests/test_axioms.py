@@ -13,7 +13,7 @@ from hhglab.builders import build_named, load_structure, structure_from_json
 from hhglab.coords import consistency_inequality, distance_formula_sum
 from hhglab.errors import InputError, PreconditionError
 from hhglab.groups import FreeAbelianGroup
-from hhglab.spaces import CayleyTreeSpace, PointSpace, Space, sample_diameter
+from hhglab.spaces import CayleyTreeSpace, LineSpace, PointSpace, Space, sample_diameter
 from hhglab.structures import (NEST_IN, TRANSVERSE, ConstantLedger, Domain, FreeProductHHG,
                                TableHHG)
 
@@ -250,29 +250,70 @@ class TestPairRows:
 
     @pytest.mark.parametrize("source", sorted(PAIR_SOURCES))
     def test_each_distance_and_path_measured_once(self, monkeypatch, source):
+        # counted where the work is done: a (pair, domain) distance when its
+        # row gets it, a path when the structure is asked for it, and a
+        # (domain, element) projection below the pi memo
         st = PAIR_SOURCES[source]()
-        distances, paths = [], []
-        dsub, between = st.dsub, st.domains_between
+        distances, paths, projections = [], [], []
+        between, domain = st.domains_between, st._domain
 
-        def counting_dsub(u, x, y):
-            distances.append((u, x, y))
-            return dsub(u, x, y)
+        class CountingRow(dict):
+            def __init__(self, k):
+                super().__init__()
+                self.k = k
+
+            def __setitem__(self, u, d):
+                distances.append((self.k, u))
+                super().__setitem__(u, d)
+
+        class CountingEnv(_Env):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.rows = [CountingRow(k) for k in range(len(self.pairs))]
 
         def counting_between(x, y):
             paths.append((x, y))
             return between(x, y)
 
-        monkeypatch.setattr(st, "dsub", counting_dsub)
+        def counting_domain(u):
+            record = domain(u)
+
+            def pi(g):
+                projections.append((u, g))
+                return record.pi(g)
+
+            return record._replace(pi=pi)
+
+        monkeypatch.setattr(axioms, "_Env", CountingEnv)
         monkeypatch.setattr(st, "domains_between", counting_between)
+        monkeypatch.setattr(st, "_domain", counting_domain)
         check_structure(st, radius=3, seed=0, max_pairs=300)
-        assert distances and max(Counter(distances).values()) == 1
-        assert paths and max(Counter(paths).values()) == 1
+        for counted in (distances, paths, projections):
+            assert counted and max(Counter(counted).values()) == 1
 
 
+# Check 1 as it was before it read projection columns: one dsub, and one
+# margin seen, per sampled (pair, domain).
 # The per-pair loops of checks 4, 6 and 7 as they were before _Env kept a
 # nesting map: each asks relation for every pair of domains it meets.
 # Check 9 as it was before the pairs kept rows: the largest term of the
 # distance formula, summed afresh for each pair.
+
+def _reference_projections(env):
+    st = env.st
+    K = st.constants.K_proj
+    delta = st.constants.delta
+    worst = _Worst()
+    for (x, y, dg), row in zip(env.pairs, env.rows):
+        for u in env.sample(env.domains, 40):
+            du = row[u] = st.dsub(u, x, y)
+            worst.see(K * dg + K - du, lambda: {"clause": "lipschitz", "domain": u, "x": env.show(x),
+                                                "y": env.show(y), "d_domain": du, "d_group": dg})
+    for u in env.sample(env.domains, 12):
+        defect = env.four_point_defect(u)
+        worst.see(delta - defect, lambda: {"clause": "hyperbolicity", "domain": u, "defect": defect})
+    return worst.report(1)
+
 
 def _reference_consistency(env):
     st = env.st
@@ -428,3 +469,33 @@ def test_nesting_map_matches_the_per_pair_reference(source, seed):
     expected = [reference.get(i, check)(env) for i, check in axioms._CHECKERS.items()]
     got = check_structure(build(), radius=3, seed=seed, max_pairs=60)
     assert [a.to_json() for a in got.axioms] == [a.to_json() for a in expected]
+
+
+def _tied_lines():
+    """Z with two orthogonal line domains that project alike: each pair's
+    Lipschitz margin is 1 on both, below the hyperbolicity margin 5, so the
+    report's witness names the first of two tied domains."""
+    Z = FreeAbelianGroup(1)
+    lines = [Domain(u, LineSpace(), lambda g: Z.exponents(g)[0],
+                    lambda p: Z.from_exponents([p])) for u in ("L1", "L2")]
+    return TableHHG("tied-lines", Z, ConstantLedger(delta=5.0), lines,
+                    orthogonal=[("L1", "L2")])
+
+
+# the radius-3 copy has 189 domains, so each pair draws 40 of them
+PROJECTION_SOURCES = {**{name: (build, 60) for name, build in NESTING_SOURCES.items()},
+                      "f2freez-radius-3": (_f2freez_radius_3, 300),
+                      "tied-lines": (_tied_lines, 60)}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("source", sorted(PROJECTION_SOURCES))
+def test_projection_columns_match_the_per_pair_reference(source, seed):
+    # the same draws from the same rng: margin, witness and check count
+    # agree with their types, and every pair's row holds the same distances
+    build, max_pairs = PROJECTION_SOURCES[source]
+    want_env, got_env = (_Env(build(), 3, seed, max_pairs) for _ in range(2))
+    want = _reference_projections(want_env)
+    got = axioms._check_projections(got_env)
+    assert repr(got) == repr(want)
+    assert repr(got_env.rows) == repr(want_env.rows)

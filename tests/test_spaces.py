@@ -2,7 +2,7 @@
 
 import math
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -297,13 +297,23 @@ def four_point_budget(kind, n):
     return kind
 
 
-class MatrixSpace(Space):
+class TableSpace(Space):
+    """Points 0..n-1 under a table the test fills in, all 0 at first."""
+
+    def __init__(self, n):
+        self.table = [[0] * n for _ in range(n)]
+
+    def dist(self, x, y):
+        return self.table[x][y]
+
+
+class MatrixSpace(TableSpace):
     """Points 0..n-1 under a seeded random symmetric table, not always a
     metric, whose entries mix ints, halves and other floats, so that
     pairing sums tie across types."""
 
     def __init__(self, n, rng):
-        self.table = [[0] * n for _ in range(n)]
+        super().__init__(n)
         for i in range(n):
             for j in range(i + 1, n):
                 kind = rng.randrange(3)
@@ -314,9 +324,6 @@ class MatrixSpace(Space):
                 else:
                     d = rng.uniform(0, 6)
                 self.table[i][j] = self.table[j][i] = d
-
-    def dist(self, x, y):
-        return self.table[x][y]
 
 
 class TestDistanceTable:
@@ -347,6 +354,37 @@ class TestDistanceTable:
             want = reference_four_point(space, pts, quads)
             assert got == want
             assert type(got) is type(want)
+
+    def test_every_small_table_matches_the_reference(self):
+        # each symmetric 5-point table with a zero diagonal and entries in
+        # {0, 1, 2}, metric or not: the base-point pass answers exactly
+        pairs = list(combinations(range(5), 2))
+        for entries in product((0, 1, 2), repeat=len(pairs)):
+            space = TableSpace(5)
+            for (i, j), d in zip(pairs, entries):
+                space.table[i][j] = space.table[j][i] = d
+            got = max_four_point_defect(space, range(5), QUADS)
+            want = reference_four_point(space, range(5), QUADS)
+            assert (got, type(got)) == (want, type(want)), space.table
+
+    def test_a_float_table_takes_the_whole_walk(self):
+        # d(0, x) = 1e17 swallows every other entry in a float sum, so the
+        # quadruples through 0 all tie; the other four points form a
+        # 4-cycle, whose quadruple has a gap of 2
+        space = TableSpace(5)
+        for x in range(1, 5):
+            space.table[0][x] = space.table[x][0] = 1e17
+            for y in range(x + 1, 5):
+                space.table[x][y] = space.table[y][x] = 2 if y - x == 2 else 1
+        assert all(reference_four_point(space, (0,) + q, 1) == 0
+                   for q in combinations(range(1, 5), 3))
+        assert max_four_point_defect(space, range(5), QUADS) == 1.0
+        assert reference_four_point(space, range(5), QUADS) == 1.0
+
+    def test_a_cycle_takes_the_whole_walk(self):
+        C5 = GraphSpace(5, [(v, (v + 1) % 5) for v in range(5)])
+        got = max_four_point_defect(C5, range(5), QUADS)
+        assert got == reference_four_point(C5, range(5), QUADS) == 0.5
 
     def test_table_entries(self):
         G = random_connected_graph(5)
