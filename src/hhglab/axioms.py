@@ -16,12 +16,12 @@ measured at most once per run: check 1 fills the rows, check 6 reads its
 distances and its path domains from them, and check 9 reads the largest
 term of the distance formula off them.  Each pair also keeps the ball
 indices of x and y, so check 1 reads its distances off columns of the
-sampled elements: each domain it meets is projected once per ball element,
-through the structure's pi memo, and d_u(x, y) is the distance of two
-entries of that column.  Nesting is a relation between
-labels, not points, so ``above(v)``, the sampled domains that v nests in,
-is asked of the structure once per label; checks 4, 6 and 7 read their
-nested pairs off it.
+sampled elements: a domain it meets keeps, by ball index, the projections
+of the sampled elements it has needed, each asked of the structure's pi
+memo once, and d_u(x, y) is the distance of two entries of that column.
+Nesting is a relation between labels, not points, so ``above(v)``, the
+sampled domains that v nests in, is asked of the structure once per label;
+checks 4, 6 and 7 read their nested pairs off it.
 
 Checks 1, 4 and 6-9 keep that worst case in one record, ``_Worst``: the
 smallest margin, the first witness that reached it and the check count.
@@ -202,10 +202,10 @@ def _check_projections(env):
     worst = _Worst()
     # coarse Lipschitz bound on every materialized domain; the first check
     # to run, so each distance it measures fills its pair's row.  A domain
-    # is projected once per ball element, into a column read by ball index.
-    # Within a pair only the first smallest margin can be a new worst, so
-    # it alone is seen and the other domains are counted.
-    columns = {}  # domain -> (dist of its space, [pi_u(g) for g in elements])
+    # keeps a column of the sampled elements it has projected, by ball
+    # index.  Within a pair only the first smallest margin can be a new
+    # worst, so it alone is seen and the other domains are counted.
+    columns = {}  # domain -> (dist of its space, {ball index: pi_u(element)})
     for (x, y, dg), (i, j), row in zip(env.pairs, env.indices, env.rows):
         bound = K * dg + K
         sampled = env.sample(env.domains, 40)
@@ -214,8 +214,11 @@ def _check_projections(env):
             try:
                 dist, points = columns[u]
             except KeyError:
-                dist, points = columns[u] = (st.space(u).dist,
-                                             [st.pi(u, g) for g in env.elements])
+                dist, points = columns[u] = (st.space(u).dist, {})
+            if i not in points:
+                points[i] = st.pi(u, x)
+            if j not in points:
+                points[j] = st.pi(u, y)
             du = row[u] = dist(points[i], points[j])
             if bound - du < low:
                 low, top_u, top = bound - du, u, du

@@ -315,20 +315,17 @@ def max_four_point_defect(space, points, quad_budget):
     between the two largest pairing sums; a space is delta-hyperbolic in
     the four-point sense when it is <= delta.
 
-    A table of ints is first walked through its base point alone, over the
-    C(n - 1, 3) quadruples 0 < j < k < l.  When none of them has a gap the
-    table is 0-hyperbolic at point 0, hence at every point (a base point
-    that is delta-hyperbolic gives 2 delta everywhere: Gromov, "Hyperbolic
-    groups", MSRI Publ. 8, 1987, 1.1; Ghys-de la Harpe, "Sur les groupes
-    hyperboliques d'apres Mikhael Gromov", 1990, ch. 2, prop. 2), and 0.0
-    is what the whole walk returns.  Otherwise, and for a table with a
-    float, where sums are not exact, every quadruple is walked as before;
-    only that walk reports a nonzero defect."""
+    The walk meets the C(n - 1, 3) quadruples 0 < j < k < l first.  When
+    the table is all ints and none of them has a gap, the table is
+    0-hyperbolic at point 0, hence at every point (a base point that is
+    delta-hyperbolic gives 2 delta everywhere: Gromov, "Hyperbolic groups",
+    MSRI Publ. 8, 1987, 1.1; Ghys-de la Harpe, "Sur les groupes
+    hyperboliques d'apres Mikhael Gromov", 1990, ch. 2, prop. 2), so the
+    walk stops there with 0.0, what the rest of it would return.  A table
+    with a float, whose sums are not exact, is walked to the end of its
+    budget."""
     t = distance_table(space.dist, points)
     n = len(t)
-    if (n >= 4 and quad_budget > 0 and all(isinstance(d, int) for row in t for d in row)
-            and _no_gap_through_base(t)):
-        return 0.0
     left = quad_budget
     worst = 0.0  # largest gap; halving is monotone, so it is halved once
     for i in range(n - 3):
@@ -358,30 +355,9 @@ def max_four_point_defect(space, points, quad_budget):
                         gap = c - a
                     if gap > worst:
                         worst = gap
+        if i == 0 and worst == 0 and all(isinstance(d, int) for row in t for d in row):
+            return 0.0
     return worst / 2
-
-
-def _no_gap_through_base(t):
-    """Whether each quadruple 0 < j < k < l of the table has its two largest
-    pairing sums equal."""
-    t0 = t[0]
-    n = len(t)
-    for j in range(1, n - 2):
-        tj = t[j]
-        t0j = t0[j]
-        for k in range(j + 1, n - 1):
-            tk = t[k]
-            t0k, tjk = t0[k], tj[k]
-            for t0l, tjl, tkl in zip(t0[k + 1:], tj[k + 1:], tk[k + 1:]):
-                a = t0j + tkl
-                b = t0k + tjl
-                c = t0l + tjk
-                if a < b:
-                    a, b = b, a
-                # a >= b; a gap unless the largest sum is taken twice
-                if c > a or (c < a and a != b):
-                    return False
-    return True
 
 
 def translation_length(space, x, gx, ggx):

@@ -250,26 +250,37 @@ class TestPairRows:
 
     @pytest.mark.parametrize("source", sorted(PAIR_SOURCES))
     def test_each_distance_and_path_measured_once(self, monkeypatch, source):
-        # counted where the work is done: a (pair, domain) distance when its
-        # row gets it, a path when the structure is asked for it, and a
-        # (domain, element) projection below the pi memo
+        # counted where the work is done: a (pair, domain) distance when
+        # st.dsub measures it or a row gets it, keyed (u, x, y), a path when
+        # the structure is asked for it, and a (domain, element) projection
+        # below the pi memo.  A row that stores what st.dsub has just
+        # measured holds the same measurement, so it is not counted again.
         st = PAIR_SOURCES[source]()
         distances, paths, projections = [], [], []
-        between, domain = st.domains_between, st._domain
+        just_measured = []  # key of the last st.dsub call until a row stores it
+        dsub, between, domain = st.dsub, st.domains_between, st._domain
+
+        def counting_dsub(u, x, y):
+            distances.append((u, x, y))
+            just_measured[:] = [(u, x, y)]
+            return dsub(u, x, y)
 
         class CountingRow(dict):
-            def __init__(self, k):
+            def __init__(self, x, y):
                 super().__init__()
-                self.k = k
+                self.pair = (x, y)
 
             def __setitem__(self, u, d):
-                distances.append((self.k, u))
+                key = (u, *self.pair)
+                if just_measured != [key]:
+                    distances.append(key)
+                just_measured.clear()
                 super().__setitem__(u, d)
 
         class CountingEnv(_Env):
             def __init__(self, *args):
                 super().__init__(*args)
-                self.rows = [CountingRow(k) for k in range(len(self.pairs))]
+                self.rows = [CountingRow(x, y) for x, y, _ in self.pairs]
 
         def counting_between(x, y):
             paths.append((x, y))
@@ -285,6 +296,7 @@ class TestPairRows:
             return record._replace(pi=pi)
 
         monkeypatch.setattr(axioms, "_Env", CountingEnv)
+        monkeypatch.setattr(st, "dsub", counting_dsub)
         monkeypatch.setattr(st, "domains_between", counting_between)
         monkeypatch.setattr(st, "_domain", counting_domain)
         check_structure(st, radius=3, seed=0, max_pairs=300)
