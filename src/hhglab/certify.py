@@ -380,28 +380,40 @@ def dichotomy(structure, words):
 # case 1: ping-pong
 
 
-def _y_mapping_check(structure, s, t, u, v, power):
-    """Sampled ping-pong inclusion: the far-from-rho set of u must map into
-    the far-from-rho set of v under t^power, and symmetrically."""
-    model = structure.group
-    sp_u, sp_v = structure.space(u), structure.space(v)
-    rho_vu = structure.rho_point(v, u)
-    rho_uv = structure.rho_point(u, v)
+def _pingpong_sample(structure, u, v):
+    """The sample of the ping-pong inclusion, which does not depend on the
+    power: (ball size, [(space, rho, far) for u, then for v]).  rho is the
+    relative projection of the other domain, and far holds, in ascending
+    ball order, the elements of the radius-PINGPONG_BALL_RADIUS ball that
+    project more than kappa0 from it.  Read off the domain's projection
+    column: one distance per distinct point."""
     k0 = structure.constants.kappa0
-    ball = standard_ball(model, PINGPONG_BALL_RADIUS)
-    y_s = [x for x in ball if sp_u.dist(structure.pi(u, x), rho_vu) > k0]
-    y_t = [x for x in ball if sp_v.dist(structure.pi(v, x), rho_uv) > k0]
-    tk = model.power(t, power)
-    sk = model.power(s, power)
-    for x in y_s:
-        y = model.multiply(tk, x)
-        if not sp_v.dist(structure.pi(v, y), rho_uv) > k0:
-            return False, {"side": "t", "power": power, "element": model.format(x)}
-    for x in y_t:
-        y = model.multiply(sk, x)
-        if not sp_u.dist(structure.pi(u, y), rho_vu) > k0:
-            return False, {"side": "s", "power": power, "element": model.format(x)}
-    return True, {"sampled": len(ball), "y_s": len(y_s), "y_t": len(y_t)}
+    ball = standard_ball(structure.group, PINGPONG_BALL_RADIUS)
+    sides = []
+    for w, rho in ((u, structure.rho_point(v, u)), (v, structure.rho_point(u, v))):
+        space = structure.space(w)
+        column = structure.projection_column(w, PINGPONG_BALL_RADIUS)
+        far = sorted(i for p, at in column.items() if space.dist(p, rho) > k0
+                     for i in at)
+        sides.append((space, rho, [ball[i] for i in far]))
+    return len(ball), sides
+
+
+def _y_mapping_check(structure, s, t, u, v, power, sample):
+    """Sampled ping-pong inclusion: t^power must map the far set of u into
+    the far set of v, and s^power the far set of v into that of u.  sample
+    is _pingpong_sample(structure, u, v); a failure names the first
+    element of a far set, in ball order, whose translate falls short."""
+    model = structure.group
+    k0 = structure.constants.kappa0
+    sampled, ((sp_u, rho_vu, y_s), (sp_v, rho_uv, y_t)) = sample
+    for side, g, w, space, rho, far in (("t", t, v, sp_v, rho_uv, y_s),
+                                        ("s", s, u, sp_u, rho_vu, y_t)):
+        gk = model.power(g, power)
+        for x in far:
+            if not space.dist(structure.pi(w, model.multiply(gk, x)), rho) > k0:
+                return False, {"side": side, "power": power, "element": model.format(x)}
+    return True, {"sampled": sampled, "y_s": len(y_s), "y_t": len(y_t)}
 
 
 def pingpong_transverse(structure, s, t, u, v, x_lengths, led, depth=6,
@@ -425,9 +437,10 @@ def pingpong_transverse(structure, s, t, u, v, x_lengths, led, depth=6,
     else:
         declared, bound = declared_power, led.M
     caveats = []
+    sample = _pingpong_sample(structure, u, v)
     if declared * max(len(s), len(t)) <= MATERIALIZE_CAP:
         power = declared
-        ok, detail = _y_mapping_check(structure, s, t, u, v, power)
+        ok, detail = _y_mapping_check(structure, s, t, u, v, power, sample)
         if not ok:
             raise CertifierRefutedError(
                 "sampled ping-pong inclusion fails at the declared power",
@@ -443,7 +456,7 @@ def pingpong_transverse(structure, s, t, u, v, x_lengths, led, depth=6,
             " smallest verified power recorded instead")
         power, pair, detail = None, None, None
         for k in range(1, POWER_SEARCH_CAP + 1):
-            ok, detail = _y_mapping_check(structure, s, t, u, v, k)
+            ok, detail = _y_mapping_check(structure, s, t, u, v, k, sample)
             if not ok:
                 continue
             cand = model.power(s, k), model.power(t, k)

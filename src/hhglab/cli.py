@@ -243,78 +243,75 @@ def cmd_growth(args):
     return 0
 
 
+DEPTH = ("--depth", {"type": int, "default": 6, "help":
+                     "recorded as verified_depth; the freeness test is exact at every depth"})
+FORMAT = ("--format", {"choices": ("json", "csv"), "default": "csv"})
+
+# name -> (function, help, options besides structure, --seed and --out)
 COMMANDS = {
-    "check": cmd_check,
-    "certify": cmd_certify,
-    "scan": cmd_scan,
-    "distance": cmd_distance,
-    "decompose": cmd_decompose,
-    "growth": cmd_growth,
+    "check": (cmd_check, "run the nine axiom checks", (
+        ("--radius", {"type": int, "default": 3}),
+        ("--max-pairs", {"type": int, "default": 60}))),
+    "certify": (cmd_certify, "growth certificate for one set", (
+        DEPTH,
+        ("--genset", {"help": 'comma-separated words, e.g. "a,b"'}))),
+    "scan": (cmd_scan, "certify every small generating set", (
+        DEPTH, FORMAT,
+        ("--scan-size", {"type": int, "default": 0,
+                         "help": "max words per generating set"}),
+        ("--scan-length", {"type": int, "default": 0,
+                           "help": "max word length in the enumeration pool"}),
+        ("--radius", {"type": int, "default": 6, "help":
+                      "where no exact test applies, generation must be witnessed in this ball"}),
+        ("--growth-n", {"type": int, "default": 10,
+                        "help": "ball radius for the measured rate"}))),
+    "distance": (cmd_distance, "fit the distance-formula constants", (
+        ("--s", {"type": float, "default": 0.0, "help": "sum threshold"}),
+        ("--pairs", {"type": int, "default": 50}),
+        ("--length", {"type": int, "default": 4,
+                      "help": "max sampled word length"}))),
+    "decompose": (cmd_decompose, "orthogonal block decomposition", ()),
+    "growth": (cmd_growth, "ball growth table", (
+        FORMAT,
+        ("--n", {"type": int, "default": 10, "help": "max ball radius"}),
+        ("--genset", {"help": "words to grow with (default: standard)"}),
+        ("--symmetrize", {"action": "store_true",
+                          "help": "close --genset under inverses"}))),
 }
 
 
-def build_parser():
+def build_parser(command):
+    """The argument parser.  Given a known command it builds that command's
+    subparser alone, with a metavar naming every command, so the usage
+    line an unrecognized argument prints is the full parser's.  Given
+    anything else (None included) it builds every subparser and keeps no
+    metavar: its invalid-choice and missing-command errors name the
+    argument "command"."""
     parser = argparse.ArgumentParser(
         prog="hhglab",
         description="Check, certify, and scan hierarchical structures.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    one = command in COMMANDS
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{" + ",".join(COMMANDS) + "}" if one else None)
+    for name in [command] if one else COMMANDS:
+        _, help_text, options = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("structure",
                        help="catalog name (e.g. free2) or structure json path")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="output path (default: stdout)")
-
-    p = sub.add_parser("check", help="run the nine axiom checks")
-    common(p)
-    p.add_argument("--radius", type=int, default=3)
-    p.add_argument("--max-pairs", type=int, default=60)
-
-    p = sub.add_parser("certify", help="growth certificate for one set")
-    common(p)
-    p.add_argument("--depth", type=int, default=6,
-                   help="recorded as verified_depth; the freeness test is exact at every depth")
-    p.add_argument("--genset", help='comma-separated words, e.g. "a,b"')
-
-    p = sub.add_parser("scan", help="certify every small generating set")
-    common(p)
-    p.add_argument("--depth", type=int, default=6,
-                   help="recorded as verified_depth; the freeness test is exact at every depth")
-    p.add_argument("--format", choices=("json", "csv"), default="csv")
-    p.add_argument("--scan-size", type=int, default=0,
-                   help="max words per generating set")
-    p.add_argument("--scan-length", type=int, default=0,
-                   help="max word length in the enumeration pool")
-    p.add_argument("--radius", type=int, default=6,
-                   help="where no exact test applies, generation must be witnessed in this ball")
-    p.add_argument("--growth-n", type=int, default=10,
-                   help="ball radius for the measured rate")
-
-    p = sub.add_parser("distance", help="fit the distance-formula constants")
-    common(p)
-    p.add_argument("--s", type=float, default=0.0, help="sum threshold")
-    p.add_argument("--pairs", type=int, default=50)
-    p.add_argument("--length", type=int, default=4,
-                   help="max sampled word length")
-
-    p = sub.add_parser("decompose", help="orthogonal block decomposition")
-    common(p)
-
-    p = sub.add_parser("growth", help="ball growth table")
-    common(p)
-    p.add_argument("--format", choices=("json", "csv"), default="csv")
-    p.add_argument("--n", type=int, default=10, help="max ball radius")
-    p.add_argument("--genset", help="words to grow with (default: standard)")
-    p.add_argument("--symmetrize", action="store_true",
-                   help="close --genset under inverses")
-
+        for flag, settings in options:
+            p.add_argument(flag, **settings)
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        return COMMANDS[args.command][0](args)
     except (InputError, json.JSONDecodeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -139,8 +139,9 @@ class HHStructure:
         point: {point: ascending ball indices of the elements projecting to
         it}, one key per distinct point.
 
-        Built once per domain and radius and kept on the structure.  It
-        projects with the domain's own map, so the pi memo does not hold
+        Built once per domain and radius and kept on the structure; it
+        serves realize's ball search and the certifier's ping-pong sample.
+        It projects with the domain's own map, so the pi memo does not hold
         the ball a second time."""
         column = self._columns.get((u, radius))
         if column is None:
@@ -351,18 +352,25 @@ class FreeProductHHG(HHStructure):
                                                   lambda g: tree.vertex(0, g),
                                                   lambda p: p[1]))}
         self._factor_names = ["".join(p.labels) for p in group.parts]
-        self._factors = [self._factor(p) for p in group.parts]
+        self._factors = [self._factor(i) for i in range(2)]
         self._labels = [self.TOP] + [self.vertex_label(v)
                                      for v in self.tree.sample_points(generation_radius)]
 
-    @staticmethod
-    def _factor(part):
-        """(space, point of a local word, local word of a point) of a factor:
-        a free factor is its Cayley tree, an infinite cyclic one a line."""
-        if isinstance(part, FreeGroup):
-            return CayleyTreeSpace(part), lambda w: w, lambda p: p
-        return (LineSpace(), lambda w: part.exponents(w)[0],
-                lambda n: part.from_exponents([n]))
+    def _factor(self, i):
+        """(space, point of a syllable, local word of a point) of factor i:
+        a free factor is its Cayley tree, an infinite cyclic one a line.
+        The point reads the syllable in the product's letters: at offset 0
+        a free factor's letters are the product's, a line's point is the
+        signed syllable length (inverse letters are odd at every offset),
+        and only a free factor at a nonzero offset relabels its letters."""
+        group = self.group
+        part = group.parts[i]
+        if not isinstance(part, FreeGroup):
+            return (LineSpace(), lambda s: -len(s) if s and s[0] & 1 else len(s),
+                    lambda n: part.from_exponents([n]))
+        if group._offsets[i]:
+            return CayleyTreeSpace(part), lambda s: group.to_local(i, s), lambda p: p
+        return CayleyTreeSpace(part), lambda s: s, lambda p: p
 
     # domain labels
 
@@ -409,7 +417,8 @@ class FreeProductHHG(HHStructure):
     def _coset_domain(self, u, v):
         """Record of the coset rep F_i at the tree vertex v = (i, rep): pi
         reads the leading factor-i syllable of the normal form rep^-1 g,
-        and a point lifts to rep times its local word.
+        in the product's letters, off g itself, and a point lifts to rep
+        times its local word.
 
         Every factor is free or infinite cyclic, so a normal form is a
         freely reduced word on all letters, and rep^-1 g is the free
@@ -423,7 +432,7 @@ class FreeProductHHG(HHStructure):
         space, point, word = self._factors[i]
         part_of = group._part_of
         start = len(rep)
-        base = point(group.to_local(i, ()))
+        base = point(())
 
         def pi(g):
             if g[:start] != rep:
@@ -431,7 +440,7 @@ class FreeProductHHG(HHStructure):
             end = start
             while end < len(g) and part_of[g[end]] == i:
                 end += 1
-            return point(group.to_local(i, g[start:end]))
+            return point(g[start:end])
 
         return Domain(u, space, pi,
                       lambda p: group.multiply(rep, group.to_global(i, word(p))))

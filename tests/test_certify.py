@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from hhglab import certify as certify_module
 from hhglab.balls import (enumerate_generating_sets, generates_at_radius,
                           growth_function, standard_ball, symmetrize)
 from hhglab.builders import build_named, load_structure, structure_from_json
@@ -16,9 +17,10 @@ from hhglab.certify import (CaseOutcome, certifier_ledger, certify,
                             verify_free_subgroup)
 from hhglab.errors import (CertifierRefutedError, ClassificationAnomalyError,
                            InputError, PreconditionError, StructureInvalidError)
-from hhglab.groups import IDENTITY, GroupModel, model_from_json
+from hhglab.groups import IDENTITY, FreeAbelianGroup, GroupModel, model_from_json
+from hhglab.spaces import LineSpace
 from hhglab.structures import (NEST_IN, ORTHOGONAL, TRANSVERSE, ConstantLedger,
-                               FreeProductHHG)
+                               Domain, FreeProductHHG, HHStructure, TableHHG)
 
 STANDARD = ("free2", "z1", "z2", "f2xz", "f2xf2", "f2freez")
 
@@ -440,6 +442,69 @@ class TestPingpong:
                                 certifier_ledger(st.constants), depth=4,
                                 declared_power=1)
 
+    @pytest.mark.parametrize("s, t, u, v", [("a", "c", "ab@1", "c@1"),
+                                            ("a", "caC", "ab@1", "ab@c"),
+                                            ("a", "cc", "ab@1", "c@1")])
+    def test_sample_matches_the_per_element_reference(self, s, t, u, v):
+        st = build_named("f2freez")
+        m = st.group
+        s, t = m.parse(s), m.parse(t)
+        sample = certify_module._pingpong_sample(st, u, v)
+        found = []
+        for power in (1, 2, 3, 4, 24):
+            ok, detail = certify_module._y_mapping_check(st, s, t, u, v, power, sample)
+            assert (ok, detail) == _reference_y_mapping(build_named("f2freez"),
+                                                        s, t, u, v, power)
+            found.append(ok or (detail["side"], detail["element"]))
+        # both sides fail somewhere, so both witness paths are compared
+        second = ("s", "ccc") if m.format(t) == "cc" else ("t", "aaa")
+        assert found == [("t", "aaa"), second, True, True, True]
+
+    def test_witness_is_the_first_far_element_in_ball_order(self):
+        # on Z, U projects to the sign of the exponent and V to 0 at t^2
+        # and t^-1 only, 5 elsewhere; t is the identity, so t^2 and T are
+        # the far elements of U that fail.  T comes first in the ball, t^2
+        # first in U's column, where t and t^2 share the point 1
+        z = FreeAbelianGroup(1)
+        e = lambda g: z.exponents(g)[0]
+        st = TableHHG("signs", z, ConstantLedger(), [
+            Domain("U", LineSpace(), lambda g: (e(g) > 0) - (e(g) < 0),
+                   lambda p: z.from_exponents([p])),
+            Domain("V", LineSpace(), lambda g: 0 if e(g) in (2, -1) else 5,
+                   lambda p: z.from_exponents([3 if p else 2])),
+        ], transverse=[("U", "V")])
+        assert list(st.projection_column("U", certify_module.PINGPONG_BALL_RADIUS)
+                    )[:3] == [0, 1, -1]
+        sample = certify_module._pingpong_sample(st, "U", "V")
+        witness = (False, {"side": "t", "power": 1, "element": "T"})
+        assert certify_module._y_mapping_check(st, IDENTITY, IDENTITY, "U", "V", 1,
+                                               sample) == witness
+        assert _reference_y_mapping(st, IDENTITY, IDENTITY, "U", "V", 1) == witness
+
+
+def _reference_y_mapping(structure, s, t, u, v, power):
+    """The ping-pong check as one loop over the ball per call, kept as the
+    reference: each element projected through pi and measured on its own."""
+    model = structure.group
+    sp_u, sp_v = structure.space(u), structure.space(v)
+    rho_vu = structure.rho_point(v, u)
+    rho_uv = structure.rho_point(u, v)
+    k0 = structure.constants.kappa0
+    ball = standard_ball(model, certify_module.PINGPONG_BALL_RADIUS)
+    y_s = [x for x in ball if sp_u.dist(structure.pi(u, x), rho_vu) > k0]
+    y_t = [x for x in ball if sp_v.dist(structure.pi(v, x), rho_uv) > k0]
+    tk = model.power(t, power)
+    sk = model.power(s, power)
+    for x in y_s:
+        y = model.multiply(tk, x)
+        if not sp_v.dist(structure.pi(v, y), rho_uv) > k0:
+            return False, {"side": "t", "power": power, "element": model.format(x)}
+    for x in y_t:
+        y = model.multiply(sk, x)
+        if not sp_u.dist(structure.pi(u, y), rho_vu) > k0:
+            return False, {"side": "s", "power": power, "element": model.format(x)}
+    return True, {"sampled": len(ball), "y_s": len(y_s), "y_t": len(y_t)}
+
 
 def equal_powers_structure():
     """f2freez with constants making k1 == k2 == 120 and M == 124."""
@@ -465,6 +530,57 @@ class TestNested:
         assert any("materialized" in c for c in cert.caveats)
         assert verify_free_subgroup(m, tuple(cert.words["u"]),
                                     tuple(cert.words["w"]), 5)
+
+    def test_power_search_measures_the_sample_once(self, monkeypatch):
+        # the search above tries powers 1, 2 and 3; the far sets do not
+        # depend on the power, so each domain's column is built once and
+        # each of its points is measured once
+        st = build_named("f2freez")
+        m = st.group
+        builds, measured, drawing = [], [], []
+        column = HHStructure.projection_column
+
+        def counted_column(self, u, radius):
+            if (u, radius) not in self._columns:
+                builds.append(u)
+            return column(self, u, radius)
+
+        draw = certify_module._pingpong_sample
+
+        def counted_draw(structure, u, v):
+            drawing.append(True)
+            try:
+                return draw(structure, u, v)
+            finally:
+                drawing.pop()
+
+        class Measured:
+            """The space of u, recording (u, point) per distance taken
+            while the sample is drawn."""
+
+            def __init__(self, u, space):
+                self.u, self.space = u, space
+
+            def dist(self, x, y):
+                if drawing:
+                    measured.append((self.u, x))
+                return self.space.dist(x, y)
+
+        space = st.space
+        monkeypatch.setattr(HHStructure, "projection_column", counted_column)
+        monkeypatch.setattr(certify_module, "_pingpong_sample", counted_draw)
+        monkeypatch.setattr(st, "space", lambda u: Measured(u, space(u)))
+        cert = nested_to_transverse(st, m.parse("a"), m.parse("ac"),
+                                    "ab@1", "S", (1, 1),
+                                    certifier_ledger(st.constants), depth=4)
+        assert cert.evidence["power"] == 3
+        domains = cert.evidence["domains"]
+        assert sorted(builds) == sorted(domains)
+        assert {u for u, _ in measured} == set(domains)
+        assert len(measured) == len(set(measured))
+        assert len(measured) == sum(
+            len(st.projection_column(u, certify_module.PINGPONG_BALL_RADIUS))
+            for u in domains)
 
     def test_equal_powers_record_the_master_bound(self):
         # N_rank == n0 makes k1 == k2; the nested route still records M

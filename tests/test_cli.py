@@ -38,6 +38,152 @@ def with_constants(tmp_path, name, **constants):
     return path
 
 
+# The CLI's usage surface at COLUMNS=80, recorded before the parser was
+# built per command, and kept byte for byte: argv -> (exit code, stdout,
+# stderr).
+TOP_USAGE = "usage: hhglab [-h] {check,certify,scan,distance,decompose,growth} ...\n"
+CERTIFY_USAGE = """\
+usage: hhglab certify [-h] [--seed SEED] [--out OUT] [--depth DEPTH]
+                      [--genset GENSET]
+                      structure
+"""
+SCAN_USAGE = """\
+usage: hhglab scan [-h] [--seed SEED] [--out OUT] [--depth DEPTH]
+                   [--format {json,csv}] [--scan-size SCAN_SIZE]
+                   [--scan-length SCAN_LENGTH] [--radius RADIUS]
+                   [--growth-n GROWTH_N]
+                   structure
+"""
+USAGE_SURFACE = {
+    ("--help",): (0, TOP_USAGE + """
+Check, certify, and scan hierarchical structures.
+
+positional arguments:
+  {check,certify,scan,distance,decompose,growth}
+    check               run the nine axiom checks
+    certify             growth certificate for one set
+    scan                certify every small generating set
+    distance            fit the distance-formula constants
+    decompose           orthogonal block decomposition
+    growth              ball growth table
+
+options:
+  -h, --help            show this help message and exit
+""",
+        ""),
+    ("check", "--help"): (0, """\
+usage: hhglab check [-h] [--seed SEED] [--out OUT] [--radius RADIUS]
+                    [--max-pairs MAX_PAIRS]
+                    structure
+
+positional arguments:
+  structure             catalog name (e.g. free2) or structure json path
+
+options:
+  -h, --help            show this help message and exit
+  --seed SEED
+  --out OUT             output path (default: stdout)
+  --radius RADIUS
+  --max-pairs MAX_PAIRS
+""",
+        ""),
+    ("certify", "--help"): (0, CERTIFY_USAGE + """
+positional arguments:
+  structure        catalog name (e.g. free2) or structure json path
+
+options:
+  -h, --help       show this help message and exit
+  --seed SEED
+  --out OUT        output path (default: stdout)
+  --depth DEPTH    recorded as verified_depth; the freeness test is exact at
+                   every depth
+  --genset GENSET  comma-separated words, e.g. "a,b"
+""",
+        ""),
+    ("scan", "--help"): (0, SCAN_USAGE + """
+positional arguments:
+  structure             catalog name (e.g. free2) or structure json path
+
+options:
+  -h, --help            show this help message and exit
+  --seed SEED
+  --out OUT             output path (default: stdout)
+  --depth DEPTH         recorded as verified_depth; the freeness test is exact
+                        at every depth
+  --format {json,csv}
+  --scan-size SCAN_SIZE
+                        max words per generating set
+  --scan-length SCAN_LENGTH
+                        max word length in the enumeration pool
+  --radius RADIUS       where no exact test applies, generation must be
+                        witnessed in this ball
+  --growth-n GROWTH_N   ball radius for the measured rate
+""",
+        ""),
+    ("distance", "--help"): (0, """\
+usage: hhglab distance [-h] [--seed SEED] [--out OUT] [--s S] [--pairs PAIRS]
+                       [--length LENGTH]
+                       structure
+
+positional arguments:
+  structure        catalog name (e.g. free2) or structure json path
+
+options:
+  -h, --help       show this help message and exit
+  --seed SEED
+  --out OUT        output path (default: stdout)
+  --s S            sum threshold
+  --pairs PAIRS
+  --length LENGTH  max sampled word length
+""",
+        ""),
+    ("decompose", "--help"): (0, """\
+usage: hhglab decompose [-h] [--seed SEED] [--out OUT] structure
+
+positional arguments:
+  structure    catalog name (e.g. free2) or structure json path
+
+options:
+  -h, --help   show this help message and exit
+  --seed SEED
+  --out OUT    output path (default: stdout)
+""",
+        ""),
+    ("growth", "--help"): (0, """\
+usage: hhglab growth [-h] [--seed SEED] [--out OUT] [--format {json,csv}]
+                     [--n N] [--genset GENSET] [--symmetrize]
+                     structure
+
+positional arguments:
+  structure            catalog name (e.g. free2) or structure json path
+
+options:
+  -h, --help           show this help message and exit
+  --seed SEED
+  --out OUT            output path (default: stdout)
+  --format {json,csv}
+  --n N                max ball radius
+  --genset GENSET      words to grow with (default: standard)
+  --symmetrize         close --genset under inverses
+""",
+        ""),
+    (): (2, "",
+        TOP_USAGE + "hhglab: error: the following arguments are required: command\n"),
+    ("nonesuch",): (2, "",
+        TOP_USAGE + "hhglab: error: argument command: invalid choice: 'nonesuch'"
+        " (choose from 'check', 'certify', 'scan', 'distance', 'decompose',"
+        " 'growth')\n"),
+    ("certify",): (2, "",
+        CERTIFY_USAGE
+        + "hhglab certify: error: the following arguments are required: structure\n"),
+    ("certify", "z2", "--bogus", "1"): (2, "",
+        TOP_USAGE + "hhglab: error: unrecognized arguments: --bogus 1\n"),
+    ("scan", "free2", "--format", "xml"): (2, "",
+        SCAN_USAGE + "hhglab scan: error: argument --format: invalid choice:"
+        " 'xml' (choose from 'json', 'csv')\n"),
+}
+
+
 class TestCheck:
     def test_standard_file_passes(self, capsys):
         code, doc, _ = run_json(capsys, "check", f"{STRUCTURES}/f2xz.json")
@@ -620,6 +766,29 @@ class TestDecompose:
         code, doc, _ = run_json(capsys, "decompose", "z1")
         assert doc["report"]["blocks"] == [["S"]]
         assert doc["report"]["descriptors"][0]["kind"] == "line"
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv", list(USAGE_SURFACE),
+                             ids=lambda argv: " ".join(argv) or "no-command")
+    def test_usage_bytes(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out = capsys.readouterr()
+        assert (exc.value.code, out.out, out.err) == USAGE_SURFACE[argv]
+
+    def test_one_command_parses_as_the_full_parser(self, reachability):
+        full = cli.build_parser(None)
+        for argv in reachability.commands():
+            argv = argv + ["--out", "report"]
+            assert cli.build_parser(argv[0]).parse_args(argv) == full.parse_args(argv)
+
+    def test_one_command_builds_one_subparser(self):
+        parser = cli.build_parser("certify")
+        assert list(parser._subparsers._group_actions[0].choices) == ["certify"]
+        assert list(cli.build_parser("nonesuch")._subparsers._group_actions[0]
+                    .choices) == list(cli.COMMANDS)
 
 
 class TestDeterminism:

@@ -291,11 +291,54 @@ class TestFreeProductStructure:
             assert {m._part_of[g[-1]] for g in tests if g} == {0, 1}
             for g in tests:
                 syls = syllables(m, invert_word(rep) + g)
-                expected = point(syls[0][1] if syls and syls[0][0] == i else ())
+                expected = point(m.to_global(i, syls[0][1])
+                                 if syls and syls[0][0] == i else ())
                 assert self.hh._domain(u).pi(g) == expected, (u, m.format(g))
                 if expected != point(()):
                     moved.add(i)
         assert moved == {0, 1}
+
+FREE = {"family": "free", "rank": 2}
+LINE = {"family": "free_abelian", "rank": 1, "labels": ["t"]}
+# Z*F2 puts a line at offset 0 and a free factor at a nonzero offset
+FREE_PRODUCTS = {
+    "zfreef2": [LINE, {**FREE, "labels": ["a", "b"]}],
+    "f2freef2": [{**FREE, "labels": ["a", "b"]}, {**FREE, "labels": ["c", "d"]}],
+}
+
+
+@pytest.mark.parametrize("name", ["f2freez", *FREE_PRODUCTS])
+def test_coset_read_matches_the_local_reference(name):
+    # reference: the leading factor-i run of rep^-1 g, as a product, taken
+    # to the factor's letters and read there: the local word on a free
+    # factor, the exponent on a line
+    if name in FREE_PRODUCTS:
+        hh = structure_from_json({"builder": "free_product", "label": name, "group": {
+            "family": "free_product", "factors": FREE_PRODUCTS[name]}})
+    else:
+        hh = build_named(name)
+    m = hh.group
+    moved = set()  # factors with a point off the base point
+    line_points = set()
+    for u in hh.domains()[1:]:
+        i, rep = hh.parse_domain(u)
+        free = m.parts[i].family == "free"
+        rep_inverse = m.inverse(rep)
+        for g in balls.standard_ball(m, 4):
+            h = m.multiply(rep_inverse, g)
+            end = 0
+            while end < len(h) and m._part_of[h[end]] == i:
+                end += 1
+            local = m.to_local(i, h[:end])
+            expected = local if free else m.parts[i].exponents(local)[0]
+            assert hh.pi(u, g) == expected, (u, m.format(g))
+            if local:
+                moved.add(i)
+            if not free:
+                line_points.add(expected)
+    assert moved == {0, 1}
+    assert not line_points or min(line_points) < 0 < max(line_points)
+
 
 def test_domain_records_are_read_on_the_base_class():
     for cls in (TableHHG, FreeProductHHG):
