@@ -8,6 +8,7 @@ for exercising the axiom checker and the structural validators; each
 fixture's docstring says exactly what it breaks.
 """
 
+import hashlib
 import json
 
 from .errors import InputError, WrongKindError
@@ -358,12 +359,24 @@ def names_a_file(source) -> bool:
 
 
 def load_structure(source) -> HHStructure:
-    """Accepts a catalog name or a path to a structure json file; a file
-    nested past the interpreter's recursion limit raises InputError."""
-    if names_a_file(source):
-        with open(source) as fh:
-            try:
-                return structure_from_json(json.load(fh))
-            except RecursionError:
-                raise InputError("structure json nests too deeply") from None
-    return build_named(source)
+    """Accepts a catalog name or a path to a structure json file.
+
+    A file is read once, and the structure is parsed from those bytes and
+    records their sha256 as source_sha256, so a pipe gets the digest of
+    what was parsed.  A file that is not UTF-8, or nests past the
+    interpreter's recursion limit, raises InputError."""
+    if not names_a_file(source):
+        return build_named(source)
+    with open(source, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise InputError(f"structure json is not UTF-8: {err.reason} at byte {err.start}"
+                         ) from None
+    try:
+        structure = structure_from_json(json.loads(text))
+    except RecursionError:
+        raise InputError("structure json nests too deeply") from None
+    structure.source_sha256 = hashlib.sha256(data).hexdigest()
+    return structure

@@ -403,15 +403,18 @@ def _y_mapping_check(structure, s, t, u, v, power, sample):
     """Sampled ping-pong inclusion: t^power must map the far set of u into
     the far set of v, and s^power the far set of v into that of u.  sample
     is _pingpong_sample(structure, u, v); a failure names the first
-    element of a far set, in ball order, whose translate falls short."""
+    element of a far set, in ball order, whose translate falls short.
+    A translate is projected once and never looked up again, so it goes
+    through the domain's own map, not the pi memo."""
     model = structure.group
     k0 = structure.constants.kappa0
     sampled, ((sp_u, rho_vu, y_s), (sp_v, rho_uv, y_t)) = sample
     for side, g, w, space, rho, far in (("t", t, v, sp_v, rho_uv, y_s),
                                         ("s", s, u, sp_u, rho_vu, y_t)):
         gk = model.power(g, power)
+        project = structure.projection_map(w)
         for x in far:
-            if not space.dist(structure.pi(w, model.multiply(gk, x)), rho) > k0:
+            if not space.dist(project(model.multiply(gk, x)), rho) > k0:
                 return False, {"side": side, "power": power, "element": model.format(x)}
     return True, {"sampled": sampled, "y_s": len(y_s), "y_t": len(y_t)}
 

@@ -19,7 +19,7 @@ import sys
 
 from .axioms import check_structure, structural_validators
 from .balls import growth_function, parse_generating_set, symmetrize
-from .builders import load_structure, names_a_file
+from .builders import load_structure
 from .certify import certify, scan_generating_sets
 from .coords import fit_distance_formula, product_decomposition
 from .errors import (CertifierRefutedError, ClassificationAnomalyError,
@@ -29,12 +29,10 @@ REPORT_SCHEMA = 1
 
 
 def structure_fingerprint(source, structure):
-    """sha256 of the structure file, or of the canonical recipe when the
-    structure came from the built-in catalog."""
-    if names_a_file(source):
-        with open(source, "rb") as fh:
-            return {"kind": "file", "source": source,
-                    "sha256": hashlib.sha256(fh.read()).hexdigest()}
+    """sha256 of the structure file, as load_structure read it, or of the
+    canonical recipe when the structure came from the built-in catalog."""
+    if structure.source_sha256 is not None:
+        return {"kind": "file", "source": source, "sha256": structure.source_sha256}
     recipe = json.dumps(structure.to_json(), sort_keys=True).encode()
     return {"kind": "recipe", "source": source,
             "sha256": hashlib.sha256(recipe).hexdigest()}

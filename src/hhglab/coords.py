@@ -11,7 +11,10 @@ The realization search does not score every ball element.  It reads the
 projection column of one lead domain (the ball's distinct points there,
 and the elements at each, built once per structure and radius) and
 visits the lead's points nearest the target first, stopping once the
-lead distance alone exceeds the best score found.
+lead distance alone exceeds the best score found.  The target's own
+point comes first, looked up rather than measured: a tuple that one of
+its elements fits exactly ends the search there, before the rest of the
+column is measured or sorted.
 """
 
 import math
@@ -136,7 +139,11 @@ def closest_elements(structure, targets, radius):
     points by increasing distance from the lead's target point and scores
     the elements at each, dropping an element at its first distance above
     the least score so far.  It stops at the first point farther than
-    that score, where no element can reach it.  A score is the first
+    that score, where no element can reach it.  The target point itself,
+    when the column holds it, is the only point at distance 0 (the premise
+    of Space), so it comes first without measuring the others, and a
+    least score of 0 there ends the search: the rest of the column is
+    measured and sorted only when it does not.  A score is the first
     largest of its distances in target order and theta_e the score of the
     first closest element, so theta_e has the value and the int/float type
     that max and min over all scores in ball order would give.
@@ -148,9 +155,17 @@ def closest_elements(structure, targets, radius):
         structure.is_bounded_domain(targets[j][0]), rank.get(targets[j][0], len(rank))))
     lead_u, lead_p = targets[lead]
     lead_dist = structure.space(lead_u).dist
-    near = sorted(((lead_dist(lead_p, q), at)
-                   for q, at in structure.projection_column(lead_u, radius).items()),
-                  key=itemgetter(0))
+    column = structure.projection_column(lead_u, radius)
+    own = column.get(lead_p)
+
+    def near():
+        # the lead's own point first: every other point of the column lies
+        # at a positive distance from it (the premise of Space)
+        if own is not None:
+            yield lead_dist(lead_p, lead_p), own
+        yield from sorted(((lead_dist(lead_p, q), at) for q, at in column.items()
+                           if at is not own), key=itemgetter(0))
+
     ball = standard_ball(structure.group, radius)
     pi = structure.pi
     # the lead's distance comes from the column: its dist is None here
@@ -158,7 +173,7 @@ def closest_elements(structure, targets, radius):
                for j, (u, p) in enumerate(targets)]
     best = None  # the least score so far
     found = []  # (ball index, score) of the elements scoring best
-    for d_lead, at in near:
+    for d_lead, at in near():
         if best is not None and d_lead > best:
             break
         for i in at:
@@ -175,6 +190,8 @@ def closest_elements(structure, targets, radius):
                     best, found = score, [(i, score)]
                 elif score == best:
                     found.append((i, score))
+        if best == 0:
+            break  # only the own point is at distance 0: no other can tie
     found.sort()
     return found[0][1], [ball[i] for i, _ in found]
 

@@ -17,7 +17,12 @@ from .groups import FreeGroup, FreeProduct, invert_word, is_int
 
 
 class Space:
-    """Metric space with basepoint, geodesics, and a ball sampler."""
+    """Metric space with basepoint, geodesics, and a ball sampler.
+
+    dist is a metric on the space's points, and two points at distance 0
+    are equal: d(p, q) = 0 only when p = q.  Realization relies on it to
+    take a target's own point as the only one at distance 0 from it.
+    """
 
     label = "space"
     bounded = False

@@ -106,6 +106,7 @@ class HHStructure:
     label: str
     group: GroupModel
     constants: ConstantLedger
+    source_sha256 = None  # of the json file load_structure read it from
 
     def domains(self) -> list:
         """Labels of the materialized domains, deterministic order."""
@@ -134,6 +135,12 @@ class HHStructure:
             point = points[g] = self._domain(u).pi(g)
         return point
 
+    def projection_map(self, u):
+        """The domain's own projection map, g -> pi_u(g), for g a normal
+        form.  It keeps no memo: it serves elements that are projected
+        once, such as a whole ball or its translates."""
+        return self._domain(u).pi
+
     def projection_column(self, u, radius):
         """The projections to u of standard_ball(group, radius), grouped by
         point: {point: ascending ball indices of the elements projecting to
@@ -145,7 +152,7 @@ class HHStructure:
         the ball a second time."""
         column = self._columns.get((u, radius))
         if column is None:
-            project = self._domain(u).pi
+            project = self.projection_map(u)
             column = self._columns[(u, radius)] = {}
             for i, g in enumerate(standard_ball(self.group, radius)):
                 column.setdefault(project(g), []).append(i)

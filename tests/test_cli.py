@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -356,6 +359,20 @@ class TestMalformedStructureFile:
             assert code == 2, (case, argv)
             assert out == ""
             assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("raw, message", [
+        (b'{"builder": "\xff"}',
+         "structure json is not UTF-8: invalid start byte at byte 13"),
+        # a byte order mark is valid UTF-8, and JSON refuses it
+        (b'\xef\xbb\xbf{"builder": "named", "name": "z1"}',
+         "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    ], ids=["not UTF-8", "UTF-8 BOM"])
+    def test_undecodable_bytes_exit_two_with_one_error_line(self, capsys, tmp_path,
+                                                             raw, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
+        for argv in (["check", str(path)], ["decompose", str(path)]):
+            assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 F1 = {"family": "free", "rank": 1, "labels": ["a"]}
@@ -766,6 +783,25 @@ class TestDecompose:
         code, doc, _ = run_json(capsys, "decompose", "z1")
         assert doc["report"]["blocks"] == [["S"]]
         assert doc["report"]["descriptors"][0]["kind"] == "line"
+
+
+class TestStructureDigest:
+    def test_a_piped_file_gets_the_digest_of_its_bytes(self, capsys):
+        # the file is read once, so a pipe, which cannot be read twice,
+        # is hashed from the bytes that were parsed
+        data = pathlib.Path(f"{STRUCTURES}/f2xz.json").read_bytes()
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", f"import sys; sys.path.insert(0, {str(src)!r}); "
+             "from hhglab.cli import main; sys.exit(main())", "decompose", "/dev/stdin"],
+            input=data, capture_output=True, check=True)
+        piped = json.loads(done.stdout)
+        assert piped["structure_source"] == {
+            "kind": "file", "source": "/dev/stdin",
+            "sha256": hashlib.sha256(data).hexdigest()}
+        code, doc, _ = run_json(capsys, "decompose", f"{STRUCTURES}/f2xz.json")
+        assert code == 0 and doc["report"] == piped["report"]
+        assert doc["structure_source"]["sha256"] == piped["structure_source"]["sha256"]
 
 
 class TestUsage:

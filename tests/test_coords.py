@@ -151,12 +151,27 @@ def reference_closest_elements(structure, radius, targets):
 CATALOG = ["free2", "z1", "z2", "f2xz", "f2xf2", "f2freez"]
 
 
+def search_case(structure, radius, targets, theta_e):
+    """Where the search of closest_elements ends up: "stop" when the lead
+    target's own point is in its column and scores 0, "positive" when it
+    is there with a least score above 0, "absent" when the column lacks
+    it.  The lead is the first unbounded target in domain order."""
+    rank = structure.domains().index
+    lead_u, lead_p = min(targets, key=lambda t: (structure.is_bounded_domain(t[0]),
+                                                  rank(t[0])))
+    if lead_p not in structure.projection_column(lead_u, radius):
+        return "absent"
+    return "positive" if theta_e > 0 else "stop"
+
+
 class TestClosestElementsPruning:
     @pytest.mark.parametrize("name", CATALOG)
     def test_pruned_search_matches_the_full_scoring(self, name):
         hh = build_named(name)
         domains = hh.domains()
         types = set()
+        # each kind of target must reach its own case of the search
+        cases = {kind: set() for kind in range(3)}
         for radius in (2, 3, 4):
             rng = random.Random(19 + radius)
             ball = standard_ball(hh.group, radius)
@@ -188,11 +203,32 @@ class TestClosestElementsPruning:
                 positive += want[0] > 0
                 ties += len(want[1]) > 1
                 types.add(type(want[0]))
+                cases[kind].add(search_case(hh, radius, targets, want[0]))
             assert positive > 0
             if len(domains) > 1:  # one tree or line domain separates the ball
                 assert ties > 0
         if name in ("z2", "f2xz", "f2xf2"):  # S is a point: its distance is 0.0
             assert types == {int, float}
+        assert "stop" in cases[0]
+        if len(domains) > 1:  # one target alone scores 0 at its own point
+            assert "positive" in cases[1]
+        assert "absent" in cases[2]
+
+    def test_an_exact_tuple_measures_only_its_own_point(self, monkeypatch):
+        # a projected tuple is fitted exactly at its lead's own point: the
+        # search measures that point and stops, before measuring the 1,456
+        # other points of T's column or sorting them
+        hh = build_named("f2xz")
+        g = hh.group.parse("abAtt")
+        targets = sorted(project_tuple(hh, g).entries.items())
+        space = hh.space("T")
+        assert len(hh.projection_column("T", 6)) == 1457
+        measured = []
+        dist = space.dist
+        monkeypatch.setattr(space, "dist",
+                            lambda x, y: measured.append((x, y)) or dist(x, y))
+        assert closest_elements(hh, targets, 6) == (0, [g])
+        assert measured == [(hh.pi("T", g), hh.pi("T", g))]
 
 
 class FloatLine(LineSpace):
