@@ -27,7 +27,12 @@ BENCH_<pr>.json, written to the root of this checkout, holds the machine,
 both commits, every raw run, each side's median and quartiles per
 end-to-end metric, the pairs each side won (ties count for neither), and
 each side's median and quartiles per per-layer metric, with the difference
-of the medians.  Standard library only.
+of the medians.  Under "jobs" it also holds, per workload, each side's
+median and quartiles of every job's seconds (one value per untraced run:
+the job's median over that run's passes, at the reference speed that
+job_max_s uses, read from the run's .bench_out/*.result.json), and the
+job with the largest median on each side, the one behind job_max_s.
+Standard library only.
 """
 
 import json
@@ -43,6 +48,11 @@ import tempfile
 import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "benchmark"))
+
+import run as benchmark_run  # noqa: E402
+import speed  # noqa: E402
+
 PAIRS = 10
 TRACED_RUNS = 3
 FIRST_SEED = 1
@@ -68,8 +78,27 @@ def commit():
     return done.stdout.strip() or None
 
 
+def job_seconds(checkout, workload, seed):
+    """{job: its median seconds over the untraced passes} of the last
+    untraced run of the workload at the seed, at the reference speed, each
+    job time scaled by the speed samples around it as benchmark/run.py
+    scales them for job_max_s; {} when the run left no result file."""
+    path = checkout / ".bench_out" / f"{workload}-seed{seed}-trace0.result.json"
+    try:
+        jobs = json.loads(path.read_text())["jobs"]
+    except (OSError, ValueError, KeyError):
+        return {}
+    recs = [r for r in jobs if not r["traced"] and "s" in r]
+    times = {}
+    for i, rec in enumerate(recs):
+        probe_s = speed.typical(benchmark_run.local_samples(recs, i))
+        times.setdefault(rec["job"], []).append(speed.scale(rec["s"], probe_s))
+    return {job: statistics.median(t) for job, t in times.items()}
+
+
 def run(checkout, workload, seed, trace):
-    """One benchmark run; its result line plus how it went."""
+    """One benchmark run; its result line plus how it went, and for an
+    untraced run each job's median seconds."""
     argv = [sys.executable, "benchmark/run.py", "--workload", workload,
             "--seed", str(seed), "--trace", str(trace)]
     started = time.time()
@@ -80,7 +109,8 @@ def run(checkout, workload, seed, trace):
             "returncode": done.returncode, "stderr": done.stderr[-2000:],
             "correct": result.get("correct"), "attempted": result.get("attempted"),
             "failed": result.get("failed"),
-            "metrics": {k: v["value"] for k, v in result.get("metrics", {}).items()}}
+            "metrics": {k: v["value"] for k, v in result.get("metrics", {}).items()},
+            "job_s": {} if trace else job_seconds(checkout, workload, seed)}
 
 
 def spread(values):
@@ -138,6 +168,26 @@ def layer_spreads(runs, spec):
     return out
 
 
+def job_spreads(runs, spec):
+    """Per workload: each job's spread per side over the untraced runs,
+    and the job with the largest median per side."""
+    out = {}
+    for w in spec["workloads"]:
+        times = {"parent": {}, "change": {}}
+        for r in runs:
+            if r["workload"] == w["name"] and r["trace"] == 0:
+                for job, s in r.get("job_s", {}).items():
+                    times[r["side"]].setdefault(job, []).append(s)
+        jobs = {job: {side: spread(times[side][job]) if len(times[side].get(job, ())) > 1
+                      else None for side in times}
+                for job in sorted(set(times["parent"]) | set(times["change"]))}
+        slowest = {side: max((j for j in jobs if jobs[j][side]),
+                             key=lambda j: jobs[j][side]["median"], default=None)
+                   for side in times}
+        out[w["name"]] = {"slowest": slowest, "jobs": jobs}
+    return out
+
+
 def run_pairs(sides, spec):
     """Every run of every workload: PAIRS alternating untraced pairs, then
     TRACED_RUNS traced runs per side, alternating."""
@@ -188,6 +238,7 @@ def main(argv):
         "traced_runs_per_side": TRACED_RUNS,
         "summary": summarise(runs, spec),
         "layers": layer_spreads(runs, spec),
+        "jobs": job_spreads(runs, spec),
         "runs": runs,
     }
     out = ROOT / f"BENCH_{argv[2]}.json"

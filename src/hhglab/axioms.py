@@ -21,7 +21,10 @@ of the sampled elements it has needed, each asked of the structure's pi
 memo once, and d_u(x, y) is the distance of two entries of that column.
 Nesting is a relation between labels, not points, so ``above(v)``, the
 sampled domains that v nests in, is asked of the structure once per label;
-checks 4, 6 and 7 read their nested pairs off it.
+checks 4, 6 and 7 read their nested pairs off it.  Check 6 plans each
+distinct domains_between list once: the domains w that some of its domains
+nest in, in domains order, each with those candidates and their
+rho_point(v, w), asked once per (v, w); the pairs of that list reuse it.
 
 Checks 1, 4 and 6-9 keep that worst case in one record, ``_Worst``: the
 smallest margin, the first witness that reached it and the check count.
@@ -367,23 +370,30 @@ def _check_large_links(env):
     E = st.constants.E
     lam = st.constants.lam
     worst = _Worst()
+    order = {u: i for i, u in enumerate(env.domains)}
+    plans = {}  # domains between, as a tuple -> its plan
+    rhos = {}  # (v, w) -> rho_point(v, w)
     for k, (x, y, _) in enumerate(env.pairs):
-        below = {}  # w -> the domains between x and y nested in w, in order
-        for v in env.between(k):
-            for w in env.above(v):
-                below.setdefault(w, []).append(v)
-        for w in env.domains:
-            candidates = below.get(w)
-            if not candidates:
-                continue
+        between = tuple(env.between(k))
+        plan = plans.get(between)
+        if plan is None:
+            below = {}  # w -> the domains between nested in w, in order
+            for v in between:
+                for w in env.above(v):
+                    below.setdefault(w, []).append(v)
+                    if (v, w) not in rhos:
+                        rhos[v, w] = st.rho_point(v, w)
+            plan = plans[between] = [(w, st.space(w).dist, [(v, rhos[v, w]) for v in below[w]])
+                                     for w in sorted(below, key=order.__getitem__)]
+        for w, dist, candidates in plan:
             dw = env.dsub(k, w)
             bound = lam * dw + lam
-            links = [v for v in candidates if env.dsub(k, v) >= E]
+            links = [(v, rho) for v, rho in candidates if env.dsub(k, v) >= E]
             worst.see(bound - len(links), lambda: {"clause": "count", "w": w, "x": env.show(x),
                                                    "y": env.show(y), "links": len(links), "bound": bound})
             pw = st.pi(w, x)
-            for v in links:
-                d = st.space(w).dist(pw, st.rho_point(v, w))
+            for v, rho in links:
+                d = dist(pw, rho)
                 worst.see(bound - d, lambda: {
                     "clause": "rho distance", "w": w, "v": v, "x": env.show(x), "y": env.show(y), "d": d})
     return worst.report(6, lam)

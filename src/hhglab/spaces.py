@@ -9,11 +9,9 @@ The pairwise distances of a finite sample are computed once, in one place,
 sample diameter read them from it.
 """
 
-from itertools import groupby
-
 from .balls import standard_ball, standard_ball_prefix
 from .errors import InputError, WrongKindError
-from .groups import FreeGroup, FreeProduct, invert_word, is_int
+from .groups import FreeGroup, FreeProduct, is_int
 
 
 class Space:
@@ -213,6 +211,12 @@ class CosetTreeSpace(Space):
     ``geodesic`` trust that the points they get come from ``vertex``,
     ``translate``, ``sample_points`` or a projection, and do not check them
     again.
+
+    ``dist``, ``cosets`` and ``geodesic`` read the syllables of h^-1 k off
+    the normal forms h and k and form no product: both are freely reduced
+    on all letters, so h^-1 k is h's tail after their common prefix,
+    inverted, then k's tail.  Nothing cancels where the tails meet, and
+    their end syllables there are one syllable when they share a factor.
     """
 
     label = "coset tree"
@@ -239,13 +243,33 @@ class CosetTreeSpace(Space):
         factor, rep = v
         return self.vertex(factor, self.model.multiply(g, rep))
 
+    def _syllables(self, h, k):
+        """(factor, word, cut) of each syllable of h^-1 k, in order, where
+        word[:cut], a prefix of h or of k, is the point the path from h to
+        k has reached when the syllable begins."""
+        part_of = self.model._part_of
+        c = 0
+        for a, b in zip(h, k):
+            if a != b:
+                break
+            c += 1
+        out = []
+        fi = None  # factor of the syllable the walk is in
+        for end in range(len(h), c, -1):
+            if part_of[h[end - 1]] != fi:
+                fi = part_of[h[end - 1]]
+                out.append((fi, h, end))
+        for start in range(c, len(k)):
+            if part_of[k[start]] != fi:
+                fi = part_of[k[start]]
+                out.append((fi, k, start))
+        return out
+
     def dist(self, x, y):
         if x == y:
             return 0
         (i, h), (j, k) = x, y
-        # the factor of each syllable of h^-1 k (h^-1 is reduced, as h is)
-        runs = [fi for fi, _ in groupby(map(self.model._part_of.__getitem__,
-                                            self.model.multiply(invert_word(h), k)))]
+        runs = [fi for fi, _, _ in self._syllables(h, k)]
         if runs and runs[0] == i:
             runs = runs[1:]
         if runs and runs[-1] == j:
@@ -260,13 +284,7 @@ class CosetTreeSpace(Space):
         syllable of h^-1 k, the vertex of its factor's coset at the point
         the path has reached.  Along a reduced path they are pairwise
         distinct."""
-        out = []
-        g = h
-        for fi, run in groupby(self.model.multiply(invert_word(h), k),
-                               self.model._part_of.__getitem__):
-            out.append((fi, self._rep(fi, g)))
-            g = self.model.multiply(g, tuple(run))
-        return out
+        return [(fi, self._rep(fi, w[:cut])) for fi, w, cut in self._syllables(h, k)]
 
     def geodesic(self, x, y):
         path = [x]

@@ -385,17 +385,13 @@ class FreeProductHHG(HHStructure):
         i, rep = v
         return f"{self._factor_names[i]}@{self.group.format(rep)}"
 
-    def parse_domain(self, u):
-        """Tree vertex a coset label names (None for the top domain)."""
-        return self._entry(u)[0]
-
     def _domain(self, u):
         return self._entry(u)[1]
 
     def _entry(self, u):
-        """(tree vertex, Domain) of the label u, decoded once per label;
-        IndexMismatchError on every call with a label that names no
-        domain."""
+        """(tree vertex, Domain) of the label u, decoded once per label; the
+        vertex is None for the top domain.  IndexMismatchError on every
+        call with a label that names no domain."""
         try:
             return self._decoded[u]
         except KeyError:
@@ -458,8 +454,12 @@ class FreeProductHHG(HHStructure):
     # geometry
 
     def relation(self, u, v):
-        pu = self.parse_domain(u)
-        pv = self.parse_domain(v)
+        """Read off the tree vertices: one dict lookup per decoded label;
+        _entry decodes a new label or raises IndexMismatchError."""
+        try:
+            pu, pv = self._decoded[u][0], self._decoded[v][0]
+        except (KeyError, TypeError):
+            pu, pv = self._entry(u)[0], self._entry(v)[0]
         if pu == pv:
             return EQUAL
         if pu is None:
@@ -469,8 +469,7 @@ class FreeProductHHG(HHStructure):
         return TRANSVERSE
 
     def rho_point(self, v, w):
-        pv = self.parse_domain(v)
-        pw = self.parse_domain(w)
+        pv, pw = self._entry(v)[0], self._entry(w)[0]
         if pv is None or pv == pw:
             raise PreconditionError(f"no point projection from {v} to {w}")
         if pw is None:
@@ -478,7 +477,7 @@ class FreeProductHHG(HHStructure):
         return self.pi(w, pv[1])
 
     def act_on_domain(self, g, u):
-        v = self.parse_domain(u)
+        v = self._entry(u)[0]
         if v is None:
             return u
         return self.vertex_label(self.tree.translate(g, v))

@@ -220,6 +220,35 @@ class TestSharedSamples:
         assert calls == []
 
 
+@pytest.mark.parametrize("source", ["f2freez", "f2freez-radius-3"])
+def test_large_links_plans_each_path_once(monkeypatch, source):
+    # check 6 asks rho_point once per (v, w) in a run, and once every
+    # label's nesting is known, no pair walks the whole domain list: only
+    # the run's one map of domain places does
+    st = build_named("f2freez") if source == "f2freez" else _f2freez_radius_3()
+    env = _Env(st, 3, 0, 500 if source == "f2freez" else 300)
+    want = axioms._check_large_links(env)
+    paths = {tuple(env.between(k)) for k in range(len(env.pairs))}
+    assert 1 < len(paths) < len(env.pairs)
+    asked, walks = [], []
+    original = st.rho_point
+
+    def counting(v, w):
+        asked.append((v, w))
+        return original(v, w)
+
+    class CountingDomains(list):
+        def __iter__(self):
+            walks.append(1)
+            return super().__iter__()
+
+    monkeypatch.setattr(st, "rho_point", counting)
+    env.domains = CountingDomains(env.domains)
+    assert axioms._check_large_links(env) == want
+    assert asked and max(Counter(asked).values()) == 1
+    assert len(walks) == 1
+
+
 def _f2freez_radius_3():
     """f2freez with generation_radius 3: 189 domains, so check 1 samples 40
     of them per pair and leaves each row of distances partly filled."""
@@ -470,16 +499,22 @@ def test_downward_projection_needs_a_nested_pair(name, w, v):
         st.rho_map_point(w, v, st.space(w).basepoint())
 
 
+# the free product is the one family whose pairs have domains_between lists
+# of their own, so the radius-3 copy gives check 6 the most plans
+NESTING_RUNS = {**{name: (build, 60) for name, build in NESTING_SOURCES.items()},
+                "f2freez-radius-3": (_f2freez_radius_3, 300)}
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("source", sorted(NESTING_SOURCES))
+@pytest.mark.parametrize("source", sorted(NESTING_RUNS))
 def test_nesting_map_matches_the_per_pair_reference(source, seed):
     # the same draws from the same rng, so every report agrees, witnesses too
     reference = {4: _reference_consistency, 6: _reference_large_links,
                  7: _reference_geodesic_image, 9: _reference_uniqueness}
-    build = NESTING_SOURCES[source]
-    env = _Env(build(), 3, seed, 60)
+    build, max_pairs = NESTING_RUNS[source]
+    env = _Env(build(), 3, seed, max_pairs)
     expected = [reference.get(i, check)(env) for i, check in axioms._CHECKERS.items()]
-    got = check_structure(build(), radius=3, seed=seed, max_pairs=60)
+    got = check_structure(build(), radius=3, seed=seed, max_pairs=max_pairs)
     assert [a.to_json() for a in got.axioms] == [a.to_json() for a in expected]
 
 

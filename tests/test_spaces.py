@@ -2,12 +2,13 @@
 
 import math
 import random
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 
 import pytest
 
 from hhglab.errors import InputError, WrongKindError
-from hhglab.groups import FreeAbelianGroup, FreeGroup, FreeProduct
+from hhglab.balls import standard_ball
+from hhglab.groups import FreeAbelianGroup, FreeGroup, FreeProduct, invert_word
 from hhglab.spaces import (
     CayleyTreeSpace,
     CosetTreeSpace,
@@ -129,7 +130,65 @@ class TestCayleyTree:
             assert not self.T.contains(x)
 
 
+# The coset tree's distance and syllable path as they were computed from the
+# product h^-1 k before they were read off the two normal forms.
+
+def _reference_dist(space, x, y):
+    if x == y:
+        return 0
+    (i, h), (j, k) = x, y
+    # the factor of each syllable of h^-1 k (h^-1 is reduced, as h is)
+    runs = [fi for fi, _ in groupby(map(space.model._part_of.__getitem__,
+                                        space.model.multiply(invert_word(h), k)))]
+    if runs and runs[0] == i:
+        runs = runs[1:]
+    if runs and runs[-1] == j:
+        runs = runs[:-1]
+    return len(runs) + 1
+
+
+def _reference_cosets(space, h, k):
+    out = []
+    g = h
+    for fi, run in groupby(space.model.multiply(invert_word(h), k),
+                           space.model._part_of.__getitem__):
+        out.append((fi, space._rep(fi, g)))
+        g = space.model.multiply(g, tuple(run))
+    return out
+
+
+# Z*F2 puts a line at offset 0; F2*F2 has free factors on both sides
+COSET_TREE_MODELS = {
+    "f2*z": f2_star_z,
+    "z*f2": lambda: FreeProduct([FreeAbelianGroup(1, ["c"]), FreeGroup(2, ["a", "b"])]),
+    "f2*f2": lambda: FreeProduct([FreeGroup(2, ["a", "b"]), FreeGroup(2, ["c", "d"])]),
+    "z*z": lambda: FreeProduct([FreeAbelianGroup(1, ["s"]), FreeAbelianGroup(1, ["t"])]),
+}
+
+
 class TestCosetTree:
+    @pytest.mark.parametrize("name", sorted(COSET_TREE_MODELS))
+    def test_syllable_walk_matches_the_product_reference(self, name):
+        # every vertex pair of the radius-3 sample, and seeded element pairs
+        # of the radius-4 ball; the pairs whose tails start in one factor
+        # have a syllable across the junction of the two tails
+        S = CosetTreeSpace(COSET_TREE_MODELS[name]())
+        pts = S.sample_points(3)
+        for x in pts:
+            for y in pts:
+                assert S.dist(x, y) == _reference_dist(S, x, y), (x, y)
+        ball = standard_ball(S.model, 4)
+        rng = random.Random(7)
+        pairs = [(rng.choice(ball), rng.choice(ball)) for _ in range(3000)]
+        pairs += [(h, S.model.multiply(h, g)) for h, g in pairs[:1000]]
+        part_of = S.model._part_of
+        merged = 0
+        for h, k in pairs:
+            assert S.cosets(h, k) == _reference_cosets(S, h, k), (h, k)
+            c = next((n for n, (a, b) in enumerate(zip(h, k)) if a != b), None)
+            merged += c is not None and part_of[h[c]] == part_of[k[c]]
+        assert merged > 100
+
     def test_frozen_distances_rank_one_factors(self):
         S = CosetTreeSpace(two_rank_one_factors())
         m = S.model

@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -31,11 +32,32 @@ def test_imports_are_relative_or_stdlib(path):
     assert outside == []
 
 
+def cli_import_probe(root):
+    """Import hhglab.cli from the directory root in an isolated child
+    process and list the dataclass machinery it loaded.  -I ignores
+    PYTHONDONTWRITEBYTECODE, so -B keeps the child from writing bytecode
+    next to the sources."""
+    probe = (f"import sys; sys.path.insert(0, {str(root)!r}); import hhglab.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    return subprocess.run([sys.executable, "-B", "-I", "-S", "-c", probe],
+                          capture_output=True, text=True, check=True).stdout
+
+
 def test_cli_import_loads_no_dataclass_machinery():
     # records are namedtuples: a CLI process never pays for dataclasses,
     # nor for the inspect/ast/dis/tokenize imports it pulls in
-    probe = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import hhglab.cli; "
-             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    out = subprocess.run([sys.executable, "-I", "-S", "-c", probe],
-                         capture_output=True, text=True, check=True).stdout
-    assert out == "[]\n"
+    assert cli_import_probe(PACKAGE.parent) == "[]\n"
+
+
+def test_cli_import_probe_writes_no_bytecode(tmp_path):
+    # compiled modules left in src/hhglab would spare every later process
+    # of this checkout its compile time, a benchmark's setup probes too.  A
+    # copy of the package with no __pycache__ shows a write even where the
+    # checkout's bytecode is already there and current.
+    cache = PACKAGE / "__pycache__"
+    before = sorted(cache.glob("*"))
+    shutil.copytree(PACKAGE, tmp_path / "hhglab", ignore=shutil.ignore_patterns("__pycache__"))
+    for root in (tmp_path, PACKAGE.parent):
+        assert cli_import_probe(root) == "[]\n"
+    assert not (tmp_path / "hhglab" / "__pycache__").exists()
+    assert sorted(cache.glob("*")) == before

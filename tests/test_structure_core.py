@@ -152,8 +152,8 @@ class TestFreeProductStructure:
 
     def test_decoded_labels_are_reused(self):
         hh = build_named("f2freez")
-        first = [hh.parse_domain(u) for u in hh.domains()]
-        assert [hh.parse_domain(u) for u in hh.domains()] == first
+        first = [hh._entry(u)[0] for u in hh.domains()]
+        assert [hh._entry(u)[0] for u in hh.domains()] == first
         assert first[0] is None and first[1:] == hh.tree.sample_points(hh.generation_radius)
         assert sorted(hh._decoded) == sorted(hh.domains())
 
@@ -279,11 +279,11 @@ class TestFreeProductStructure:
         words = [IDENTITY] + runs + [self.seeded_word(rng, m, 10) for _ in range(40)]
         labels = [u for u in self.hh.domains() if u != "S"]
         labels += [self.hh.act_on_domain(self.seeded_word(rng, m, 6), u) for u in labels]
-        assert {self.hh.parse_domain(u)[0] for u in labels} == {0, 1}
-        assert sum(len(self.hh.parse_domain(u)[1]) >= 3 for u in labels) >= 10
+        assert {self.hh._entry(u)[0][0] for u in labels} == {0, 1}
+        assert sum(len(self.hh._entry(u)[0][1]) >= 3 for u in labels) >= 10
         moved = set()  # factors with a projection off the coset's base point
         for u in labels:
-            i, rep = self.hh.parse_domain(u)
+            i, rep = self.hh._entry(u)[0]
             point = self.hh._factors[i][1]
             # words read from the coset's own representative as well, and
             # near misses of it
@@ -321,7 +321,7 @@ def test_coset_read_matches_the_local_reference(name):
     moved = set()  # factors with a point off the base point
     line_points = set()
     for u in hh.domains()[1:]:
-        i, rep = hh.parse_domain(u)
+        i, rep = hh._entry(u)[0]
         free = m.parts[i].family == "free"
         rep_inverse = m.inverse(rep)
         for g in balls.standard_ball(m, 4):
