@@ -469,7 +469,10 @@ class FreeProductHHG(HHStructure):
         return TRANSVERSE
 
     def rho_point(self, v, w):
-        pv, pw = self._entry(v)[0], self._entry(w)[0]
+        try:
+            pv, pw = self._decoded[v][0], self._decoded[w][0]
+        except (KeyError, TypeError):
+            pv, pw = self._entry(v)[0], self._entry(w)[0]
         if pv is None or pv == pw:
             raise PreconditionError(f"no point projection from {v} to {w}")
         if pw is None:
