@@ -9,15 +9,18 @@ free product's cosets and the swapline fixture, in this process under
 prints each function or method defined in ``src/hhglab/*.py`` (found with
 ``ast``) that was never entered and is not on ALLOWED below.
 
-The parameter census, also with ``ast`` only, prints each parameter with a
-default of a function or method in ``src/hhglab`` that no call in ``src/``,
-``benchmark/`` or ``scripts/`` passes, by keyword or by position, and that
-is not on PARAMETERS below.  Calls are matched by callee name (a class
-name for ``__init__``).  A default only tests override is an option no
-command or job uses.
+The parameter census, also with ``ast`` only, looks at each parameter with
+a default of a function or method in ``src/hhglab`` and the calls in
+``src/``, ``benchmark/`` and ``scripts/``, matched by callee name (a class
+name for ``__init__``).  It prints the parameters no call passes, by
+keyword or by position: a default only tests override is an option no
+command or job uses.  It also prints the defaults no call relies on, the
+parameters every call passes: such a default repeats a value its callers
+set.  A starred call counts as passing every parameter and as relying on
+every default it does not pass by keyword.
 
-Both lists also name stale allowlist entries.  Exits 1 if anything was
-printed.  Takes no options; runs for under a minute.
+The function list also names stale allowlist entries.  Exits 1 if anything
+was printed.  Takes no options; runs for under a minute.
 
     python3 scripts/reachability.py
 """
@@ -25,7 +28,6 @@ printed.  Takes no options; runs for under a minute.
 import ast
 import contextlib
 import io
-import math
 import pathlib
 import sys
 import tempfile
@@ -67,11 +69,6 @@ ALLOWED = {
     "structures.HHStructure.to_json": ABSTRACT,
 }
 
-# function.parameter -> why its default stays although no call passes it
-PARAMETERS = {
-    "cayley_ball_layers.max_elements":
-        "element budget of the ball BFS, a limit and not a setting (ROADMAP item 5)",
-}
 CALLERS = ("src", "benchmark", "scripts")
 
 STRUCTURES = sorted(p.stem for p in (ROOT / "structures").glob("*.json"))
@@ -194,8 +191,9 @@ def defaulted_parameters():
 
 
 def passed_parameters():
-    """Calls in CALLERS by callee name: [(positional count, keywords)], a
-    starred argument counting as every position or every keyword."""
+    """Calls in CALLERS by callee name: [(positional count, starred,
+    keywords)], starred telling whether an argument is *args or **kwargs;
+    the keywords leave a **kwargs out."""
     calls = {}
     for folder in CALLERS:
         for file in sorted((ROOT / folder).rglob("*.py")):
@@ -207,24 +205,27 @@ def passed_parameters():
                         else getattr(func, "attr", None))
                 if name is None:
                     continue
-                starred = any(isinstance(x, ast.Starred) for x in node.args)
-                keywords = {k.arg for k in node.keywords}
-                calls.setdefault(name, []).append(
-                    (math.inf if starred else len(node.args), keywords))
+                starred = (any(isinstance(x, ast.Starred) for x in node.args)
+                           or any(k.arg is None for k in node.keywords))
+                keywords = {k.arg for k in node.keywords if k.arg is not None}
+                calls.setdefault(name, []).append((len(node.args), starred, keywords))
     return calls
 
 
 def parameter_census():
-    """Defaulted parameters no call passes, minus PARAMETERS."""
+    """(defaulted parameters no call passes, defaults no call relies on)."""
     calls = passed_parameters()
-    unset = set()
-    for key, position in defaulted_parameters().items():
+    unset, unrelied = [], []
+    for key, position in sorted(defaulted_parameters().items()):
         callee, param = key.rsplit(".", 1)
-        if not any(param in kw or None in kw
-                   or (position is not None and n > position)
-                   for n, kw in calls.get(callee, ())):
-            unset.add(key)
-    return sorted(unset - set(PARAMETERS)), sorted(set(PARAMETERS) - unset)
+        found = calls.get(callee, ())
+        if not any(starred or param in kw or (position is not None and n > position)
+                   for n, starred, kw in found):
+            unset.append(key)
+        if not any(param not in kw and (starred or position is None or n <= position)
+                   for n, starred, kw in found):
+            unrelied.append(key)
+    return unset, unrelied
 
 
 def main():
@@ -261,12 +262,12 @@ def main():
                                    if key not in reached})
     for name in stale:
         print(f"allowed but reached or undefined: {name}")
-    unset, passed = parameter_census()
+    unset, unrelied = parameter_census()
     for name in unset:
         print(f"parameter no call passes: {name}")
-    for name in passed:
-        print(f"allowed parameter passed or undefined: {name}")
-    return 1 if missed or stale or failures or unset or passed else 0
+    for name in unrelied:
+        print(f"default no call relies on: {name}")
+    return 1 if missed or stale or failures or unset or unrelied else 0
 
 
 if __name__ == "__main__":

@@ -161,7 +161,7 @@ class _Env:
     def four_point_defect(self, u):
         space = self.st.space(u)
         if space not in self._defects:
-            self._defects[space] = max_four_point_defect(space, self.points(u), quad_budget=20000)
+            self._defects[space] = max_four_point_defect(space, self.points(u))
         return self._defects[space]
 
     def show(self, w):
@@ -498,7 +498,7 @@ _CHECKERS = {
 }
 
 
-def check_structure(structure, radius=3, seed=0, max_pairs=60):
+def check_structure(structure, radius, seed, max_pairs):
     """Run the nine axiom checks and report."""
     if radius < 1:
         raise InputError("check radius must be at least 1")

@@ -76,13 +76,15 @@ def _check_ball_args(gens, radius):
         raise InputError("empty generating set")
 
 
-def _layers(model, gens, max_elements):
+def _layers(model, gens):
     """BFS layers of the Cayley graph of gens, one per radius from 0, with
     no end: layer r is the sorted list of elements at distance exactly r
-    from the identity.
+    from the identity.  Raises ResourceBudgetError once it holds more than
+    DEFAULT_MAX_ELEMENTS elements, read when the walk starts.
 
     Frontier elements and the given generators are normal forms, so each
     step is the model's junction product."""
+    limit = DEFAULT_MAX_ELEMENTS
     seen = {IDENTITY}
     frontier = [IDENTITY]
     yield frontier
@@ -94,9 +96,9 @@ def _layers(model, gens, max_elements):
                 if u not in seen:
                     seen.add(u)
                     nxt.append(u)
-                    if len(seen) > max_elements:
+                    if len(seen) > limit:
                         raise ResourceBudgetError(
-                            f"ball exceeded {max_elements} elements at radius {r}",
+                            f"ball exceeded {limit} elements at radius {r}",
                             partial_radius=r - 1,
                         )
         nxt.sort()
@@ -104,11 +106,11 @@ def _layers(model, gens, max_elements):
         frontier = nxt
 
 
-def cayley_ball_layers(model, gens, radius, max_elements=DEFAULT_MAX_ELEMENTS):
+def cayley_ball_layers(model, gens, radius):
     """BFS layers of the ball: layers[r] is the sorted list of elements at
     distance exactly r from the identity in the given generating set."""
     _check_ball_args(gens, radius)
-    return list(itertools.islice(_layers(model, gens, max_elements), radius + 1))
+    return list(itertools.islice(_layers(model, gens), radius + 1))
 
 
 def ball_elements(layers):
@@ -270,7 +272,7 @@ def _generates(model, gens, radius):
     if isinstance(model, (FreeGroup, FreeProduct)):  # free on their letters
         return _folds_to_rose(2 * model.ngens, gens)
     missing = set(model.generators())
-    for layer in itertools.islice(_layers(model, gens, DEFAULT_MAX_ELEMENTS), radius + 1):
+    for layer in itertools.islice(_layers(model, gens), radius + 1):
         missing.difference_update(layer)
         if not missing:
             return True

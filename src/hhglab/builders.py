@@ -21,7 +21,7 @@ from .groups import (
     json_field,
     model_from_json,
 )
-from .spaces import CayleyTreeSpace, GraphSpace, LineSpace, PointSpace
+from .spaces import CayleyTreeSpace, LineSpace, PathSpace, PointSpace
 from .structures import ConstantLedger, Domain, FreeProductHHG, HHStructure, TableHHG
 
 
@@ -177,17 +177,16 @@ def _f2xz_table(line, label, s_space=None, rho_points=None, constants=None):
 
 
 def fixture_corrupt_rho():
-    """Relative projection of T into S relocated to the far end of a path
-    graph: the consistency inequality fails, everything else still holds
+    """Relative projection of T into S relocated to the far end of a path:
+    the consistency inequality fails, everything else still holds
     because the declared link and realization slacks absorb the offset."""
     constants = ConstantLedger(
         delta=0.0, xi=0.0, kappa0=2.0, E=2.0, lam=9.0, alpha=10.0,
         K_proj=1.0, n_complexity=2, theta_coeffs=(0.0, 2.0),
         C_norm=8.0, tau0=1.0, N_rank=2,
     )
-    path = GraphSpace(9, [(i, i + 1) for i in range(8)], label="path")
     return _f2xz_table(_line_piece(_model_f2xz(), 1, 0), "f2xz-corrupt-rho",
-                       s_space=path, rho_points={("T", "S"): 8}, constants=constants)
+                       s_space=PathSpace(9), rho_points={("T", "S"): 8}, constants=constants)
 
 
 def fixture_corrupt_lipschitz():
@@ -263,7 +262,7 @@ def fixture_bad_orth_closure():
     )
 
 
-def _line_top_table(with_second_line=False, transverse_mode=False, label="bad"):
+def _line_top_table(label, with_second_line=False, transverse_mode=False):
     model = _model_f2xz()
     domains = [
         _line_piece(model, 1, 0)._replace(label="S"),

@@ -419,7 +419,7 @@ def _y_mapping_check(structure, s, t, u, v, power, sample):
     return True, {"sampled": sampled, "y_s": len(y_s), "y_t": len(y_t)}
 
 
-def pingpong_transverse(structure, s, t, u, v, x_lengths, led, depth=6,
+def pingpong_transverse(structure, s, t, u, v, x_lengths, led, depth,
                         declared_power=None):
     """Free subgroup from loxodromics with transverse big-set domains.
 
@@ -430,8 +430,6 @@ def pingpong_transverse(structure, s, t, u, v, x_lengths, led, depth=6,
     Raises CertifierRefutedError when a check fails.
     """
     model = structure.group
-    if depth < 4:
-        raise PreconditionError("verification depth must be at least 4")
     n = structure.constants.N_rank
     # the bound follows the route: k1 (2N + 1) for the direct transverse
     # pair, M once the nested reduction hands over its own power
@@ -489,7 +487,7 @@ def pingpong_transverse(structure, s, t, u, v, x_lengths, led, depth=6,
                   "sampling": detail})
 
 
-def nested_to_transverse(structure, s, t, u, v, x_lengths, led, depth=6):
+def nested_to_transverse(structure, s, t, u, v, x_lengths, led, depth):
     """Reduction of a properly nested big-set pair to the transverse case.
 
     Powers of t push u off itself inside v; once the relative projections in
@@ -545,7 +543,7 @@ def _bf_pair(model, g, h, k, depth):
     return pair if verify_free_semigroup(model, *pair, depth + 1) else None
 
 
-def top_level_certify(structure, words, outcome, led, depth=6):
+def top_level_certify(structure, words, outcome, led, depth):
     """Certification when the maximal domain itself carries a big set.
 
     The first generator axial on the top domain (its seed in the outcome's
@@ -590,7 +588,7 @@ def top_level_certify(structure, words, outcome, led, depth=6):
         evidence=evidence)
 
 
-def case2_branch(structure, words, outcome, led, depth=6):
+def case2_branch(structure, words, outcome, led, depth):
     """Certification inside the pointwise stabilizer of the orthogonal
     big-set family.
 
@@ -674,7 +672,7 @@ def case2_branch(structure, words, outcome, led, depth=6):
 # driver
 
 
-def certify(structure, X, depth=6):
+def certify(structure, X, depth):
     """End-to-end certification for one generating set, the trust boundary.
 
     Normalises X, proves that it generates (on a direct product, within
@@ -724,7 +722,7 @@ def _certify_words(structure, words, depth):
 
 
 def scan_generating_sets(structure, size_bound, length_bound, ambient_radius,
-                         depth=6, growth_n=10):
+                         depth, growth_n):
     """Certify every enumerated generating set; one row per set, in
     enumeration order, with a summary of the worst measured rate.  A size
     or length bound below 1 enumerates nothing: the report has no rows."""

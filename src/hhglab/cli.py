@@ -70,7 +70,7 @@ def _fmt(value):
     return str(value)
 
 
-def emit(text, out, summary_lines=()):
+def emit(text, out, summary_lines):
     """Document to the output file when one is named (summary to stdout),
     otherwise the document itself to stdout."""
     if out:

@@ -26,12 +26,12 @@ class IndexMismatchError(InputError):
 class ResourceBudgetError(RuntimeError):
     """A computation exceeded its configured budget.
 
-    partial_radius: largest radius (or depth) fully completed before
-    the budget ran out, or None when nothing completed.
+    partial_radius: largest radius fully completed before the budget ran
+    out.
     witness: dict reporting partial_radius.
     """
 
-    def __init__(self, message, partial_radius=None):
+    def __init__(self, message, partial_radius):
         super().__init__(message)
         self.partial_radius = partial_radius
         self.witness = {"partial_radius": partial_radius}
@@ -59,6 +59,6 @@ class CertifierRefutedError(RuntimeError):
     what collided).
     """
 
-    def __init__(self, message, witness=None):
+    def __init__(self, message, witness):
         super().__init__(message)
-        self.witness = witness or {}
+        self.witness = witness

@@ -91,61 +91,25 @@ class LineSpace(Space):
         return is_int(x)
 
 
-class GraphSpace(Space):
-    """Finite connected graph with the edge-path metric."""
+class PathSpace(Space):
+    """The path 0 - 1 - ... - (n - 1): a bounded segment of the line."""
 
+    label = "path"
     bounded = True
 
-    def __init__(self, n_vertices, edges, label="graph"):
-        self.n = n_vertices
-        self.label = label
-        self.adj = {v: set() for v in range(n_vertices)}
-        for a, b in edges:
-            if not (0 <= a < n_vertices and 0 <= b < n_vertices) or a == b:
-                raise InputError(f"bad edge ({a}, {b})")
-            self.adj[a].add(b)
-            self.adj[b].add(a)
-        self._dist_cache = {}
-        if n_vertices:
-            self._bfs(0)  # refuses an unconnected graph
-
-    def _bfs(self, src):
-        if src in self._dist_cache:
-            return self._dist_cache[src]
-        dist = {src: 0}
-        parent = {src: None}
-        frontier = [src]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in self.adj[v]:
-                    if w not in dist:
-                        dist[w] = dist[v] + 1
-                        parent[w] = v
-                        nxt.append(w)
-            frontier = nxt
-        if len(dist) != self.n:
-            raise InputError("graph is not connected")
-        self._dist_cache[src] = (dist, parent)
-        return dist, parent
+    def __init__(self, n):
+        self.n = n
 
     def dist(self, x, y):
-        return self._bfs(x)[0][y]
+        return abs(x - y)
 
     def basepoint(self):
         return 0
 
-    def geodesic(self, x, y):
-        _, parent = self._bfs(x)
-        path = [y]
-        while path[-1] != x:
-            path.append(parent[path[-1]])
-        path.reverse()
-        return path
+    geodesic = LineSpace.geodesic
 
     def sample_points(self, radius):
-        d = self._bfs(self.basepoint())[0]
-        return [v for v in range(self.n) if d[v] <= radius]
+        return list(range(min(self.n, int(radius) + 1)))
 
     def contains(self, x):
         return is_int(x) and 0 <= x < self.n
@@ -332,24 +296,22 @@ def sample_diameter(dist, points, default):
     return max((d for i, row in enumerate(table) for d in row[i + 1:]), default=default)
 
 
-def max_four_point_defect(space, points, quad_budget):
-    """Worst defect over the first quad_budget quadruples i < j < k < l of
-    the sample, in lexicographic order, the defect being half the gap
-    between the two largest pairing sums; a space is delta-hyperbolic in
-    the four-point sense when it is <= delta.
+def max_four_point_defect(space, points):
+    """Worst defect over the quadruples i < j < k < l of the sample, the
+    defect being half the gap between the two largest pairing sums; a space
+    is delta-hyperbolic in the four-point sense when it is <= delta.
 
-    The walk meets the C(n - 1, 3) quadruples 0 < j < k < l first.  When
-    the table is all ints and none of them has a gap, the table is
-    0-hyperbolic at point 0, hence at every point (a base point that is
-    delta-hyperbolic gives 2 delta everywhere: Gromov, "Hyperbolic groups",
-    MSRI Publ. 8, 1987, 1.1; Ghys-de la Harpe, "Sur les groupes
-    hyperboliques d'apres Mikhael Gromov", 1990, ch. 2, prop. 2), so the
-    walk stops there with 0.0, what the rest of it would return.  A table
-    with a float, whose sums are not exact, is walked to the end of its
-    budget."""
+    The walk goes in lexicographic order and meets the C(n - 1, 3)
+    quadruples 0 < j < k < l first.  When the table is all ints and none of
+    them has a gap, the table is 0-hyperbolic at point 0, hence at every
+    point (a base point that is delta-hyperbolic gives 2 delta everywhere:
+    Gromov, "Hyperbolic groups", MSRI Publ. 8, 1987, 1.1; Ghys-de la Harpe,
+    "Sur les groupes hyperboliques d'apres Mikhael Gromov", 1990, ch. 2,
+    prop. 2), so the walk stops there with 0.0, what the rest of it would
+    return.  A table with a float, whose sums are not exact, is walked to
+    the end."""
     t = distance_table(space.dist, points)
     n = len(t)
-    left = quad_budget
     worst = 0.0  # largest gap; halving is monotone, so it is halved once
     for i in range(n - 3):
         ti = t[i]
@@ -357,13 +319,9 @@ def max_four_point_defect(space, points, quad_budget):
             tj = t[j]
             tij = ti[j]
             for k in range(j + 1, n - 1):
-                if left <= 0:
-                    return worst / 2
                 tk = t[k]
                 tik, tjk = ti[k], tj[k]
-                stop = min(n, k + 1 + left)
-                left -= stop - k - 1
-                for til, tjl, tkl in zip(ti[k + 1:stop], tj[k + 1:stop], tk[k + 1:stop]):
+                for til, tjl, tkl in zip(ti[k + 1:], tj[k + 1:], tk[k + 1:]):
                     a = tij + tkl
                     b = tik + tjl
                     c = til + tjk

@@ -8,7 +8,7 @@ import pytest
 
 from hhglab import balls
 from hhglab.groups import FreeAbelianGroup, FreeGroup
-from hhglab.spaces import CayleyTreeSpace, LineSpace, PointSpace
+from hhglab.spaces import CayleyTreeSpace, LineSpace, PointSpace, Space
 from hhglab.structures import ConstantLedger, Domain, TableHHG
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -42,13 +42,62 @@ def built_layers(monkeypatch):
     built = []
     layers = balls._layers
 
-    def counted(model, gens, max_elements):
-        for layer in layers(model, gens, max_elements):
+    def counted(model, gens):
+        for layer in layers(model, gens):
             built.append(len(layer))
             yield layer
 
     monkeypatch.setattr(balls, "_layers", counted)
     return built
+
+
+class GraphSpace(Space):
+    """A finite connected graph on vertices 0..n-1 under its edge-path
+    metric, with a BFS from every vertex: the test input for cycles, random
+    graphs and ladders, and the reference for the path space."""
+
+    bounded = True
+
+    def __init__(self, n, edges):
+        adj = [set() for _ in range(n)]
+        for a, b in edges:
+            adj[a].add(b)
+            adj[b].add(a)
+        self.n = n
+        self.bfs = []  # (distances, parents) from each vertex
+        for src in range(n):
+            dist, parent, frontier = {src: 0}, {src: None}, [src]
+            while frontier:
+                nxt = []
+                for v in frontier:
+                    for w in sorted(adj[v] - dist.keys()):
+                        dist[w], parent[w] = dist[v] + 1, v
+                        nxt.append(w)
+                frontier = nxt
+            assert len(dist) == n, "graph is not connected"
+            self.bfs.append((dist, parent))
+
+    def dist(self, x, y):
+        return self.bfs[x][0][y]
+
+    def basepoint(self):
+        return 0
+
+    def geodesic(self, x, y):
+        parent = self.bfs[x][1]
+        path = [y]
+        while path[-1] != x:
+            path.append(parent[path[-1]])
+        return path[::-1]
+
+    def sample_points(self, radius):
+        return [v for v in range(self.n) if self.bfs[0][0][v] <= radius]
+
+
+@pytest.fixture(scope="session")
+def graph_space():
+    """The finite-graph test space, a class: graph_space(n, edges)."""
+    return GraphSpace
 
 
 def _syllables(model, w):

@@ -26,51 +26,53 @@ STANDARD = ("free2", "z1", "z2", "f2xz", "f2xf2", "f2freez")
 class TestStandardStructuresPass:
     @pytest.mark.parametrize("name", STANDARD)
     def test_all_axioms_hold(self, name):
-        report = check_structure(build_named(name))
+        report = check_structure(build_named(name), radius=3, seed=0, max_pairs=60)
         assert report.passed, report.to_json()
         assert report.failed_axioms() == []
         assert len(report.axioms) == 9
 
     def test_margins_are_nonnegative(self):
-        report = check_structure(build_named("f2xz"))
+        report = check_structure(build_named("f2xz"), radius=3, seed=0, max_pairs=60)
         for a in report.axioms:
             assert a.margin >= 0
 
     def test_large_links_bound_is_tight_on_product(self):
         # both factors move at once, so the link count meets the declared
         # bound exactly somewhere in the sample
-        report = check_structure(build_named("f2xz"))
+        report = check_structure(build_named("f2xz"), radius=3, seed=0, max_pairs=60)
         a6 = [a for a in report.axioms if a.index == 6][0]
         assert a6.passed and a6.margin == 0
 
 
 class TestCorruptedFixturesFail:
     def test_relocated_rho_breaks_only_consistency(self):
-        report = check_structure(build_named("f2xz-corrupt-rho"))
+        report = check_structure(build_named("f2xz-corrupt-rho"), radius=3, seed=0, max_pairs=60)
         assert report.failed_axioms() == [4]
         a4 = [a for a in report.axioms if a.index == 4][0]
         assert a4.margin < 0
         assert a4.witness["clause"] == "nested"
 
     def test_fast_projection_breaks_only_lipschitz(self):
-        report = check_structure(build_named("f2xz-corrupt-lipschitz"))
+        report = check_structure(build_named("f2xz-corrupt-lipschitz"), radius=3, seed=0,
+                                 max_pairs=60)
         assert report.failed_axioms() == [1]
         a1 = [a for a in report.axioms if a.index == 1][0]
         assert a1.witness["clause"] == "lipschitz"
         assert a1.witness["domain"] == "L"
 
     def test_dropped_domain_breaks_only_uniqueness(self):
-        report = check_structure(build_named("f2xz-corrupt-uniqueness"))
+        report = check_structure(build_named("f2xz-corrupt-uniqueness"), radius=3, seed=0,
+                                 max_pairs=60)
         assert report.failed_axioms() == [9]
 
     def test_swapline_fails_realization(self):
         # the two line coordinates are locked together, so arbitrary pairs
         # cannot be realized; everything else about the table is fine
-        report = check_structure(build_named("swapline"))
+        report = check_structure(build_named("swapline"), radius=3, seed=0, max_pairs=60)
         assert report.failed_axioms() == [8]
 
     def test_orthogonality_closure_violation(self):
-        report = check_structure(build_named("bad-orth-closure"))
+        report = check_structure(build_named("bad-orth-closure"), radius=3, seed=0, max_pairs=60)
         assert 3 in report.failed_axioms()
         a3 = [a for a in report.axioms if a.index == 3][0]
         assert a3.witness["clause"] == "closure"
@@ -86,13 +88,14 @@ class TestVacuousMargins:
             "builder": "product", "label": "free2",
             "group": {"family": "free", "rank": 2, "labels": ["a", "b"]},
             "constants": {"kappa0": 3.0, "lam": 5.0, "E": 7.0, "theta_coeffs": [1000.0]}})
-        axioms = {a.index: a for a in check_structure(st).axioms}
+        axioms = {a.index: a for a in check_structure(st, radius=3, seed=0, max_pairs=60).axioms}
         for index, margin in ((4, 3.0), (6, 5.0), (7, 7.0), (9, 0.0)):
             a = axioms[index]
             assert (a.checks, a.passed, a.margin, a.witness) == (0, True, margin, {}), index
 
     def test_partial_realization_without_unbounded_domains(self):
-        a8 = check_structure(build_named("bad-orth-closure")).axioms[7]
+        a8 = check_structure(build_named("bad-orth-closure"), radius=3, seed=0,
+                             max_pairs=60).axioms[7]
         assert (a8.index, a8.checks, a8.passed, a8.margin) == (8, 0, True, 1.0)
 
 
@@ -101,21 +104,24 @@ class TestCheckerApi:
                                         {"max_pairs": 0}, {"max_pairs": -3}])
     def test_empty_sample_rejected(self, option):
         with pytest.raises(InputError):
-            check_structure(build_named("f2xz-corrupt-uniqueness"), **option)
+            check_structure(build_named("f2xz-corrupt-uniqueness"),
+                            **{"radius": 3, "seed": 0, "max_pairs": 60} | option)
 
     def test_deterministic_for_fixed_seed(self):
-        r1 = check_structure(build_named("f2xz"), seed=7)
-        r2 = check_structure(build_named("f2xz"), seed=7)
+        r1 = check_structure(build_named("f2xz"), radius=3, seed=7, max_pairs=60)
+        r2 = check_structure(build_named("f2xz"), radius=3, seed=7, max_pairs=60)
         assert r1.to_json() == r2.to_json()
 
     def test_seed_does_not_change_verdicts(self):
         for seed in (0, 1, 2):
-            assert check_structure(build_named("f2xz"), seed=seed).passed
-            failed = check_structure(build_named("f2xz-corrupt-rho"), seed=seed).failed_axioms()
+            assert check_structure(build_named("f2xz"), radius=3, seed=seed,
+                                   max_pairs=60).passed
+            failed = check_structure(build_named("f2xz-corrupt-rho"), radius=3, seed=seed,
+                                     max_pairs=60).failed_axioms()
             assert failed == [4]
 
     def test_report_shape(self):
-        report = check_structure(build_named("z1"))
+        report = check_structure(build_named("z1"), radius=3, seed=0, max_pairs=60)
         data = report.to_json()
         assert data["structure"] == "z1"
         assert data["passed"] is True
@@ -127,7 +133,7 @@ class TestCheckerApi:
     def test_every_axiom_exercised_somewhere(self):
         # on the free product, no axiom check should be vacuous except
         # orthogonality (it has no orthogonal pairs)
-        report = check_structure(build_named("f2freez"))
+        report = check_structure(build_named("f2freez"), radius=3, seed=0, max_pairs=60)
         for a in report.axioms:
             assert a.checks > 0, a.name
 
@@ -165,9 +171,9 @@ class TestSharedSamples:
         checked = []
         original = axioms.max_four_point_defect
 
-        def counting(space, points, quad_budget):
+        def counting(space, points):
             checked.append(space)
-            return original(space, points, quad_budget=quad_budget)
+            return original(space, points)
 
         monkeypatch.setattr(axioms, "max_four_point_defect", counting)
         report = check_structure(st, radius=3, seed=0, max_pairs=500)

@@ -129,10 +129,9 @@ def cauchy_spheres(model):
 F2_STAR_Z = FreeProduct([FreeGroup(2), FreeAbelianGroup(1, ["c"])])
 
 
-def bfs_growth(model, gens, radius, max_elements=DEFAULT_MAX_ELEMENTS):
+def bfs_growth(model, gens, radius):
     """Cumulative ball sizes counted by the BFS: the reference."""
-    return list(itertools.accumulate(
-        map(len, cayley_ball_layers(model, gens, radius, max_elements))))
+    return list(itertools.accumulate(map(len, cayley_ball_layers(model, gens, radius))))
 
 
 class TestGrowthSeriesOracle:
@@ -163,10 +162,12 @@ def largest_radius_under(model, gens, max_elements, cap):
     elements.  The cap is for the free-abelian groups, whose balls stay
     small for their radius while the BFS pays per letter: the ball of Z
     stays under 10^5 elements out to radius 49,999."""
-    try:
-        cayley_ball_layers(model, gens, cap, max_elements)
-    except ResourceBudgetError as err:
-        return err.partial_radius
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(balls, "DEFAULT_MAX_ELEMENTS", max_elements)
+        try:
+            cayley_ball_layers(model, gens, cap)
+        except ResourceBudgetError as err:
+            return err.partial_radius
     return cap
 
 
@@ -258,11 +259,11 @@ class TestSeriesAgainstBfs:
         # stops the BFS of the same basis
         model = FreeGroup(2)
         gens = symmetrize(model, parse_generating_set(model, text))
+        monkeypatch.setattr(balls, "DEFAULT_MAX_ELEMENTS", 1000)
         with pytest.raises(ResourceBudgetError) as bfs:
-            cayley_ball_layers(model, gens, 20, max_elements=1000)
+            cayley_ball_layers(model, gens, 20)
         assert str(bfs.value) == "ball exceeded 1000 elements at radius 6"
         assert bfs.value.partial_radius == 5
-        monkeypatch.setattr(balls, "DEFAULT_MAX_ELEMENTS", 1000)
         assert growth_function(model, gens, 20) == [2 * 3 ** n - 1 for n in range(21)]
 
     def test_series_count_past_the_real_budget(self):
@@ -296,8 +297,7 @@ class TestSeriesAgainstBfs:
 def reaches_generators(model, words, radius):
     """The BFS reference: whether the ball of the given radius in the
     symmetrised words holds every standard generator."""
-    layers = itertools.islice(balls._layers(model, symmetrize(model, words),
-                                            DEFAULT_MAX_ELEMENTS), radius + 1)
+    layers = itertools.islice(balls._layers(model, symmetrize(model, words)), radius + 1)
     ball = set(itertools.chain.from_iterable(layers))
     return ball.issuperset(model.generators())
 
@@ -444,9 +444,9 @@ class TestApiContracts:
     def test_standard_ball_is_built_once_per_model_and_radius(self, monkeypatch):
         built = []
 
-        def counted(model, gens, radius, *rest):
+        def counted(model, gens, radius):
             built.append(radius)
-            return cayley_ball_layers(model, gens, radius, *rest)
+            return cayley_ball_layers(model, gens, radius)
 
         monkeypatch.setattr(balls, "cayley_ball_layers", counted)
         F = FreeGroup(2)
@@ -471,17 +471,18 @@ class TestApiContracts:
             fresh = model_from_json(model.to_json())  # a new model, no balls kept
             built = []
 
-            def counted(model, gens, radius, *rest):
+            def counted(model, gens, radius):
                 built.append(radius)
-                return cayley_ball_layers(model, gens, radius, *rest)
+                return cayley_ball_layers(model, gens, radius)
 
             monkeypatch.setattr(balls, "cayley_ball_layers", counted)
             assert standard_ball_prefix(fresh, radius, count) == want
             assert built == [least]
             monkeypatch.undo()
 
-    def test_budget_reports_completed_radius(self):
+    def test_budget_reports_completed_radius(self, monkeypatch):
         F = FreeGroup(2)
+        monkeypatch.setattr(balls, "DEFAULT_MAX_ELEMENTS", 100)
         with pytest.raises(ResourceBudgetError) as info:
-            cayley_ball_layers(F, std_gens(F), 8, max_elements=100)
+            cayley_ball_layers(F, std_gens(F), 8)
         assert info.value.partial_radius == 3  # ball(3) has 53 elements, ball(4) has 161

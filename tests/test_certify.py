@@ -405,13 +405,17 @@ class TestPingpong:
                                     tuple(cert.words["w"]),
                                     cert.verified_depth + 1)
 
-    def test_shallow_depth_rejected(self):
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_every_depth_certify_takes(self, depth):
+        # the exact oracle needs depth >= 1 only, and so does the route
         st = build_named("f2freez")
-        m = st.group
-        with pytest.raises(PreconditionError):
-            pingpong_transverse(st, m.parse("a"), m.parse("caC"),
-                                "ab@1", "ab@c", (1, 3),
-                                certifier_ledger(st.constants), depth=0)
+        gens = [st.group.parse(w) for w in "abc"]
+        cert = certify(st, gens, depth=depth)
+        assert cert.verified_depth == depth
+        assert cert.evidence["case"] == "transverse"
+        assert [st.group.format(cert.words[k]) for k in "uw"] == ["a" * 24, "c" * 24]
+        deeper = certify(st, gens, depth=6).to_json()
+        assert cert.to_json() == deeper | {"verified_depth": depth}
 
     def test_equal_domains_rejected(self):
         # the route trusts the dichotomy's pair; the structure still has no
@@ -465,7 +469,7 @@ class TestPingpong:
         # the sample's translates are projected once, by the domain's own
         # map; through pi the memo held 243 and 322 entries
         st = build_named("f2freez")
-        cert = certify(st, [st.group.parse(w) for w in gens.split(",")])
+        cert = certify(st, [st.group.parse(w) for w in gens.split(",")], depth=6)
         assert cert.variant == "free-subgroup"
         assert sum(len(points) for points in st._pi_memo.values()) == held
 
@@ -594,7 +598,7 @@ class TestNested:
     def test_equal_powers_record_the_master_bound(self):
         # N_rank == n0 makes k1 == k2; the nested route still records M
         st = equal_powers_structure()
-        cert = certify(st, [st.group.parse(w) for w in ("a", "b", "ac")])
+        cert = certify(st, [st.group.parse(w) for w in ("a", "b", "ac")], depth=6)
         assert cert.evidence["case"] == "nested"
         assert cert.ledger.k1 == cert.ledger.k2 == 120
         assert cert.x_length_bound == cert.ledger.M == 124
@@ -606,12 +610,12 @@ class TestNested:
         m = st.group
         cert = nested_to_transverse(st, m.parse("a"), m.parse("ac"),
                                     "ab@1", "S", (1, 1),
-                                    certifier_ledger(st.constants))
+                                    certifier_ledger(st.constants), depth=6)
         assert (cert.evidence["power"], cert.evidence["escape_power"]) == (1, 6)
         with pytest.raises(CertifierRefutedError, match="letter-length bound"):
             nested_to_transverse(st, m.parse("a"), m.parse("ac"),
                                  "ab@1", "S", (1, 11),
-                                 certifier_ledger(st.constants))
+                                 certifier_ledger(st.constants), depth=6)
 
 
 
@@ -704,7 +708,7 @@ class TestCase2:
             "hhglab.certify.verify_free_semigroup",
             lambda model, u, w, depth: (model.format(w) not in ("baB", "bAB")
                                         and oracle(model, u, w, depth)))
-        cert = certify(st, [m.parse(w) for w in "abcd"])
+        cert = certify(st, [m.parse(w) for w in "abcd"], depth=6)
         assert cert.variant == "free-semigroup"
         assert (cert.evidence["domain"], cert.evidence["axis"],
                 cert.evidence["mover"]) == ("T1", "a", "B")
@@ -716,7 +720,7 @@ class TestCase2:
                             lambda *args: False)
         with pytest.raises(CertifierRefutedError,
                            match="no verifiable semigroup pair") as err:
-            certify(st, [m.parse(w) for w in "abcd"])
+            certify(st, [m.parse(w) for w in "abcd"], depth=6)
         assert err.value.witness == {"domain": "T1", "axis": "a", "mover": "b"}
 
     def test_missing_loxodromic_is_structural(self, monkeypatch, line_tree):
@@ -866,7 +870,7 @@ class TestScan:
     @pytest.mark.parametrize("growth_n", [0, -2])
     def test_growth_n_below_one_rejected_before_enumerating(self, growth_n):
         with pytest.raises(InputError):
-            scan_generating_sets(build_named("free2"), 0, 0, 6, growth_n=growth_n)
+            scan_generating_sets(build_named("free2"), 0, 0, 6, growth_n=growth_n, depth=6)
 
     def test_cyclic_scan_row(self):
         st = build_named("z1")

@@ -20,7 +20,7 @@ from hhglab.coords import (
 )
 from hhglab.errors import IndexMismatchError, InputError, PreconditionError
 from hhglab.groups import FreeAbelianGroup, FreeGroup
-from hhglab.spaces import CayleyTreeSpace, GraphSpace, LineSpace
+from hhglab.spaces import CayleyTreeSpace, LineSpace
 from hhglab.structures import (NEST_IN, ORTHOGONAL, TRANSVERSE, ConstantLedger, Domain,
                                TableHHG)
 
@@ -490,7 +490,7 @@ class TestDecomposition:
                             assert hh.relation(u, v) == "perp"
 
 
-def zigzag_chord_graph(m):
+def zigzag_chord_graph(graph_space, m):
     """Integers -m..m with steps 1 and 2, indexed so vertex 0 is central."""
 
     def idx(pos):
@@ -501,7 +501,7 @@ def zigzag_chord_graph(m):
         for step in (1, 2):
             if p + step <= m:
                 edges.append((idx(p), idx(p + step)))
-    return GraphSpace(2 * m + 1, edges)
+    return graph_space(2 * m + 1, edges)
 
 
 class TestQuasiLine:
@@ -513,8 +513,8 @@ class TestQuasiLine:
         assert quasi_line_detect(tree, radius=3) is None
         assert quasi_line_detect(tree, radius=4) is None
 
-    def test_chord_graph_is_a_coarse_line(self):
-        assert quasi_line_detect(zigzag_chord_graph(6), radius=3) == 1
+    def test_chord_graph_is_a_coarse_line(self, graph_space):
+        assert quasi_line_detect(zigzag_chord_graph(graph_space, 6), radius=3) == 1
 
     def test_coset_tree_is_not_a_line(self):
         hh = build_named("f2freez")

@@ -1,7 +1,9 @@
-"""No parameter default exists that only a test overrides."""
+"""No parameter default exists that only a test overrides, and none that
+every call overrides."""
 
 
 def test_every_defaulted_parameter_is_passed_or_allowed(reachability):
     # (parameters no call in src/, benchmark/ or scripts/ passes,
-    #  allowlist entries that are passed or undefined)
+    #  defaults no call there relies on); there is no allowlist
     assert reachability.parameter_census() == ([], [])
+    assert not hasattr(reachability, "PARAMETERS")

@@ -6,14 +6,14 @@ from itertools import combinations, groupby, product
 
 import pytest
 
-from hhglab.errors import InputError, WrongKindError
+from hhglab.errors import WrongKindError
 from hhglab.balls import standard_ball
 from hhglab.groups import FreeAbelianGroup, FreeGroup, FreeProduct, invert_word
 from hhglab.spaces import (
     CayleyTreeSpace,
     CosetTreeSpace,
-    GraphSpace,
     LineSpace,
+    PathSpace,
     PointSpace,
     Space,
     distance_table,
@@ -21,9 +21,6 @@ from hhglab.spaces import (
     sample_diameter,
     translation_length,
 )
-
-# quadruple budget of the four-point checks here
-QUADS = 60000
 
 
 def verify_geodesic(space, path):
@@ -55,27 +52,37 @@ class TestElementarySpaces:
         assert verify_geodesic(L, L.geodesic(-5, 9))
 
     def test_path_graph(self):
-        P = GraphSpace(9, [(i, i + 1) for i in range(8)], label="path")
+        P = PathSpace(9)
         assert P.dist(0, 8) == 8
         assert sample_diameter(P.dist, P.sample_points(8), 0) == 8
         assert P.contains(9) is False
+        assert (P.label, P.bounded) == ("path", True)
 
-    def test_graph_space(self):
+    def test_path_matches_the_graph_reference(self, graph_space):
+        P = PathSpace(9)
+        G = graph_space(9, [(i, i + 1) for i in range(8)])
+        assert P.basepoint() == G.basepoint()
+        for x, y in product(range(9), repeat=2):
+            assert (P.dist(x, y), type(P.dist(x, y))) == (G.dist(x, y), int)
+            assert P.geodesic(x, y) == G.geodesic(x, y)
+            assert verify_geodesic(P, P.geodesic(x, y))
+        for radius in range(11):
+            assert P.sample_points(radius) == G.sample_points(radius)
+        assert [x for x in range(-3, 13) if P.contains(x)] == list(range(9))
+        assert not any(P.contains(x) for x in (True, 1.0, "1", None, (1,)))
+
+    def test_graph_space(self, graph_space):
         # 4-cycle
-        C4 = GraphSpace(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        C4 = graph_space(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         assert C4.dist(0, 2) == 2
         assert sample_diameter(C4.dist, C4.sample_points(2), 0) == 2
         assert verify_geodesic(C4, C4.geodesic(0, 2))
 
     def test_one_vertex_graph_has_float_zero_diameter(self):
-        G = GraphSpace(1, [])
-        assert G.sample_points(3) == [0]
-        diameter = sample_diameter(G.dist, G.sample_points(3), 0.0)
+        P = PathSpace(1)
+        assert P.sample_points(3) == [0]
+        diameter = sample_diameter(P.dist, P.sample_points(3), 0.0)
         assert diameter == 0.0 and isinstance(diameter, float)
-
-    def test_unconnected_graph_rejected(self):
-        with pytest.raises(InputError):
-            GraphSpace(4, [(0, 1), (2, 3)])
 
 
 class TestCayleyTree:
@@ -292,26 +299,24 @@ class TestCosetTree:
 class TestFourPoint:
     def test_trees_have_zero_defect(self):
         T = CayleyTreeSpace(FreeGroup(2))
-        assert max_four_point_defect(T, T.sample_points(3), QUADS) == 0
+        assert max_four_point_defect(T, T.sample_points(3)) == 0
         S = CosetTreeSpace(f2_star_z())
-        assert max_four_point_defect(S, S.sample_points(2), QUADS) == 0
+        assert max_four_point_defect(S, S.sample_points(2)) == 0
 
     def test_line_is_zero_hyperbolic(self):
         L = LineSpace()
-        assert max_four_point_defect(L, L.sample_points(6), QUADS) == 0
+        assert max_four_point_defect(L, L.sample_points(6)) == 0
 
-    def test_four_cycle_defect_is_one(self):
-        C4 = GraphSpace(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        assert max_four_point_defect(C4, [0, 1, 2, 3], QUADS) == 1
+    def test_four_cycle_defect_is_one(self, graph_space):
+        C4 = graph_space(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        assert max_four_point_defect(C4, [0, 1, 2, 3]) == 1
 
 
-def reference_four_point(space, points, quad_budget):
+def reference_four_point(space, points):
     """The four-point check with every distance of every quadruple asked of
     the space afresh."""
     worst = 0.0
-    for count, (w, x, y, z) in enumerate(combinations(points, 4), 1):
-        if count > quad_budget:
-            break
+    for w, x, y, z in combinations(points, 4):
         sums = sorted([space.dist(w, x) + space.dist(y, z),
                        space.dist(w, y) + space.dist(x, z),
                        space.dist(w, z) + space.dist(x, y)])
@@ -319,14 +324,14 @@ def reference_four_point(space, points, quad_budget):
     return worst
 
 
-def random_connected_graph(seed, n=10, extra=6):
+def random_connected_graph(graph_space, seed, n=10, extra=6):
     """A random spanning tree on n vertices plus extra random chords."""
     rng = random.Random(seed)
     edges = {(rng.randrange(v), v) for v in range(1, n)}
     while len(edges) < n - 1 + extra:
         a, b = sorted(rng.sample(range(n), 2))
         edges.add((a, b))
-    return GraphSpace(n, sorted(edges))
+    return graph_space(n, sorted(edges))
 
 
 class CountingLine(LineSpace):
@@ -337,23 +342,6 @@ class CountingLine(LineSpace):
     def dist(self, x, y):
         self.calls += 1
         return super().dist(x, y)
-
-
-def four_point_budget(kind, n):
-    """The budget of that kind for a sample of n points; a cut kind with no
-    such cut in the sample falls back to the full count."""
-    quads = list(combinations(range(n), 4))
-    if kind is None:
-        return len(quads)
-    if kind == "C-1":
-        return max(len(quads) - 1, 0)
-    if kind in ("j", "k"):
-        shared = 2 if kind == "j" else 3
-        cuts = [b for b in range(1, len(quads))
-                if quads[b - 1][:shared] == quads[b][:shared]
-                and quads[b - 1][shared] != quads[b][shared]]
-        return cuts[len(cuts) // 2] if cuts else len(quads)
-    return kind
 
 
 class TableSpace(Space):
@@ -386,31 +374,26 @@ class MatrixSpace(TableSpace):
 
 
 class TestDistanceTable:
-    def samples(self):
-        C4 = GraphSpace(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        G = random_connected_graph(5)
+    def samples(self, graph_space):
+        C4 = graph_space(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        G = random_connected_graph(graph_space, 5)
         T = CayleyTreeSpace(FreeGroup(2))
         S = CosetTreeSpace(f2_star_z())
         L = LineSpace()
         return [(C4, [0, 1, 2, 3]), (G, G.sample_points(9)), (T, T.sample_points(2)),
                 (S, S.sample_points(2)), (L, L.sample_points(6))]
 
-    def test_random_graph_has_positive_defect(self):
-        G = random_connected_graph(5)
-        assert max_four_point_defect(G, G.sample_points(9), QUADS) > 0
+    def test_random_graph_has_positive_defect(self, graph_space):
+        G = random_connected_graph(graph_space, 5)
+        assert max_four_point_defect(G, G.sample_points(9)) > 0
 
-    # a budget by its place in the lexicographic order of quadruples: a
-    # count, a cut between two k of one (i, j), a cut between two l of one
-    # (i, j, k), all quadruples but the last, or all of them (None)
-    @pytest.mark.parametrize("budget", [0, 1, 5, "j", "k", "C-1", None])
-    def test_four_point_matches_per_quadruple_reference(self, budget):
+    def test_four_point_matches_per_quadruple_reference(self, graph_space):
         rng = random.Random(4)
-        samples = self.samples() + [(MatrixSpace(n, rng), list(range(n)))
-                                    for n in range(12) for _ in range(3)]
+        samples = self.samples(graph_space) + [(MatrixSpace(n, rng), list(range(n)))
+                                               for n in range(12) for _ in range(3)]
         for space, pts in samples:
-            quads = four_point_budget(budget, len(pts))
-            got = max_four_point_defect(space, pts, quads)
-            want = reference_four_point(space, pts, quads)
+            got = max_four_point_defect(space, pts)
+            want = reference_four_point(space, pts)
             assert got == want
             assert type(got) is type(want)
 
@@ -422,8 +405,8 @@ class TestDistanceTable:
             space = TableSpace(5)
             for (i, j), d in zip(pairs, entries):
                 space.table[i][j] = space.table[j][i] = d
-            got = max_four_point_defect(space, range(5), QUADS)
-            want = reference_four_point(space, range(5), QUADS)
+            got = max_four_point_defect(space, range(5))
+            want = reference_four_point(space, range(5))
             assert (got, type(got)) == (want, type(want)), space.table
 
     def test_a_float_table_takes_the_whole_walk(self):
@@ -435,18 +418,18 @@ class TestDistanceTable:
             space.table[0][x] = space.table[x][0] = 1e17
             for y in range(x + 1, 5):
                 space.table[x][y] = space.table[y][x] = 2 if y - x == 2 else 1
-        assert all(reference_four_point(space, (0,) + q, 1) == 0
+        assert all(reference_four_point(space, (0,) + q) == 0
                    for q in combinations(range(1, 5), 3))
-        assert max_four_point_defect(space, range(5), QUADS) == 1.0
-        assert reference_four_point(space, range(5), QUADS) == 1.0
+        assert max_four_point_defect(space, range(5)) == 1.0
+        assert reference_four_point(space, range(5)) == 1.0
 
-    def test_a_cycle_takes_the_whole_walk(self):
-        C5 = GraphSpace(5, [(v, (v + 1) % 5) for v in range(5)])
-        got = max_four_point_defect(C5, range(5), QUADS)
-        assert got == reference_four_point(C5, range(5), QUADS) == 0.5
+    def test_a_cycle_takes_the_whole_walk(self, graph_space):
+        C5 = graph_space(5, [(v, (v + 1) % 5) for v in range(5)])
+        got = max_four_point_defect(C5, range(5))
+        assert got == reference_four_point(C5, range(5)) == 0.5
 
-    def test_table_entries(self):
-        G = random_connected_graph(5)
+    def test_table_entries(self, graph_space):
+        G = random_connected_graph(graph_space, 5)
         pts = G.sample_points(9)
         table = distance_table(G.dist, pts)
         for i, p in enumerate(pts):
@@ -463,7 +446,7 @@ class TestDistanceTable:
 
     def test_four_point_check_computes_each_pair_once(self):
         L = CountingLine()
-        assert max_four_point_defect(L, list(range(25)), QUADS) == 0.0
+        assert max_four_point_defect(L, list(range(25))) == 0.0
         assert L.calls == 300
 
     def test_diameter_keeps_value_type_and_default(self):

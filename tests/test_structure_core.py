@@ -396,7 +396,7 @@ def test_a_structure_dies_with_its_last_reference(name):
     gone = weakref.ref(hh)
     gc.disable()
     try:
-        check_structure(hh)
+        check_structure(hh, radius=3, seed=0, max_pairs=60)
         for u in hh.domains():
             hh.pi(u, hh.group.parse("1"))
         del hh
