@@ -65,15 +65,6 @@ def _pieces_of_factor(model, factor_index, factor):
     raise WrongKindError(f"unsupported factor family {factor.family}")
 
 
-def _product_pieces(model):
-    if isinstance(model, DirectProduct):
-        pieces = []
-        for i, factor in enumerate(model.parts):
-            pieces.extend(_pieces_of_factor(model, i, factor))
-        return pieces
-    return _pieces_of_factor(model, None, model)
-
-
 def _product_constants(n_pieces):
     if n_pieces == 1:
         return ConstantLedger(
@@ -93,7 +84,12 @@ def product_structure(model, label, constants=None):
     pairwise orthogonal, under a single bounded top when there are several."""
     if isinstance(model, FreeProduct):
         raise WrongKindError("free products take the coset structure instead")
-    pieces = _product_pieces(model)
+    if isinstance(model, DirectProduct):
+        pieces = []
+        for i, factor in enumerate(model.parts):
+            pieces.extend(_pieces_of_factor(model, i, factor))
+    else:
+        pieces = _pieces_of_factor(model, None, model)
     # a kind that occurs more than once is numbered in order: T1, T2, ...
     kinds = [d.label for d in pieces]
     for k, d in enumerate(pieces):
@@ -113,44 +109,18 @@ def product_structure(model, label, constants=None):
                     nesting=nesting, orthogonal=orthogonal, recipe=recipe)
 
 
-def free_product_constants():
-    return ConstantLedger(
+def free_product_structure(model, label, generation_radius=FreeProductHHG.GENERATION_RADIUS,
+                           constants=None):
+    constants = constants or ConstantLedger(
         delta=0.0, xi=0.0, kappa0=2.0, E=2.0, lam=1.0, alpha=2.0,
         K_proj=1.0, n_complexity=2, theta_coeffs=(4.0, 4.0, 1.0),
         C_norm=1.0, tau0=1.0, N_rank=1,
     )
-
-
-def free_product_structure(model, label, generation_radius=FreeProductHHG.GENERATION_RADIUS,
-                           constants=None):
-    return FreeProductHHG(label, model, constants or free_product_constants(), generation_radius)
-
-
-# group models of the standard catalog
-
-
-def _model_free2():
-    return FreeGroup(2)
-
-
-def _model_z1():
-    return FreeAbelianGroup(1)
-
-
-def _model_z2():
-    return FreeAbelianGroup(2)
+    return FreeProductHHG(label, model, constants, generation_radius)
 
 
 def _model_f2xz():
     return DirectProduct([FreeGroup(2), FreeAbelianGroup(1, ["t"])])
-
-
-def _model_f2xf2():
-    return DirectProduct([FreeGroup(2), FreeGroup(2, ["c", "d"])])
-
-
-def _model_f2freez():
-    return FreeProduct([FreeGroup(2), FreeAbelianGroup(1, ["c"])])
 
 
 # fixtures
@@ -300,12 +270,14 @@ def fixture_bad_transverse_invariant():
 
 
 STANDARD_BUILDERS = {
-    "free2": lambda: product_structure(_model_free2(), "free2"),
-    "z1": lambda: product_structure(_model_z1(), "z1"),
-    "z2": lambda: product_structure(_model_z2(), "z2"),
+    "free2": lambda: product_structure(FreeGroup(2), "free2"),
+    "z1": lambda: product_structure(FreeAbelianGroup(1), "z1"),
+    "z2": lambda: product_structure(FreeAbelianGroup(2), "z2"),
     "f2xz": lambda: product_structure(_model_f2xz(), "f2xz"),
-    "f2xf2": lambda: product_structure(_model_f2xf2(), "f2xf2"),
-    "f2freez": lambda: free_product_structure(_model_f2freez(), "f2freez"),
+    "f2xf2": lambda: product_structure(
+        DirectProduct([FreeGroup(2), FreeGroup(2, ["c", "d"])]), "f2xf2"),
+    "f2freez": lambda: free_product_structure(
+        FreeProduct([FreeGroup(2), FreeAbelianGroup(1, ["c"])]), "f2freez"),
 }
 
 FIXTURE_BUILDERS = {
@@ -351,20 +323,15 @@ def structure_from_json(data) -> HHStructure:
                                   constants=constants)
 
 
-def names_a_file(source) -> bool:
-    """Whether load_structure reads the source as a path to a structure
-    json file (it ends in .json or holds a /) rather than a catalog name."""
-    return isinstance(source, str) and (source.endswith(".json") or "/" in source)
-
-
 def load_structure(source) -> HHStructure:
-    """Accepts a catalog name or a path to a structure json file.
+    """Accepts a catalog name or a path to a structure json file: a string
+    that ends in .json or holds a / names a file, anything else a name.
 
     A file is read once, and the structure is parsed from those bytes and
     records their sha256 as source_sha256, so a pipe gets the digest of
     what was parsed.  A file that is not UTF-8, or nests past the
     interpreter's recursion limit, raises InputError."""
-    if not names_a_file(source):
+    if not (isinstance(source, str) and (source.endswith(".json") or "/" in source)):
         return build_named(source)
     with open(source, "rb") as fh:
         data = fh.read()

@@ -27,8 +27,8 @@ power that passes verification and records both numbers.
 import math
 from collections import namedtuple
 
-from .balls import (enumerate_generating_sets, generates_at_radius, growth_function,
-                    standard_ball, symmetrize)
+from .balls import (COUNT_MAX_DIGITS, enumerate_generating_sets, generates_at_radius,
+                    growth_function, standard_ball, symmetrize)
 from .classify import big_set, big_set_member
 from .coords import product_decomposition, quasi_line_detect
 from .errors import (CertifierRefutedError, ClassificationAnomalyError, InputError,
@@ -46,9 +46,6 @@ ENDPOINT_POWER = 5
 PINGPONG_BALL_RADIUS = 4
 # largest ball radius of the semigroup growth cross-check
 GROWTH_CHECK_CAP = 12
-# most decimal digits of a power-schedule entry; reports print every
-# entry, and Python refuses to print an int of more than 4300 digits
-SCHEDULE_DIGITS = 4000
 # radius within which `certify` proves that words generate a direct product
 REACH_RADIUS = 6
 
@@ -84,12 +81,13 @@ def _schedule_ceil(ratio, value):
 
 def _factorial_term(name, coeff, n):
     """coeff * n! for a power-schedule entry; InputError, before computing
-    n!, when lgamma puts it above SCHEDULE_DIGITS decimal digits."""
+    n!, when lgamma puts it above COUNT_MAX_DIGITS decimal digits: reports
+    print every entry."""
     try:
         digits = math.log10(coeff) + math.lgamma(n + 1) / math.log(10)
     except OverflowError:
         raise InputError(f"power schedule overflows: {name} is not finite") from None
-    if digits > SCHEDULE_DIGITS:
+    if digits > COUNT_MAX_DIGITS:
         raise InputError(f"power schedule overflows: {name} has about {digits:.0f} digits")
     return coeff * math.factorial(n)
 
@@ -151,18 +149,19 @@ def preserves_endpoint_pair(model, s, t):
 class GrowthCertificate:
     """Outcome of one certification run.
 
-    words holds the certified pair for the free variants; evidence carries
-    the route taken and the measurements that back the verdict.
+    words holds the certified pair for the free variants, and lengths
+    their letter lengths; evidence carries the route taken and the
+    measurements that back the verdict.
     `_certify_words` sets generating_set; the routes leave it empty.
     """
 
-    def __init__(self, variant, ledger, evidence, words=None, lengths=None,
+    def __init__(self, variant, ledger, evidence, words=None,
                  verified_depth=None, subgroup_index=1, x_length_bound=None, caveats=()):
         self.variant = variant
         self.ledger = ledger
         self.generating_set = []
         self.words = words
-        self.lengths = lengths
+        self.lengths = None if words is None else [len(words["u"]), len(words["w"])]
         self.verified_depth = verified_depth
         self.subgroup_index = subgroup_index
         self.x_length_bound = x_length_bound
@@ -178,7 +177,7 @@ class GrowthCertificate:
             "variant": self.variant,
             "generating_set": [list(w) for w in self.generating_set],
             "words": words,
-            "lengths": None if self.lengths is None else list(self.lengths),
+            "lengths": self.lengths,
             "verified_depth": self.verified_depth,
             "subgroup_index": self.subgroup_index,
             "x_length_bound": self.x_length_bound,
@@ -216,12 +215,6 @@ def semigroup_growth_check(model, cert):
 
 # ---------------------------------------------------------------------------
 # big-set bookkeeping
-
-
-def _normalize_genset(model, words):
-    out = {model.normal_form(w) for w in words}
-    out.discard(IDENTITY)
-    return sorted(out, key=lambda w: (len(w), w))
 
 
 class BigDomains(namedtuple("BigDomains", "big closure provenance")):
@@ -476,7 +469,6 @@ def pingpong_transverse(structure, s, t, u, v, x_lengths, led, depth,
         variant="free-subgroup",
         ledger=led,
         words={"u": pair[0], "w": pair[1]},
-        lengths=[len(pair[0]), len(pair[1])],
         verified_depth=depth,
         subgroup_index=1,
         x_length_bound=bound,
@@ -581,7 +573,6 @@ def top_level_certify(structure, words, outcome, led, depth):
         variant="free-subgroup",
         ledger=led,
         words={"u": s, "w": c},
-        lengths=[len(s), len(c)],
         verified_depth=depth,
         subgroup_index=1,
         x_length_bound=led.M,
@@ -629,7 +620,6 @@ def case2_branch(structure, words, outcome, led, depth):
                 variant="free-semigroup",
                 ledger=led,
                 words={"u": pair[0], "w": pair[1]},
-                lengths=[len(pair[0]), len(pair[1])],
                 verified_depth=depth,
                 subgroup_index=outcome.index,
                 x_length_bound=led.M,
@@ -684,7 +674,8 @@ def certify(structure, X, depth):
     if depth < 1:
         raise InputError("verification depth must be at least 1")
     model = structure.group
-    words = _normalize_genset(model, X)
+    words = sorted({model.normal_form(w) for w in X} - {IDENTITY},
+                   key=lambda w: (len(w), w))
     if not words:
         raise InputError("generating set reduces to the identity")
     if not generates_at_radius(model, words, REACH_RADIUS):
@@ -725,11 +716,14 @@ def scan_generating_sets(structure, size_bound, length_bound, ambient_radius,
                          depth, growth_n):
     """Certify every enumerated generating set; one row per set, in
     enumeration order, with a summary of the worst measured rate.  A size
-    or length bound below 1 enumerates nothing: the report has no rows."""
+    or length bound below 1 enumerates nothing: the report has no rows.
+    A radius below 1 is an error even then."""
     if depth < 1:
         raise InputError("verification depth must be at least 1")
     if growth_n < 1:
         raise InputError("growth n must be at least 1")
+    if ambient_radius < 1:
+        raise InputError("length and radius bounds must be at least 1")
     model = structure.group
     rows = []
     gensets = (enumerate_generating_sets(model, size_bound, length_bound,

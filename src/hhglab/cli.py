@@ -1,13 +1,17 @@
 """Batch front end.
 
-Loads a structure (catalog name or json file), runs one of the pipelines,
-and emits a deterministic report: JSON for nested results, CSV for tabular
-ones.  Every report embeds a schema version, the sha256 of the structure
-source, and the full constant ledger, and contains no timestamps, so the
-same configuration and seed reproduce the output byte for byte.
+`main` owns every step around a command: it loads the structure (catalog
+name or json file), takes its fingerprint, runs the command, wraps a JSON
+report in its envelope and renders it, and writes the report to the
+``--out`` file (summary lines to stdout) or else to stdout.  A command
+returns its report (a dict, or the text of a CSV report), its summary
+lines and its exit code.  Reports embed a schema version and the sha256
+of the structure source (JSON also the constant ledger) and no timestamp,
+so the same configuration and seed reproduce them byte for byte.
 
-Exit codes: 0 all checks passed, 1 a check failed or a certificate was
-refuted, 2 usage or input errors.
+Exit codes, mapped by `main`: 0 all checks passed, 1 a check failed or a
+certificate was refuted (one JSON line on stderr), 2 usage, input or file
+errors (one ``error:`` line on stderr).
 """
 
 import argparse
@@ -70,35 +74,11 @@ def _fmt(value):
     return str(value)
 
 
-def emit(text, out, summary_lines):
-    """Document to the output file when one is named (summary to stdout),
-    otherwise the document itself to stdout."""
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-        for line in summary_lines:
-            print(line)
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
-def _load(args):
-    structure = load_structure(args.structure)
-    return structure, structure_fingerprint(args.structure, structure)
-
-
-def cmd_check(args):
-    structure, fp = _load(args)
+def cmd_check(structure, fp, args):
     report = check_structure(structure, radius=args.radius, seed=args.seed,
                              max_pairs=args.max_pairs)
     validators = structural_validators(structure)
     ok = report.passed and validators.ok
-    doc = report_envelope("check", structure, fp, args.seed, {
-        "passed": ok,
-        "axioms": report.to_json(),
-        "validators": validators.to_json(),
-    })
     lines = [f"axiom {a.index} {a.name}: {'pass' if a.passed else 'FAIL'}"
              f" (margin {a.margin:.3f}, {a.checks} checks)"
              for a in report.axioms]
@@ -106,17 +86,15 @@ def cmd_check(args):
                  f" ({validators.checks} checks)")
     lines.append(f"structure {structure.label}: "
                  + ("all checks passed" if ok else "FAILED"))
-    emit(render_json(doc), args.out, lines)
-    return 0 if ok else 1
+    return ({"passed": ok, "axioms": report.to_json(),
+             "validators": validators.to_json()}, lines, 0 if ok else 1)
 
 
-def cmd_certify(args):
-    structure, fp = _load(args)
+def cmd_certify(structure, fp, args):
     if not args.genset:
         raise InputError("certify needs --genset \"w1,w2,...\"")
     words = parse_generating_set(structure.group, args.genset)
     cert = certify(structure, words, depth=args.depth)
-    doc = report_envelope("certify", structure, fp, args.seed, cert.to_json())
     lines = [f"variant: {cert.variant}"]
     if cert.words:
         u = structure.group.format(cert.words["u"])
@@ -125,8 +103,7 @@ def cmd_certify(args):
                      f" bound {cert.x_length_bound})")
     for caveat in cert.caveats:
         lines.append(f"caveat: {caveat}")
-    emit(render_json(doc), args.out, lines)
-    return 0
+    return cert.to_json(), lines, 0
 
 
 SCAN_COLUMNS = ("row,generating_set,variant,max_word_length,lambda_estimate,"
@@ -152,8 +129,7 @@ def scan_csv(report, header):
     return "\n".join(lines) + "\n"
 
 
-def cmd_scan(args):
-    structure, fp = _load(args)
+def cmd_scan(structure, fp, args):
     report = scan_generating_sets(structure, args.scan_size, args.scan_length,
                                   args.radius, depth=args.depth,
                                   growth_n=args.growth_n)
@@ -162,13 +138,9 @@ def cmd_scan(args):
     summary = [f"scanned {report['summary']['rows']} generating sets,"
                f" {report['summary']['errors']} errors,"
                f" min rate {_fmt(report['summary']['min_rate'])}"]
-    if args.format == "json":
-        doc = report_envelope("scan", structure, fp, args.seed, report)
-        emit(render_json(doc), args.out, summary)
-    else:
-        header = csv_header("scan", structure, fp, args.seed)
-        emit(scan_csv(report, header), args.out, summary)
-    return 0 if ok else 1
+    if args.format == "csv":
+        report = scan_csv(report, csv_header("scan", structure, fp, args.seed))
+    return report, summary, 0 if ok else 1
 
 
 def _random_pairs(model, count, length, seed):
@@ -187,30 +159,23 @@ def _random_pairs(model, count, length, seed):
     return list(zip(words[:count], words[count:]))
 
 
-def cmd_distance(args):
-    structure, fp = _load(args)
+def cmd_distance(structure, fp, args):
     pairs = _random_pairs(structure.group, args.pairs, args.length, args.seed)
     fit = fit_distance_formula(structure, pairs, s=args.s)
-    doc = report_envelope("distance", structure, fp, args.seed, fit.to_json())
     lines = ([f"fit: d ~ sum within (K={fit.K}, C={fit.C})"
               f" over {fit.n_samples} pairs at s={fit.s}"]
              if fit.ok else [f"fit failed: {fit.failure}"])
-    emit(render_json(doc), args.out, lines)
-    return 0 if fit.ok else 1
+    return fit.to_json(), lines, 0 if fit.ok else 1
 
 
-def cmd_decompose(args):
-    structure, fp = _load(args)
+def cmd_decompose(structure, fp, args):
     dec = product_decomposition(structure)
-    doc = report_envelope("decompose", structure, fp, args.seed, dec.to_json())
     lines = [f"{len(dec.blocks)} block(s): "
              + "; ".join("x".join(b) for b in dec.blocks)]
-    emit(render_json(doc), args.out, lines)
-    return 0
+    return dec.to_json(), lines, 0
 
 
-def cmd_growth(args):
-    structure, fp = _load(args)
+def cmd_growth(structure, fp, args):
     model = structure.group
     if args.genset:
         gens = parse_generating_set(model, args.genset)
@@ -227,25 +192,21 @@ def cmd_growth(args):
     summary = [f"beta({args.n}) = {beta[args.n]} over {label} set"
                f" ({len(gens)} words)"]
     if args.format == "json":
-        doc = report_envelope("growth", structure, fp, args.seed, {
-            "generating_set": [model.format(w) for w in gens],
-            "rows": rows,
-        })
-        emit(render_json(doc), args.out, summary)
-    else:
-        lines = [csv_header("growth", structure, fp, args.seed),
-                 "n,count,log_count_over_n"]
-        lines += [f"{r['n']},{r['count']},{_fmt(r['log_count_over_n'])}"
-                  for r in rows]
-        emit("\n".join(lines) + "\n", args.out, summary)
-    return 0
+        return ({"generating_set": [model.format(w) for w in gens], "rows": rows},
+                summary, 0)
+    lines = [csv_header("growth", structure, fp, args.seed),
+             "n,count,log_count_over_n"]
+    lines += [f"{r['n']},{r['count']},{_fmt(r['log_count_over_n'])}"
+              for r in rows]
+    return "\n".join(lines) + "\n", summary, 0
 
 
 DEPTH = ("--depth", {"type": int, "default": 6, "help":
                      "recorded as verified_depth; the freeness test is exact at every depth"})
 FORMAT = ("--format", {"choices": ("json", "csv"), "default": "csv"})
 
-# name -> (function, help, options besides structure, --seed and --out)
+# name -> (function, help, options besides structure, --seed and --out);
+# main calls function(structure, fingerprint, args)
 COMMANDS = {
     "check": (cmd_check, "run the nine axiom checks", (
         ("--radius", {"type": int, "default": 3}),
@@ -309,7 +270,20 @@ def main(argv=None):
         argv = sys.argv[1:]
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        return COMMANDS[args.command][0](args)
+        structure = load_structure(args.structure)
+        fp = structure_fingerprint(args.structure, structure)
+        report, summary, code = COMMANDS[args.command][0](structure, fp, args)
+        if not isinstance(report, str):
+            report = render_json(report_envelope(args.command, structure, fp,
+                                                 args.seed, report))
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(report)
+            for line in summary:
+                print(line)
+        else:
+            sys.stdout.write(report)
+        return code
     except (InputError, json.JSONDecodeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -23,8 +23,7 @@ from operator import itemgetter
 
 from .balls import standard_ball
 from .errors import InputError, PreconditionError
-from .spaces import (CayleyTreeSpace, CosetTreeSpace, LineSpace, distance_table,
-                     sample_diameter)
+from .spaces import LineSpace, distance_table, sample_diameter
 from .structures import CONTAINS, NEST_IN, ORTHOGONAL, TRANSVERSE
 
 
@@ -308,14 +307,10 @@ class Decomposition(namedtuple("Decomposition", "blocks descriptors degenerate")
 
 
 def _block_kind(structure, block):
+    """Every unbounded space here is a line, a Cayley tree or a coset tree."""
     if len(block) != 1:
         return "mixed"
-    space = structure.space(block[0])
-    if isinstance(space, LineSpace):
-        return "line"
-    if isinstance(space, (CayleyTreeSpace, CosetTreeSpace)):
-        return "tree"
-    return "space"
+    return "line" if isinstance(structure.space(block[0]), LineSpace) else "tree"
 
 
 def product_decomposition(structure):

@@ -91,7 +91,7 @@ class LineSpace(Space):
         return is_int(x)
 
 
-class PathSpace(Space):
+class PathSpace(LineSpace):
     """The path 0 - 1 - ... - (n - 1): a bounded segment of the line."""
 
     label = "path"
@@ -99,14 +99,6 @@ class PathSpace(Space):
 
     def __init__(self, n):
         self.n = n
-
-    def dist(self, x, y):
-        return abs(x - y)
-
-    def basepoint(self):
-        return 0
-
-    geodesic = LineSpace.geodesic
 
     def sample_points(self, radius):
         return list(range(min(self.n, int(radius) + 1)))

@@ -632,6 +632,13 @@ class TestScan:
         assert code == 2 and out == ""
         assert err == "error: verification depth must be at least 1\n"
 
+    @pytest.mark.parametrize("radius", ["0", "-5"])
+    @pytest.mark.parametrize("bounds", [(), ("--scan-size", "1", "--scan-length", "1")])
+    def test_radius_below_one_without_certified_sets(self, capsys, bounds, radius):
+        code, out, err = run(capsys, "scan", "free2", *bounds, "--radius", radius)
+        assert code == 2 and out == ""
+        assert err == "error: length and radius bounds must be at least 1\n"
+
     @pytest.mark.parametrize("growth_n", ["0", "-1"])
     def test_growth_n_below_one_is_usage_error(self, capsys, growth_n):
         code, out, err = run(capsys, "scan", "free2", "--scan-size", "2",
@@ -802,6 +809,27 @@ class TestStructureDigest:
         code, doc, _ = run_json(capsys, "decompose", f"{STRUCTURES}/f2xz.json")
         assert code == 0 and doc["report"] == piped["report"]
         assert doc["structure_source"]["sha256"] == piped["structure_source"]["sha256"]
+
+
+class TestDriverFailures:
+    """Loading, running, rendering and writing all fail inside main's
+    error mapping: no traceback, and no report file unless it is whole."""
+
+    @pytest.mark.parametrize("argv", [("check", "z1"), ("scan", "free2")])
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path / "missing" / "r"))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_budget_error_writes_no_report(self, capsys, tmp_path):
+        path = tmp_path / "F"
+        code, out, err = run(capsys, "growth", "free2", "--n", "20000", "--out", str(path))
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "ResourceBudgetError",
+            "message": "ball count exceeded 4000 digits at radius 8383",
+            "witness": {"partial_radius": 8382}}
+        assert not path.exists()
 
 
 class TestUsage:

@@ -1,10 +1,11 @@
 import math
+import pathlib
 import random
 
 import pytest
 
 from hhglab.balls import standard_ball
-from hhglab.builders import build_named
+from hhglab.builders import build_named, load_structure
 from hhglab.classify import tau0_floor_check
 from hhglab.coords import (
     ConsistentTuple,
@@ -149,6 +150,7 @@ def reference_closest_elements(structure, radius, targets):
 
 
 CATALOG = ["free2", "z1", "z2", "f2xz", "f2xf2", "f2freez"]
+STRUCTURES = pathlib.Path(__file__).resolve().parents[1] / "structures"
 
 
 def search_case(structure, radius, targets, theta_e):
@@ -465,6 +467,23 @@ class TestDecomposition:
     def test_block_kinds(self):
         dec = product_decomposition(build_named("f2xz"))
         assert [d["kind"] for d in dec.descriptors] == ["line", "tree"]
+        # on every structure file: a block of two or more domains is mixed,
+        # and a single domain is named by its space, a line or a tree
+        kinds = {"line": "line", "tree": "tree", "coset tree": "tree"}
+        blocks = {}
+        for path in sorted(STRUCTURES.glob("*.json")):
+            dec = product_decomposition(load_structure(str(path)))
+            for d in dec.descriptors:
+                assert d["kind"] == ("mixed" if len(d["domains"]) > 1
+                                     else kinds[d["spaces"][0]])
+            blocks[path.stem] = [(d["kind"], len(d["domains"])) for d in dec.descriptors]
+        assert blocks["f2freez"] == [("mixed", 39)]
+        assert blocks["swapline"] == [("line", 1), ("line", 1)]
+        assert blocks["f2xz-corrupt-rho"] == [("line", 1), ("tree", 1)]
+        # its top is a bounded path, a LineSpace that no block holds
+        rho = load_structure(str(STRUCTURES / "f2xz-corrupt-rho.json"))
+        assert rho.space("S").label == "path" and rho.is_bounded_domain("S")
+        assert "S" not in sum(product_decomposition(rho).blocks, [])
 
     def test_free_product_is_one_block(self):
         dec = product_decomposition(build_named("f2freez"))
