@@ -23,7 +23,10 @@ junction where the two words meet (free cancellation, exponent sums, the
 factor blocks v touches).  It trusts that u and v are normal forms and
 never checks it: on other words its result is wrong.  ``_reduce`` is the
 reference it is tested against.  The Cayley-ball BFS, the freeness oracles
-and ``power`` call ``_product`` directly.
+and ``power`` call ``_product`` directly.  ``distance(u, v)``, the length
+of u^-1 v, is the family's ``_distance``, which forms no product: |u| + |v|
+less twice the common prefix in a free group, the sum of the exponent
+differences in Z^n, the sum over the factor blocks in a direct product.
 
 A free product takes free and infinite cyclic factors only, so it is the
 free group on all its letters and shares ``FreeGroup``'s kernels.  The
@@ -56,16 +59,16 @@ class GroupModel:
     """Base class: a marked group with normal forms.
 
     Subclasses must set self.ngens, self.labels and implement _reduce,
-    _product and _inverse.  All other operations are derived.
+    _product, _inverse and _distance.  All other operations are derived.
     """
 
     family = "abstract"
 
     ngens: int
     labels: list[str]
-    # True when _product and _inverse only compare letters and invert them
-    # (x ^ 1): then they take words whose letters all carry the same even
-    # offset without shifting them, as a factor of a product sees them
+    # True when _product, _inverse and _distance only compare letters and
+    # invert them (x ^ 1): then they take words whose letters all carry the
+    # same even offset unshifted, as a factor of a product sees them
     shift_free = False
 
     def _check_labels(self):
@@ -111,6 +114,10 @@ class GroupModel:
     def inverse(self, w: Word) -> Word:
         """Normal form of w^-1 for a normal form w."""
         return self._inverse(w)
+
+    def distance(self, u: Word, v: Word) -> int:
+        """Word length of u^-1 v for normal forms u and v."""
+        return self._distance(u, v)
 
     def conjugate(self, t: Word, g: Word) -> Word:
         """t g t^-1."""
@@ -194,6 +201,15 @@ class FreeGroup(GroupModel):
     def _inverse(self, w: Word) -> Word:
         return invert_word(w)
 
+    def _distance(self, u: Word, v: Word) -> int:
+        # u^-1 v is u's tail after the common prefix, inverted, then v's
+        common = 0
+        for a, b in zip(u, v):
+            if a != b:
+                break
+            common += 1
+        return len(u) + len(v) - 2 * common
+
     def to_json(self) -> dict:
         return {"family": "free", "rank": self.ngens, "labels": list(self.labels)}
 
@@ -247,6 +263,12 @@ class FreeAbelianGroup(GroupModel):
 
     def _inverse(self, w: Word) -> Word:
         return tuple([x ^ 1 for x in w])
+
+    def _distance(self, u: Word, v: Word) -> int:
+        if self.ngens > 1:
+            return sum(abs(a - b) for a, b in zip(self.exponents(u), self.exponents(v)))
+        # rank 1, at any even offset: one letter repeated, its sign the parity
+        return len(u) + len(v) if u and v and u[0] != v[0] else abs(len(u) - len(v))
 
     def to_json(self) -> dict:
         return {"family": "free_abelian", "rank": self.ngens, "labels": list(self.labels)}
@@ -343,6 +365,18 @@ class DirectProduct(_CombinedModel):
             start = end
         return out
 
+    def _distance(self, u: Word, v: Word) -> int:
+        total = su = sv = 0  # factor i's blocks start at u[su] and v[sv]
+        for i, part in enumerate(self.parts):
+            hi = self._bounds[i + 1]
+            eu, ev = bisect_left(u, hi, su), bisect_left(v, hi, sv)
+            a, b = u[su:eu], v[sv:ev]
+            if self._offsets[i] and not part.shift_free:
+                a, b = self.to_local(i, a), self.to_local(i, b)
+            total += part._distance(a, b)
+            su, sv = eu, ev
+        return total
+
     def to_json(self) -> dict:
         return {"family": "direct_product", "factors": [p.to_json() for p in self.parts]}
 
@@ -357,6 +391,7 @@ class FreeProduct(_CombinedModel):
     _reduce = FreeGroup._reduce
     _product = FreeGroup._product
     _inverse = FreeGroup._inverse
+    _distance = FreeGroup._distance
 
     def __init__(self, factors):
         self._init_parts(factors)

@@ -112,7 +112,9 @@ class CayleyTreeSpace(Space):
 
     Points are reduced words.  They are checked where they enter the
     package (``contains``), and ``dist`` trusts it: the distance of two
-    reduced words is their lengths less twice their common prefix.
+    reduced words is their word distance in the free group, their lengths
+    less twice their common prefix, so ``dist`` is that group's kernel
+    ``_distance``, which reads nothing off the instance it is called on.
     """
 
     label = "tree"
@@ -122,13 +124,7 @@ class CayleyTreeSpace(Space):
             raise WrongKindError("CayleyTreeSpace needs a free group model")
         self.model = free_model
 
-    def dist(self, x, y):
-        common = 0
-        for a, b in zip(x, y):
-            if a != b:
-                break
-            common += 1
-        return len(x) + len(y) - 2 * common
+    dist = FreeGroup._distance
 
     def basepoint(self):
         return ()
@@ -169,7 +165,9 @@ class CosetTreeSpace(Space):
     again.
 
     ``dist``, ``cosets`` and ``geodesic`` read the syllables of h^-1 k off
-    the normal forms h and k and form no product: both are freely reduced
+    the normal forms h and k and form no product: ``cosets`` and
+    ``geodesic`` list them (``_syllables``), ``dist`` counts them in the
+    same walk and keeps no list.  Both words are freely reduced
     on all letters, so h^-1 k is h's tail after their common prefix,
     inverted, then k's tail.  Nothing cancels where the tails meet, and
     their end syllables there are one syllable when they share a factor.
@@ -199,16 +197,20 @@ class CosetTreeSpace(Space):
         factor, rep = v
         return self.vertex(factor, self.model.multiply(g, rep))
 
-    def _syllables(self, h, k):
-        """(factor, word, cut) of each syllable of h^-1 k, in order, where
-        word[:cut], a prefix of h or of k, is the point the path from h to
-        k has reached when the syllable begins."""
-        part_of = self.model._part_of
+    def _common_prefix(self, h, k):
         c = 0
         for a, b in zip(h, k):
             if a != b:
                 break
             c += 1
+        return c
+
+    def _syllables(self, h, k):
+        """(factor, word, cut) of each syllable of h^-1 k, in order, where
+        word[:cut], a prefix of h or of k, is the point the path from h to
+        k has reached when the syllable begins."""
+        part_of = self.model._part_of
+        c = self._common_prefix(h, k)
         out = []
         fi = None  # factor of the syllable the walk is in
         for end in range(len(h), c, -1):
@@ -222,15 +224,27 @@ class CosetTreeSpace(Space):
         return out
 
     def dist(self, x, y):
+        """One more than the syllables of h^-1 k, less a first one in x's
+        factor and a last one in y's, counted in _syllables' walk."""
         if x == y:
             return 0
         (i, h), (j, k) = x, y
-        runs = [fi for fi, _, _ in self._syllables(h, k)]
-        if runs and runs[0] == i:
-            runs = runs[1:]
-        if runs and runs[-1] == j:
-            runs = runs[:-1]
-        return len(runs) + 1
+        part_of = self.model._part_of
+        c = self._common_prefix(h, k)
+        n = 0
+        first = last = None
+        for tail in (reversed(h[c:]), k[c:]):
+            for a in tail:
+                if part_of[a] != last:
+                    last = part_of[a]
+                    if not n:
+                        first = last
+                    n += 1
+        if n and first == i:
+            n -= 1
+        if n and last == j:
+            n -= 1
+        return n + 1
 
     def basepoint(self):
         return (0, ())

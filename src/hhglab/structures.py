@@ -190,7 +190,7 @@ class HHStructure:
         return self.domains()
 
     def word_metric(self, x, y) -> int:
-        return len(self.group.multiply(self.group.inverse(x), y))
+        return self.group.distance(x, y)
 
     def dsub(self, u, x, y):
         """d_u(pi_u(x), pi_u(y)) for group elements x, y."""
@@ -360,8 +360,10 @@ class FreeProductHHG(HHStructure):
                                                   lambda p: p[1]))}
         self._factor_names = ["".join(p.labels) for p in group.parts]
         self._factors = [self._factor(i) for i in range(2)]
-        self._labels = [self.TOP] + [self.vertex_label(v)
-                                     for v in self.tree.sample_points(generation_radius)]
+        # tree vertex -> its label, spelled once, here or in domains_between
+        self._vertex_labels = {v: self.vertex_label(v)
+                               for v in self.tree.sample_points(generation_radius)}
+        self._labels = [self.TOP, *self._vertex_labels.values()]
 
     def _factor(self, i):
         """(space, point of a syllable, local word of a point) of factor i:
@@ -486,7 +488,9 @@ class FreeProductHHG(HHStructure):
         return self.vertex_label(self.tree.translate(g, v))
 
     def domains_between(self, x, y):
-        return [self.TOP] + [self.vertex_label(v) for v in self.tree.cosets(x, y)]
+        labels = self._vertex_labels
+        return [self.TOP] + [labels.get(v) or labels.setdefault(v, self.vertex_label(v))
+                             for v in self.tree.cosets(x, y)]
 
     def to_json(self):
         return {

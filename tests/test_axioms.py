@@ -14,8 +14,8 @@ from hhglab.coords import consistency_inequality, distance_formula_sum
 from hhglab.errors import InputError, PreconditionError
 from hhglab.groups import FreeAbelianGroup
 from hhglab.spaces import CayleyTreeSpace, LineSpace, PointSpace, Space, sample_diameter
-from hhglab.structures import (NEST_IN, TRANSVERSE, ConstantLedger, Domain, FreeProductHHG,
-                               TableHHG)
+from hhglab.structures import (NEST_IN, ORTHOGONAL, TRANSVERSE, ConstantLedger, Domain,
+                               FreeProductHHG, TableHHG)
 
 STRUCTURE_DIR = pathlib.Path(__file__).resolve().parents[1] / "structures"
 STRUCTURE_FILES = sorted(STRUCTURE_DIR.glob("*.json"))
@@ -343,6 +343,7 @@ class TestPairRows:
 # margin seen, per sampled (pair, domain).
 # The per-pair loops of checks 4, 6 and 7 as they were before _Env kept a
 # nesting map: each asks relation for every pair of domains it meets.
+# Check 4 also projects, and sees a margin, per (domain pair, element).
 # Check 9 as it was before the pairs kept rows: the largest term of the
 # distance formula, summed afresh for each pair.
 
@@ -449,6 +450,68 @@ def _reference_geodesic_image(env):
     return worst.report(7, E)
 
 
+# Check 8 as it was before each family kept its list of related domains:
+# the list, and each member's relation to it, asked afresh per target tuple.
+
+def _reference_partial_realization(env):
+    st = env.st
+    alpha = st.constants.alpha
+    worst = _Worst()
+    unbounded = [u for u in env.domains if not st.is_bounded_domain(u)]
+    families = [(u,) for u in unbounded]
+    for i, u in enumerate(unbounded):
+        for v in unbounded[i + 1:]:
+            if st.relation(u, v) == ORTHOGONAL:
+                families.append((u, v))
+    for w in unbounded:
+        fam = [w]
+        for v in unbounded:
+            if all(st.relation(v, z) == ORTHOGONAL for z in fam):
+                fam.append(v)
+        if len(fam) >= 3:
+            families.append(tuple(sorted(fam)))
+    families = sorted(set(families))
+    for family in env.sample(families, 12):
+        pts_per = [env.sample(env.points(u), 4) for u in family]
+        tuples = [[]]
+        for opts in pts_per:
+            tuples = [t + [p] for t in tuples for p in opts]
+        for targets in env.sample(tuples, 8):
+            g = ()
+            for u, p in zip(family, targets):
+                g = st.group.multiply(g, st.lift(u, p))
+            for u, p in zip(family, targets):
+                d = st.space(u).dist(st.pi(u, g), p)
+                worst.see(alpha - d, lambda: {"clause": "realization", "family": ",".join(family),
+                                              "domain": u, "target": p, "got": d, "g": env.show(g)})
+            related = [w for w in env.domains
+                       if any(st.relation(u, w) in (NEST_IN, TRANSVERSE) for u in family)
+                       and w not in family]
+            for w in env.sample(related, 10):
+                us = [u for u in family if st.relation(u, w) in (NEST_IN, TRANSVERSE)]
+                for u in us:
+                    d = st.space(w).dist(st.pi(w, g), st.rho_point(u, w))
+                    worst.see(alpha - d, lambda: {"clause": "ambient control", "family": ",".join(family),
+                                                  "ambient": w, "of": u, "got": d})
+    return worst.report(8, alpha)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("source, failing", [
+    ("f2freez", None), ("f2xz-corrupt-rho", 4), ("bad-orth-in-line", 8)])
+def test_columns_and_family_lists_match_the_per_element_reference(source, failing, seed):
+    # check 4 reads projection columns and sees one margin per pair, check
+    # 8 lists each family's related domains once; from the same rng draws
+    # margin, witness and check count agree, with their types
+    for index, reference in ((4, _reference_consistency), (8, _reference_partial_realization)):
+        want_env, got_env = (_Env(build_named(source), 3, seed, 500) for _ in range(2))
+        want = reference(want_env)
+        got = axioms._CHECKERS[index](got_env)
+        assert repr(got) == repr(want)
+        assert got.passed == (index != failing)
+        assert want_env.rng.getstate() == got_env.rng.getstate()
+
+
 def _crossing_nesting():
     """Point-space table whose nesting order crosses its listing order: W1
     is listed first but holds only Y, listed after X < W2.  Read in the
@@ -516,7 +579,8 @@ NESTING_RUNS = {**{name: (build, 60) for name, build in NESTING_SOURCES.items()}
 def test_nesting_map_matches_the_per_pair_reference(source, seed):
     # the same draws from the same rng, so every report agrees, witnesses too
     reference = {4: _reference_consistency, 6: _reference_large_links,
-                 7: _reference_geodesic_image, 9: _reference_uniqueness}
+                 7: _reference_geodesic_image, 8: _reference_partial_realization,
+                 9: _reference_uniqueness}
     build, max_pairs = NESTING_RUNS[source]
     env = _Env(build(), 3, seed, max_pairs)
     expected = [reference.get(i, check)(env) for i, check in axioms._CHECKERS.items()]

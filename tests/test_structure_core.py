@@ -211,6 +211,22 @@ class TestFreeProductStructure:
             assert between == ["S"] + [self.hh.vertex_label(v)
                                        for v in self.hh.tree.cosets(x, y)]
 
+    def test_remembered_labels_are_the_fresh_spelling(self):
+        # domains_between spells each coset once, then reads it back; asked
+        # twice, each pair gets its fresh spelling.  Radius-3 pairs meet
+        # only the materialized cosets, radius-4 ones add new cosets.
+        hh = build_named("f2freez")
+        rng = random.Random(12)
+        pairs = []
+        for radius, count in ((3, 300), (4, 60)):
+            ball = balls.standard_ball(hh.group, radius)
+            pairs += [(rng.choice(ball), rng.choice(ball)) for _ in range(count)]
+        for x, y in pairs + pairs:
+            fresh = ["S"] + [hh.vertex_label(v) for v in hh.tree.cosets(x, y)]
+            assert hh.domains_between(x, y) == fresh, (x, y)
+        assert len(hh._vertex_labels) > len(hh.domains()) - 1
+        assert all(hh.vertex_label(v) == label for v, label in hh._vertex_labels.items())
+
     def test_action_on_domains(self):
         c = self.m.parse("c")
         assert self.hh.act_on_domain(c, "ab@1") == "ab@c"

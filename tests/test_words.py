@@ -1,13 +1,15 @@
 """Normal forms and word arithmetic for the group families."""
 
 import importlib
+import pathlib
 import pkgutil
 import random
 
 import pytest
 
 import hhglab
-from hhglab.balls import cayley_ball_layers, symmetrize
+from hhglab.balls import cayley_ball_layers, standard_ball, symmetrize
+from hhglab.builders import load_structure
 from hhglab.cli import main
 from hhglab.errors import InputError
 from hhglab.groups import (
@@ -22,6 +24,8 @@ from hhglab.groups import (
 )
 from hhglab.spaces import CosetTreeSpace
 from hhglab.structures import FreeProductHHG, HHStructure
+
+STRUCTURE_DIR = pathlib.Path(__file__).resolve().parents[1] / "structures"
 
 
 def models_under_test():
@@ -265,6 +269,35 @@ class TestJunctionProduct:
                 multiply_bfs_layers(model, gens, radius)
 
 
+def distance_models():
+    """The group of every catalog structure file, each once, and three
+    products whose factor blocks sit away from offset 0: Z*Z, F2 x Z^2 (a
+    factor that is not shift-free) and F2 x Z (a rank-1 Z at offset 4)."""
+    catalog = {}
+    for path in sorted(STRUCTURE_DIR.glob("*.json")):
+        group = load_structure(str(path)).group
+        catalog.setdefault(repr(group.to_json()), group)
+    return list(catalog.values()) + [
+        FreeProduct([FreeAbelianGroup(1, ["s"]), FreeAbelianGroup(1, ["t"])]),
+        DirectProduct([FreeGroup(2), FreeAbelianGroup(2, ["c", "d"])]),
+        DirectProduct([FreeGroup(2), FreeAbelianGroup(1, ["t"])]),
+    ]
+
+
+class TestDistance:
+    """distance reads |u^-1 v| off the normal forms; it must be the length
+    of the product it never forms."""
+
+    def test_matches_the_length_of_the_product_on_radius_4_balls(self):
+        rng = random.Random(406)
+        for model in distance_models():
+            ball = standard_ball(model, 4)
+            for x in ball:
+                for y in [IDENTITY, x] + rng.sample(ball, min(len(ball), 30)):
+                    want = len(model.multiply(model.inverse(x), y))
+                    assert model.distance(x, y) == want, (model, x, y)
+
+
 class TestSerialization:
     def test_roundtrip(self):
         for model in models_under_test():
@@ -290,6 +323,7 @@ class TestWordContract:
     # are in its group, a coset tree's in its model
     GUARDED = ((GroupModel, "multiply", (0, 1)), (GroupModel, "power", (0,)),
                (GroupModel, "conjugate", (0, 1)), (GroupModel, "inverse", (0,)),
+               (GroupModel, "distance", (0, 1)),
                (DirectProduct, "factor_word", (0,)), (HHStructure, "pi", (1,)),
                (HHStructure, "domains_between", (0, 1)),
                (FreeProductHHG, "domains_between", (0, 1)),
