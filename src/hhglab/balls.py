@@ -21,10 +21,20 @@ Geometric Group Theory*, ch. VI):
   letters), so its Cayley graph is the standard one.
 
 Every other set is counted by the BFS, which is also the reference the
-series are tested against.  Each path has its own budget, and both raise
-ResourceBudgetError with the last radius completed: the BFS stops past
-DEFAULT_MAX_ELEMENTS elements, which it must hold in memory, and a series
-count, which holds none, once it passes COUNT_MAX_DIGITS digits.
+series are tested against.  The BFS takes one of two walks.  On a free
+group or free product in its 2n letters the ball is the set of reduced
+words, so the reduced walk lists them, each word of a layer followed by
+each letter but its inverse, with no product and no sort.  Every other
+generating set takes the product walk, which multiplies each frontier
+element by each generator and keeps the products it has not seen.
+
+Each path has its own budget, and both raise ResourceBudgetError with the
+last radius completed.  Either walk stops past DEFAULT_MAX_ELEMENTS
+elements or past DEFAULT_MAX_LETTERS letters, the two measures of the
+memory its elements hold: the reduced walk from each layer's known size
+before it builds the layer, the product walk at each new element.  A
+series count, which holds none, stops once it passes COUNT_MAX_DIGITS
+digits.
 
 ``generates_at_radius`` is exact on Z^n (integer row reduction) and on free
 groups and free products (Stallings folding: Stallings, "Topology of
@@ -42,6 +52,8 @@ from .errors import InputError, ResourceBudgetError
 from .groups import IDENTITY, DirectProduct, FreeAbelianGroup, FreeGroup, FreeProduct
 
 DEFAULT_MAX_ELEMENTS = 2_000_000
+# letters held by the ball's elements: a tuple stores 8 bytes per letter
+DEFAULT_MAX_LETTERS = 32_000_000
 # decimal digits of the largest ball count, below Python's 4,300-digit
 # limit on int to str, so every count a command returns can be printed
 COUNT_MAX_DIGITS = 4000
@@ -76,16 +88,57 @@ def _check_ball_args(gens, radius):
         raise InputError("empty generating set")
 
 
-def _layers(model, gens):
-    """BFS layers of the Cayley graph of gens, one per radius from 0, with
-    no end: layer r is the sorted list of elements at distance exactly r
-    from the identity.  Raises ResourceBudgetError once it holds more than
-    DEFAULT_MAX_ELEMENTS elements, read when the walk starts.
+def _check_budget(r, elements, letters, max_elements, max_letters):
+    """Raise ResourceBudgetError, with r - 1 as the last radius completed,
+    when a walk building radius r holds more than max_elements elements or
+    more than max_letters letters."""
+    for held, limit, what in ((elements, max_elements, "elements"),
+                              (letters, max_letters, "letters")):
+        if held > limit:
+            raise ResourceBudgetError(f"ball exceeded {limit} {what} at radius {r}",
+                                      partial_radius=r - 1)
 
-    Frontier elements and the given generators are normal forms, so each
-    step is the model's junction product."""
-    limit = DEFAULT_MAX_ELEMENTS
+
+def _layers(model, gens):
+    """Layers of the Cayley graph of gens, one per radius from 0, with no
+    end: layer r is the sorted list of elements at distance exactly r from
+    the identity.  Both budgets, DEFAULT_MAX_ELEMENTS elements and
+    DEFAULT_MAX_LETTERS letters held by the walk, are read once per walk.
+
+    On a free group or free product whose gens are its 2n one-letter words
+    in symmetrize order, the ball is the set of reduced words, so the
+    reduced walk lists them; every other ball takes the product walk."""
+    budget = DEFAULT_MAX_ELEMENTS, DEFAULT_MAX_LETTERS
+    if (isinstance(model, (FreeGroup, FreeProduct))
+            and list(gens) == [(x,) for x in range(2 * model.ngens)]):
+        return _reduced_walk(gens, *budget)
+    return _product_walk(model, gens, *budget)
+
+
+def _reduced_walk(gens, max_elements, max_letters):
+    """Layer r + 1 is each word of layer r followed by each letter but its
+    inverse, in order: no product, no seen set, no sort.  The layer sizes
+    are known, 2n and then (2n - 1) times the last, so each budget is
+    checked before its layer is built."""
+    follow = [[g for g in gens if g[0] != x ^ 1] for x in range(len(gens))]
+    frontier = [IDENTITY]
+    yield frontier
+    elements, letters, size = 1, 0, len(gens)
+    for r in itertools.count(1):
+        elements += size
+        letters += r * size
+        _check_budget(r, elements, letters, max_elements, max_letters)
+        frontier = list(gens) if r == 1 else [w + g for w in frontier for g in follow[w[-1]]]
+        yield frontier
+        size *= len(gens) - 1
+
+
+def _product_walk(model, gens, max_elements, max_letters):
+    """BFS by the model's junction product: frontier elements and the
+    given generators are normal forms.  The budgets are checked at each
+    new element."""
     seen = {IDENTITY}
+    letters = 0
     frontier = [IDENTITY]
     yield frontier
     for r in itertools.count(1):
@@ -96,11 +149,9 @@ def _layers(model, gens):
                 if u not in seen:
                     seen.add(u)
                     nxt.append(u)
-                    if len(seen) > limit:
-                        raise ResourceBudgetError(
-                            f"ball exceeded {limit} elements at radius {r}",
-                            partial_radius=r - 1,
-                        )
+                    letters += len(u)
+                    if len(seen) > max_elements or letters > max_letters:
+                        _check_budget(r, len(seen), letters, max_elements, max_letters)
         nxt.sort()
         yield nxt
         frontier = nxt
@@ -204,8 +255,9 @@ def growth_function(model, gens, radius):
     """Cumulative ball sizes [beta(0), ..., beta(radius)], from a growth
     series when the Cayley graph of gens is provably a standard one and
     from the BFS otherwise.  The BFS raises ResourceBudgetError past
-    DEFAULT_MAX_ELEMENTS elements, and a count raises it past
-    COUNT_MAX_DIGITS digits, which only a series reaches."""
+    DEFAULT_MAX_ELEMENTS elements or DEFAULT_MAX_LETTERS letters, and a
+    count raises it past COUNT_MAX_DIGITS digits, which only a series
+    reaches."""
     _check_ball_args(gens, radius)
     beta = []
     total = 0

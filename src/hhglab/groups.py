@@ -39,9 +39,6 @@ ASCII letters; the compact string form writes inverses as uppercase ("caC"
 is c a c^-1, "1" is the identity).
 """
 
-from __future__ import annotations
-
-import string
 from bisect import bisect_left
 
 from .errors import InputError, WrongKindError
@@ -49,6 +46,8 @@ from .errors import InputError, WrongKindError
 Word = tuple[int, ...]
 
 IDENTITY: Word = ()
+
+_LOWERCASE = "abcdefghijklmnopqrstuvwxyz"
 
 
 def invert_word(w: Word) -> Word:
@@ -75,7 +74,7 @@ class GroupModel:
         if len(self.labels) != self.ngens:
             raise InputError("need one label per generator")
         for lab in self.labels:
-            if len(lab) != 1 or lab not in string.ascii_lowercase:
+            if len(lab) != 1 or lab not in _LOWERCASE:
                 raise InputError(f"label {lab!r} must be a single lowercase letter")
         if len(set(self.labels)) != self.ngens:
             raise InputError("labels must be distinct")
@@ -178,7 +177,7 @@ class FreeGroup(GroupModel):
         if rank < 0:
             raise InputError("rank must be nonnegative")
         self.ngens = rank
-        self.labels = list(labels) if labels is not None else list(string.ascii_lowercase[:rank])
+        self.labels = list(labels) if labels is not None else list(_LOWERCASE[:rank])
         self._check_labels()
 
     def _reduce(self, w: Word) -> Word:
@@ -228,7 +227,7 @@ class FreeAbelianGroup(GroupModel):
         elif rank == 1:
             self.labels = ["t"]
         else:
-            self.labels = list(string.ascii_lowercase[:rank])
+            self.labels = list(_LOWERCASE[:rank])
         self._check_labels()
         self.shift_free = rank == 1
 

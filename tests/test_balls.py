@@ -157,6 +157,120 @@ class TestGrowthSeriesOracle:
         assert expected[6] == 8424
 
 
+def reduced_words(nletters, radius):
+    """Every freely reduced word of length at most radius on the letters
+    0..nletters-1, sorted by (len, w), one list per length: the reference
+    the reduced walk is tested against, built by filtering all words."""
+    words = [w for k in range(radius + 1) for w in itertools.product(range(nletters), repeat=k)
+             if all(y != x ^ 1 for x, y in zip(w, w[1:]))]
+    words.sort(key=lambda w: (len(w), w))
+    return [[w for w in words if len(w) == k] for k in range(radius + 1)]
+
+
+def letter_free_models():
+    """Models free on their letters: FreeGroup of ranks 1 to 3, F2*Z and
+    Z*Z."""
+    return [FreeGroup(1), FreeGroup(2), FreeGroup(3), F2_STAR_Z,
+            FreeProduct([FreeAbelianGroup(1, ["a"]), FreeAbelianGroup(1, ["b"])])]
+
+
+def product_walk(model, gens, radius, max_elements, max_letters=balls.DEFAULT_MAX_LETTERS):
+    return list(itertools.islice(balls._product_walk(model, gens, max_elements, max_letters),
+                                 radius + 1))
+
+
+def forbid_product_walk(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a standard free ball took the product walk")
+    monkeypatch.setattr(balls, "_product_walk", refuse)
+
+
+class TestReducedWalk:
+    """The standard ball of a model free on its letters is its reduced
+    words: the reduced walk lists them in the product walk's order and
+    stops where the product walk stops."""
+
+    @pytest.mark.parametrize("model", letter_free_models(), ids=repr)
+    def test_layers_are_the_reduced_words(self, monkeypatch, model):
+        want = reduced_words(2 * model.ngens, 5)
+        gens = std_gens(model)
+        assert product_walk(model, gens, 5, DEFAULT_MAX_ELEMENTS) == want
+        forbid_product_walk(monkeypatch)
+        assert cayley_ball_layers(model, gens, 5) == want
+
+    def test_other_generating_sets_take_the_product_walk(self):
+        # the letters in another order, or a generator more, are walked by
+        # products; the letters in reverse order still give sorted layers
+        F = FreeGroup(2)
+        calls = []
+        walk = balls._product_walk
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(balls, "_product_walk", lambda *args: calls.append(args[1]) or walk(*args))
+            reverse = cayley_ball_layers(F, std_gens(F)[::-1], 4)
+            cayley_ball_layers(F, symmetrize(F, parse_generating_set(F, "a,b,ab")), 2)
+        assert reverse == reduced_words(4, 4)
+        assert calls == [std_gens(F)[::-1], symmetrize(F, parse_generating_set(F, "a,b,ab"))]
+
+    @pytest.mark.parametrize("model", letter_free_models(), ids=repr)
+    @pytest.mark.parametrize("max_elements", [1, 6, 100, 937, 938, 5000])
+    def test_element_budget_matches_the_product_walk(self, monkeypatch, model, max_elements):
+        # the walk stops at the first radius whose ball, by the growth
+        # series, has more than max_elements elements
+        stop = next(r for r, beta in enumerate(itertools.accumulate(standard_spheres(model)))
+                    if beta > max_elements)
+        gens = std_gens(model)
+        with pytest.raises(ResourceBudgetError) as product:
+            product_walk(model, gens, stop, max_elements)
+        monkeypatch.setattr(balls, "DEFAULT_MAX_ELEMENTS", max_elements)
+        forbid_product_walk(monkeypatch)
+        with pytest.raises(ResourceBudgetError) as reduced:
+            cayley_ball_layers(model, gens, stop)
+        assert str(reduced.value) == str(product.value) == \
+            f"ball exceeded {max_elements} elements at radius {stop}"
+        assert reduced.value.partial_radius == product.value.partial_radius == stop - 1
+        assert len(cayley_ball_layers(model, gens, stop - 1)) == stop
+
+    @pytest.mark.parametrize("model", [FreeGroup(2), F2_STAR_Z], ids=repr)
+    @pytest.mark.parametrize("max_letters", [0, 4, 100, 2000])
+    def test_letter_budget_matches_the_product_walk(self, monkeypatch, model, max_letters):
+        gens = std_gens(model)
+        with pytest.raises(ResourceBudgetError) as product:
+            product_walk(model, gens, 60, DEFAULT_MAX_ELEMENTS, max_letters)
+        monkeypatch.setattr(balls, "DEFAULT_MAX_LETTERS", max_letters)
+        forbid_product_walk(monkeypatch)
+        with pytest.raises(ResourceBudgetError) as reduced:
+            cayley_ball_layers(model, gens, 60)
+        assert str(reduced.value) == str(product.value)
+        assert reduced.value.partial_radius == product.value.partial_radius
+
+
+class TestLetterBudget:
+    """Both walks stop once their elements hold more than
+    DEFAULT_MAX_LETTERS letters, which a ball of few long words reaches
+    long before the element budget."""
+
+    @pytest.mark.parametrize("max_letters", [0, 9, 10, 500, 4000])
+    def test_a_ball_of_long_powers_stops_on_its_letters(self, monkeypatch, max_letters):
+        model = build_named("z2").group
+        gens = symmetrize(model, parse_generating_set(model, "A,a,aaaa"))
+        held = list(itertools.accumulate(sum(map(len, layer))
+                                         for layer in cayley_ball_layers(model, gens, 40)))
+        stop = next(r for r, letters in enumerate(held) if letters > max_letters)
+        monkeypatch.setattr(balls, "DEFAULT_MAX_LETTERS", max_letters)
+        with pytest.raises(ResourceBudgetError) as info:
+            cayley_ball_layers(model, gens, 40)
+        assert str(info.value) == f"ball exceeded {max_letters} letters at radius {stop}"
+        assert info.value.partial_radius == stop - 1
+        assert len(cayley_ball_layers(model, gens, stop - 1)) == stop
+
+    def test_growth_reports_the_letter_budget_in_one_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(balls, "DEFAULT_MAX_LETTERS", 4000)
+        assert main(["growth", "z2", "--genset", "A,a,aaaa", "--n", "99999"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert "letters at radius" in err and '"partial_radius"' in err
+
+
 def largest_radius_under(model, gens, max_elements, cap):
     """The largest radius up to cap whose ball has at most max_elements
     elements.  The cap is for the free-abelian groups, whose balls stay

@@ -298,6 +298,20 @@ class TestCheck:
         assert doc["report"]["passed"] is True
         assert 600 < sum(built_layers) < 1600
 
+    def test_f2freez_at_a_huge_radius_stops_on_the_ball_budget(self, capsys, monkeypatch):
+        # the coset tree's sample sorts the vertices of the whole ball of
+        # the radius, so f2freez asks for it and fails in one line; with
+        # the budget at 10,000 elements the ball of radius 5 (4,687) is the
+        # last that fits, radius 6 holds 23,437
+        monkeypatch.setattr(balls, "DEFAULT_MAX_ELEMENTS", 10_000)
+        code, out, err = run(capsys, "check", "f2freez", "--radius", "99999",
+                             "--max-pairs", "1")
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert json.loads(err) == {
+            "error": "ResourceBudgetError",
+            "message": "ball exceeded 10000 elements at radius 6",
+            "witness": {"partial_radius": 5}}
+
     def test_missing_argument_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["check"])

@@ -32,6 +32,23 @@ def test_imports_are_relative_or_stdlib(path):
     assert outside == []
 
 
+# every standard-library module the package imports, by its top-level
+# name: a new import-time dependency is an edit here, made on purpose
+STDLIB_IMPORTS = {"argparse", "bisect", "collections", "hashlib", "itertools", "json", "math",
+                  "operator", "random", "sys"}
+
+
+def test_stdlib_imports_are_the_listed_set():
+    imported = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.partition(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.partition(".")[0])
+    assert imported == STDLIB_IMPORTS
+
+
 def cli_import_probe(root):
     """Import hhglab.cli from the directory root in an isolated child
     process and list the dataclass machinery it loaded.  -I ignores
