@@ -17,8 +17,8 @@ distances and its path domains from them, and check 9 reads the largest
 term of the distance formula off them.  Each pair also keeps the ball
 indices of x and y, so check 1 reads its distances off columns of the
 sampled elements: a domain it meets keeps, by ball index, the projections
-of the sampled elements it has needed, each asked of the structure's pi
-memo once, and d_u(x, y) is the distance of two entries of that column.
+of the sampled elements it has needed, each computed once, and d_u(x, y)
+is the distance of two entries of that column.
 Nesting is a relation between labels, not points, so ``above(v)``, the
 sampled domains that v nests in, is asked of the structure once per label;
 checks 4, 6 and 7 read their nested pairs off it.  Check 6 plans each

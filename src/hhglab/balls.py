@@ -117,9 +117,9 @@ def _layers(model, gens):
 
 def _reduced_walk(gens, max_elements, max_letters):
     """Layer r + 1 is each word of layer r followed by each letter but its
-    inverse, in order: no product, no seen set, no sort.  The layer sizes
-    are known, 2n and then (2n - 1) times the last, so each budget is
-    checked before its layer is built."""
+    inverse, in order: no product, no seen set, no sort.  A layer's size
+    is known before it is built, 2n and then (2n - 1) times the length of
+    the layer before, so each budget is checked first."""
     follow = [[g for g in gens if g[0] != x ^ 1] for x in range(len(gens))]
     frontier = [IDENTITY]
     yield frontier
@@ -130,7 +130,7 @@ def _reduced_walk(gens, max_elements, max_letters):
         _check_budget(r, elements, letters, max_elements, max_letters)
         frontier = list(gens) if r == 1 else [w + g for w in frontier for g in follow[w[-1]]]
         yield frontier
-        size *= len(gens) - 1
+        size = len(frontier) * (len(gens) - 1)
 
 
 def _product_walk(model, gens, max_elements, max_letters):

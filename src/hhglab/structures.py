@@ -25,10 +25,6 @@ CONTAINS = ">"
 ORTHOGONAL = "perp"
 TRANSVERSE = "trans"
 
-# marks an element pi has not projected yet: certify projects mostly new
-# elements, and a raised KeyError would cost about what the projection does
-_UNSEEN = object()
-
 _FLIP = {EQUAL: EQUAL, NEST_IN: CONTAINS, CONTAINS: NEST_IN, ORTHOGONAL: ORTHOGONAL, TRANSVERSE: TRANSVERSE}
 
 
@@ -122,24 +118,8 @@ class HHStructure:
 
     def pi(self, u, g):
         """Projection of the group element g, a normal form, to the domain
-        space of u.
-
-        Kept per structure as {u: {g: point}}, so each is computed once."""
-        try:
-            points = self._pi_memo[u]
-        except (KeyError, TypeError):
-            self._domain(u)  # a label that names no domain raises here
-            points = self._pi_memo[u] = {}
-        point = points.get(g, _UNSEEN)
-        if point is _UNSEEN:
-            point = points[g] = self._domain(u).pi(g)
-        return point
-
-    def projection_map(self, u):
-        """The domain's own projection map, g -> pi_u(g), for g a normal
-        form.  It keeps no memo: it serves elements that are projected
-        once, such as a whole ball or its translates."""
-        return self._domain(u).pi
+        space of u, by the domain's own map; nothing is kept."""
+        return self._domain(u).pi(g)
 
     def projection_column(self, u, radius):
         """The projections to u of standard_ball(group, radius), grouped by
@@ -147,12 +127,10 @@ class HHStructure:
         it}, one key per distinct point.
 
         Built once per domain and radius and kept on the structure; it
-        serves realize's ball search and the certifier's ping-pong sample.
-        It projects with the domain's own map, so the pi memo does not hold
-        the ball a second time."""
+        serves realize's ball search and the certifier's ping-pong sample."""
         column = self._columns.get((u, radius))
         if column is None:
-            project = self.projection_map(u)
+            project = self._domain(u).pi
             column = self._columns[(u, radius)] = {}
             for i, g in enumerate(standard_ball(self.group, radius)):
                 column.setdefault(project(g), []).append(i)
@@ -252,7 +230,6 @@ class TableHHG(HHStructure):
         self.label = label
         self.group = group
         self.constants = constants
-        self._pi_memo = {}
         self._columns = {}  # (u, radius) -> projection_column
         self._domains = {d.label: d for d in domains}
         if len(self._domains) != len(domains):
@@ -344,7 +321,6 @@ class FreeProductHHG(HHStructure):
         self.label = label
         self.group = group
         self.constants = constants
-        self._pi_memo = {}
         self._columns = {}  # (u, radius) -> projection_column
         self.generation_radius = generation_radius
         self.tree = CosetTreeSpace(group)
@@ -352,7 +328,7 @@ class FreeProductHHG(HHStructure):
         # The top domain has no vertex; it lifts a tree vertex, a coset, to
         # the coset's representative, which projects onto it (onto a
         # neighbour for a coset of the second factor).  No record refers
-        # back to the structure: a cycle would keep it and its pi memo alive
+        # back to the structure: a cycle would keep it and its columns alive
         # until a full garbage collection.
         tree = self.tree
         self._decoded = {self.TOP: (None, Domain(self.TOP, tree,

@@ -288,12 +288,16 @@ class TestPairRows:
         # counted where the work is done: a (pair, domain) distance when
         # st.dsub measures it or a row gets it, keyed (u, x, y), a path when
         # the structure is asked for it, and a (domain, element) projection
-        # below the pi memo.  A row that stores what st.dsub has just
-        # measured holds the same measurement, so it is not counted again.
+        # that check 1 asks of the domain's own map; check 1 reads its
+        # projections from its columns.  A row that stores what st.dsub has
+        # just measured holds the same measurement, so it is not counted
+        # again.
         st = PAIR_SOURCES[source]()
         distances, paths, projections = [], [], []
         just_measured = []  # key of the last st.dsub call until a row stores it
+        in_check_1 = []
         dsub, between, domain = st.dsub, st.domains_between, st._domain
+        check_1 = axioms._CHECKERS[1]
 
         def counting_dsub(u, x, y):
             distances.append((u, x, y))
@@ -325,12 +329,21 @@ class TestPairRows:
             record = domain(u)
 
             def pi(g):
-                projections.append((u, g))
+                if in_check_1:
+                    projections.append((u, g))
                 return record.pi(g)
 
             return record._replace(pi=pi)
 
+        def counting_check_1(env):
+            in_check_1.append(True)
+            try:
+                return check_1(env)
+            finally:
+                in_check_1.clear()
+
         monkeypatch.setattr(axioms, "_Env", CountingEnv)
+        monkeypatch.setitem(axioms._CHECKERS, 1, counting_check_1)
         monkeypatch.setattr(st, "dsub", counting_dsub)
         monkeypatch.setattr(st, "domains_between", counting_between)
         monkeypatch.setattr(st, "_domain", counting_domain)

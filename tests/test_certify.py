@@ -464,15 +464,6 @@ class TestPingpong:
         second = ("s", "ccc") if m.format(t) == "cc" else ("t", "aaa")
         assert found == [("t", "aaa"), second, True, True, True]
 
-    @pytest.mark.parametrize("gens, held", [("a,b,c", 15), ("a,b,ac", 14)])
-    def test_translates_stay_out_of_the_pi_memo(self, gens, held):
-        # the sample's translates are projected once, by the domain's own
-        # map; through pi the memo held 243 and 322 entries
-        st = build_named("f2freez")
-        cert = certify(st, [st.group.parse(w) for w in gens.split(",")], depth=6)
-        assert cert.variant == "free-subgroup"
-        assert sum(len(points) for points in st._pi_memo.values()) == held
-
     def test_witness_is_the_first_far_element_in_ball_order(self):
         # on Z, U projects to the sign of the exponent and V to 0 at t^2
         # and t^-1 only, 5 elsewhere; t is the identity, so t^2 and T are

@@ -252,7 +252,7 @@ class TestRealizationCache:
     """The search reads one projection column per structure, domain and
     radius; a repeated search builds nothing."""
 
-    def test_a_second_call_builds_no_ball_and_no_projection(self, built_layers):
+    def test_a_second_call_builds_no_ball_and_no_column(self, built_layers):
         hh = build_named("f2xz")
         projected = []
 
@@ -264,14 +264,24 @@ class TestRealizationCache:
 
         hh._domains = {u: d._replace(pi=counted(u, d.pi)) for u, d in hh._domains.items()}
         g, h = hh.group.parse("abtt"), hh.group.parse("BBt")
-        first = realize(hh, project_tuple(hh, g), search_radius=4)
-        assert built_layers and projected
+        tup = project_tuple(hh, g)
+        # realize checks the tuple's consistency first, which projects
+        # lifts; every other projection to T is the search's
+        projected.clear()
+        assert is_consistent(hh, tup).ok
+        consistency = projected.count("T")
+        projected.clear()
+        first = realize(hh, tup, search_radius=4)
+        assert built_layers
+        assert projected.count("T") == consistency + len(standard_ball(hh.group, 4))
+        assert list(hh._columns) == [("T", 4)]
         built_layers.clear()
         projected.clear()
-        assert realize(hh, project_tuple(hh, g), search_radius=4) == first
-        assert built_layers == [] and projected == []
+        assert realize(hh, tup, search_radius=4) == first
+        assert built_layers == [] and projected.count("T") == consistency
+        assert list(hh._columns) == [("T", 4)]
         # the search for another tuple reads the same column of T; only
-        # its other domains may need projections the memo lacks
+        # its other domains are projected
         targets = sorted(project_tuple(hh, h).entries.items())
         projected.clear()
         assert closest_elements(hh, targets, 4) == (0, [h])

@@ -406,7 +406,7 @@ def test_equal_relation_means_equal_labels(name):
 @pytest.mark.parametrize("name", sorted(STANDARD_BUILDERS))
 def test_a_structure_dies_with_its_last_reference(name):
     # no record refers back to its structure, and a check leaves no cycle
-    # that holds it, so the structure and its pi memo go at once, not at
+    # that holds it, so the structure and its columns go at once, not at
     # the next full garbage collection
     hh = build_named(name)
     gone = weakref.ref(hh)
