@@ -7,27 +7,23 @@ deterministic for a fixed seed.  A pass is evidence on the sample
 window, never a proof; a fail is a concrete counterexample.
 
 One run draws its samples once, in ``_Env``, and the nine checks share
-them: the ball elements, the sampled pairs each with its word distance
-``(x, y, d_G(x, y))`` (checks 1 and 9 read it), and one point sample per
-space object, which domains on the same space share; ``points`` hands out
-a fresh list of it on each call.  Each sampled pair also has a row of
-domain distances ``{u: d_u(x, y)}`` and its ``domains_between``, both
-measured at most once per run: check 1 fills the rows, check 6 reads its
-distances and its path domains from them, and check 9 reads the largest
-term of the distance formula off them.  Each pair also keeps the ball
-indices of x and y, so check 1 reads its distances off columns of the
-sampled elements: a domain it meets keeps, by ball index, the projections
-of the sampled elements it has needed, each computed once, and d_u(x, y)
-is the distance of two entries of that column.
-Nesting is a relation between labels, not points, so ``above(v)``, the
-sampled domains that v nests in, is asked of the structure once per label;
-checks 4, 6 and 7 read their nested pairs off it.  Check 6 plans each
-distinct domains_between list once: the domains w that some of its domains
+them: the ball elements; the sampled pairs, each with its word distance
+``(x, y, d_G(x, y))`` and the ball indices of x and y; and one point
+sample per space object, shared by the domains on it (``points`` hands
+out a fresh list of it).  The projection table holds, for each domain u
+the run meets, pi_u of every paired element by ball index, projected in
+one pass by u's own map.  A pair's row of distances ``{u: d_u(x, y)}``,
+read off the table, and its ``domains_between`` are each measured at
+most once per run: check 1 fills the rows, check 6 reads its distances,
+path domains and pi_w(x) there, and check 9 the distance formula's
+largest term.  Nesting is a relation between labels, not points, so
+``above(v)``, the sampled domains that v nests in, is asked once per
+label; checks 4, 6 and 7 read their nested pairs off it.  Check 6 plans
+each distinct domains_between list once: the domains w that its domains
 nest in, in domains order, each with those candidates and their
-rho_point(v, w), asked once per (v, w); the pairs of that list reuse it.
-Check 4 projects each domain it meets over its 40 sampled elements once
-and measures a domain pair on two such columns.  Check 8 lists the
-domains related to a family once per family.
+rho_point(v, w), asked once per (v, w).  Check 4 projects each domain it
+meets over its own 40 sampled elements once.  Check 8 lists the domains
+related to a family once per family.
 
 Checks 1, 4 and 6-9 keep that worst case in one record, ``_Worst``: the
 smallest margin, the first witness that reached it and the check count.
@@ -125,19 +121,32 @@ class _Env:
             self.pairs.append((x, y, st.word_metric(x, y)))
             self.indices.append((i, j))
         self.rows = [{} for _ in self.pairs]  # pair index -> {domain: d_u(x, y)}
+        self._paired = {i: self.elements[i] for pair in self.indices for i in pair}
+        self._table = {}  # domain -> (dist of its space, {ball index: pi_u(element)})
         self._between = {}  # pair index -> domains_between(x, y)
         self.domains = st.domains()
         self._above = {}  # label -> the sampled domains it nests in
         self._points = {}  # space -> its sample, a tuple
         self._defects = {}  # space -> four-point defect of its sample
 
+    def column(self, u):
+        """(dist of u's space, {ball index: pi_u(x)}) for each element x of a
+        sampled pair, projected in one pass the first time u is met."""
+        col = self._table.get(u)
+        if col is None:
+            domain = self.st._domain(u)
+            col = self._table[u] = (domain.space.dist,
+                                    dict(zip(self._paired, map(domain.pi, self._paired.values()))))
+        return col
+
     def dsub(self, k, u):
         """d_u(x, y) of sampled pair k, measured at most once per run."""
         row = self.rows[k]
         d = row.get(u)
         if d is None:
-            x, y, _ = self.pairs[k]
-            d = row[u] = self.st.dsub(u, x, y)
+            dist, points = self.column(u)
+            i, j = self.indices[k]
+            d = row[u] = dist(points[i], points[j])
         return d
 
     def between(self, k):
@@ -208,25 +217,15 @@ def _check_projections(env):
     K = st.constants.K_proj
     delta = st.constants.delta
     worst = _Worst()
-    # coarse Lipschitz bound on every materialized domain; the first check
-    # to run, so each distance it measures fills its pair's row.  A domain
-    # keeps a column of the sampled elements it has projected, by ball
-    # index.  Within a pair only the first smallest margin can be a new
-    # worst, so it alone is seen and the other domains are counted.
-    columns = {}  # domain -> (dist of its space, {ball index: pi_u(element)})
+    # coarse Lipschitz bound on every materialized domain, filling the rows;
+    # only a pair's first smallest margin can be a new worst, so it alone is
+    # seen and the other domains are counted
     for (x, y, dg), (i, j), row in zip(env.pairs, env.indices, env.rows):
         bound = K * dg + K
         sampled = env.sample(env.domains, 40)
         low = math.inf
         for u in sampled:
-            try:
-                dist, points = columns[u]
-            except KeyError:
-                dist, points = columns[u] = (st.space(u).dist, {})
-            if i not in points:
-                points[i] = st.pi(u, x)
-            if j not in points:
-                points[j] = st.pi(u, y)
+            dist, points = env.column(u)
             du = row[u] = dist(points[i], points[j])
             if bound - du < low:
                 low, top_u, top = bound - du, u, du
@@ -330,6 +329,7 @@ def _check_consistency(env):
         if st.relation(u, v) == TRANSVERSE
     ]
     nest_pairs = [(u, v) for u in env.domains for v in env.above(u)]
+    # drawn from the rng after the pairs, so not read off env.column
     xs = env.sample(env.elements, 40)
     columns = {}  # domain -> [pi_u(x) for x in xs]
     for clause, code, pairs, (a, b, da, db) in (
@@ -382,7 +382,7 @@ def _check_large_links(env):
     order = {u: i for i, u in enumerate(env.domains)}
     plans = {}  # domains between, as a tuple -> its plan
     rhos = {}  # (v, w) -> rho_point(v, w)
-    for k, (x, y, _) in enumerate(env.pairs):
+    for k, ((x, y, _), (i, _)) in enumerate(zip(env.pairs, env.indices)):
         between = tuple(env.between(k))
         plan = plans.get(between)
         if plan is None:
@@ -392,17 +392,17 @@ def _check_large_links(env):
                     below.setdefault(w, []).append(v)
                     if (v, w) not in rhos:
                         rhos[v, w] = st.rho_point(v, w)
-            plan = plans[between] = [(w, st.space(w).dist, [(v, rhos[v, w]) for v in below[w]])
+            plan = plans[between] = [(w, [(v, rhos[v, w]) for v in below[w]])
                                      for w in sorted(below, key=order.__getitem__)]
-        for w, dist, candidates in plan:
+        for w, candidates in plan:
             dw = env.dsub(k, w)
             bound = lam * dw + lam
             links = [(v, rho) for v, rho in candidates if env.dsub(k, v) >= E]
             worst.see(bound - len(links), lambda: {"clause": "count", "w": w, "x": env.show(x),
                                                    "y": env.show(y), "links": len(links), "bound": bound})
-            pw = st.pi(w, x)
+            dist, points = env.column(w)
             for v, rho in links:
-                d = dist(pw, rho)
+                d = dist(points[i], rho)
                 worst.see(bound - d, lambda: {
                     "clause": "rho distance", "w": w, "v": v, "x": env.show(x), "y": env.show(y), "d": d})
     return worst.report(6, lam)

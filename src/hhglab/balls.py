@@ -188,13 +188,13 @@ def standard_ball(model, radius):
 
 
 def standard_ball_prefix(model, radius, count):
-    """The first count elements of standard_ball(model, radius): the ball
-    of the least radius holding that many, cut to count.  The growth
-    series gives that radius, so no layer past it is built."""
+    """The first count elements of standard_ball(model, radius): the least
+    ball holding that many, or the whole ball once a sphere is empty, cut to
+    count.  The growth series gives its radius, so no layer past it is built."""
     total = 0
     for r, size in zip(range(radius + 1), standard_spheres(model)):
         total += size
-        if total >= count:
+        if total >= count or (r and not size):
             break
     return standard_ball(model, r)[:count]
 

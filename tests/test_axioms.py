@@ -285,23 +285,19 @@ class TestPairRows:
 
     @pytest.mark.parametrize("source", sorted(PAIR_SOURCES))
     def test_each_distance_and_path_measured_once(self, monkeypatch, source):
-        # counted where the work is done: a (pair, domain) distance when
-        # st.dsub measures it or a row gets it, keyed (u, x, y), a path when
+        # counted where the work is done: a (pair, domain) distance when a
+        # row gets it or st.dsub measures it, keyed (u, x, y), a path when
         # the structure is asked for it, and a (domain, element) projection
-        # that check 1 asks of the domain's own map; check 1 reads its
-        # projections from its columns.  A row that stores what st.dsub has
-        # just measured holds the same measurement, so it is not counted
-        # again.
+        # that check 1 or check 6 asks of the domain's own map.  Both read
+        # the run's one projection table, so each domain they meet projects
+        # every element of a sampled pair, and nothing else, exactly once.
         st = PAIR_SOURCES[source]()
-        distances, paths, projections = [], [], []
-        just_measured = []  # key of the last st.dsub call until a row stores it
-        in_check_1 = []
+        distances, paths, projections, envs = [], [], [], []
+        counting_projections = []
         dsub, between, domain = st.dsub, st.domains_between, st._domain
-        check_1 = axioms._CHECKERS[1]
 
         def counting_dsub(u, x, y):
             distances.append((u, x, y))
-            just_measured[:] = [(u, x, y)]
             return dsub(u, x, y)
 
         class CountingRow(dict):
@@ -310,16 +306,14 @@ class TestPairRows:
                 self.pair = (x, y)
 
             def __setitem__(self, u, d):
-                key = (u, *self.pair)
-                if just_measured != [key]:
-                    distances.append(key)
-                just_measured.clear()
+                distances.append((u, *self.pair))
                 super().__setitem__(u, d)
 
         class CountingEnv(_Env):
             def __init__(self, *args):
                 super().__init__(*args)
                 self.rows = [CountingRow(x, y) for x, y, _ in self.pairs]
+                envs.append(self)
 
         def counting_between(x, y):
             paths.append((x, y))
@@ -329,31 +323,41 @@ class TestPairRows:
             record = domain(u)
 
             def pi(g):
-                if in_check_1:
+                if counting_projections:
                     projections.append((u, g))
                 return record.pi(g)
 
             return record._replace(pi=pi)
 
-        def counting_check_1(env):
-            in_check_1.append(True)
-            try:
-                return check_1(env)
-            finally:
-                in_check_1.clear()
+        def counting(check):
+            def run(env):
+                counting_projections.append(True)
+                try:
+                    return check(env)
+                finally:
+                    counting_projections.clear()
+
+            return run
 
         monkeypatch.setattr(axioms, "_Env", CountingEnv)
-        monkeypatch.setitem(axioms._CHECKERS, 1, counting_check_1)
+        for index in (1, 6):
+            monkeypatch.setitem(axioms._CHECKERS, index, counting(axioms._CHECKERS[index]))
         monkeypatch.setattr(st, "dsub", counting_dsub)
         monkeypatch.setattr(st, "domains_between", counting_between)
         monkeypatch.setattr(st, "_domain", counting_domain)
         check_structure(st, radius=3, seed=0, max_pairs=300)
         for counted in (distances, paths, projections):
             assert counted and max(Counter(counted).values()) == 1
+        (env,) = envs
+        paired = {g for x, y, _ in env.pairs for g in (x, y)}
+        by_domain = {}
+        for u, g in projections:
+            by_domain.setdefault(u, set()).add(g)
+        assert all(elements == paired for elements in by_domain.values())
 
 
-# Check 1 as it was before it read projection columns: one dsub, and one
-# margin seen, per sampled (pair, domain).
+# Check 1 as it was before it read the projection table: one dsub, and
+# one margin seen, per sampled (pair, domain).
 # The per-pair loops of checks 4, 6 and 7 as they were before _Env kept a
 # nesting map: each asks relation for every pair of domains it meets.
 # Check 4 also projects, and sees a margin, per (domain pair, element).
@@ -582,9 +586,14 @@ def test_downward_projection_needs_a_nested_pair(name, w, v):
 
 
 # the free product is the one family whose pairs have domains_between lists
-# of their own, so the radius-3 copy gives check 6 the most plans
-NESTING_RUNS = {**{name: (build, 60) for name, build in NESTING_SOURCES.items()},
-                "f2freez-radius-3": (_f2freez_radius_3, 300)}
+# of their own, so the radius-3 copy gives check 6 the most plans.  A run is
+# (build, check radius, max pairs).  At radius 3 every catalog ball has under
+# 600 elements and the pairs touch most of them; at radius 5 the 60 pairs
+# touch about 110 of the 600 elements sampled.
+PARTIAL_BALL_RUNS = {f"{name}-radius-5": (NESTING_SOURCES[name], 5, 60)
+                     for name in ("f2freez", "f2xf2")}
+NESTING_RUNS = {**{name: (build, 3, 60) for name, build in NESTING_SOURCES.items()},
+                "f2freez-radius-3": (_f2freez_radius_3, 3, 300), **PARTIAL_BALL_RUNS}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -594,10 +603,10 @@ def test_nesting_map_matches_the_per_pair_reference(source, seed):
     reference = {4: _reference_consistency, 6: _reference_large_links,
                  7: _reference_geodesic_image, 8: _reference_partial_realization,
                  9: _reference_uniqueness}
-    build, max_pairs = NESTING_RUNS[source]
-    env = _Env(build(), 3, seed, max_pairs)
+    build, radius, max_pairs = NESTING_RUNS[source]
+    env = _Env(build(), radius, seed, max_pairs)
     expected = [reference.get(i, check)(env) for i, check in axioms._CHECKERS.items()]
-    got = check_structure(build(), radius=3, seed=seed, max_pairs=max_pairs)
+    got = check_structure(build(), radius=radius, seed=seed, max_pairs=max_pairs)
     assert [a.to_json() for a in got.axioms] == [a.to_json() for a in expected]
 
 
@@ -613,9 +622,9 @@ def _tied_lines():
 
 
 # the radius-3 copy has 189 domains, so each pair draws 40 of them
-PROJECTION_SOURCES = {**{name: (build, 60) for name, build in NESTING_SOURCES.items()},
-                      "f2freez-radius-3": (_f2freez_radius_3, 300),
-                      "tied-lines": (_tied_lines, 60)}
+PROJECTION_SOURCES = {**{name: (build, 3, 60) for name, build in NESTING_SOURCES.items()},
+                      "f2freez-radius-3": (_f2freez_radius_3, 3, 300),
+                      "tied-lines": (_tied_lines, 3, 60), **PARTIAL_BALL_RUNS}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -623,8 +632,8 @@ PROJECTION_SOURCES = {**{name: (build, 60) for name, build in NESTING_SOURCES.it
 def test_projection_columns_match_the_per_pair_reference(source, seed):
     # the same draws from the same rng: margin, witness and check count
     # agree with their types, and every pair's row holds the same distances
-    build, max_pairs = PROJECTION_SOURCES[source]
-    want_env, got_env = (_Env(build(), 3, seed, max_pairs) for _ in range(2))
+    build, radius, max_pairs = PROJECTION_SOURCES[source]
+    want_env, got_env = (_Env(build(), radius, seed, max_pairs) for _ in range(2))
     want = _reference_projections(want_env)
     got = axioms._check_projections(got_env)
     assert repr(got) == repr(want)

@@ -790,6 +790,24 @@ class TestDistance:
         assert code == 2 and out == ""
         assert err == "error: empty generating set\n"
 
+    @pytest.mark.parametrize("source", ["z0", "free-product-with-f0"])
+    def test_a_finite_ball_is_not_walked_to_the_radius(self, capsys, tmp_path, source):
+        # a rank-0 group's spheres are 1, 0, 0, ...: the group's own ball,
+        # or a rank-0 factor's sampled tree space, stops at the first empty
+        # sphere instead of walking a billion of them
+        if source == "z0":
+            recipe = {"builder": "product", "label": "z0",
+                      "group": {"family": "free_abelian", "rank": 0}}
+        else:
+            with open(f"{STRUCTURES}/f2freez.json") as fh:
+                recipe = json.load(fh)
+            recipe["group"]["factors"][1] = {"family": "free", "rank": 0, "labels": []}
+        path = tmp_path / f"{source}.json"
+        path.write_text(json.dumps(recipe))
+        code, out, err = run(capsys, "check", str(path), "--radius", "1000000000")
+        assert code == 2 and out == ""
+        assert err == "error: empty generating set\n"
+
 
 class TestDecompose:
     def test_two_tree_blocks(self, capsys):
